@@ -40,7 +40,6 @@ from .simulation import (
     SyntheticSubject,
     evaluation_schedule,
     generate_budgets,
-    prefix,
     sample_population,
     simulate_subject,
 )

@@ -17,10 +17,13 @@ cycle mean.  The index is therefore
 
     deut = max(0, -mu*),    mu* = minimum mean cycle weight,
 
-computed with Karp's dynamic program.  A zero-weight cycle through an edge
-generated by a *strict* quantity comparison is reported with the smallest
-positive double as a tie-diagnostic sentinel: such data is rationalizable
-only by felicities with kinks, not by smooth strictly concave ones.
+computed with Karp's dynamic program on the dense (n, n) matrix of lightest
+edges, which is built directly by broadcasting the quantity comparisons
+(``build_eu_graph`` lists the same edges one by one).  A zero-weight cycle
+through an edge generated by a *strict* quantity comparison is reported
+with the smallest positive double as a tie-diagnostic sentinel: such data is
+rationalizable only by felicities with kinks, not by smooth strictly concave
+ones.
 
 Sign decisions on cycle weights carry a 1e-9 tolerance.
 """
@@ -94,18 +97,38 @@ def build_eu_graph(dataset: SubjectDataset) -> EuConstraintGraph:
     return EuConstraintGraph(dataset.n, tuple(edges), dropped)
 
 
-def _collapse(graph: EuConstraintGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the lightest parallel edge per node pair; remember strict ties."""
-    n = graph.n_obs
+def _eu_matrices(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray, int]:
+    """The constraint graph collapsed to dense (n, n) matrices.
+
+    ``weight[k', k]`` is the lightest edge k' -> k (inf when there is none)
+    and ``strict_at_min[k', k]`` marks a strict comparison within 1e-12 of
+    that minimum.  Each of the four (source state, target state) slot
+    pairings contributes one broadcast comparison; a slot is never compared
+    with itself.  Also returns the number of zero quantities.
+    """
+    demand = dataset.demand_matrix()
+    log_prices = np.log(dataset.price_matrix())
+    held = demand > 0.0
+    if not held.any():
+        raise DegenerateDataError("all quantities are zero; no comparisons available")
+    n = dataset.n
+    other_slot = ~np.eye(n, dtype=bool)
     weight = np.full((n, n), np.inf)
-    for e in graph.edges:
-        if e.weight < weight[e.src, e.dst]:
-            weight[e.src, e.dst] = e.weight
+    pairings = []
+    for s_src in range(2):
+        for s_dst in range(2):
+            # the target slot holds at least as much as the source slot
+            gap = demand[None, :, s_dst] - demand[:, None, s_src]
+            edge = (gap >= -QUANTITY_TOL) & held[:, None, s_src] & held[None, :, s_dst]
+            if s_src == s_dst:
+                edge &= other_slot
+            w = np.where(edge, log_prices[:, None, s_src] - log_prices[None, :, s_dst], np.inf)
+            weight = np.minimum(weight, w)
+            pairings.append((w, edge & (gap > QUANTITY_TOL)))
     strict_at_min = np.zeros((n, n), dtype=bool)
-    for e in graph.edges:
-        if e.strict and e.weight <= weight[e.src, e.dst] + 1e-12:
-            strict_at_min[e.src, e.dst] = True
-    return weight, strict_at_min
+    for w, strict in pairings:
+        strict_at_min |= strict & (w <= weight + 1e-12)
+    return weight, strict_at_min, int(np.count_nonzero(~held))
 
 
 def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
@@ -170,12 +193,11 @@ def _floyd_warshall(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def deut_index(dataset: SubjectDataset) -> DeutResult:
     """Index value, an optional witness cycle, and the dropped-pair count."""
-    graph = build_eu_graph(dataset)
-    weight, strict_at_min = _collapse(graph)
+    weight, strict_at_min, dropped = _eu_matrices(dataset)
     mu, witness = _karp_min_mean_cycle(weight)
 
     if mu < -CYCLE_TOL:
-        return DeutResult(-mu, witness, graph.dropped_pairs)
+        return DeutResult(-mu, witness, dropped)
 
     if mu <= CYCLE_TOL and strict_at_min.any():
         # A strict edge closing a zero-weight cycle: w(u->v) + dist(v->u) == 0.
@@ -187,5 +209,5 @@ def deut_index(dataset: SubjectDataset) -> DeutResult:
                 while node != int(u) and len(cycle) <= weight.shape[0]:
                     cycle.append(node)
                     node = int(nxt[node, u])
-                return DeutResult(STRICT_ZERO_SENTINEL, tuple(cycle), graph.dropped_pairs)
-    return DeutResult(0.0, None, graph.dropped_pairs)
+                return DeutResult(STRICT_ZERO_SENTINEL, tuple(cycle), dropped)
+    return DeutResult(0.0, None, dropped)

@@ -7,7 +7,10 @@ transitive closure.  GARP(e) fails when some ``x^i`` is revealed preferred to
 an ``x^j`` that is strictly cheaper than ``e`` times own expenditure at
 ``p^j`` -- that is, closure(i, j) together with ``e (p^j . x^j) > p^j . x^i``.
 The CCEI is the largest ``e`` in [0, 1] at which GARP(e) holds; it equals 1
-exactly when the data has no violation at full efficiency.
+exactly when the data has no violation at full efficiency.  Otherwise it is
+read off one Floyd-Warshall pass in (max, min) algebra -- the minimax path
+closure of the thresholds at which each direct edge appears (Varian 1990) --
+and snapped to the nearest cross/own expenditure ratio.
 
 Comparisons carry a 1e-12 absolute tolerance when building relations and
 1e-9 for dominance checks, so float noise cannot manufacture violations.
@@ -24,7 +27,6 @@ from .errors import ValidationError
 
 RELATION_TOL = 1e-12
 FOSD_TOL = 1e-9
-BISECT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class RevealedRelation:
 class CceiResult:
     ccei: float
     violating_pairs_at_1: tuple[tuple[int, int], ...]
-    method: str
 
 
 def _expenditures(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -87,53 +88,32 @@ def garp_holds(dataset: SubjectDataset, e: float) -> tuple[bool, list[tuple[int,
     return not pairs, pairs
 
 
-def ccei(dataset: SubjectDataset, method: str = "exact_candidate_set") -> CceiResult:
+def ccei(dataset: SubjectDataset) -> CceiResult:
     """Largest efficiency level at which GARP holds.
 
-    The exact method searches the finite candidate set of cross/own
-    expenditure ratios (GARP status can only change there); the bisection
-    fallback resolves e to 1e-6 on [0, 1].  Both rely on monotonicity of
-    GARP(e) in e.
+    GARP(e) fails exactly when some i reaches j through direct edges that
+    all exist at e (edge k -> l exists from ``a_kl = (E_kl - tol) / E_kk``
+    upward) while ``e > c_ji = (E_ji + tol) / E_jj``.  With ``B`` the
+    minimax path closure of ``a``, the supremum of the consistent levels is
+    therefore ``min_ij max(B_ij, c_ji)``.  That value sits within the
+    tolerance of a cross/own expenditure ratio, where GARP's status changes,
+    and is reported as the nearest such ratio.
     """
     holds_at_1, pairs_at_1 = garp_holds(dataset, 1.0)
     pairs = tuple(pairs_at_1)
     if holds_at_1:
-        return CceiResult(1.0, pairs, method)
+        return CceiResult(1.0, pairs)
 
-    if method == "exact_candidate_set":
-        cross, own = _expenditures(dataset)
-        ratios = cross / own[:, None]
-        off_diag = ~np.eye(dataset.n, dtype=bool)
-        values = ratios[off_diag]
-        values = values[(values >= 0.0) & (values <= 1.0)]
-        candidates = np.unique(np.concatenate([values, [0.0, 1.0]]))
-        lo, hi = 0, len(candidates) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if garp_holds(dataset, float(candidates[mid]))[0]:
-                lo = mid
-            else:
-                hi = mid - 1
-        # GARP can fail AT the next candidate (a new weak edge completes a
-        # cycle) while holding on the open interval below it; the supremum is
-        # then that candidate itself.  One midpoint probe settles it.
-        if lo + 1 < len(candidates):
-            midpoint = 0.5 * (candidates[lo] + candidates[lo + 1])
-            if garp_holds(dataset, float(midpoint))[0]:
-                return CceiResult(float(candidates[lo + 1]), pairs, method)
-        return CceiResult(float(candidates[lo]), pairs, method)
+    cross, own = _expenditures(dataset)
+    closure = (cross - RELATION_TOL) / own[:, None]
+    for k in range(dataset.n):
+        closure = np.minimum(closure, np.maximum(closure[:, k, None], closure[None, k, :]))
+    cheaper_from = (cross.T + RELATION_TOL) / own[None, :]  # [i, j] = c_ji
+    value = min(1.0, float(np.maximum(closure, cheaper_from).min()))
 
-    if method == "binary_search":
-        lo, hi = 0.0, 1.0
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if garp_holds(dataset, mid)[0]:
-                lo = mid
-            else:
-                hi = mid
-        return CceiResult(lo, pairs, method)
-
-    raise ValidationError(f"unknown CCEI method {method!r}")
+    ratios = (cross / own[:, None])[~np.eye(dataset.n, dtype=bool)]
+    candidates = np.unique(np.concatenate([ratios[(ratios >= 0.0) & (ratios <= 1.0)], [0.0, 1.0]]))
+    return CceiResult(float(candidates[np.argmin(np.abs(candidates - value))]), pairs)
 
 
 def fosd_violations(dataset: SubjectDataset) -> tuple[int, tuple[bool, ...]]:

@@ -23,7 +23,6 @@ from .data import (
     ReturnPair,
     SubjectDataset,
     _parse_float,
-    dataset_prefix,
     format_float,
 )
 from .errors import ValidationError
@@ -92,11 +91,6 @@ def simulate_subject(
     return SyntheticSubject(
         subject_id, params, SubjectDataset(subject_id, Provenance.SIMULATED, rounds)
     )
-
-
-def prefix(dataset: SubjectDataset, s: int) -> SubjectDataset:
-    """First ``s`` rounds; errors when s is out of range."""
-    return dataset_prefix(dataset, s)
 
 
 def sample_population(

@@ -6,12 +6,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .da_model import DAParams
-from .data import SubjectDataset
+from .data import SubjectDataset, dataset_prefix
 from .errors import ValidationError
 from .estimation import RecoveryConfig, recover_params
 from .eu_deviation import deut_index
 from .rationality import ccei, fosd_violations
-from .simulation import generate_budgets, prefix, simulate_subject
+from .simulation import generate_budgets, simulate_subject
 from .stats import RegressionResult, regress_alignment
 
 LEARNING_SAMPLE_SIZES = (1, 10, 25, 75, 175)
@@ -109,6 +109,6 @@ def learning_curve_direct(
         schedule = generate_budgets(provision_seed + i, PROVISION_ROUNDS)
         subject = simulate_subject(params, schedule, sid)
         for size in sample_sizes:
-            fit = recover_params(prefix(subject.dataset, size), config)
+            fit = recover_params(dataset_prefix(subject.dataset, size), config)
             estimates_by_size[size][sid] = fit.params
     return regress_per_size(truth, estimates_by_size), estimates_by_size

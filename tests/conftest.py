@@ -45,3 +45,13 @@ def random_sloppy_dataset(rng: np.random.Generator, n_rounds: int) -> SubjectDat
         share = rng.uniform(0.0, 1.0)
         rows.append((p[0], p[1], share / p[0], (1.0 - share) / p[1]))
     return dataset_from_prices(rows)
+
+
+def random_rows(rng: np.random.Generator, n_rounds: int, corner_share: float = 0.0) -> list:
+    """Random (p_a, p_b, x_a, x_b) rows; each is a corner choice with probability ``corner_share``."""
+    rows = []
+    for _ in range(n_rounds):
+        p = rng.uniform(0.005, 0.05, size=2)
+        share = float(rng.integers(0, 2)) if rng.uniform() < corner_share else float(rng.uniform())
+        rows.append((float(p[0]), float(p[1]), share / p[0], (1.0 - share) / p[1]))
+    return rows

@@ -138,7 +138,7 @@ def test_criterion_4_learning_curve_shape():
 def test_criterion_5_index_oracles(crossing_dataset):
     """Hand-computed CCEI value and the dominated-bundle FOSD flag."""
     result = ccei(crossing_dataset)
-    assert result.ccei == pytest.approx(0.5, abs=1e-9)
+    assert result.ccei == 0.5
     dominated = dataset_from_prices([(0.0237, 0.0125, 33.3, 17.0)])
     count, flags = fosd_violations(dominated)
     assert count == 1 and flags == (True,)

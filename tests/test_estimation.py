@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from prefbench.da_model import DAParams
-from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset
+from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset, dataset_prefix
 from prefbench.estimation import RecoveryConfig, fit_loss, recover_params
-from prefbench.simulation import BudgetSchedule, generate_budgets, prefix, simulate_subject
+from prefbench.simulation import BudgetSchedule, generate_budgets, simulate_subject
 
 
 def _noisy_copy(dataset, rng, spread=5.0):
@@ -61,7 +61,7 @@ class TestRecovery:
 
     def test_single_round_flagged(self):
         subject = simulate_subject(DAParams(0.2, 0.9), generate_budgets(79, 25), "s")
-        fit = recover_params(prefix(subject.dataset, 1))
+        fit = recover_params(dataset_prefix(subject.dataset, 1))
         assert not fit.converged
         assert "insufficient_rounds" in fit.flags
 

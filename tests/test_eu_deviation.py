@@ -6,17 +6,38 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import dataset_from_prices, random_sloppy_dataset
+from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
-from prefbench.data import Provenance, SubjectDataset
+from prefbench.data import (
+    Allocation,
+    ChoiceRound,
+    PricePair,
+    Provenance,
+    ReturnPair,
+    SubjectDataset,
+)
 from prefbench.errors import DegenerateDataError
 from prefbench.eu_deviation import (
     CYCLE_TOL,
     STRICT_ZERO_SENTINEL,
+    _eu_matrices,
     build_eu_graph,
     deut_index,
 )
 from prefbench.simulation import generate_budgets, simulate_subject
+
+
+def collapse_edges(graph) -> tuple[np.ndarray, np.ndarray]:
+    """Lightest edge per node pair (inf = none), and where a strict edge lies within 1e-12 of it."""
+    weight = np.full((graph.n_obs, graph.n_obs), np.inf)
+    for e in graph.edges:
+        if e.weight < weight[e.src, e.dst]:
+            weight[e.src, e.dst] = e.weight
+    strict_at_min = np.zeros((graph.n_obs, graph.n_obs), dtype=bool)
+    for e in graph.edges:
+        if e.strict and e.weight <= weight[e.src, e.dst] + 1e-12:
+            strict_at_min[e.src, e.dst] = True
+    return weight, strict_at_min
 
 
 def enumerate_min_mean_cycle(graph) -> tuple[float, bool]:
@@ -26,17 +47,9 @@ def enumerate_min_mean_cycle(graph) -> tuple[float, bool]:
     Parallel edges are collapsed to their minimum weight first; a cycle with a
     total below zero would otherwise always prefer the lighter edge anyway.
     """
-    weight: dict[tuple[int, int], float] = {}
-    strict_at: dict[tuple[int, int], bool] = {}
-    for e in graph.edges:
-        key = (e.src, e.dst)
-        if key not in weight or e.weight < weight[key]:
-            weight[key] = e.weight
-            strict_at[key] = e.strict
-        elif e.strict and e.weight <= weight[key] + 1e-12:
-            strict_at[key] = True
+    weight, strict_at = collapse_edges(graph)
     g = nx.DiGraph()
-    g.add_edges_from(weight)
+    g.add_edges_from(zip(*(idx.tolist() for idx in np.nonzero(np.isfinite(weight)))))
     best = math.inf
     strict_zero = False
     for cycle in nx.simple_cycles(g):
@@ -55,6 +68,29 @@ def oracle_deut(dataset) -> float:
     if strict_zero:
         return STRICT_ZERO_SENTINEL
     return 0.0
+
+
+def _all_zero_dataset() -> SubjectDataset:
+    """One round holding nothing.
+
+    Valid rounds always hold something (budget identity), so the object is
+    forged past validation.
+    """
+    rd = object.__new__(ChoiceRound)
+    for name, value in [
+        ("round", 1),
+        ("returns", ReturnPair(0.5, 0.5)),
+        ("tokens", Allocation(0.0, 0.0)),
+        ("prices", PricePair(0.02, 0.02)),
+        ("demand", (0.0, 0.0)),
+        ("rescaled", False),
+    ]:
+        object.__setattr__(rd, name, value)
+    ds = object.__new__(SubjectDataset)
+    object.__setattr__(ds, "subject_id", "z")
+    object.__setattr__(ds, "provenance", Provenance.HUMAN)
+    object.__setattr__(ds, "rounds", (rd,))
+    return ds
 
 
 class TestGraphConstruction:
@@ -93,26 +129,100 @@ class TestGraphConstruction:
         assert graph.dropped_pairs == 2
 
     def test_all_zero_quantities_degenerate(self):
-        # valid rounds always hold something (budget identity), so the guard is
-        # exercised on a hand-forged object that skips validation
-        from prefbench.data import Allocation, ChoiceRound, PricePair, ReturnPair
-
-        rd = object.__new__(ChoiceRound)
-        for name, value in [
-            ("round", 1),
-            ("returns", ReturnPair(0.5, 0.5)),
-            ("tokens", Allocation(0.0, 0.0)),
-            ("prices", PricePair(0.02, 0.02)),
-            ("demand", (0.0, 0.0)),
-            ("rescaled", False),
-        ]:
-            object.__setattr__(rd, name, value)
-        ds = object.__new__(SubjectDataset)
-        object.__setattr__(ds, "subject_id", "z")
-        object.__setattr__(ds, "provenance", Provenance.HUMAN)
-        object.__setattr__(ds, "rounds", (rd,))
         with pytest.raises(DegenerateDataError):
-            build_eu_graph(ds)
+            build_eu_graph(_all_zero_dataset())
+
+
+def _random_sloppy(rng):
+    for _ in range(60):
+        yield random_sloppy_dataset(rng, int(rng.integers(2, 41)))
+
+
+def _equal_quantities(rng):
+    # quantities from a pool of three recur across observations and states;
+    # prices follow from a random budget share on asset A
+    for _ in range(30):
+        pool = rng.uniform(5.0, 40.0, size=3)
+        rows = []
+        for _ in range(8):
+            x_a, x_b = (float(x) for x in rng.choice(pool, size=2))
+            p_a = float(rng.uniform(0.2, 0.8)) / x_a
+            rows.append((p_a, (1.0 - p_a * x_a) / x_b, x_a, x_b))
+        yield dataset_from_prices(rows)
+
+
+def _ties_at_the_tolerances(rng):
+    # A quantities exactly QUANTITY_TOL apart (2e-9 - 1e-9 is exact in floating
+    # point); at these prices their comparison gives the lightest edge 1 -> 0,
+    # respectively the lightest edge 0 -> 1
+    for p_a0, p_b0, p_a1, p_b1 in ((0.03, 0.02, 0.025, 0.03), (0.02, 0.03, 0.025, 0.02)):
+        yield dataset_from_prices([
+            (p_a0, p_b0, 1e-9, (1.0 - p_a0 * 1e-9) / p_b0),
+            (p_a1, p_b1, 2e-9, (1.0 - p_a1 * 2e-9) / p_b1),
+        ])
+    # nearly proportional prices and a shared B quantity: parallel edges whose
+    # weights differ by about 5e-13, one from a strict and one from an equal
+    # comparison
+    for delta in (5e-13, -5e-13, 5e-13, -5e-13):
+        p_a, p_b = (float(p) for p in rng.uniform(0.005, 0.05, size=2))
+        c = float(rng.uniform(0.5, 2.0))
+        p_b2 = p_b * c * (1.0 + delta)
+        x_b = float(rng.uniform(0.2, 0.8)) / max(p_b, p_b2)
+        yield dataset_from_prices([
+            (p_a, p_b, (1.0 - p_b * x_b) / p_a, x_b),
+            (p_a * c, p_b2, (1.0 - p_b2 * x_b) / (p_a * c), x_b),
+        ])
+
+
+def _zero_quantity_corners(rng):
+    for _ in range(30):
+        yield dataset_from_prices(random_rows(rng, int(rng.integers(2, 13)), corner_share=0.6))
+
+
+def _equal_prices_unequal_holdings(rng):
+    for _ in range(20):
+        rows = random_rows(rng, int(rng.integers(1, 8)))
+        for i in rng.choice(len(rows), size=max(1, len(rows) // 2), replace=False):
+            p = float(rng.uniform(0.005, 0.05))
+            share = float(rng.uniform(0.05, 0.95))
+            rows[i] = (p, p, share / p, (1.0 - share) / p)
+        yield dataset_from_prices(rows)
+
+
+def _simulated(betas, rhos):
+    for i, params in enumerate(DAParams(beta, rho) for beta in betas for rho in rhos):
+        yield simulate_subject(params, generate_budgets(700 + i, 25), f"sim{i}").dataset
+
+
+def _kink_subjects(rng):
+    # disappointment aversion puts many choices exactly at x_a = x_b
+    yield from _simulated((0.5, 1.5, 3.0), (0.3, 0.8))
+
+
+def _rho_near_one_beta_near_minus_one(rng):
+    yield from _simulated((-0.99, -0.9), (1.0 - 1e-9, 1.0, 1.0 + 1e-9))
+
+
+class TestDenseMatrices:
+    @pytest.mark.parametrize(
+        "family",
+        [_random_sloppy, _equal_quantities, _ties_at_the_tolerances, _zero_quantity_corners,
+         _equal_prices_unequal_holdings, _kink_subjects, _rho_near_one_beta_near_minus_one],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_equal_to_collapsed_edge_list(self, family):
+        rng = np.random.default_rng(67)
+        for ds in family(rng):
+            weight, strict_at_min, dropped = _eu_matrices(ds)
+            graph = build_eu_graph(ds)
+            ref_weight, ref_strict = collapse_edges(graph)
+            np.testing.assert_array_equal(weight.view(np.int64), ref_weight.view(np.int64))
+            np.testing.assert_array_equal(strict_at_min, ref_strict)
+            assert dropped == graph.dropped_pairs
+
+    def test_all_zero_quantities_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            _eu_matrices(_all_zero_dataset())
 
 
 class TestDeutIndex:
@@ -182,11 +292,7 @@ class TestDeutIndex:
             result = deut_index(ds)
             if result.deut <= 1e-6 or result.witness_cycle is None:
                 continue
-            graph = build_eu_graph(ds)
-            weight = {}
-            for e in graph.edges:
-                key = (e.src, e.dst)
-                weight[key] = min(weight.get(key, math.inf), e.weight)
+            weight, _ = collapse_edges(build_eu_graph(ds))
             cycle = result.witness_cycle
             edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
             mean = sum(weight[e] for e in edges) / len(edges)

@@ -2,12 +2,96 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import dataset_from_prices, random_sloppy_dataset
+from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
-from prefbench.data import normalize_q_format, Provenance, SubjectDataset
+from prefbench.data import Allocation, ChoiceRound, normalize_q_format, Provenance, SubjectDataset
 from prefbench.errors import ValidationError
 from prefbench.rationality import ccei, direct_relation, fosd_violations, garp_holds
 from prefbench.simulation import generate_budgets, simulate_subject
+
+BISECT_TOL = 1e-6
+
+
+def candidate_ratios(dataset: SubjectDataset) -> np.ndarray:
+    """Cross/own expenditure ratios in [0, 1] plus 0 and 1: where GARP(e) can change."""
+    cross = dataset.price_matrix() @ dataset.demand_matrix().T
+    ratios = (cross / np.diag(cross)[:, None])[~np.eye(dataset.n, dtype=bool)]
+    return np.unique(np.concatenate([ratios[(ratios >= 0.0) & (ratios <= 1.0)], [0.0, 1.0]]))
+
+
+def candidate_search_oracle(dataset: SubjectDataset) -> tuple[float, bool]:
+    """Binary search for the largest candidate ratio at which GARP holds.
+
+    GARP can fail AT the next candidate (a new weak edge completes a cycle)
+    while holding on the open interval below it; the supremum is then that
+    candidate itself, which one midpoint probe settles.  Returns the CCEI and
+    whether the probe moved it up to the next candidate.
+    """
+    if garp_holds(dataset, 1.0)[0]:
+        return 1.0, False
+    candidates = candidate_ratios(dataset)
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if garp_holds(dataset, float(candidates[mid]))[0]:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo + 1 < len(candidates):
+        midpoint = 0.5 * (candidates[lo] + candidates[lo + 1])
+        if garp_holds(dataset, float(midpoint))[0]:
+            return float(candidates[lo + 1]), True
+    return float(candidates[lo]), False
+
+
+def bisection_oracle(dataset: SubjectDataset) -> float:
+    """Bisection on GARP(e) over [0, 1], resolved to ``BISECT_TOL``."""
+    if garp_holds(dataset, 1.0)[0]:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if garp_holds(dataset, mid)[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _random_sloppy(rng):
+    for _ in range(60):
+        yield random_sloppy_dataset(rng, int(rng.integers(2, 41)))
+
+
+def _duplicated_observations(rng):
+    for _ in range(40):
+        rows = random_rows(rng, int(rng.integers(2, 9)))
+        rows += [rows[i] for i in rng.integers(0, len(rows), size=int(rng.integers(1, 6)))]
+        yield dataset_from_prices([rows[i] for i in rng.permutation(len(rows))])
+
+
+def _corner_bundles(rng):
+    for _ in range(40):
+        yield dataset_from_prices(random_rows(rng, int(rng.integers(2, 13)), corner_share=0.6))
+
+
+def _close_ratio_pairs(rng):
+    # r_01 = 1/b and r_10 = a differ by less than 1e-12 (either sign)
+    for gap in (1e-13, -1e-13, 4e-13, -4e-13, 7e-13, -7e-13, 9.9e-13, -9.9e-13):
+        b = float(rng.uniform(1.2, 3.0))
+        yield dataset_from_prices([(1.0, 1.0, 1.0, 0.0), (1.0 / b + gap, b, 0.0, 1.0 / b)])
+
+
+def _noisy_exact_subjects(rng):
+    # exact choices plus N(0, 10) token noise, rounded to cents, 175 rounds
+    for i in range(3):
+        subject = simulate_subject(DAParams(0.3, 0.7), generate_budgets(600 + i, 175), f"n{i}")
+        rounds = []
+        for rd in subject.dataset.rounds:
+            t_a = round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
+            tokens = Allocation(t_a, round(100.0 - t_a, 2))
+            rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
+        yield SubjectDataset(f"n{i}", Provenance.HUMAN, tuple(rounds))
 
 
 class TestDirectRelation:
@@ -77,8 +161,7 @@ class TestCcei:
 
     def test_crossing_dataset_exact_value(self, crossing_dataset):
         result = ccei(crossing_dataset)
-        assert result.ccei == pytest.approx(0.5, abs=1e-9)
-        assert result.method == "exact_candidate_set"
+        assert result.ccei == 0.5
         assert set(result.violating_pairs_at_1) == {(0, 1), (1, 0)}
 
     def test_crossing_dataset_against_grid_scan_oracle(self, crossing_dataset):
@@ -100,9 +183,33 @@ class TestCcei:
         rng = np.random.default_rng(11)
         for _ in range(1000):
             ds = random_sloppy_dataset(rng, int(rng.integers(2, 7)))
-            exact = ccei(ds, method="exact_candidate_set").ccei
-            bisect = ccei(ds, method="binary_search").ccei
-            assert abs(exact - bisect) <= 1e-6
+            assert abs(ccei(ds).ccei - bisection_oracle(ds)) <= BISECT_TOL
+
+    @pytest.mark.parametrize(
+        "family",
+        [_random_sloppy, _duplicated_observations, _corner_bundles, _close_ratio_pairs,
+         _noisy_exact_subjects],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_equals_candidate_search_oracle(self, family):
+        rng = np.random.default_rng(61)
+        imperfect = 0
+        for ds in family(rng):
+            value = ccei(ds).ccei
+            assert value == candidate_search_oracle(ds)[0]
+            assert value in candidate_ratios(ds)
+            imperfect += value < 1.0
+        assert imperfect > 0
+
+    def test_ccei_where_garp_fails_at_the_candidate_itself(self):
+        # r_01 = 0.65 > r_10 = 0.5: at e = 0.65 the edge 0 -> 1 appears and
+        # closes a violation at once, while GARP holds everywhere below
+        ds = dataset_from_prices([(1.0, 1.0, 1.0, 0.0), (0.5, 2.0, 0.2, 0.45)])
+        assert not garp_holds(ds, 0.65)[0]
+        assert garp_holds(ds, 0.65 - 1e-9)[0]
+        value, probed = candidate_search_oracle(ds)
+        assert probed
+        assert ccei(ds).ccei == value == 0.65
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)

@@ -17,7 +17,6 @@ from prefbench.simulation import (
     ReturnPair,
     evaluation_schedule,
     generate_budgets,
-    prefix,
     read_params_file,
     read_schedule,
     sample_population,
@@ -85,14 +84,6 @@ class TestSimulateSubject:
         a = simulate_subject(DAParams(0.3, 0.8), generate_budgets(5, 25), "s")
         b = simulate_subject(DAParams(0.3, 0.8), generate_budgets(5, 25), "s")
         assert a == b
-
-    def test_prefix(self):
-        subject = simulate_subject(DAParams(0.1, 0.6), generate_budgets(5, 25), "s")
-        assert prefix(subject.dataset, 25) == subject.dataset
-        assert prefix(subject.dataset, 1).n == 1
-        assert prefix(subject.dataset, 10).rounds == subject.dataset.rounds[:10]
-        with pytest.raises(ValidationError):
-            prefix(subject.dataset, 26)
 
 
 class TestPopulationFiles:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import prefbench
 from prefbench.errors import ValidationError
 from prefbench.stats import (
     regress_alignment,
@@ -231,3 +236,14 @@ class TestWelch:
     def test_minimum_sizes(self):
         with pytest.raises(ValidationError):
             welch_t_test([1.0], [1.0, 2.0])
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats would make `import prefbench` about half again as slow
+    src = str(Path(prefbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, prefbench; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
