@@ -276,12 +276,7 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
         if path.exists():
             try:
                 candidate = load_transcript(path)
-                complete = (
-                    {a.round for a in candidate.parsed_rounds()} == set(range(1, 26))
-                    if kind is TreatmentKind.DECISION
-                    else bool(candidate.records)
-                )
-                if complete:
+                if candidate.complete():
                     transcript, resumed = candidate, resumed + 1
             except ValidationError:
                 transcript = None

@@ -136,7 +136,8 @@ def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | N
 
     Returns (mu*, witness cycle as a node tuple) or (inf, None) when acyclic.
     Walk lengths start from every node at once, which is the standard
-    virtual-source formulation.
+    virtual-source formulation.  The witness is the first cycle closed on
+    the optimal n-edge walk, found in one pass.
     """
     n = weight.shape[0]
     d = np.full((n + 1, n), np.inf)
@@ -158,25 +159,18 @@ def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | N
     v_star = int(np.argmin(per_node))
     mu = float(per_node[v_star])
 
-    # Recover the best cycle inside the optimal n-edge walk ending at v_star.
+    # Every cycle on the optimal n-edge walk ending at v_star has mean mu*
+    # (Chaturvedi & McConnell 2017): return the first one the walk closes.
     walk = [v_star]
-    v = v_star
     for k in range(n, 0, -1):
-        v = int(parent[k, v])
-        walk.append(v)
+        walk.append(int(parent[k, walk[-1]]))
     walk.reverse()
-    best_mean, best_cycle = math.inf, None
     seen: dict[int, int] = {}
-    for j, node in enumerate(walk):
-        if node in seen:
-            for i in (idx for idx, w in enumerate(walk[:j]) if w == node):
-                cycle = walk[i:j]
-                total = sum(weight[cycle[t], cycle[(t + 1) % len(cycle)]] for t in range(len(cycle)))
-                mean = total / len(cycle)
-                if mean < best_mean:
-                    best_mean, best_cycle = mean, tuple(cycle)
-        seen[node] = j
-    return mu, best_cycle
+    j = 0
+    while walk[j] not in seen:  # n + 1 nodes on n vertices: some node repeats
+        seen[walk[j]] = j
+        j += 1
+    return mu, tuple(walk[seen[walk[j]]:j])
 
 
 def _floyd_warshall(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

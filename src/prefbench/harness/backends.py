@@ -106,6 +106,10 @@ class BackendConfig:
 class HttpChatBackend:
     """Generic chat-completions client with backoff, rate cap, and concurrency cap.
 
+    A failed attempt is retried after 1, 2, 4, ... seconds (at most 30), up
+    to ``max_retries`` attempts in all; client errors other than 408 and 429
+    fail at once.
+
     Sends ``{"model", "messages", "temperature"}`` and expects the reply text
     at ``choices[0].message.content``.  The bearer token comes from the
     ``CHAT_API_KEY`` environment variable.
@@ -147,6 +151,8 @@ class HttpChatBackend:
         last_error: Exception | None = None
         with self._slots:
             for attempt in range(self._config.max_retries):
+                if attempt:
+                    time.sleep(min(2.0 ** (attempt - 1), 30.0))
                 self._respect_rate_limit()
                 try:
                     response = self._session.post(
@@ -161,9 +167,10 @@ class HttpChatBackend:
                     last_error = BackendError(
                         f"HTTP {response.status_code}: {response.text[:200]}"
                     )
+                    if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
+                        raise last_error  # a repeated request cannot fix it
                 except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                     last_error = exc
-                time.sleep(min(2.0 ** attempt, 30.0))
         raise BackendError(
             f"request failed after {self._config.max_retries} attempts: {last_error}"
         )

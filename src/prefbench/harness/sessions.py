@@ -71,6 +71,11 @@ class Transcript:
     def anomalies(self) -> list[ParsedAllocation]:
         return [a for a in self.parsed_rounds() if not a.ok]
 
+    def complete(self) -> bool:
+        """Every round 1..SESSION_ROUNDS has a final allocation and it parsed cleanly."""
+        final = {a.round: a.ok for a in self.parsed_rounds()}
+        return all(final.get(idx, False) for idx in range(1, SESSION_ROUNDS + 1))
+
 
 class TranscriptWriter:
     """Append-only JSONL sink; one file per session."""

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .da_model import DAParams
-from .data import SubjectDataset, dataset_prefix
+from .data import SubjectDataset
 from .errors import ValidationError
-from .estimation import RecoveryConfig, recover_params
+from .estimation import RecoveryConfig, recover_params, recover_prefixes
 from .eu_deviation import deut_index
 from .rationality import ccei, fosd_violations
 from .simulation import generate_budgets, simulate_subject
@@ -101,14 +101,14 @@ def learning_curve_direct(
     """Desk-scale learning pipeline with no model in the loop.
 
     Each subject gets its own 175-round provision schedule; parameters are
-    re-recovered from every prefix length, then regressed on the truth.
+    recovered from every prefix length (one grid pass per subject), then
+    regressed on the truth.
     """
     truth = dict(population)
     estimates_by_size: dict[int, dict[str, DAParams]] = {s: {} for s in sample_sizes}
     for i, (sid, params) in enumerate(population):
         schedule = generate_budgets(provision_seed + i, PROVISION_ROUNDS)
         subject = simulate_subject(params, schedule, sid)
-        for size in sample_sizes:
-            fit = recover_params(dataset_prefix(subject.dataset, size), config)
+        for size, fit in recover_prefixes(subject.dataset, sample_sizes, config).items():
             estimates_by_size[size][sid] = fit.params
     return regress_per_size(truth, estimates_by_size), estimates_by_size

@@ -7,6 +7,7 @@ import pytest
 
 from prefbench.cli import main
 from prefbench.data import read_dataset
+from prefbench.harness.sessions import load_transcript
 from prefbench.simulation import sample_population, write_params_file
 
 
@@ -159,6 +160,30 @@ class TestExperiment:
         assert {p.name: p.stat().st_mtime_ns for p in (out / "transcripts").iterdir()} == stamps
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["arguments"]["resumed"] == 2
+
+    @pytest.mark.parametrize("treatment,flagged", [
+        # the one recommendation response is unparseable
+        ("recommendation", {"t_a": None, "t_b": None, "flags": ["unparseable"]}),
+        # the final decision round parsed to numbers that fail validation
+        ("decision", {"t_a": 90.0, "t_b": 30.0, "flags": ["sum_out_of_band"]}),
+    ])
+    def test_resume_reruns_sessions_with_flagged_rounds(self, tmp_path, treatment, flagged):
+        out = tmp_path / "exp"
+        argv = ["experiment", "--config", str(self._config(tmp_path)),
+                "--treatment", treatment, "--sessions", "2", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        choices = (out / "choices.csv").read_bytes()
+        spoiled = sorted((out / "transcripts").iterdir())[0]
+        lines = spoiled.read_text(encoding="utf-8").splitlines()
+        last = json.loads(lines[-1])
+        last["parsed"] = [{"round": a["round"], **flagged} for a in last["parsed"]]
+        spoiled.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n", encoding="utf-8")
+        assert not load_transcript(spoiled).complete()
+
+        assert run_cli(*argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["arguments"]["resumed"] == 1
+        assert load_transcript(spoiled).complete()
+        assert (out / "choices.csv").read_bytes() == choices
 
     def test_personalized_uses_sample_subjects(self, tmp_path):
         params = make_params(tmp_path, n=2)

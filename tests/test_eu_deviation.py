@@ -21,6 +21,7 @@ from prefbench.eu_deviation import (
     CYCLE_TOL,
     STRICT_ZERO_SENTINEL,
     _eu_matrices,
+    _karp_min_mean_cycle,
     build_eu_graph,
     deut_index,
 )
@@ -59,6 +60,54 @@ def enumerate_min_mean_cycle(graph) -> tuple[float, bool]:
         if abs(sum(weight[e] for e in edges)) <= CYCLE_TOL and any(strict_at[e] for e in edges):
             strict_zero = True
     return best, strict_zero
+
+
+def cycle_mean(weight, cycle) -> float:
+    edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+    return sum(weight[e] for e in edges) / len(edges)
+
+
+def karp_nested_witness(weight) -> tuple[float, tuple[int, ...] | None]:
+    """Oracle: Karp's mu* and the lightest-mean cycle among all cycles on the n-edge walk.
+
+    This is the exhaustive witness search that the one-pass first-repeat
+    recovery in ``_karp_min_mean_cycle`` replaced; it is cubic in n.
+    """
+    n = weight.shape[0]
+    d = np.full((n + 1, n), np.inf)
+    parent = np.zeros((n + 1, n), dtype=np.intp)
+    d[0] = 0.0
+    for k in range(1, n + 1):
+        via = d[k - 1][:, None] + weight
+        parent[k] = np.argmin(via, axis=0)
+        d[k] = via[parent[k], np.arange(n)]
+    finite_n = np.isfinite(d[n])
+    if not finite_n.any():
+        return math.inf, None
+    with np.errstate(invalid="ignore"):
+        ratios = (d[n][None, :] - d[:n]) / (n - np.arange(n))[:, None]
+    ratios[~np.isfinite(d[:n])] = -np.inf
+    per_node = np.max(ratios, axis=0)
+    per_node[~finite_n] = np.inf
+    v_star = int(np.argmin(per_node))
+
+    walk = [v_star]
+    v = v_star
+    for k in range(n, 0, -1):
+        v = int(parent[k, v])
+        walk.append(v)
+    walk.reverse()
+    best_mean, best_cycle = math.inf, None
+    seen: dict[int, int] = {}
+    for j, node in enumerate(walk):
+        if node in seen:
+            for i in (idx for idx, w in enumerate(walk[:j]) if w == node):
+                cycle = walk[i:j]
+                mean = cycle_mean(weight, cycle)
+                if mean < best_mean:
+                    best_mean, best_cycle = mean, tuple(cycle)
+        seen[node] = j
+    return float(per_node[v_star]), best_cycle
 
 
 def oracle_deut(dataset) -> float:
@@ -287,18 +336,39 @@ class TestDeutIndex:
     def test_witness_cycle_achieves_the_minimum_mean(self):
         rng = np.random.default_rng(43)
         checked = 0
-        for _ in range(40):
-            ds = random_sloppy_dataset(rng, 5)
+        for n_rounds in [5] * 40 + [12, 30, 60, 120, 175, 175]:
+            ds = random_sloppy_dataset(rng, n_rounds)
             result = deut_index(ds)
             if result.deut <= 1e-6 or result.witness_cycle is None:
                 continue
-            weight, _ = collapse_edges(build_eu_graph(ds))
-            cycle = result.witness_cycle
-            edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-            mean = sum(weight[e] for e in edges) / len(edges)
-            assert -mean == pytest.approx(result.deut, abs=1e-9)
+            # small graphs: the edge list itself; large ones: its dense form
+            # (equal bitwise, see TestDenseMatrices)
+            weight = (collapse_edges(build_eu_graph(ds))[0] if n_rounds <= 12
+                      else _eu_matrices(ds)[0])
+            mean = cycle_mean(weight, result.witness_cycle)
+            assert -mean == pytest.approx(result.deut, abs=1e-12)
+            mu, oracle_cycle = karp_nested_witness(weight)
+            assert -mu == result.deut
+            assert mean == pytest.approx(cycle_mean(weight, oracle_cycle), abs=1e-12)
+            assert len(set(result.witness_cycle)) == len(result.witness_cycle)
             checked += 1
-        assert checked > 5
+        assert checked > 10
+
+    def test_karp_equals_nested_oracle_on_the_minimum_mean(self):
+        # mu* is bitwise the oracle's; the witness may differ from the oracle's
+        # cycle only where float sums break a tie between equal-mean cycles
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            weight = _eu_matrices(random_sloppy_dataset(rng, int(rng.integers(2, 30))))[0]
+            mu, cycle = _karp_min_mean_cycle(weight)
+            oracle_mu, oracle_cycle = karp_nested_witness(weight)
+            assert mu == oracle_mu
+            assert cycle_mean(weight, cycle) == pytest.approx(
+                cycle_mean(weight, oracle_cycle), abs=1e-12)
+
+    def test_acyclic_graph_has_no_witness(self):
+        weight = np.array([[np.inf, -1.0], [np.inf, np.inf]])
+        assert _karp_min_mean_cycle(weight) == (math.inf, None)
 
     def test_uniform_slack_restores_feasibility(self):
         # Bellman-Ford oracle: adding deut to every edge weight leaves no

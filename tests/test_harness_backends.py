@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import pytest
+import requests
 
 from prefbench.da_model import DAParams
 from prefbench.errors import BackendError, ConfigError
@@ -103,8 +105,6 @@ class TestHttpBackend:
         assert call["timeout"] == 120.0
 
     def test_retries_until_success(self, monkeypatch):
-        import requests
-
         backend, fake = http_backend(
             monkeypatch,
             [requests.ConnectionError("nope"), FakeResponse(500, text="oops"), ok_response("ok")],
@@ -124,3 +124,67 @@ class TestHttpBackend:
         assert isinstance(make_backend(BackendConfig(kind="mock")), MockDecisionBackend)
         with pytest.raises(ConfigError, match="unknown backend.kind"):
             make_backend(BackendConfig(kind="carrier-pigeon"))
+
+
+@dataclass
+class RecordedTransport:
+    """Replays responses through a patched ``requests.Session.post``; records posts and sleeps."""
+
+    monkeypatch: pytest.MonkeyPatch
+    posts: list = field(default_factory=list)
+    sleeps: list = field(default_factory=list)
+
+    def backend(self, responses, **overrides) -> HttpChatBackend:
+        queue = list(responses)
+
+        def post(session, url, json=None, headers=None, timeout=None):
+            self.posts.append(url)
+            return queue.pop(0)
+
+        self.monkeypatch.setattr(requests.Session, "post", post)
+        self.monkeypatch.setattr(time, "sleep", self.sleeps.append)
+        self.monkeypatch.setenv("CHAT_API_KEY", "sekret")
+        return HttpChatBackend(BackendConfig(
+            kind="http", endpoint="https://example.invalid/v1/chat", model="test-model",
+            **overrides,
+        ))
+
+
+@pytest.fixture
+def transport(monkeypatch) -> RecordedTransport:
+    return RecordedTransport(monkeypatch)
+
+
+class TestRetryPolicy:
+    def test_no_sleep_after_the_final_attempt(self, transport):
+        backend = transport.backend([FakeResponse(500, text="down")] * 5, max_retries=5)
+        with pytest.raises(BackendError, match="5 attempts"):
+            backend.send([ChatMessage("user", "u")])
+        assert len(transport.posts) == 5
+        assert transport.sleeps == [1.0, 2.0, 4.0, 8.0]
+
+    def test_rate_limited_first_attempt_waits_one_second(self, transport):
+        backend = transport.backend([FakeResponse(429, text="slow down"), ok_response("ok")])
+        assert backend.send([ChatMessage("user", "u")]) == "ok"
+        assert transport.sleeps == [1.0]
+
+    def test_timeout_and_rate_limit_statuses_are_retried(self, transport):
+        backend = transport.backend(
+            [FakeResponse(408), FakeResponse(429), FakeResponse(503), ok_response("ok")]
+        )
+        assert backend.send([ChatMessage("user", "u")]) == "ok"
+        assert transport.sleeps == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_other_client_errors_fail_at_once(self, transport, status):
+        backend = transport.backend([FakeResponse(status, text="bad request"), ok_response()])
+        with pytest.raises(BackendError, match=f"HTTP {status}: bad request"):
+            backend.send([ChatMessage("user", "u")])
+        assert len(transport.posts) == 1
+        assert transport.sleeps == []
+
+    def test_backoff_is_capped_at_thirty_seconds(self, transport):
+        backend = transport.backend([FakeResponse(500)] * 8, max_retries=8)
+        with pytest.raises(BackendError):
+            backend.send([ChatMessage("user", "u")])
+        assert transport.sleeps == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]

@@ -157,6 +157,28 @@ class TestRecommendationSession:
             )
 
 
+class TestCompleteness:
+    def test_clean_sessions_are_complete(self):
+        backend = MockDecisionBackend(DAParams(0.1, 0.6))
+        schedule = evaluation_schedule()
+        assert run_decision_session(backend, schedule).complete()
+        treatment = Treatment(TreatmentKind.RECOMMENDATION)
+        assert run_recommendation_session(backend, treatment, schedule).complete()
+
+    def test_a_repaired_round_counts_as_done(self):
+        backend = FlakyBackend(MockDecisionBackend(DAParams(0.0, 1.0)))
+        assert run_decision_session(backend, evaluation_schedule()).complete()
+
+    def test_flagged_missing_or_unparsed_rounds_are_not_done(self):
+        schedule = evaluation_schedule()
+        transcript = run_decision_session(MockDecisionBackend(DAParams(0.0, 1.0)), schedule)
+        del transcript.records[-1]
+        assert not transcript.complete()  # round 25 missing
+        assert not run_decision_session(StubbornBackend(), schedule).complete()
+        treatment = Treatment(TreatmentKind.RECOMMENDATION)
+        assert not run_recommendation_session(StubbornBackend(), treatment, schedule).complete()
+
+
 class TestTranscriptPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         schedule = evaluation_schedule()
