@@ -15,9 +15,11 @@ deterministic given data and configuration.
 The grid rows with beta >= 0 skip the candidate enumeration of
 :func:`optimal_demand_grid`: there the utility is concave on the budget line
 and its maximizer has a closed form (:func:`_grid_demand`).  The rows with
-beta < 0, the refinement and :func:`fit_loss` use the full enumeration.  The
-grid loss is kept per round, so :func:`recover_prefixes` fits every prefix of
-a dataset from one grid pass by averaging the first ``s`` columns.
+beta < 0 use the full enumeration.  The grid loss is kept per round, so
+:func:`recover_prefixes` fits every prefix of a dataset from one grid pass by
+averaging the first ``s`` columns.  The refinement and :func:`fit_loss`
+evaluate one parameter pair at a time through a per-point kernel
+(:class:`_PointLoss`) that returns the enumeration's loss bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .da_model import DAParams, optimal_demand_grid
+from .da_model import _LOG_RHO_EPS, DAParams, optimal_demand_grid
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -82,15 +84,6 @@ def _round_losses(demand: np.ndarray, returns: np.ndarray, tokens: np.ndarray) -
     return gap_a * gap_a + gap_b * gap_b
 
 
-def _loss_grid(
-    prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
-    beta: np.ndarray, rho: np.ndarray,
-) -> np.ndarray:
-    """Token-share loss for each parameter pair; shapes (N,2) data, (G,) params."""
-    demand, _, _, _ = optimal_demand_grid(prices, beta, rho)
-    return _round_losses(demand, returns, tokens).mean(axis=1)
-
-
 def _grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Optimal demand (G, N, 2) for every parameter pair, in closed form where beta >= 0.
 
@@ -128,14 +121,93 @@ def _grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.
     return demand
 
 
+class _PointLoss:
+    """Token-share loss of one dataset at a single parameter pair.
+
+    ``loss(beta, rho)`` is the float that :func:`optimal_demand_grid` at
+    G = 1 followed by the mean of :func:`_round_losses` gives, for positive
+    prices with a finite sum: the same expressions, candidate order (kink,
+    A-high, corner A, B-high, corner B) and tie rule (kink first, then the
+    larger ``x_a``).  What it saves is per-call overhead on one row: the
+    data columns are computed once, the parameters stay Python floats, only
+    the CRRA branch that ``rho`` selects is evaluated, and the corners, which
+    are admissible only for rho < 1, are skipped otherwise.
+    """
+
+    def __init__(self, prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray):
+        p_a, p_b = prices[:, 0], prices[:, 1]
+        self._p_a, self._p_b = p_a, p_b
+        self._ratio_a = p_b / p_a
+        self._ratio_b = p_a / p_b
+        self._kink = 1.0 / (p_a + p_b)
+        self._corner_a = 1.0 / p_a
+        self._corner_b = 1.0 / p_b
+        self._r_a, self._r_b = returns[:, 0], returns[:, 1]
+        self._t_a, self._t_b = tokens[:, 0], tokens[:, 1]
+
+    def __call__(self, beta: float, rho: float) -> float:
+        w = 1.0 / (2.0 + beta)
+        odds = w / (1.0 - w)
+        inv_rho = 1.0 / rho
+        exponent = 1.0 - rho
+        if abs(rho - 1.0) < _LOG_RHO_EPS:
+            felicity = np.log
+        else:
+            def felicity(x):
+                return (np.power(x, exponent) - 1.0) / exponent
+        # u(0), as _crra_grid has it; felicity(0) differs at rho = 1 - 1e-10
+        at_zero = -math.inf if rho >= 1.0 - _LOG_RHO_EPS else -1.0 / exponent
+
+        def interior(x_hi, x_lo, k):
+            # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
+            # x_lo is 0 only where its denominator overflowed, and x_hi is then
+            # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
+            u = w * felicity(x_hi) + (1.0 - w) * felicity(x_lo)
+            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0,
+                                                 w * at_zero + (1.0 - w) * at_zero))
+            return np.where(k > 1.0, u, -np.inf)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k_a = np.power(odds * self._ratio_a, inv_rho)
+            x_b_ia = 1.0 / (self._p_a * k_a + self._p_b)
+            x_a_ia = k_a * x_b_ia
+            k_b = np.power(odds * self._ratio_b, inv_rho)
+            x_a_ib = 1.0 / (self._p_b * k_b + self._p_a)
+            x_b_ib = k_b * x_a_ib
+            felicity_kink = felicity(self._kink)
+            best_u = w * felicity_kink + (1.0 - w) * felicity_kink
+            candidates = [(x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a))]
+            if rho < 1.0:
+                candidates.append((self._corner_a, 0.0,
+                                   w * felicity(self._corner_a) + (1.0 - w) * at_zero))
+            candidates.append((x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b)))
+            if rho < 1.0:
+                candidates.append((0.0, self._corner_b,
+                                   w * felicity(self._corner_b) + (1.0 - w) * at_zero))
+
+        # the kink, with a positive bundle and a utility that is never NaN, wins
+        # the enumeration's first comparison.  A later candidate replaces the
+        # best on a larger utility, or on an equal one with a larger x_a unless
+        # the best is the kink; a best that is not the kink has a utility above
+        # -inf, so an equal one belongs to an admissible candidate
+        best_xa = best_xb = self._kink
+        best_not_kink = np.False_
+        for x_a, x_b, u in candidates:
+            better = (u > best_u) | ((u == best_u) & best_not_kink & (x_a > best_xa))
+            best_xa = np.where(better, x_a, best_xa)
+            best_xb = np.where(better, x_b, best_xb)
+            best_u = np.where(better, u, best_u)
+            best_not_kink = best_not_kink | better
+
+        gap_a = (best_xa / self._r_a - self._t_a) / 100.0
+        gap_b = (best_xb / self._r_b - self._t_b) / 100.0
+        return float((gap_a * gap_a + gap_b * gap_b).mean())
+
+
 def fit_loss(dataset: SubjectDataset, params: DAParams) -> float:
     """Mean squared token-share distance between data and model-optimal choices."""
-    return float(
-        _loss_grid(
-            dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix(),
-            np.array([params.beta]), np.array([params.rho]),
-        )[0]
-    )
+    loss = _PointLoss(dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix())
+    return loss(params.beta, params.rho)
 
 
 def _parameter_grid(config: RecoveryConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -181,9 +253,7 @@ def recover_prefixes(
 def _refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
             config: RecoveryConfig) -> FitResult:
     """Nelder-Mead from the grid optimum, unless the rounds cannot pin two parameters."""
-    prices = dataset.price_matrix()
-    returns = dataset.return_matrix()
-    tokens = dataset.token_matrix()
+    loss = _PointLoss(dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix())
 
     flags = []
     if dataset.n < 2:
@@ -193,8 +263,8 @@ def _refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
     ):
         flags.append("degenerate_rounds")
     if flags:
-        return FitResult(grid_best, fit_loss(dataset, grid_best), grid_best, False, evaluations,
-                         tuple(flags))
+        return FitResult(grid_best, loss(grid_best.beta, grid_best.rho), grid_best, False,
+                         evaluations, tuple(flags))
 
     beta_floor = config.beta_min
 
@@ -206,8 +276,7 @@ def _refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
         return beta, rho
 
     def objective(z: np.ndarray) -> float:
-        beta, rho = from_unconstrained(z)
-        return float(_loss_grid(prices, returns, tokens, np.array([beta]), np.array([rho]))[0])
+        return loss(*from_unconstrained(z))
 
     z0 = np.array([
         math.log(max(grid_best.beta - beta_floor, 1e-8)),
@@ -220,10 +289,10 @@ def _refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
     evaluations += int(result.nfev)
     refined = DAParams(*from_unconstrained(result.x))
 
-    refined_loss = fit_loss(dataset, refined)
-    grid_loss = fit_loss(dataset, grid_best)
+    refined_loss = loss(refined.beta, refined.rho)
+    grid_loss = loss(grid_best.beta, grid_best.rho)
     if refined_loss <= grid_loss:
-        params, loss = refined, refined_loss
+        params, best = refined, refined_loss
     else:
-        params, loss = grid_best, grid_loss
-    return FitResult(params, loss, grid_best, bool(result.success), evaluations, tuple(flags))
+        params, best = grid_best, grid_loss
+    return FitResult(params, best, grid_best, bool(result.success), evaluations, tuple(flags))

@@ -103,12 +103,28 @@ class BackendConfig:
         return cls(**kwargs)
 
 
+_RETRY_AFTER_STATUSES = (408, 429, 503)
+_MAX_WAIT_S = 30.0
+
+
+def _retry_after(response) -> float | None:
+    """The delay-seconds of a 408/429/503 response's ``Retry-After``, else None.
+
+    The HTTP-date form and unparseable values give None.
+    """
+    if response.status_code not in _RETRY_AFTER_STATUSES:
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class HttpChatBackend:
     """Generic chat-completions client with backoff, rate cap, and concurrency cap.
 
     A failed attempt is retried after 1, 2, 4, ... seconds (at most 30), up
-    to ``max_retries`` attempts in all; client errors other than 408 and 429
-    fail at once.
+    to ``max_retries`` attempts in all; a 408, 429 or 503 response whose
+    ``Retry-After`` gives delay-seconds sets the wait instead (also at most
+    30).  Client errors other than 408 and 429 fail at once.
 
     Sends ``{"model", "messages", "temperature"}`` and expects the reply text
     at ``choices[0].message.content``.  The bearer token comes from the
@@ -152,7 +168,8 @@ class HttpChatBackend:
         with self._slots:
             for attempt in range(self._config.max_retries):
                 if attempt:
-                    time.sleep(min(2.0 ** (attempt - 1), 30.0))
+                    time.sleep(wait)
+                wait = min(2.0 ** attempt, _MAX_WAIT_S)
                 self._respect_rate_limit()
                 try:
                     response = self._session.post(
@@ -169,6 +186,9 @@ class HttpChatBackend:
                     )
                     if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
                         raise last_error  # a repeated request cannot fix it
+                    retry_after = _retry_after(response)
+                    if retry_after is not None:
+                        wait = min(retry_after, _MAX_WAIT_S)
                 except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                     last_error = exc
         raise BackendError(

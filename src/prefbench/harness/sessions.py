@@ -104,6 +104,12 @@ class TranscriptWriter:
 
 
 def load_transcript(path: str | Path) -> Transcript:
+    """Read a JSONL transcript.
+
+    A final line that lacks its newline and does not decode is dropped: it is
+    a record cut short by a process killed while writing it.  Any other
+    malformed line raises :class:`ValidationError`.
+    """
     path = Path(path)
     transcript: Transcript | None = None
     with path.open(encoding="utf-8") as fh:
@@ -113,6 +119,8 @@ def load_transcript(path: str | Path) -> Transcript:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not line.endswith("\n"):  # only the last line can lack it
+                    break
                 raise ValidationError(f"{path}:{line_num}: invalid JSON: {exc}") from None
             if transcript is None:
                 transcript = Transcript(obj["session_id"], TreatmentKind(obj["treatment"]))

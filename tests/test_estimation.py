@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, Subj
 from prefbench.errors import ValidationError
 from prefbench.estimation import (
     RecoveryConfig,
+    _PointLoss,
     _grid_demand,
     _parameter_grid,
     _round_losses,
@@ -289,3 +292,168 @@ class TestAgainstEnumerationGrid:
         ]
         for ds in datasets:
             assert recover_params(ds) == enumeration_grid(ds)
+
+
+def loss_grid(
+    prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
+    beta: np.ndarray, rho: np.ndarray,
+) -> np.ndarray:
+    """Token-share loss for each parameter pair through the full candidate enumeration;
+    shapes (N, 2) data, (G,) params.  The reference for ``estimation._PointLoss``."""
+    demand, _, _, _ = optimal_demand_grid(prices, beta, rho)
+    return _round_losses(demand, returns, tokens).mean(axis=1)
+
+
+def _reference_loss(data, beta: float, rho: float) -> float:
+    return float(loss_grid(*data, np.array([beta]), np.array([rho]))[0])
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _loss_mismatches(data, points) -> list:
+    """(beta, rho, kernel, reference) wherever the kernel's loss is not the reference's float."""
+    loss = _PointLoss(*data)
+    found = []
+    for beta, rho in points:
+        got, want = loss(beta, rho), _reference_loss(data, beta, rho)
+        if not _same_float(got, want):
+            found.append((beta, rho, got, want))
+    return found
+
+
+def _matrices(dataset: SubjectDataset):
+    return dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix()
+
+
+def _priced(prices: np.ndarray, rng: np.random.Generator):
+    """(prices, returns, tokens) with arbitrary token choices on the given budgets."""
+    t_a = rng.uniform(0.0, 100.0, len(prices))
+    return prices, 1.0 / (100.0 * prices), np.column_stack([t_a, 100.0 - t_a])
+
+
+def _refinement_point(z_beta: float, z_rho: float) -> tuple[float, float]:
+    """The refinement's map from its unconstrained coordinates, clamp included."""
+    z_beta, z_rho = (min(max(z, -60.0), 60.0) for z in (z_beta, z_rho))
+    return RecoveryConfig().beta_min + math.exp(z_beta), math.exp(z_rho)
+
+
+def _kink_edge_prices(betas) -> np.ndarray:
+    """Budgets whose interior ratio k is within 1e-6 .. 3e-16 of 1 near rho = 1, so
+    the interior and kink utilities nearly tie; plus equal prices."""
+    rows = []
+    for beta in betas:
+        w = 1.0 / (2.0 + beta)
+        odds = w / (1.0 - w)
+        for p in (0.004, 0.01, 0.02, 0.033, 0.05):
+            rows.append((p, p))
+            for delta in (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 3e-16, -3e-16, 1e-9, -1e-9,
+                          1e-6, -1e-6):
+                ratio = (1.0 + delta) / odds
+                rows += [(p, p * ratio), (p * ratio, p)]
+    return np.array(rows)
+
+
+_EDGE_BETAS = (-1.0 + 1e-12, -0.999, _refinement_point(-60.0, 0.0)[0], -0.5, 0.0, GRID_ZERO_BETA,
+               0.3, 2.0, _refinement_point(60.0, 0.0)[0])
+_EDGE_RHOS = (
+    math.exp(-60.0), 1e-300, 0.05, 0.5,
+    1.0 - 2e-10, float(np.nextafter(1.0 - 1e-10, 0.0)), 1.0 - 1e-10, 1.0 - 5e-11, 1.0,
+    1.0 + 5e-11, 1.0 + 1e-10, float(np.nextafter(1.0 + 1e-10, 2.0)), 1.0 + 2e-10,
+    3.9, math.exp(60.0),
+)
+EDGE_POINTS = [(beta, rho) for beta in _EDGE_BETAS for rho in _EDGE_RHOS]
+
+
+class TestPointLoss:
+    """``_PointLoss`` must return the enumeration's float, NaN included."""
+
+    @pytest.mark.parametrize("seed", [211, 212, 213])
+    def test_random_sloppy_data_at_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        for n_rounds in (10, int(rng.integers(11, 175)), 175):
+            data = _matrices(random_sloppy_dataset(rng, n_rounds))
+            points = [_refinement_point(*z) for z in rng.uniform(-8.0, 8.0, size=(40, 2))]
+            assert _loss_mismatches(data, points) == []
+
+    def test_sloppy_subject_at_the_edge_points(self):
+        data = _matrices(_sloppy_subject(223, DAParams(0.3, 0.8)))
+        assert _loss_mismatches(data, EDGE_POINTS) == []
+
+    def test_equal_prices_with_noisy_tokens(self):
+        # every budget is symmetric, so A-high ties B-high and corner A ties corner B:
+        # the tie rule (larger x_a) decides the bundle
+        rng = np.random.default_rng(227)
+        price = rng.uniform(0.005, 0.05, 175)
+        data = _priced(np.column_stack([price, price]), rng)
+        assert _loss_mismatches(data, EDGE_POINTS) == []
+
+    def test_budgets_where_interior_and_kink_nearly_tie(self):
+        rng = np.random.default_rng(229)
+        data = _priced(_kink_edge_prices((0.0, GRID_ZERO_BETA, 0.5, -0.5, 2.0)), rng)
+        points = [(beta, rho) for beta in (0.0, GRID_ZERO_BETA, 0.5, -0.5, 2.0, -0.9)
+                  for rho in _EDGE_RHOS[4:13]]
+        assert _loss_mismatches(data, points) == []
+
+    def test_overflowed_interior_branch(self):
+        # at rho = e^-60 the interior ratio k overflows to inf wherever odds * p_b / p_a > 1,
+        # and the branch's bundle is x_a = inf * 0 = NaN, which the enumeration values at 0
+        beta, rho = _refinement_point(math.log(0.45), -60.0)  # beta = -0.5, odds = 2
+        rng = np.random.default_rng(233)
+        data = _matrices(random_sloppy_dataset(rng, 60))
+        assert np.any(2.0 * data[0][:, 1] / data[0][:, 0] > 1.0)
+        # the experiments' budgets give kink holdings above 1 and a positive kink
+        # utility, so the NaN bundle never wins
+        assert not math.isnan(_PointLoss(*data)(beta, rho))
+        assert _loss_mismatches(data, [(beta, rho)]) == []
+        # budgets costing more than 1 per unit: every other candidate's utility is
+        # negative, the enumeration picks the NaN bundle, and the loss is NaN in both
+        data = _priced(rng.uniform(1.0, 2.0, size=(20, 2)), rng)
+        assert math.isnan(_reference_loss(data, beta, rho))
+        assert _loss_mismatches(data, [(beta, rho)]) == []
+
+    def test_fit_loss_equals_the_enumeration(self):
+        ds = _sloppy_subject(239, DAParams(-0.2, 1.4), n_rounds=40)
+        for beta, rho in [(-0.2, 1.4), (0.0, 1.0), (1.5, 0.2)]:
+            assert fit_loss(ds, DAParams(beta, rho)) == _reference_loss(_matrices(ds), beta, rho)
+
+
+@pytest.fixture
+def enumeration_loss(monkeypatch):
+    """Recovery whose Nelder-Mead objective, final loss comparisons and fit_loss all go
+    through the full enumeration, as before the per-point kernel."""
+    class EnumerationLoss:
+        def __init__(self, prices, returns, tokens):
+            self.data = (prices, returns, tokens)
+
+        def __call__(self, beta, rho):
+            return _reference_loss(self.data, beta, rho)
+
+    def recover(fit, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation, "_PointLoss", EnumerationLoss)
+            return fit(*args)
+
+    return recover
+
+
+class TestAgainstEnumerationLoss:
+    def test_criterion_3_round_trips(self, enumeration_loss):
+        for i, beta0 in enumerate((-0.2, 0.0, 0.1, 0.3, 0.5)):
+            for j, rho0 in enumerate((0.3, 0.6, 1.0, 1.5)):
+                schedule = generate_budgets(40_000 + 10 * i + j, 25)
+                ds = simulate_subject(DAParams(beta0, rho0), schedule, "rt").dataset
+                assert recover_params(ds) == enumeration_loss(recover_params, ds)
+
+    def test_sloppy_175_round_prefixes(self, enumeration_loss):
+        rng = np.random.default_rng(241)
+        datasets = [
+            _sloppy_subject(139, DAParams(0.0, 0.5)),
+            _sloppy_subject(151, DAParams(-0.5, 1.0)),
+            random_sloppy_dataset(rng, 175),
+        ]
+        for ds in datasets:
+            fits = recover_prefixes(ds, LEARNING_SAMPLE_SIZES)
+            assert fits == enumeration_loss(recover_prefixes, ds, LEARNING_SAMPLE_SIZES)
+            assert all(not math.isnan(fit.loss) for fit in fits.values())

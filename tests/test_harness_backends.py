@@ -43,6 +43,7 @@ class FakeResponse:
     status_code: int
     payload: dict | None = None
     text: str = ""
+    headers: dict = field(default_factory=dict)
 
     def json(self):
         if self.payload is None:
@@ -182,6 +183,34 @@ class TestRetryPolicy:
             backend.send([ChatMessage("user", "u")])
         assert len(transport.posts) == 1
         assert transport.sleeps == []
+
+    @pytest.mark.parametrize("status,value,wait", [
+        (429, "7", 7.0), (503, " 2 ", 2.0), (408, "0", 0.0), (429, "120", 30.0),
+    ])
+    def test_retry_after_delay_seconds_set_the_wait(self, transport, status, value, wait):
+        backend = transport.backend([FakeResponse(status, headers={"Retry-After": value}),
+                                     ok_response("ok")])
+        assert backend.send([ChatMessage("user", "u")]) == "ok"
+        assert transport.sleeps == [wait]
+
+    @pytest.mark.parametrize("value", [
+        "Wed, 21 Oct 2015 07:28:00 GMT", "1.5", "-3", "soon", "", "\u00b2",
+    ])
+    def test_other_retry_after_values_keep_the_backoff(self, transport, value):
+        backend = transport.backend([FakeResponse(429, headers={"Retry-After": value}),
+                                     ok_response("ok")])
+        assert backend.send([ChatMessage("user", "u")]) == "ok"
+        assert transport.sleeps == [1.0]
+
+    def test_retry_after_counts_only_on_its_own_statuses(self, transport):
+        backend = transport.backend([
+            FakeResponse(429, headers={"Retry-After": "5"}),
+            FakeResponse(500, headers={"Retry-After": "5"}),
+            FakeResponse(429),
+            ok_response("ok"),
+        ])
+        assert backend.send([ChatMessage("user", "u")]) == "ok"
+        assert transport.sleeps == [5.0, 2.0, 4.0]
 
     def test_backoff_is_capped_at_thirty_seconds(self, transport):
         backend = transport.backend([FakeResponse(500)] * 8, max_retries=8)

@@ -203,6 +203,34 @@ class TestTranscriptPersistence:
             obj = json.loads(line)
             assert "T" in obj["started_at"] and obj["started_at"].endswith("+00:00")
 
+    def test_truncated_final_line_is_dropped(self, tmp_path):
+        path = tmp_path / "killed.jsonl"
+        transcript = run_decision_session(
+            MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "killed",
+            TranscriptWriter(path),
+        )
+        complete = path.read_text(encoding="utf-8")
+        last = complete.splitlines(keepends=True)[-1]
+        path.write_text(complete + last[: len(last) // 2], encoding="utf-8")
+        assert load_transcript(path).records == transcript.records
+        path.write_text(complete[: len(complete) - len(last) // 2], encoding="utf-8")
+        assert load_transcript(path).records == transcript.records[:-1]
+
+    @pytest.mark.parametrize("where", ["middle", "last_with_newline"])
+    def test_other_malformed_lines_rejected(self, tmp_path, where):
+        path = tmp_path / "bad.jsonl"
+        run_decision_session(
+            MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "bad",
+            TranscriptWriter(path),
+        )
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = 12 if where == "middle" else -1
+        lines[index] = lines[index][: len(lines[index]) // 2] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        line_num = 13 if where == "middle" else len(lines)
+        with pytest.raises(ValidationError, match=f"bad.jsonl:{line_num}: invalid JSON"):
+            load_transcript(path)
+
     def test_corrupt_transcript_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
