@@ -20,6 +20,7 @@ Types are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -65,6 +66,9 @@ class PricePair:
     def __post_init__(self):
         if not (self.p_a > 0 and self.p_b > 0):
             raise ValidationError(f"prices must be positive, got ({self.p_a}, {self.p_b})")
+        # the kink bundle 1 / (p_a + p_b) and every demand kernel need a finite sum
+        if not math.isfinite(self.p_a + self.p_b):
+            raise ValidationError(f"prices must have a finite sum, got ({self.p_a}, {self.p_b})")
 
     def cost(self, x_a: float, x_b: float) -> float:
         return self.p_a * x_a + self.p_b * x_b

@@ -12,10 +12,13 @@ from the grid optimum in an unconstrained reparameterization
 Grid ties are broken lexicographically by (beta, rho); results are
 deterministic given data and configuration.
 
-The grid rows with beta >= 0 skip the candidate enumeration of
-:func:`optimal_demand_grid`: there the utility is concave on the budget line
-and its maximizer has a closed form (:func:`_grid_demand`).  The rows with
-beta < 0 use the full enumeration.  The grid loss is kept per round, so
+The grid's per-round losses come from one kernel, :func:`_grid_losses`,
+which never calls :func:`optimal_demand_grid`.  Its rows with beta >= 0 take
+the closed-form maximizer (the utility is concave on the budget line there);
+its rows with beta < 0 compare the enumeration's five candidates with its tie
+rule and give its demand bit for bit, reusing the kink and corner felicities
+of each rho column across betas.  It works in blocks of beta rows, so no
+grid-sized demand array is built.  The loss is kept per round, so
 :func:`recover_prefixes` fits every prefix of a dataset from one grid pass by
 averaging the first ``s`` columns.  The refinement and :func:`fit_loss`
 evaluate one parameter pair at a time through a per-point kernel
@@ -31,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .da_model import _LOG_RHO_EPS, DAParams, optimal_demand_grid
+from .da_model import _LOG_RHO_EPS, DAParams
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -77,55 +80,136 @@ class FitResult:
     flags: tuple[str, ...] = ()
 
 
-def _round_losses(demand: np.ndarray, returns: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Squared token-share gap per parameter pair and round; demand (G, N, 2) -> (G, N)."""
-    gap_a = (demand[:, :, 0] / returns[:, 0] - tokens[:, 0]) / 100.0
-    gap_b = (demand[:, :, 1] / returns[:, 1] - tokens[:, 1]) / 100.0
-    return gap_a * gap_a + gap_b * gap_b
+# grid cells per block of beta rows in _grid_losses: bounds its temporaries
+_BLOCK_CELLS = 1 << 16
 
 
-def _grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Optimal demand (G, N, 2) for every parameter pair, in closed form where beta >= 0.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
+                 betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Squared token-share gap per round at every grid point; (B,) x (R,) -> (B*R, N).
+
+    Rows are in lexicographic (beta, rho) order.  Each entry is
+    ``gap_a**2 + gap_b**2`` with ``gap_i = (x_i / r_i - t_i) / 100`` at the
+    optimal demand ``x`` described below.  Rows are computed in blocks of
+    betas of one sign, about ``_BLOCK_CELLS`` cells each, and each block is
+    written straight into the result, so no grid-sized demand array is built.
 
     With beta >= 0 the weight on the better outcome is at most 1/2, so U is
     the minimum of the two one-sided objectives ``w u(x_a) + (1-w) u(x_b)``
     and ``w u(x_b) + (1-w) u(x_a)``, which is concave on the budget line.
     Since ``k_a * k_b = odds^(2/rho) <= 1`` at most one interior branch is
     admissible; if one is, it is the maximizer, otherwise the kink is, and
-    CRRA's infinite marginal felicity at zero rules out the corners.  The
-    branch quantities are computed with the expressions of
-    :func:`optimal_demand_grid`, so a cell choosing the same branch there is
-    bitwise identical.  Rows with beta < 0 go through that kernel.
-    """
-    demand = np.empty((len(betas), len(prices), 2))
-    closed = betas >= 0.0
-    demand[~closed] = optimal_demand_grid(prices, betas[~closed], rhos[~closed])[0]
+    CRRA's infinite marginal felicity at zero rules out the corners.
 
-    p_a = prices[None, :, 0]
-    p_b = prices[None, :, 1]
-    w = 1.0 / (2.0 + betas[closed, None])
-    odds = w / (1.0 - w)
-    inv_rho = 1.0 / rhos[closed, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_a = np.power(odds * (p_b / p_a), inv_rho)
+    With beta < 0 the five candidates are compared as the enumeration compares
+    them (see :class:`_PointLoss`), so the demand is
+    :func:`optimal_demand_grid`'s bit for bit; the kink and corner felicities
+    depend on rho and the round only, so they are computed once per rho
+    column.  Every branch quantity uses the enumeration's expressions.
+    """
+    p_a, p_b = prices[:, 0], prices[:, 1]
+    ratio_a, ratio_b = p_b / p_a, p_a / p_b
+    kink = 1.0 / (p_a + p_b)
+    corner_a, corner_b = 1.0 / p_a, 1.0 / p_b
+    r_a, r_b = returns[:, 0], returns[:, 1]
+    t_a, t_b = tokens[:, 0], tokens[:, 1]
+    rho = rhos[:, None]
+    inv_rho = 1.0 / rho
+    exponent = 1.0 - rho
+    log_columns = np.abs(rhos - 1.0) < _LOG_RHO_EPS
+    corner_columns = rho < 1.0
+    at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / exponent)  # u(0)
+
+    def felicity(x):
+        """CRRA felicity of positive holdings, per rho column: (..., R, N)."""
+        u = (np.power(x, exponent) - 1.0) / exponent
+        if log_columns.any():
+            u[..., log_columns, :] = np.log(np.broadcast_to(x, u.shape)[..., log_columns, :])
+        return u
+
+    f_kink, f_corner_a, f_corner_b = felicity(kink), felicity(corner_a), felicity(corner_b)
+
+    def enumerated(w, k_a, k_b):
+        """Enumeration demand for beta < 0: kink, A-high, corner A, B-high, corner B."""
         x_b_ia = 1.0 / (p_a * k_a + p_b)
         x_a_ia = k_a * x_b_ia
-        k_b = np.power(odds * (p_a / p_b), inv_rho)
         x_a_ib = 1.0 / (p_b * k_b + p_a)
         x_b_ib = k_b * x_a_ib
-    x_kink = 1.0 / (p_a + p_b)
-    a_high = k_a > 1.0
-    b_high = k_b > 1.0
-    demand[closed, :, 0] = np.where(a_high, x_a_ia, np.where(b_high, x_a_ib, x_kink))
-    demand[closed, :, 1] = np.where(a_high, x_b_ia, np.where(b_high, x_b_ib, x_kink))
-    return demand
+        w_lo = 1.0 - w
+        zero_u = w * at_zero + w_lo * at_zero
+
+        def interior(x_hi, x_lo, k):
+            # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
+            # x_lo is 0 only where its denominator overflowed, and x_hi is then
+            # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
+            u = w * felicity(x_hi) + w_lo * felicity(x_lo)
+            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0, zero_u))
+            return np.where(k > 1.0, u, -np.inf)
+
+        def corner(f_held):
+            return np.where(corner_columns, w * f_held + w_lo * at_zero, -np.inf)
+
+        candidates = (
+            (x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a)),
+            (corner_a, 0.0, corner(f_corner_a)),
+            (x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b)),
+            (0.0, corner_b, corner(f_corner_b)),
+        )
+        # the kink wins the first comparison; a later candidate replaces the best
+        # on a larger utility, or on an equal one with a larger x_a unless the
+        # best is the kink (the tie rule of _PointLoss)
+        best_u = w * f_kink + w_lo * f_kink
+        best_xa = best_xb = kink
+        best_not_kink = np.zeros(best_u.shape, dtype=bool)
+        for x_a, x_b, u in candidates:
+            better = (u > best_u) | ((u == best_u) & best_not_kink & (x_a > best_xa))
+            best_xa = np.where(better, x_a, best_xa)
+            best_xb = np.where(better, x_b, best_xb)
+            best_u = np.where(better, u, best_u)
+            best_not_kink |= better
+        return best_xa, best_xb
+
+    losses = np.empty((len(betas), len(rhos), len(prices)))
+    block = max(1, _BLOCK_CELLS // (len(rhos) * len(prices)))
+    negative = betas < 0.0
+    edges = [0, *(np.flatnonzero(np.diff(negative)) + 1), len(betas)]
+    for lo, hi in zip(edges, edges[1:]):
+        for start in range(lo, hi, block):
+            rows = slice(start, min(start + block, hi))
+            w = 1.0 / (2.0 + betas[rows, None, None])
+            odds = w / (1.0 - w)
+            k_a = np.power(odds * ratio_a, inv_rho)
+            k_b = np.power(odds * ratio_b, inv_rho)
+            if negative[start]:
+                x_a, x_b = enumerated(w, k_a, k_b)
+            else:
+                # A-high if k_a > 1, else B-high if k_b > 1, else the kink; the
+                # kink is the A-high bundle at k_a = 1 (p_a * 1.0 + p_b is exact),
+                # so max(k_a, 1) leaves one selection
+                b_high = (k_b > 1.0) & ~(k_a > 1.0)
+                k_a = np.maximum(k_a, 1.0)
+                x_b_ia = 1.0 / (p_a * k_a + p_b)
+                x_a_ib = 1.0 / (p_b * k_b + p_a)
+                x_a = np.where(b_high, x_a_ib, k_a * x_b_ia)
+                x_b = np.where(b_high, k_b * x_a_ib, x_b_ia)
+            gap_a = x_a / r_a
+            gap_a -= t_a
+            gap_a /= 100.0
+            gap_a *= gap_a
+            gap_b = x_b / r_b
+            gap_b -= t_b
+            gap_b /= 100.0
+            gap_b *= gap_b
+            np.add(gap_a, gap_b, out=losses[rows])
+    return losses.reshape(-1, len(prices))
 
 
 class _PointLoss:
     """Token-share loss of one dataset at a single parameter pair.
 
     ``loss(beta, rho)`` is the float that :func:`optimal_demand_grid` at
-    G = 1 followed by the mean of :func:`_round_losses` gives, for positive
+    G = 1 followed by the mean squared token-share gap gives, for positive
     prices with a finite sum: the same expressions, candidate order (kink,
     A-high, corner A, B-high, corner B) and tie rule (kink first, then the
     larger ``x_a``).  What it saves is per-call overhead on one row: the
@@ -211,11 +295,11 @@ def fit_loss(dataset: SubjectDataset, params: DAParams) -> float:
 
 
 def _parameter_grid(config: RecoveryConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's axes: betas (linear) and rhos (log-spaced)."""
     n_beta = int(round((config.beta_max - config.beta_min) / config.beta_step)) + 1
     betas = config.beta_min + config.beta_step * np.arange(n_beta)
     rhos = np.exp(np.linspace(math.log(config.rho_min), math.log(config.rho_max), config.rho_points))
-    bb, rr = np.meshgrid(betas, rhos, indexing="ij")  # lexicographic (beta, rho) order
-    return bb.reshape(-1), rr.reshape(-1)
+    return betas, rhos
 
 
 def recover_params(dataset: SubjectDataset, config: RecoveryConfig | None = None) -> FitResult:
@@ -239,14 +323,15 @@ def recover_prefixes(
     config = config or RecoveryConfig()
     prefixes = [dataset_prefix(dataset, size) for size in sizes]
     betas, rhos = _parameter_grid(config)
-    per_round = _round_losses(_grid_demand(dataset.price_matrix(), betas, rhos),
-                              dataset.return_matrix(), dataset.token_matrix())
+    per_round = _grid_losses(dataset.price_matrix(), dataset.return_matrix(),
+                             dataset.token_matrix(), betas, rhos)
     fits = {}
     for prefix in prefixes:
         losses = per_round[:, :prefix.n].mean(axis=1)
-        best = int(np.argmin(losses))  # first minimum = lexicographic (beta, rho)
-        grid_best = DAParams(float(betas[best]), float(rhos[best]))
-        fits[prefix.n] = _refine(prefix, grid_best, len(betas), config)
+        # first minimum = lexicographic (beta, rho)
+        beta_at, rho_at = divmod(int(np.argmin(losses)), len(rhos))
+        grid_best = DAParams(float(betas[beta_at]), float(rhos[rho_at]))
+        fits[prefix.n] = _refine(prefix, grid_best, len(per_round), config)
     return fits
 
 

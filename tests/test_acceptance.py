@@ -128,11 +128,11 @@ def test_criterion_4_learning_curve_shape():
     assert abs(control.gamma - 1.0) <= 1e-6
     assert abs(control.alpha) <= 1e-6
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0
+    assert elapsed < 30.0
     record(
         "PASS criterion 4: gamma_rho rises "
         f"{gamma_rho[1]:.3f} (s=1) -> {gamma_rho[25]:.3f} (s=25) -> {gamma_rho[175]:.3f} "
-        f"(s=175, >= 0.9); perfect-information control gamma = 1 ({elapsed:.1f}s < 60s)"
+        f"(s=175, >= 0.9); perfect-information control gamma = 1 ({elapsed:.1f}s < 30s)"
     )
 
 

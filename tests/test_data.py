@@ -54,6 +54,19 @@ class TestConversions:
         with pytest.raises(ValidationError):
             PricePair(0.01, -0.01)
 
+    def test_prices_with_an_infinite_sum_rejected(self):
+        # each price is finite, their sum overflows and the kink bundle would be 0
+        with pytest.raises(ValidationError, match="finite sum"):
+            PricePair(1.7e308, 1.7e308)
+        with pytest.raises(ValidationError, match="finite sum"):
+            PricePair(math.inf, 0.02)
+        assert PricePair(1.6e308, 0.02).p_a == 1.6e308
+
+    def test_subnormal_returns_with_overflowing_prices_rejected(self):
+        # 1 / (100 * 6e-311) is about 1.67e308: one such price is finite, two overflow
+        with pytest.raises(ValidationError, match="finite sum"):
+            ChoiceRound.from_returns_tokens(1, ReturnPair(6e-311, 6e-311), Allocation(50.0, 50.0))
+
     @given(returns_strategy, returns_strategy)
     def test_round_trip_returns(self, r_a, r_b):
         r = ReturnPair(r_a, r_b)
@@ -212,6 +225,16 @@ class TestCsvIO:
             "subject_id,round,r_a,r_b,t_a,t_b\ns1,1,0.5,oops,50,50\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError, match="row 2, column 'r_b'"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("header,good,bad", [
+        ("subject_id,round,r_a,r_b,t_a,t_b", "0.5,0.9,40,60", "6e-311,6e-311,50,50"),
+        ("subject_id,round,p_a,p_b,x_a,x_b", "0.01,0.01,50,50", "1.7e308,1.7e308,0.0,5e-309"),
+    ])
+    def test_prices_with_an_infinite_sum_name_the_row(self, tmp_path, header, good, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\ns1,1,{good}\ns1,2,{bad}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="row 3: prices must have a finite sum"):
             read_dataset(path)
 
     def test_unknown_header_rejected(self, tmp_path):

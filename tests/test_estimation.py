@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from prefbench.errors import ValidationError
 from prefbench.estimation import (
     RecoveryConfig,
     _PointLoss,
-    _grid_demand,
+    _grid_losses,
     _parameter_grid,
-    _round_losses,
     fit_loss,
     recover_params,
     recover_prefixes,
@@ -114,6 +115,56 @@ class TestRecovery:
         assert corr > 0.9
 
 
+def round_losses(demand: np.ndarray, returns: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Squared token-share gap per parameter pair and round; demand (G, N, 2) -> (G, N)."""
+    gap_a = (demand[:, :, 0] / returns[:, 0] - tokens[:, 0]) / 100.0
+    gap_b = (demand[:, :, 1] / returns[:, 1] - tokens[:, 1]) / 100.0
+    return gap_a * gap_a + gap_b * gap_b
+
+
+def grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Optimal demand (G, N, 2) for every parameter pair, in closed form where beta >= 0.
+
+    Rows with beta < 0 go through :func:`optimal_demand_grid`; rows with beta >= 0
+    take the A-high interior bundle if ``k_a > 1``, else the B-high one if
+    ``k_b > 1``, else the kink, with the enumeration's expressions.  Together
+    with :func:`round_losses`, the reference for ``estimation._grid_losses``.
+    """
+    demand = np.empty((len(betas), len(prices), 2))
+    closed = betas >= 0.0
+    demand[~closed] = optimal_demand_grid(prices, betas[~closed], rhos[~closed])[0]
+
+    p_a = prices[None, :, 0]
+    p_b = prices[None, :, 1]
+    w = 1.0 / (2.0 + betas[closed, None])
+    odds = w / (1.0 - w)
+    inv_rho = 1.0 / rhos[closed, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_a = np.power(odds * (p_b / p_a), inv_rho)
+        x_b_ia = 1.0 / (p_a * k_a + p_b)
+        x_a_ia = k_a * x_b_ia
+        k_b = np.power(odds * (p_a / p_b), inv_rho)
+        x_a_ib = 1.0 / (p_b * k_b + p_a)
+        x_b_ib = k_b * x_a_ib
+    x_kink = 1.0 / (p_a + p_b)
+    a_high = k_a > 1.0
+    b_high = k_b > 1.0
+    demand[closed, :, 0] = np.where(a_high, x_a_ia, np.where(b_high, x_a_ib, x_kink))
+    demand[closed, :, 1] = np.where(a_high, x_b_ia, np.where(b_high, x_b_ib, x_kink))
+    return demand
+
+
+def flat_grid(betas: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (beta, rho) pair of the two axes, in lexicographic order: (B*R,) each."""
+    bb, rr = np.meshgrid(betas, rhos, indexing="ij")
+    return bb.reshape(-1), rr.reshape(-1)
+
+
+def oracle_grid_losses(prices, returns, tokens, betas, rhos) -> np.ndarray:
+    """``estimation._grid_losses`` as it was computed before the fused kernel."""
+    return round_losses(grid_demand(prices, *flat_grid(betas, rhos)), returns, tokens)
+
+
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -144,7 +195,7 @@ def check_closed_form(prices, betas, rhos) -> float:
     closed-form bundle must be optimal to 1e-12 in utility, and bitwise equal
     to the enumeration's bundle wherever both pick the same branch.
     """
-    demand = _grid_demand(prices, betas, rhos)
+    demand = grid_demand(prices, betas, rhos)
     ref_demand, ref_code, ref_utility, _ = optimal_demand_grid(prices, betas, rhos)
     closed = betas >= 0.0
     np.testing.assert_array_equal(_bits(demand[~closed]), _bits(ref_demand[~closed]))
@@ -173,7 +224,7 @@ class TestGridDemand:
 
     @pytest.mark.parametrize("seed", [101, 102, 103])
     def test_random_schedules_on_the_recovery_grid(self, seed):
-        betas, rhos = _parameter_grid(RecoveryConfig())
+        betas, rhos = flat_grid(*_parameter_grid(RecoveryConfig()))
         same = check_closed_form(_schedule_prices(seed, 175), betas, rhos)
         assert same > 0.999
 
@@ -218,11 +269,13 @@ class TestRecoverPrefixes:
         ds = _sloppy_subject(113, DAParams(0.4, 0.8))
         betas, rhos = _parameter_grid(RecoveryConfig())
         prices, returns, tokens = ds.price_matrix(), ds.return_matrix(), ds.token_matrix()
-        per_round = _round_losses(_grid_demand(prices, betas, rhos), returns, tokens)
-        for size in (1, 10, 25, 75):
-            alone = _round_losses(_grid_demand(prices[:size], betas, rhos),
-                                  returns[:size], tokens[:size]).mean(axis=1)
-            np.testing.assert_array_equal(_bits(per_round[:, :size].mean(axis=1)), _bits(alone))
+        for kernel in (_grid_losses, oracle_grid_losses):
+            per_round = kernel(prices, returns, tokens, betas, rhos)
+            for size in (1, 10, 25, 75):
+                alone = kernel(prices[:size], returns[:size], tokens[:size],
+                               betas, rhos).mean(axis=1)
+                np.testing.assert_array_equal(_bits(per_round[:, :size].mean(axis=1)),
+                                              _bits(alone))
 
     @pytest.mark.parametrize("kind", ["exact", "sloppy"])
     def test_equals_recover_params_per_prefix(self, kind):
@@ -258,17 +311,14 @@ class TestRecoverPrefixes:
 def enumeration_grid(monkeypatch):
     """Recovery as it was before the closed form: full candidate enumeration in every
     grid row, and the loss summed over the asset axis."""
-    def enumerate_all(prices, betas, rhos):
-        return optimal_demand_grid(prices, betas, rhos)[0]
-
-    def summed_losses(demand, returns, tokens):
+    def enumerated_losses(prices, returns, tokens, betas, rhos):
+        demand = optimal_demand_grid(prices, *flat_grid(betas, rhos))[0]
         shares = (demand / returns[None, :, :] - tokens[None, :, :]) / 100.0
         return np.sum(shares * shares, axis=2)
 
     def recover(dataset):
         with monkeypatch.context() as patch:
-            patch.setattr(estimation, "_grid_demand", enumerate_all)
-            patch.setattr(estimation, "_round_losses", summed_losses)
+            patch.setattr(estimation, "_grid_losses", enumerated_losses)
             return recover_params(dataset)
 
     return recover
@@ -301,7 +351,7 @@ def loss_grid(
     """Token-share loss for each parameter pair through the full candidate enumeration;
     shapes (N, 2) data, (G,) params.  The reference for ``estimation._PointLoss``."""
     demand, _, _, _ = optimal_demand_grid(prices, beta, rho)
-    return _round_losses(demand, returns, tokens).mean(axis=1)
+    return round_losses(demand, returns, tokens).mean(axis=1)
 
 
 def _reference_loss(data, beta: float, rho: float) -> float:
@@ -457,3 +507,116 @@ class TestAgainstEnumerationLoss:
             fits = recover_prefixes(ds, LEARNING_SAMPLE_SIZES)
             assert fits == enumeration_loss(recover_prefixes, ds, LEARNING_SAMPLE_SIZES)
             assert all(not math.isnan(fit.loss) for fit in fits.values())
+
+
+def assert_kernel_matches_oracle(data, betas, rhos) -> np.ndarray:
+    """``_grid_losses`` must return the oracle's floats, NaN equal to NaN; returns the oracle's."""
+    got = _grid_losses(*data, np.asarray(betas, dtype=float), np.asarray(rhos, dtype=float))
+    want = oracle_grid_losses(*data, np.asarray(betas, dtype=float), np.asarray(rhos, dtype=float))
+    assert got.shape == want.shape == (len(betas) * len(rhos), len(data[0]))
+    np.testing.assert_array_equal(got, want)
+    return want
+
+
+class TestGridLosses:
+    """``_grid_losses`` must equal ``round_losses(grid_demand(...))`` on every input."""
+
+    @pytest.mark.parametrize("seed", [251, 252])
+    def test_random_sloppy_data(self, seed):
+        rng = np.random.default_rng(seed)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        for n_rounds in (1, 25, 175):
+            assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, n_rounds)),
+                                         betas, rhos)
+
+    def test_adversarial_budgets(self):
+        # equal prices, and interior ratios k within 1e-6 .. 3e-16 of 1 for each beta;
+        # at beta = -1e-17 the odds round to 1, so on equal prices neither interior
+        # branch is admissible and the enumeration keeps the kink in a beta < 0 row
+        betas = (-0.95, -0.9, -0.5, -0.05, -1e-17, 0.0, GRID_ZERO_BETA, 0.05, 1.0, 3.0)
+        rhos = (0.05, 0.3, 1.0 - 1e-9, 1.0 - 1e-11, 1.0, 1.0 + 1e-11, 1.0 + 1e-9, 2.0, 3.9, 5.0)
+        rng = np.random.default_rng(257)
+        assert_kernel_matches_oracle(_priced(_kink_edge_prices(betas), rng), betas, rhos)
+        price = rng.uniform(0.005, 0.05, 40)
+        assert_kernel_matches_oracle(_priced(np.column_stack([price, price]), rng), betas, rhos)
+
+    def test_edge_points(self):
+        # _PointLoss's edge points as grid axes (beta next to -1 and at the refinement's
+        # clamps, rho at e^-60, 1e-300, both sides of the log branch's 1e-10 and e^60)
+        # on budgets where the interior and kink utilities nearly tie
+        rng = np.random.default_rng(259)
+        assert_kernel_matches_oracle(_priced(_kink_edge_prices(_EDGE_BETAS), rng),
+                                     _EDGE_BETAS, _EDGE_RHOS)
+
+    def test_grid_whose_middle_rho_is_one(self):
+        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=0.5, rho_max=2.0, rho_points=3))
+        assert rhos[1] == 1.0  # the log branch, with corners excluded
+        rng = np.random.default_rng(263)
+        assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 175)), betas, rhos)
+
+    def test_tiny_rho_overflows_the_interior_branches(self):
+        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+        rng = np.random.default_rng(269)
+        want = assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 175)),
+                                            betas, rhos)
+        assert np.isnan(want).any()  # k = inf: the interior bundle is (NaN, 0)
+        # budgets costing more than 1 per unit: the enumeration picks the NaN bundle
+        # in beta < 0 rows too
+        want = assert_kernel_matches_oracle(_priced(rng.uniform(1.0, 2.0, size=(20, 2)), rng),
+                                            betas, rhos)
+        assert np.isnan(want[: int(np.sum(betas < 0.0)) * len(rhos)]).any()
+
+    def test_price_ratio_overflows(self):
+        # a return of 6e-311 prices asset A at about 1.67e308: the price sum is finite,
+        # p_a / p_b overflows, and the kernel must neither differ nor warn
+        rng = np.random.default_rng(270)
+        returns = np.vstack([[6e-311, 0.5], rng.uniform(0.2, 2.0, (9, 2))])
+        t_a = rng.uniform(0.0, 100.0, len(returns))
+        data = 1.0 / (100.0 * returns), returns, np.column_stack([t_a, 100.0 - t_a])
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_kernel_matches_oracle(data, betas, rhos)
+
+    def test_beta_near_minus_one(self):
+        betas, rhos = _parameter_grid(RecoveryConfig(beta_min=-0.999))
+        rng = np.random.default_rng(271)
+        assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 60)), betas, rhos)
+
+    @pytest.mark.parametrize("config", [
+        RecoveryConfig(beta_min=0.0),  # no beta < 0 row
+        RecoveryConfig(beta_max=-0.05),  # only beta < 0 rows
+        RecoveryConfig(beta_min=-0.95, beta_max=-0.95),  # one row
+    ], ids=["nonnegative", "negative", "single"])
+    def test_grids_of_one_sign(self, config):
+        betas, rhos = _parameter_grid(config)
+        rng = np.random.default_rng(277)
+        assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 50)), betas, rhos)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
+    def test_block_sizes(self, monkeypatch, block_rows):
+        # the recovery grid has 19 beta < 0 and 61 beta >= 0 rows; blocks of 3 or 7
+        # rows divide neither
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        rng = np.random.default_rng(281)
+        data = _matrices(random_sloppy_dataset(rng, 25))
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * 25)
+        assert_kernel_matches_oracle(data, betas, rhos)
+
+    def test_beta_axis_in_any_order(self):
+        betas = np.array([0.5, -0.5, 0.0, -0.2, -0.9, 2.0, GRID_ZERO_BETA])
+        rhos = np.array([0.7, 0.05, 1.3, 1.0, 2.0, 0.4])
+        rng = np.random.default_rng(283)
+        assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 30)), betas, rhos)
+
+    def test_no_grid_sized_demand_array(self):
+        # a (G, N, 2) demand array next to the (G, N) result would triple the peak
+        ds = _sloppy_subject(293, DAParams(0.2, 0.9))
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        tracemalloc.start()
+        try:
+            losses = _grid_losses(*_matrices(ds), betas, rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * losses.nbytes
