@@ -32,7 +32,14 @@ from .errors import (
     TemplateError,
     ValidationError,
 )
-from .estimation import FitResult, RecoveryConfig, fit_loss, recover_params, recover_prefixes
+from .estimation import (
+    FitResult,
+    RecoveryConfig,
+    fit_loss,
+    recover_batch,
+    recover_params,
+    recover_prefixes,
+)
 from .eu_deviation import DeutResult, EuConstraintGraph, build_eu_graph, deut_index
 from .rationality import CceiResult, RevealedRelation, ccei, direct_relation, fosd_violations, garp_holds
 from .simulation import (

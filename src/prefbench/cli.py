@@ -56,7 +56,7 @@ from .workflows import (
     LEARNING_SAMPLE_SIZES,
     PROVISION_ROUNDS,
     IndexReport,
-    analyze_subject,
+    analyze_batch,
     learning_curve_direct,
     regress_per_size,
 )
@@ -193,12 +193,15 @@ def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str,
     if not datasets:
         raise ValidationError(f"{choices_file}: no subjects")
     config = RecoveryConfig.from_mapping(load_config(config_file))
-    worker = partial(analyze_subject, config=config)
     if jobs > 1:
+        # contiguous chunks, one recovery batch each
+        bounds = [len(datasets) * k // jobs for k in range(jobs + 1)]
+        chunks = [datasets[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(worker, datasets))
+            reports = [rep for part in pool.map(partial(analyze_batch, config=config), chunks)
+                       for rep in part]
     else:
-        reports = [worker(ds) for ds in datasets]
+        reports = analyze_batch(datasets, config)
     reports.sort(key=lambda rep: rep.subject_id)
     name = "index.jsonl" if fmt == "jsonl" else "index.csv"
     _write_index_reports(reports, out / name, fmt)

@@ -69,6 +69,9 @@ class PricePair:
         # the kink bundle 1 / (p_a + p_b) and every demand kernel need a finite sum
         if not math.isfinite(self.p_a + self.p_b):
             raise ValidationError(f"prices must have a finite sum, got ({self.p_a}, {self.p_b})")
+        # the interior bundles need the price ratios, which overflow before the sum
+        if not (math.isfinite(self.p_a / self.p_b) and math.isfinite(self.p_b / self.p_a)):
+            raise ValidationError(f"prices must have finite ratios, got ({self.p_a}, {self.p_b})")
 
     def cost(self, x_a: float, x_b: float) -> float:
         return self.p_a * x_a + self.p_b * x_b

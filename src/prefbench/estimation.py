@@ -19,20 +19,30 @@ its rows with beta < 0 compare the enumeration's five candidates with its tie
 rule and give its demand bit for bit, reusing the kink and corner felicities
 of each rho column across betas.  It works in blocks of beta rows, so no
 grid-sized demand array is built.  The loss is kept per round, so
-:func:`recover_prefixes` fits every prefix of a dataset from one grid pass by
-averaging the first ``s`` columns.  The refinement and :func:`fit_loss`
-evaluate one parameter pair at a time through a per-point kernel
-(:class:`_PointLoss`) that returns the enumeration's loss bit for bit.
+:func:`recover_batch` fits every prefix of a dataset from one grid pass by
+averaging the first ``s`` columns.
+
+The refinements of a whole batch (every prefix of every dataset) run in lock
+step: each is a Nelder-Mead generator (:func:`_nelder_mead`, scipy's
+algorithm transcribed) that yields the point it wants next, and each step
+values the pending points of all of them in one call of a paired kernel
+(:class:`_PairedLoss`: K datasets, K parameter pairs, K losses), which
+returns the enumeration's loss bit for bit.  The same kernel serves
+:func:`fit_loss` and the final comparison with the grid optimum, so the fits
+are those of scipy's ``minimize`` on one prefix at a time, evaluation counts
+included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here: the benchmark tracer (bench/tracing.py) wraps this name when a
+# traced run starts and fails if it is missing
+from scipy.optimize import minimize  # noqa: F401
 
 from .da_model import _LOG_RHO_EPS, DAParams
 from .data import SubjectDataset, dataset_prefix
@@ -82,6 +92,8 @@ class FitResult:
 
 # grid cells per block of beta rows in _grid_losses: bounds its temporaries
 _BLOCK_CELLS = 1 << 16
+# rounds refined in lock step at once: bounds the paired kernel's temporaries
+_LOCK_STEP_ROUNDS = 1 << 16
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -103,7 +115,7 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
     CRRA's infinite marginal felicity at zero rules out the corners.
 
     With beta < 0 the five candidates are compared as the enumeration compares
-    them (see :class:`_PointLoss`), so the demand is
+    them (see :class:`_PairedLoss`), so the demand is
     :func:`optimal_demand_grid`'s bit for bit; the kink and corner felicities
     depend on rho and the round only, so they are computed once per rho
     column.  Every branch quantity uses the enumeration's expressions.
@@ -158,7 +170,7 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
         )
         # the kink wins the first comparison; a later candidate replaces the best
         # on a larger utility, or on an equal one with a larger x_a unless the
-        # best is the kink (the tie rule of _PointLoss)
+        # best is the kink (the tie rule of _PairedLoss)
         best_u = w * f_kink + w_lo * f_kink
         best_xa = best_xb = kink
         best_not_kink = np.zeros(best_u.shape, dtype=bool)
@@ -205,20 +217,30 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
     return losses.reshape(-1, len(prices))
 
 
-class _PointLoss:
-    """Token-share loss of one dataset at a single parameter pair.
+class _PairedLoss:
+    """Token-share loss of K datasets, each at its own parameter pair: K pairs -> K losses.
 
-    ``loss(beta, rho)`` is the float that :func:`optimal_demand_grid` at
-    G = 1 followed by the mean squared token-share gap gives, for positive
-    prices with a finite sum: the same expressions, candidate order (kink,
-    A-high, corner A, B-high, corner B) and tie rule (kink first, then the
-    larger ``x_a``).  What it saves is per-call overhead on one row: the
-    data columns are computed once, the parameters stay Python floats, only
-    the CRRA branch that ``rho`` selects is evaluated, and the corners, which
-    are admissible only for rho < 1, are skipped otherwise.
+    ``loss(beta, rho)`` gives, for dataset ``i``, the float that
+    :func:`optimal_demand_grid` at G = 1 on that dataset followed by the mean
+    squared token-share gap gives at ``(beta[i], rho[i])``, for positive prices
+    with a finite sum and finite ratios: the same expressions, candidate order
+    (kink, A-high, corner A, B-high, corner B) and tie rule (kink first, then
+    the larger ``x_a``).  The datasets' rounds are concatenated once, with the
+    price ratios, kink and corner bundles.  A call spreads each pair over its
+    dataset's rounds with ``np.repeat``, takes the log felicity only on rounds
+    whose rho is within ``_LOG_RHO_EPS`` of 1, and evaluates the corners, which
+    are admissible only for rho < 1, only if some pair has rho < 1 (masked to
+    -inf on the other rounds).  The datasets are stored by length, so the
+    losses are row means of one (datasets, rounds) block per length, which give
+    the bits of each dataset's own mean.
     """
 
-    def __init__(self, prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray):
+    def __init__(self, data: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+        lengths = np.array([len(prices) for prices, _, _ in data], dtype=np.intp)
+        self._order = np.argsort(lengths, kind="stable")
+        self._lengths = lengths[self._order]
+        prices, returns, tokens = (np.concatenate([data[i][k] for i in self._order])
+                                   for k in range(3))
         p_a, p_b = prices[:, 0], prices[:, 1]
         self._p_a, self._p_b = p_a, p_b
         self._ratio_a = p_b / p_a
@@ -228,70 +250,214 @@ class _PointLoss:
         self._corner_b = 1.0 / p_b
         self._r_a, self._r_b = returns[:, 0], returns[:, 1]
         self._t_a, self._t_b = tokens[:, 0], tokens[:, 1]
+        # (first round, datasets, rounds each) per length
+        sizes, counts = np.unique(self._lengths, return_counts=True)
+        firsts = np.concatenate([[0], np.cumsum(sizes * counts)])
+        self._blocks = list(zip(firsts.tolist(), counts.tolist(), sizes.tolist()))
 
-    def __call__(self, beta: float, rho: float) -> float:
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def __call__(self, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        beta, rho = beta[self._order], rho[self._order]
+
+        def spread(per_pair):
+            return np.repeat(per_pair, self._lengths)
+
         w = 1.0 / (2.0 + beta)
-        odds = w / (1.0 - w)
-        inv_rho = 1.0 / rho
+        w_lo = 1.0 - w
+        odds = w / w_lo
         exponent = 1.0 - rho
-        if abs(rho - 1.0) < _LOG_RHO_EPS:
-            felicity = np.log
-        else:
-            def felicity(x):
-                return (np.power(x, exponent) - 1.0) / exponent
         # u(0), as _crra_grid has it; felicity(0) differs at rho = 1 - 1e-10
-        at_zero = -math.inf if rho >= 1.0 - _LOG_RHO_EPS else -1.0 / exponent
+        at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / exponent)
+        log_pairs = np.abs(rho - 1.0) < _LOG_RHO_EPS
+        log_rows = spread(log_pairs) if log_pairs.any() else None
+        corner_pairs = rho < 1.0
+        zero_u = spread(w * at_zero + w_lo * at_zero)
+        corner_zero = spread(w_lo * at_zero)
+        inv_rho, odds, exponent = spread(1.0 / rho), spread(odds), spread(exponent)
+        w, w_lo = spread(w), spread(w_lo)
+
+        def felicity(x):
+            u = (np.power(x, exponent) - 1.0) / exponent
+            if log_rows is not None:
+                u[log_rows] = np.log(x[log_rows])
+            return u
 
         def interior(x_hi, x_lo, k):
             # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
             # x_lo is 0 only where its denominator overflowed, and x_hi is then
             # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
-            u = w * felicity(x_hi) + (1.0 - w) * felicity(x_lo)
-            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0,
-                                                 w * at_zero + (1.0 - w) * at_zero))
+            u = w * felicity(x_hi) + w_lo * felicity(x_lo)
+            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0, zero_u))
             return np.where(k > 1.0, u, -np.inf)
 
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            k_a = np.power(odds * self._ratio_a, inv_rho)
-            x_b_ia = 1.0 / (self._p_a * k_a + self._p_b)
-            x_a_ia = k_a * x_b_ia
-            k_b = np.power(odds * self._ratio_b, inv_rho)
-            x_a_ib = 1.0 / (self._p_b * k_b + self._p_a)
-            x_b_ib = k_b * x_a_ib
-            felicity_kink = felicity(self._kink)
-            best_u = w * felicity_kink + (1.0 - w) * felicity_kink
-            candidates = [(x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a))]
-            if rho < 1.0:
-                candidates.append((self._corner_a, 0.0,
-                                   w * felicity(self._corner_a) + (1.0 - w) * at_zero))
-            candidates.append((x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b)))
-            if rho < 1.0:
-                candidates.append((0.0, self._corner_b,
-                                   w * felicity(self._corner_b) + (1.0 - w) * at_zero))
+        k_a = np.power(odds * self._ratio_a, inv_rho)
+        x_b_ia = 1.0 / (self._p_a * k_a + self._p_b)
+        x_a_ia = k_a * x_b_ia
+        k_b = np.power(odds * self._ratio_b, inv_rho)
+        x_a_ib = 1.0 / (self._p_b * k_b + self._p_a)
+        x_b_ib = k_b * x_a_ib
+        felicity_kink = felicity(self._kink)
+        best_u = w * felicity_kink + w_lo * felicity_kink
+        a_high = (x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a))
+        b_high = (x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b))
+        if corner_pairs.any():
+            corner_rows = spread(corner_pairs)
+
+            def corner(x):
+                return np.where(corner_rows, w * felicity(x) + corner_zero, -np.inf)
+
+            candidates = (a_high, (self._corner_a, 0.0, corner(self._corner_a)),
+                          b_high, (0.0, self._corner_b, corner(self._corner_b)))
+        else:
+            candidates = (a_high, b_high)
 
         # the kink, with a positive bundle and a utility that is never NaN, wins
         # the enumeration's first comparison.  A later candidate replaces the
         # best on a larger utility, or on an equal one with a larger x_a unless
         # the best is the kink; a best that is not the kink has a utility above
-        # -inf, so an equal one belongs to an admissible candidate
+        # -inf, so an equal one belongs to an admissible candidate and a masked
+        # corner never wins
         best_xa = best_xb = self._kink
-        best_not_kink = np.False_
+        best_not_kink = np.zeros(len(best_u), dtype=bool)
         for x_a, x_b, u in candidates:
             better = (u > best_u) | ((u == best_u) & best_not_kink & (x_a > best_xa))
             best_xa = np.where(better, x_a, best_xa)
             best_xb = np.where(better, x_b, best_xb)
             best_u = np.where(better, u, best_u)
-            best_not_kink = best_not_kink | better
+            best_not_kink |= better
 
         gap_a = (best_xa / self._r_a - self._t_a) / 100.0
         gap_b = (best_xb / self._r_b - self._t_b) / 100.0
-        return float((gap_a * gap_a + gap_b * gap_b).mean())
+        per_round = gap_a * gap_a + gap_b * gap_b
+        losses = np.empty(len(beta))
+        losses[self._order] = np.concatenate([
+            per_round[first:first + count * length].reshape(count, length).mean(axis=1)
+            for first, count, length in self._blocks
+        ])
+        return losses
 
 
 def fit_loss(dataset: SubjectDataset, params: DAParams) -> float:
     """Mean squared token-share distance between data and model-optimal choices."""
-    loss = _PointLoss(dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix())
-    return loss(params.beta, params.rho)
+    loss = _PairedLoss([(dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix())])
+    return float(loss(np.array([params.beta]), np.array([params.rho]))[0])
+
+
+class _MaxEvalsReached(Exception):
+    """The evaluation cap, raised before the evaluation that would exceed it."""
+
+
+def _nelder_mead(z0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead as a generator: yields each point it wants, is sent that point's loss.
+
+    A transcription of ``_minimize_neldermead`` from scipy 1.17.1
+    (``scipy/optimize/_optimize.py``; BSD 3-clause licence, copyright the
+    SciPy developers), restricted to the path the refinement uses: no bounds,
+    not adaptive, the default initial simplex (each nonzero coordinate of
+    ``z0`` scaled by 1.05 in turn, a zero one set to 0.00025) and only
+    ``maxfev`` set, so ``maxiter`` is infinite and the iteration count decides
+    nothing.  The numpy expressions and their order are scipy's, and each
+    point is yielded as a copy, as scipy's wrapper passes it; so the iterates,
+    the evaluation count and the outcome are those of ``minimize(...,
+    method="Nelder-Mead", options={"maxfev", "xatol", "fatol"})`` bit for bit.
+    As in scipy, the cap is checked before each evaluation; reaching it leaves
+    the current iteration, and the simplex is still sorted.  Returns ``(x,
+    nfev, success)``; success is false exactly when the cap was reached.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(np.atleast_1d(z0).flatten(), dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = 0
+
+    def func(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxEvalsReached
+        nfev += 1
+        return (yield np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from func(sim[k])
+    except _MaxEvalsReached:
+        pass
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = yield from func(xr)
+            doshrink = 0
+
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = yield from func(xe)
+
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            else:  # fsim[0] <= fxr
+                if fxr < fsim[-2]:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+                else:  # fxr >= fsim[-2]
+                    # contraction
+                    if fxr < fsim[-1]:
+                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                        fxc = yield from func(xc)
+
+                        if fxc <= fxr:
+                            sim[-1] = xc
+                            fsim[-1] = fxc
+                        else:
+                            doshrink = 1
+                    else:
+                        # inside contraction
+                        xcc = (1 - psi) * xbar + psi * sim[-1]
+                        fxcc = yield from func(xcc)
+
+                        if fxcc < fsim[-1]:
+                            sim[-1] = xcc
+                            fsim[-1] = fxcc
+                        else:
+                            doshrink = 1
+
+                    if doshrink:
+                        for j in range(1, n + 1):
+                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                            fsim[j] = yield from func(sim[j])
+        except _MaxEvalsReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], nfev, nfev < maxfev
 
 
 def _parameter_grid(config: RecoveryConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -308,49 +474,102 @@ def recover_params(dataset: SubjectDataset, config: RecoveryConfig | None = None
     The refinement never loses to the grid optimum: the returned parameters
     are whichever of the two has the smaller loss under :func:`fit_loss`.
     """
-    return recover_prefixes(dataset, (dataset.n,), config)[dataset.n]
+    return recover_batch([dataset], None, config)[0][dataset.n]
 
 
 def recover_prefixes(
     dataset: SubjectDataset, sizes: Sequence[int], config: RecoveryConfig | None = None,
 ) -> dict[int, FitResult]:
-    """:func:`recover_params` on the first ``s`` rounds, for every ``s`` in ``sizes``.
+    """:func:`recover_params` on the first ``s`` rounds, for every ``s`` in ``sizes``."""
+    return recover_batch([dataset], sizes, config)[0]
 
-    The per-round grid losses are computed once for the whole dataset; a
-    prefix's grid loss is the mean of its first ``s`` columns, which equals
-    the grid loss of the prefix on its own.
+
+def recover_batch(
+    datasets: Iterable[SubjectDataset], sizes: Sequence[int] | None = None,
+    config: RecoveryConfig | None = None,
+) -> list[dict[int, FitResult]]:
+    """:func:`recover_prefixes` for every dataset; each one's full length if ``sizes`` is None.
+
+    Each dataset's per-round grid losses are computed once, and freed before
+    the next dataset's; a prefix's grid loss is the mean of its first ``s``
+    columns, which equals the grid loss of the prefix on its own.  Only the
+    data matrices are kept, so a generator of datasets holds one at a time.
+    Then the refinements of every dataset and prefix advance in lock step
+    (:func:`_refine_batch`).  The fits are those of one dataset at a time, bit
+    for bit, whatever the batch.
     """
     config = config or RecoveryConfig()
-    prefixes = [dataset_prefix(dataset, size) for size in sizes]
     betas, rhos = _parameter_grid(config)
-    per_round = _grid_losses(dataset.price_matrix(), dataset.return_matrix(),
-                             dataset.token_matrix(), betas, rhos)
-    fits = {}
-    for prefix in prefixes:
-        losses = per_round[:, :prefix.n].mean(axis=1)
-        # first minimum = lexicographic (beta, rho)
-        beta_at, rho_at = divmod(int(np.argmin(losses)), len(rhos))
-        grid_best = DAParams(float(betas[beta_at]), float(rhos[rho_at]))
-        fits[prefix.n] = _refine(prefix, grid_best, len(per_round), config)
-    return fits
+    results: list[dict[int, FitResult]] = []
+    slots, fits = [], []
+    for dataset in datasets:
+        results.append({})
+        flagged = [(size, _flags(dataset_prefix(dataset, size)))
+                   for size in (sizes if sizes is not None else (dataset.n,))]
+        data = dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix()
+        per_round = _grid_losses(*data, betas, rhos)
+        for size, flags in flagged:
+            # first minimum = lexicographic (beta, rho)
+            best_at = int(np.argmin(per_round[:, :size].mean(axis=1)))
+            beta_at, rho_at = divmod(best_at, len(rhos))
+            grid_best = DAParams(float(betas[beta_at]), float(rhos[rho_at]))
+            slots.append((results[-1], size))
+            fits.append((flags, grid_best, tuple(column[:size] for column in data)))
+        del per_round  # one grid alive at a time
+    for (by_size, size), fit in zip(slots, _refine_batch(fits, len(betas) * len(rhos), config)):
+        by_size[size] = fit
+    return results
 
 
-def _refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
-            config: RecoveryConfig) -> FitResult:
-    """Nelder-Mead from the grid optimum, unless the rounds cannot pin two parameters."""
-    loss = _PointLoss(dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix())
-
-    flags = []
+def _flags(dataset: SubjectDataset) -> tuple[str, ...]:
+    """Why the rounds cannot pin two parameters, if they cannot."""
     if dataset.n < 2:
-        flags.append("insufficient_rounds")
-    elif all(rd.prices == dataset.rounds[0].prices for rd in dataset.rounds) and all(
+        return ("insufficient_rounds",)
+    if all(rd.prices == dataset.rounds[0].prices for rd in dataset.rounds) and all(
         rd.tokens == dataset.rounds[0].tokens for rd in dataset.rounds
     ):
-        flags.append("degenerate_rounds")
-    if flags:
-        return FitResult(grid_best, loss(grid_best.beta, grid_best.rho), grid_best, False,
-                         evaluations, tuple(flags))
+        return ("degenerate_rounds",)
+    return ()
 
+
+def _refine_batch(
+    fits: Sequence[tuple[tuple[str, ...], DAParams, tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    evaluations: int, config: RecoveryConfig,
+) -> list[FitResult]:
+    """Nelder-Mead from each grid optimum, unless the rounds cannot pin two parameters.
+
+    ``fits`` holds (flags, grid optimum, price, return and token matrices); a
+    flagged fit keeps its grid optimum.  Consecutive fits of at most
+    ``_LOCK_STEP_ROUNDS`` rounds in all are refined together
+    (:func:`_refine_group`), which bounds the paired kernel's temporaries
+    whatever the batch size.
+    """
+    results: list[FitResult] = []
+    group: list = []
+    rounds = 0
+    for fit in fits:
+        if group and rounds + len(fit[2][0]) > _LOCK_STEP_ROUNDS:
+            results += _refine_group(group, evaluations, config)
+            group, rounds = [], 0
+        group.append(fit)
+        rounds += len(fit[2][0])
+    if group:
+        results += _refine_group(group, evaluations, config)
+    return results
+
+
+def _refine_group(
+    fits: Sequence[tuple[tuple[str, ...], DAParams, tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    evaluations: int, config: RecoveryConfig,
+) -> list[FitResult]:
+    """:func:`_refine_batch` on fits whose refinements all advance in lock step.
+
+    The refinements run as :func:`_nelder_mead` generators: each step
+    evaluates the next point of every active one in one :class:`_PairedLoss`
+    call, and the kernel is rebuilt only when a refinement finishes.  One more
+    call values every grid optimum and every refined point, for the flagged
+    fits and the final comparisons.
+    """
     beta_floor = config.beta_min
 
     def from_unconstrained(z: np.ndarray) -> tuple[float, float]:
@@ -360,24 +579,49 @@ def _refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
         rho = math.exp(min(max(float(z[1]), -60.0), 60.0))
         return beta, rho
 
-    def objective(z: np.ndarray) -> float:
-        return loss(*from_unconstrained(z))
+    runs = {
+        i: _nelder_mead(np.array([math.log(max(grid_best.beta - beta_floor, 1e-8)),
+                                  math.log(grid_best.rho)]),
+                        config.max_evals, config.tol, 1e-14)
+        for i, (flags, grid_best, _) in enumerate(fits) if not flags
+    }
+    points: dict[int, np.ndarray] = {}
+    outcomes: dict[int, tuple[np.ndarray, int, bool]] = {}
 
-    z0 = np.array([
-        math.log(max(grid_best.beta - beta_floor, 1e-8)),
-        math.log(grid_best.rho),
-    ])
-    result = minimize(
-        objective, z0, method="Nelder-Mead",
-        options={"maxfev": config.max_evals, "xatol": config.tol, "fatol": 1e-14},
-    )
-    evaluations += int(result.nfev)
-    refined = DAParams(*from_unconstrained(result.x))
+    def advance(i: int, loss: float | None) -> bool:
+        try:
+            points[i] = runs[i].send(loss)
+            return True
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+            return False
 
-    refined_loss = loss(refined.beta, refined.rho)
-    grid_loss = loss(grid_best.beta, grid_best.rho)
-    if refined_loss <= grid_loss:
-        params, best = refined, refined_loss
-    else:
-        params, best = grid_best, grid_loss
-    return FitResult(params, best, grid_best, bool(result.success), evaluations, tuple(flags))
+    active = [i for i in runs if advance(i, None)]
+    while active:
+        loss, stepping = _PairedLoss([fits[i][2] for i in active]), len(active)
+        while len(active) == stepping:
+            beta, rho = np.array([from_unconstrained(points[i]) for i in active]).T
+            active = [i for i, value in zip(active, loss(beta, rho).tolist()) if advance(i, value)]
+
+    refined = {i: DAParams(*from_unconstrained(outcomes[i][0])) for i in runs}
+    valued = [(data, grid_best) for _, grid_best, data in fits]
+    valued += [(fits[i][2], refined[i]) for i in runs]
+    values = _PairedLoss([data for data, _ in valued])(
+        np.array([params.beta for _, params in valued]),
+        np.array([params.rho for _, params in valued]),
+    ).tolist()
+    refined_loss = dict(zip(runs, values[len(fits):]))
+
+    results = []
+    for i, (flags, grid_best, _) in enumerate(fits):
+        grid_loss = values[i]
+        if flags:
+            results.append(FitResult(grid_best, grid_loss, grid_best, False, evaluations, flags))
+            continue
+        _, nfev, success = outcomes[i]
+        if refined_loss[i] <= grid_loss:
+            params, best = refined[i], refined_loss[i]
+        else:
+            params, best = grid_best, grid_loss
+        results.append(FitResult(params, best, grid_best, success, evaluations + nfev, ()))
+    return results

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 from .da_model import DAParams
 from .data import SubjectDataset
 from .errors import ValidationError
-from .estimation import RecoveryConfig, recover_params, recover_prefixes
+from .estimation import FitResult, RecoveryConfig, recover_batch
 from .eu_deviation import deut_index
 from .rationality import ccei, fosd_violations
 from .simulation import generate_budgets, simulate_subject
@@ -33,10 +33,21 @@ class IndexReport:
 
 
 def analyze_subject(dataset: SubjectDataset, config: RecoveryConfig | None = None) -> IndexReport:
+    return analyze_batch([dataset], config)[0]
+
+
+def analyze_batch(
+    datasets: Sequence[SubjectDataset], config: RecoveryConfig | None = None,
+) -> list[IndexReport]:
+    """Per-subject reports, with every subject's recovery in one :func:`recover_batch`."""
+    fits = recover_batch(datasets, None, config)
+    return [_report(dataset, fit[dataset.n]) for dataset, fit in zip(datasets, fits)]
+
+
+def _report(dataset: SubjectDataset, fit: FitResult) -> IndexReport:
     consistency = ccei(dataset)
     deviation = deut_index(dataset)
     fosd_count, _ = fosd_violations(dataset)
-    fit = recover_params(dataset, config)
     flags = list(fit.flags)
     if not fit.converged and "insufficient_rounds" not in flags and "degenerate_rounds" not in flags:
         flags.append("no_convergence")
@@ -101,14 +112,17 @@ def learning_curve_direct(
     """Desk-scale learning pipeline with no model in the loop.
 
     Each subject gets its own 175-round provision schedule; parameters are
-    recovered from every prefix length (one grid pass per subject), then
-    regressed on the truth.
+    recovered from every prefix length of every subject in one
+    :func:`recover_batch` (one grid pass per subject), then regressed on the
+    truth.
     """
     truth = dict(population)
+    subjects = (
+        simulate_subject(params, generate_budgets(provision_seed + i, PROVISION_ROUNDS), sid).dataset
+        for i, (sid, params) in enumerate(population)
+    )
     estimates_by_size: dict[int, dict[str, DAParams]] = {s: {} for s in sample_sizes}
-    for i, (sid, params) in enumerate(population):
-        schedule = generate_budgets(provision_seed + i, PROVISION_ROUNDS)
-        subject = simulate_subject(params, schedule, sid)
-        for size, fit in recover_prefixes(subject.dataset, sample_sizes, config).items():
+    for (sid, _), fits in zip(population, recover_batch(subjects, sample_sizes, config)):
+        for size, fit in fits.items():
             estimates_by_size[size][sid] = fit.params
     return regress_per_size(truth, estimates_by_size), estimates_by_size

@@ -72,6 +72,24 @@ class TestAnalyze:
             assert float(fields[1]) == 1.0  # ccei
             assert int(fields[3]) == 0  # fosd_count
 
+    def test_jobs_give_the_same_index(self, tmp_path):
+        # 5 subjects in 1, 2 or 3 contiguous chunks; 2 subjects on 3 jobs leave a chunk empty
+        params = make_params(tmp_path, n=5)
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(params), "--rounds", "25",
+                "--seed", "3", "--out", str(sim_out))
+        lines = (sim_out / "choices.csv").read_text().splitlines(keepends=True)
+        two = tmp_path / "two.csv"
+        two.write_text("".join(lines[:51]), encoding="utf-8")
+        for choices, jobs in ((sim_out / "choices.csv", (1, 2, 3)), (two, (1, 3))):
+            indexes = set()
+            for n_jobs in jobs:
+                out = tmp_path / f"idx_{choices.stem}_{n_jobs}"
+                assert run_cli("analyze", "--choices", str(choices), "--jobs", str(n_jobs),
+                               "--out", str(out)) == 0
+                indexes.add((out / "index.csv").read_bytes())
+            assert len(indexes) == 1
+
     def test_empty_input_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("subject_id,round,r_a,r_b,t_a,t_b\n", encoding="utf-8")

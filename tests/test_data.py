@@ -60,7 +60,17 @@ class TestConversions:
             PricePair(1.7e308, 1.7e308)
         with pytest.raises(ValidationError, match="finite sum"):
             PricePair(math.inf, 0.02)
-        assert PricePair(1.6e308, 0.02).p_a == 1.6e308
+        assert PricePair(1.6e308, 1e10).p_a == 1.6e308
+
+    def test_prices_with_overflowing_ratios_rejected(self):
+        # the sum is finite, p_a / p_b is not: the interior demand would overflow
+        with pytest.raises(ValidationError, match="finite ratios"):
+            PricePair(1.6e308, 0.02)
+        with pytest.raises(ValidationError, match="finite ratios"):
+            PricePair(0.02, 1.6e308)
+        # a single subnormal return: about 1.67e308 against 0.02
+        with pytest.raises(ValidationError, match="finite ratios"):
+            ChoiceRound.from_returns_tokens(1, ReturnPair(6e-311, 0.5), Allocation(50.0, 50.0))
 
     def test_subnormal_returns_with_overflowing_prices_rejected(self):
         # 1 / (100 * 6e-311) is about 1.67e308: one such price is finite, two overflow
@@ -235,6 +245,16 @@ class TestCsvIO:
         path = tmp_path / "bad.csv"
         path.write_text(f"{header}\ns1,1,{good}\ns1,2,{bad}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 3: prices must have a finite sum"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("header,good,bad", [
+        ("subject_id,round,r_a,r_b,t_a,t_b", "0.5,0.9,40,60", "6e-311,0.5,50,50"),
+        ("subject_id,round,p_a,p_b,x_a,x_b", "0.01,0.01,50,50", "1.6e308,0.02,0.0,50"),
+    ])
+    def test_prices_with_overflowing_ratios_name_the_row(self, tmp_path, header, good, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\ns1,1,{good}\ns1,2,{bad}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="row 3: prices must have finite ratios"):
             read_dataset(path)
 
     def test_unknown_header_rejected(self, tmp_path):

@@ -3,21 +3,26 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from conftest import random_sloppy_dataset
+from conftest import dataset_from_prices, random_sloppy_dataset
 from prefbench import estimation
-from prefbench.da_model import DAParams, _crra_grid, optimal_demand_grid
+from prefbench.da_model import _LOG_RHO_EPS, DAParams, _crra_grid, optimal_demand_grid
 from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset, dataset_prefix
 from prefbench.errors import ValidationError
 from prefbench.estimation import (
+    FitResult,
     RecoveryConfig,
-    _PointLoss,
     _grid_losses,
+    _PairedLoss,
     _parameter_grid,
+    _refine_batch,
     fit_loss,
+    recover_batch,
     recover_params,
     recover_prefixes,
 )
@@ -349,9 +354,96 @@ def loss_grid(
     beta: np.ndarray, rho: np.ndarray,
 ) -> np.ndarray:
     """Token-share loss for each parameter pair through the full candidate enumeration;
-    shapes (N, 2) data, (G,) params.  The reference for ``estimation._PointLoss``."""
+    shapes (N, 2) data, (G,) params.  The reference for ``_PointLoss`` and
+    ``estimation._PairedLoss``."""
     demand, _, _, _ = optimal_demand_grid(prices, beta, rho)
     return round_losses(demand, returns, tokens).mean(axis=1)
+
+
+class _PointLoss:
+    """Token-share loss of one dataset at a single parameter pair.
+
+    The per-point kernel the refinement used before ``estimation._PairedLoss``,
+    kept as the paired kernel's oracle.
+
+    ``loss(beta, rho)`` is the float that :func:`optimal_demand_grid` at
+    G = 1 followed by the mean squared token-share gap gives, for positive
+    prices with a finite sum: the same expressions, candidate order (kink,
+    A-high, corner A, B-high, corner B) and tie rule (kink first, then the
+    larger ``x_a``).  What it saves is per-call overhead on one row: the
+    data columns are computed once, the parameters stay Python floats, only
+    the CRRA branch that ``rho`` selects is evaluated, and the corners, which
+    are admissible only for rho < 1, are skipped otherwise.
+    """
+
+    def __init__(self, prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray):
+        p_a, p_b = prices[:, 0], prices[:, 1]
+        self._p_a, self._p_b = p_a, p_b
+        self._ratio_a = p_b / p_a
+        self._ratio_b = p_a / p_b
+        self._kink = 1.0 / (p_a + p_b)
+        self._corner_a = 1.0 / p_a
+        self._corner_b = 1.0 / p_b
+        self._r_a, self._r_b = returns[:, 0], returns[:, 1]
+        self._t_a, self._t_b = tokens[:, 0], tokens[:, 1]
+
+    def __call__(self, beta: float, rho: float) -> float:
+        w = 1.0 / (2.0 + beta)
+        odds = w / (1.0 - w)
+        inv_rho = 1.0 / rho
+        exponent = 1.0 - rho
+        if abs(rho - 1.0) < _LOG_RHO_EPS:
+            felicity = np.log
+        else:
+            def felicity(x):
+                return (np.power(x, exponent) - 1.0) / exponent
+        # u(0), as _crra_grid has it; felicity(0) differs at rho = 1 - 1e-10
+        at_zero = -math.inf if rho >= 1.0 - _LOG_RHO_EPS else -1.0 / exponent
+
+        def interior(x_hi, x_lo, k):
+            # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
+            # x_lo is 0 only where its denominator overflowed, and x_hi is then
+            # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
+            u = w * felicity(x_hi) + (1.0 - w) * felicity(x_lo)
+            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0,
+                                                 w * at_zero + (1.0 - w) * at_zero))
+            return np.where(k > 1.0, u, -np.inf)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k_a = np.power(odds * self._ratio_a, inv_rho)
+            x_b_ia = 1.0 / (self._p_a * k_a + self._p_b)
+            x_a_ia = k_a * x_b_ia
+            k_b = np.power(odds * self._ratio_b, inv_rho)
+            x_a_ib = 1.0 / (self._p_b * k_b + self._p_a)
+            x_b_ib = k_b * x_a_ib
+            felicity_kink = felicity(self._kink)
+            best_u = w * felicity_kink + (1.0 - w) * felicity_kink
+            candidates = [(x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a))]
+            if rho < 1.0:
+                candidates.append((self._corner_a, 0.0,
+                                   w * felicity(self._corner_a) + (1.0 - w) * at_zero))
+            candidates.append((x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b)))
+            if rho < 1.0:
+                candidates.append((0.0, self._corner_b,
+                                   w * felicity(self._corner_b) + (1.0 - w) * at_zero))
+
+        # the kink, with a positive bundle and a utility that is never NaN, wins
+        # the enumeration's first comparison.  A later candidate replaces the
+        # best on a larger utility, or on an equal one with a larger x_a unless
+        # the best is the kink; a best that is not the kink has a utility above
+        # -inf, so an equal one belongs to an admissible candidate
+        best_xa = best_xb = self._kink
+        best_not_kink = np.False_
+        for x_a, x_b, u in candidates:
+            better = (u > best_u) | ((u == best_u) & best_not_kink & (x_a > best_xa))
+            best_xa = np.where(better, x_a, best_xa)
+            best_xb = np.where(better, x_b, best_xb)
+            best_u = np.where(better, u, best_u)
+            best_not_kink = best_not_kink | better
+
+        gap_a = (best_xa / self._r_a - self._t_a) / 100.0
+        gap_b = (best_xb / self._r_b - self._t_b) / 100.0
+        return float((gap_a * gap_a + gap_b * gap_b).mean())
 
 
 def _reference_loss(data, beta: float, rho: float) -> float:
@@ -362,14 +454,21 @@ def _same_float(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _paired_losses(data, points) -> list[float]:
+    """The paired kernel on copies of one dataset, each at its own point, in one call."""
+    beta, rho = np.array(points, dtype=float).reshape(-1, 2).T
+    return _PairedLoss([data] * len(points))(beta, rho).tolist()
+
+
 def _loss_mismatches(data, points) -> list:
-    """(beta, rho, kernel, reference) wherever the kernel's loss is not the reference's float."""
+    """(beta, rho, point kernel, paired kernel, reference) wherever a kernel's loss is
+    not the reference's float."""
     loss = _PointLoss(*data)
     found = []
-    for beta, rho in points:
+    for (beta, rho), paired in zip(points, _paired_losses(data, points)):
         got, want = loss(beta, rho), _reference_loss(data, beta, rho)
-        if not _same_float(got, want):
-            found.append((beta, rho, got, want))
+        if not (_same_float(got, want) and _same_float(paired, want)):
+            found.append((beta, rho, got, paired, want))
     return found
 
 
@@ -417,7 +516,8 @@ EDGE_POINTS = [(beta, rho) for beta in _EDGE_BETAS for rho in _EDGE_RHOS]
 
 
 class TestPointLoss:
-    """``_PointLoss`` must return the enumeration's float, NaN included."""
+    """``_PointLoss`` and the paired kernel must return the enumeration's float, NaN
+    included."""
 
     @pytest.mark.parametrize("seed", [211, 212, 213])
     def test_random_sloppy_data_at_random_points(self, seed):
@@ -463,6 +563,18 @@ class TestPointLoss:
         assert math.isnan(_reference_loss(data, beta, rho))
         assert _loss_mismatches(data, [(beta, rho)]) == []
 
+    def test_paired_kernel_on_datasets_of_different_lengths(self):
+        # one call on datasets of 1 to 175 rounds in no length order, each at its own
+        # point: log-branch, corner (rho < 1) and other points side by side
+        rng = np.random.default_rng(243)
+        data = [_matrices(random_sloppy_dataset(rng, n)) for n in (175, 1, 12, 1, 60, 12, 175, 2)]
+        points = [(0.3, 1.0), (0.3, 1.0 + 5e-11), (-0.5, 0.4), (2.0, 3.9),
+                  *(_refinement_point(*z) for z in rng.uniform(-8.0, 8.0, size=(4, 2)))]
+        beta, rho = np.array(points).T
+        got = _PairedLoss(data)(beta, rho).tolist()
+        want = [_PointLoss(*d)(b, r) for d, (b, r) in zip(data, points)]
+        assert all(_same_float(g, w) for g, w in zip(got, want)), (got, want)
+
     def test_fit_loss_equals_the_enumeration(self):
         ds = _sloppy_subject(239, DAParams(-0.2, 1.4), n_rounds=40)
         for beta, rho in [(-0.2, 1.4), (0.0, 1.0), (1.5, 0.2)]:
@@ -472,17 +584,18 @@ class TestPointLoss:
 @pytest.fixture
 def enumeration_loss(monkeypatch):
     """Recovery whose Nelder-Mead objective, final loss comparisons and fit_loss all go
-    through the full enumeration, as before the per-point kernel."""
+    through the full enumeration, as before the per-point and paired kernels."""
     class EnumerationLoss:
-        def __init__(self, prices, returns, tokens):
-            self.data = (prices, returns, tokens)
+        def __init__(self, data):
+            self.data = data
 
         def __call__(self, beta, rho):
-            return _reference_loss(self.data, beta, rho)
+            return np.array([_reference_loss(data, b, r)
+                             for data, b, r in zip(self.data, beta, rho)])
 
     def recover(fit, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(estimation, "_PointLoss", EnumerationLoss)
+            patch.setattr(estimation, "_PairedLoss", EnumerationLoss)
             return fit(*args)
 
     return recover
@@ -507,6 +620,234 @@ class TestAgainstEnumerationLoss:
             fits = recover_prefixes(ds, LEARNING_SAMPLE_SIZES)
             assert fits == enumeration_loss(recover_prefixes, ds, LEARNING_SAMPLE_SIZES)
             assert all(not math.isnan(fit.loss) for fit in fits.values())
+
+
+def oracle_refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int,
+                  config: RecoveryConfig) -> FitResult:
+    """The refinement before the lock step: scipy's Nelder-Mead driving ``_PointLoss``."""
+    loss = _PointLoss(*_matrices(dataset))
+    flags = estimation._flags(dataset)
+    if flags:
+        return FitResult(grid_best, loss(grid_best.beta, grid_best.rho), grid_best, False,
+                         evaluations, flags)
+
+    def from_unconstrained(z):
+        beta = config.beta_min + math.exp(min(max(float(z[0]), -60.0), 60.0))
+        return beta, math.exp(min(max(float(z[1]), -60.0), 60.0))
+
+    z0 = np.array([math.log(max(grid_best.beta - config.beta_min, 1e-8)), math.log(grid_best.rho)])
+    result = minimize(
+        lambda z: loss(*from_unconstrained(z)), z0, method="Nelder-Mead",
+        options={"maxfev": config.max_evals, "xatol": config.tol, "fatol": 1e-14},
+    )
+    refined = DAParams(*from_unconstrained(result.x))
+    refined_loss = loss(refined.beta, refined.rho)
+    grid_loss = loss(grid_best.beta, grid_best.rho)
+    if refined_loss <= grid_loss:
+        params, best = refined, refined_loss
+    else:
+        params, best = grid_best, grid_loss
+    return FitResult(params, best, grid_best, bool(result.success),
+                     evaluations + int(result.nfev), ())
+
+
+def oracle_recover(dataset: SubjectDataset, sizes=None,
+                   config: RecoveryConfig | None = None) -> dict[int, FitResult]:
+    """``recover_prefixes`` before the lock step: one grid pass, then one scipy fit per prefix."""
+    config = config or RecoveryConfig()
+    betas, rhos = _parameter_grid(config)
+    per_round = _grid_losses(*_matrices(dataset), betas, rhos)
+    fits = {}
+    for size in sizes or (dataset.n,):
+        beta_at, rho_at = divmod(int(np.argmin(per_round[:, :size].mean(axis=1))), len(rhos))
+        grid_best = DAParams(float(betas[beta_at]), float(rhos[rho_at]))
+        fits[size] = oracle_refine(dataset_prefix(dataset, size), grid_best, len(per_round),
+                                   config)
+    return fits
+
+
+def assert_same_fits(got: dict[int, FitResult], want: dict[int, FitResult]) -> None:
+    """Equal fits, field by field; a NaN loss equals a NaN loss."""
+    assert list(got) == list(want)
+    for size in want:
+        a, b = got[size], want[size]
+        assert _same_float(a.loss, b.loss), (size, a, b)
+        assert replace(a, loss=0.0) == replace(b, loss=0.0), (size, a, b)
+        assert type(a.loss) is type(b.loss) is float
+        assert type(a.converged) is type(b.converged) is bool
+
+
+def _round_trip_datasets() -> list[SubjectDataset]:
+    """The 20 criterion-3 round trips."""
+    return [
+        simulate_subject(DAParams(beta0, rho0), generate_budgets(40_000 + 10 * i + j, 25),
+                         f"rt{i}{j}").dataset
+        for i, beta0 in enumerate((-0.2, 0.0, 0.1, 0.3, 0.5))
+        for j, rho0 in enumerate((0.3, 0.6, 1.0, 1.5))
+    ]
+
+
+def _costly_budgets(rng: np.random.Generator, n_rounds: int) -> SubjectDataset:
+    """Budgets costing more than 1 per unit: at rho near 1e-3 the enumeration picks an
+    interior bundle of (NaN, 0) in beta < 0 rows, so grid losses are NaN."""
+    rows = []
+    for _ in range(n_rounds):
+        p = rng.uniform(1.0, 2.0, size=2)
+        share = rng.uniform(0.0, 1.0)
+        rows.append((p[0], p[1], share / p[0], (1.0 - share) / p[1]))
+    return dataset_from_prices(rows)
+
+
+class TestAgainstScipyOracle:
+    """Every fit of the lock step must equal scipy's Nelder-Mead on ``_PointLoss``,
+    evaluation count and convergence included."""
+
+    def test_criterion_3_round_trips(self):
+        datasets = _round_trip_datasets()
+        for got, ds in zip(recover_batch(datasets), datasets):
+            assert_same_fits(got, oracle_recover(ds))
+
+    def test_sloppy_175_round_prefixes(self):
+        rng = np.random.default_rng(241)
+        datasets = [_sloppy_subject(139, DAParams(0.0, 0.5)),
+                    _sloppy_subject(151, DAParams(-0.5, 1.0)),
+                    random_sloppy_dataset(rng, 175)]
+        for got, ds in zip(recover_batch(datasets, LEARNING_SAMPLE_SIZES), datasets):
+            assert_same_fits(got, oracle_recover(ds, LEARNING_SAMPLE_SIZES))
+
+    def test_edge_points_as_grid_optima(self):
+        ds = _sloppy_subject(307, DAParams(0.3, 0.8), n_rounds=25)
+        config = RecoveryConfig()
+        fits = [(estimation._flags(ds), DAParams(beta, rho), _matrices(ds))
+                for beta, rho in EDGE_POINTS]
+        got = _refine_batch(fits, 0, config)
+        for fit, (_, grid_best, _) in zip(got, fits):
+            assert_same_fits({0: fit}, {0: oracle_refine(ds, grid_best, 0, config)})
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 3, 4, 7])
+    def test_evaluation_caps(self, max_evals):
+        # 3 evaluations build the initial simplex; the cap then falls in the first
+        # reflection, expansion, contraction or shrink
+        rng = np.random.default_rng(311)
+        config = RecoveryConfig(max_evals=max_evals)
+        datasets = [_sloppy_subject(313, DAParams(0.2, 1.1), n_rounds=60),
+                    random_sloppy_dataset(rng, 25), *_round_trip_datasets()[::5]]
+        sizes = (2, 10, 25)
+        betas, rhos = _parameter_grid(config)
+        for got, ds in zip(recover_batch(datasets, sizes, config), datasets):
+            assert_same_fits(got, oracle_recover(ds, sizes, config))
+            for fit in got.values():
+                assert not fit.converged
+                assert fit.evaluations == len(betas) * len(rhos) + max_evals
+
+    def test_nan_losses(self):
+        config = RecoveryConfig(rho_min=1e-3)
+        rng = np.random.default_rng(317)
+        datasets = [_costly_budgets(rng, 20), _costly_budgets(rng, 7)]
+        got = recover_batch(datasets, None, config)
+        for fits, ds in zip(got, datasets):
+            assert_same_fits(fits, oracle_recover(ds, None, config))
+        assert any(math.isnan(fit.loss) for fits in got for fit in fits.values())
+
+
+def _drive(run, objective):
+    """Run a :func:`estimation._nelder_mead` generator on a Python objective."""
+    try:
+        point = next(run)
+        while True:
+            point = run.send(objective(point))
+    except StopIteration as stop:
+        return stop.value
+
+
+_TEST_OBJECTIVES = {
+    "flat": lambda z: 1.0,  # every step is an inside contraction, then a shrink
+    "linear": lambda z: float(max(z[0] + 2.0 * z[1], -30.0)),  # expansions, then a flat
+    "quadratic": lambda z: float((z[0] - 0.3) ** 2 + 4.0 * (z[1] + 0.2) ** 2),
+    "steps": lambda z: float(np.floor(3.0 * z[0]) + np.floor(2.0 * z[1]) ** 2),
+    "nan_half": lambda z: float("nan") if z[0] > 1.02 else float(z[1] ** 2),
+}
+
+
+class TestNelderMead:
+    """The generator must ask for scipy's points and end with scipy's result."""
+
+    @pytest.mark.parametrize("name", sorted(_TEST_OBJECTIVES))
+    @pytest.mark.parametrize("z0", [(1.0, -0.5), (0.0, 0.0), (-2.0, 3.0)])
+    def test_same_points_and_result_as_scipy(self, name, z0):
+        objective = _TEST_OBJECTIVES[name]
+        for maxfev in (*range(1, 12), 40, 2000):
+            asked, seen = [], []
+
+            def recorded(z, calls):
+                calls.append(z.tolist())
+                return objective(z)
+
+            x, nfev, success = _drive(estimation._nelder_mead(np.array(z0), maxfev, 1e-6, 1e-14),
+                                      lambda z: recorded(z, asked))
+            result = minimize(lambda z: recorded(z, seen), np.array(z0), method="Nelder-Mead",
+                              options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-14})
+            assert asked == seen
+            assert (x.tolist(), nfev, success) == (result.x.tolist(), result.nfev, result.success)
+
+
+class TestRecoverBatch:
+    def _mixed_batch(self) -> list[SubjectDataset]:
+        rng = np.random.default_rng(331)
+        degenerate = tuple(
+            ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(40.0, 60.0))
+            for i in range(6)
+        )
+        return [
+            random_sloppy_dataset(rng, 1),
+            random_sloppy_dataset(rng, 2),
+            simulate_subject(DAParams(0.4, 0.7), generate_budgets(337, 12), "ex12").dataset,
+            _sloppy_subject(347, DAParams(-0.3, 1.6), n_rounds=60),
+            SubjectDataset("flat", Provenance.SIMULATED, degenerate),
+            _sloppy_subject(349, DAParams(1.2, 0.4)),
+        ]
+
+    def test_mixed_batch_in_any_order(self):
+        datasets = self._mixed_batch()
+        got = recover_batch(datasets)
+        for fits, ds in zip(got, datasets):
+            assert_same_fits(fits, oracle_recover(ds))
+        reversed_fits = recover_batch(datasets[::-1])
+        for fits, want in zip(reversed_fits[::-1], got):
+            assert_same_fits(fits, want)
+        assert got[0][1].flags == ("insufficient_rounds",)
+        assert got[4][6].flags == ("degenerate_rounds",)
+
+    @pytest.mark.parametrize("budget", [1, 60, 200])
+    def test_lock_step_groups(self, monkeypatch, budget):
+        # one fit per group, a 175-round fit alone over budget, groups of several fits
+        datasets = self._mixed_batch()
+        want = recover_batch(datasets, None)
+        monkeypatch.setattr(estimation, "_LOCK_STEP_ROUNDS", budget)
+        for fits, wanted in zip(recover_batch(datasets, None), want):
+            assert_same_fits(fits, wanted)
+
+    def test_one_dataset_cases(self):
+        ds = _sloppy_subject(353, DAParams(0.1, 0.9), n_rounds=30)
+        want = oracle_recover(ds, (5, 30))
+        assert_same_fits(recover_prefixes(ds, (5, 30)), want)
+        assert_same_fits({30: recover_params(ds)}, {30: want[30]})
+        assert recover_batch([]) == []
+
+    def test_frees_each_grid_before_the_next(self):
+        # a (B*R, N) grid kept while the next is computed would add a grid to the peak
+        datasets = [_sloppy_subject(359 + k, DAParams(0.2, 0.9)) for k in range(3)]
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        grid_bytes = len(betas) * len(rhos) * 175 * 8
+        peaks = []
+        for batch in (datasets[:1], datasets):
+            tracemalloc.start()
+            try:
+                recover_batch(batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + grid_bytes / 2
 
 
 def assert_kernel_matches_oracle(data, betas, rhos) -> np.ndarray:

@@ -211,6 +211,21 @@ class TestCcei:
         assert probed
         assert ccei(ds).ccei == value == 0.65
 
+    def test_a_longer_cycle_sets_the_value(self):
+        # no two observations alone violate GARP below about 0.876: the pairwise
+        # value min_ij max(a_ij, c_ji), with no path closure, is 0.0129 above the
+        # CCEI, which a path through a third observation sets
+        ds = random_sloppy_dataset(np.random.default_rng(3884), 6)
+        cross = ds.price_matrix() @ ds.demand_matrix().T
+        own = np.diag(cross)
+        appears = (cross - 1e-12) / own[:, None]  # a_ij
+        cheaper = (cross.T + 1e-12) / own[None, :]  # [i, j] = c_ji
+        pairwise = float(np.maximum(appears, cheaper).min())
+        value = ccei(ds).ccei
+        assert value == 0.8628740061766474
+        assert value == candidate_search_oracle(ds)[0]
+        assert pairwise > value + 0.01
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         rows = [(0.02, 0.01, 20.0, 60.0), (0.01, 0.03, 40.0, 20.0), (0.025, 0.02, 30.0, 12.5)]
