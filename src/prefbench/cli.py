@@ -181,7 +181,7 @@ def cmd_simulate(params_file: str, rounds: int, seed: int, shared_schedule: bool
 @cli.command("analyze")
 @click.option("--choices", "choices_file", type=click.Path(exists=True), required=True)
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str, out_dir: str):
@@ -193,11 +193,13 @@ def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str,
     if not datasets:
         raise ValidationError(f"{choices_file}: no subjects")
     config = RecoveryConfig.from_mapping(load_config(config_file))
-    if jobs > 1:
-        # contiguous chunks, one recovery batch each
-        bounds = [len(datasets) * k // jobs for k in range(jobs + 1)]
-        chunks = [datasets[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    n_chunks = min(jobs, len(datasets))
+    if n_chunks > 1:
+        # contiguous non-empty chunks, one recovery batch and one worker each:
+        # under the fork start method the pool starts all its workers at once
+        bounds = [len(datasets) * k // n_chunks for k in range(n_chunks + 1)]
+        chunks = [datasets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             reports = [rep for part in pool.map(partial(analyze_batch, config=config), chunks)
                        for rep in part]
     else:

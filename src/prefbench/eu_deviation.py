@@ -137,16 +137,15 @@ def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | N
     Returns (mu*, witness cycle as a node tuple) or (inf, None) when acyclic.
     Walk lengths start from every node at once, which is the standard
     virtual-source formulation.  The witness is the first cycle closed on
-    the optimal n-edge walk, found in one pass.
+    the optimal n-edge walk, found in one pass.  No parent table is kept:
+    the walk recomputes each parent from the one column it needs, with the
+    same float sums and the same first-minimum rule.
     """
     n = weight.shape[0]
     d = np.full((n + 1, n), np.inf)
-    parent = np.zeros((n + 1, n), dtype=np.intp)
     d[0] = 0.0
     for k in range(1, n + 1):
-        via = d[k - 1][:, None] + weight
-        parent[k] = np.argmin(via, axis=0)
-        d[k] = via[parent[k], np.arange(n)]
+        d[k] = (d[k - 1][:, None] + weight).min(axis=0)
 
     finite_n = np.isfinite(d[n])
     if not finite_n.any():
@@ -163,7 +162,7 @@ def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | N
     # (Chaturvedi & McConnell 2017): return the first one the walk closes.
     walk = [v_star]
     for k in range(n, 0, -1):
-        walk.append(int(parent[k, walk[-1]]))
+        walk.append(int((d[k - 1] + weight[:, walk[-1]]).argmin()))
     walk.reverse()
     seen: dict[int, int] = {}
     j = 0

@@ -3,14 +3,15 @@
 For observations ``(p^i, x^i)`` with expenditure normalized to one, bundle
 ``x^i`` is directly revealed preferred to ``x^j`` at efficiency ``e`` when
 ``e (p^i . x^i) >= p^i . x^j``; the full revealed-preference relation is the
-transitive closure.  GARP(e) fails when some ``x^i`` is revealed preferred to
-an ``x^j`` that is strictly cheaper than ``e`` times own expenditure at
-``p^j`` -- that is, closure(i, j) together with ``e (p^j . x^j) > p^j . x^i``.
-The CCEI is the largest ``e`` in [0, 1] at which GARP(e) holds; it equals 1
-exactly when the data has no violation at full efficiency.  Otherwise it is
-read off one Floyd-Warshall pass in (max, min) algebra -- the minimax path
-closure of the thresholds at which each direct edge appears (Varian 1990) --
-and snapped to the nearest cross/own expenditure ratio.
+transitive closure, taken with one boolean Floyd-Warshall pass.  GARP(e)
+fails when some ``x^i`` is revealed preferred to an ``x^j`` that is strictly
+cheaper than ``e`` times own expenditure at ``p^j`` -- that is,
+closure(i, j) together with ``e (p^j . x^j) > p^j . x^i``.  The CCEI is the
+largest ``e`` in [0, 1] at which GARP(e) holds; it equals 1 exactly when the
+data has no violation at full efficiency.  Otherwise it is read off one
+Floyd-Warshall pass in (max, min) algebra -- the minimax path closure of the
+thresholds at which each direct edge appears (Varian 1990) -- and snapped to
+the nearest cross/own expenditure ratio.
 
 Comparisons carry a 1e-12 absolute tolerance when building relations and
 1e-9 for dominance checks, so float noise cannot manufacture violations.
@@ -54,12 +55,11 @@ def _expenditures(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transitive_closure(direct: np.ndarray) -> np.ndarray:
+    """Boolean Floyd-Warshall: after step k, i reaches j through nodes 0..k."""
     closure = direct.copy()
-    while True:
-        step = closure | ((closure.astype(np.uint8) @ closure.astype(np.uint8)) > 0)
-        if np.array_equal(step, closure):
-            return step
-        closure = step
+    for k in range(closure.shape[0]):
+        closure |= closure[:, k, None] & closure[None, k, :]
+    return closure
 
 
 def direct_relation(dataset: SubjectDataset, e: float) -> RevealedRelation:
@@ -84,7 +84,7 @@ def garp_holds(dataset: SubjectDataset, e: float) -> tuple[bool, list[tuple[int,
     cross, own = _expenditures(dataset)
     strictly_cheaper = (e * own[None, :]) > cross.T + RELATION_TOL  # [i, j]: x^i cheap at p^j
     violations = relation.closure & strictly_cheaper
-    pairs = [(int(i), int(j)) for i, j in np.argwhere(violations)]
+    pairs = [(i, j) for i, j in np.argwhere(violations).tolist()]
     return not pairs, pairs
 
 
@@ -107,7 +107,7 @@ def ccei(dataset: SubjectDataset) -> CceiResult:
     cross, own = _expenditures(dataset)
     closure = (cross - RELATION_TOL) / own[:, None]
     for k in range(dataset.n):
-        closure = np.minimum(closure, np.maximum(closure[:, k, None], closure[None, k, :]))
+        np.minimum(closure, np.maximum(closure[:, k, None], closure[None, k, :]), out=closure)
     cheaper_from = (cross.T + RELATION_TOL) / own[None, :]  # [i, j] = c_ji
     value = min(1.0, float(np.maximum(closure, cheaper_from).min()))
 

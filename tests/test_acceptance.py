@@ -55,8 +55,8 @@ def test_criterion_1_simulated_rationality():
         assert result.ccei == 1.0, f"{sid}: ccei={result.ccei}"
         assert result.violating_pairs_at_1 == ()
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0
-    record(f"PASS criterion 1: CCEI = 1.0 for 100/100 simulated subjects ({elapsed:.1f}s < 10s)")
+    assert elapsed < 5.0
+    record(f"PASS criterion 1: CCEI = 1.0 for 100/100 simulated subjects ({elapsed:.1f}s < 5s)")
 
 
 def test_criterion_2_eu_consistency():

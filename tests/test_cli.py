@@ -73,7 +73,7 @@ class TestAnalyze:
             assert int(fields[3]) == 0  # fosd_count
 
     def test_jobs_give_the_same_index(self, tmp_path):
-        # 5 subjects in 1, 2 or 3 contiguous chunks; 2 subjects on 3 jobs leave a chunk empty
+        # 5 subjects in 1, 2 or 3 contiguous chunks; 2 subjects on 3 jobs use 2 chunks
         params = make_params(tmp_path, n=5)
         sim_out = tmp_path / "sim"
         run_cli("simulate", "--params-file", str(params), "--rounds", "25",
@@ -89,6 +89,53 @@ class TestAnalyze:
                                "--out", str(out)) == 0
                 indexes.add((out / "index.csv").read_bytes())
             assert len(indexes) == 1
+
+    def test_pool_has_one_worker_per_chunk(self, tmp_path, monkeypatch):
+        # a serial stand-in for the pool: it records its size and starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("prefbench.cli.ProcessPoolExecutor", SerialPool)
+        params = make_params(tmp_path, n=5)
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(params), "--rounds", "10",
+                "--seed", "3", "--out", str(sim_out))
+        lines = (sim_out / "choices.csv").read_text().splitlines(keepends=True)
+        for n_subjects, n_jobs, expected in ((2, 64, [2]), (5, 3, [3]), (5, 5, [5]), (1, 4, [])):
+            choices = tmp_path / f"c{n_subjects}.csv"
+            choices.write_text("".join(lines[:1 + 10 * n_subjects]), encoding="utf-8")
+            serial = tmp_path / f"serial{n_subjects}_{n_jobs}"
+            pooled = tmp_path / f"pooled{n_subjects}_{n_jobs}"
+            assert run_cli("analyze", "--choices", str(choices), "--out", str(serial)) == 0
+            sizes.clear()
+            assert run_cli("analyze", "--choices", str(choices), "--jobs", str(n_jobs),
+                           "--out", str(pooled)) == 0
+            assert sizes == expected
+            assert (pooled / "index.csv").read_bytes() == (serial / "index.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, n_jobs):
+        params = make_params(tmp_path, n=1)
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(params), "--rounds", "5",
+                "--seed", "3", "--out", str(sim_out))
+        out = tmp_path / "idx"
+        assert run_cli("analyze", "--choices", str(sim_out / "choices.csv"), "--jobs", n_jobs,
+                       "--out", str(out)) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_input_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -110,6 +110,51 @@ def karp_nested_witness(weight) -> tuple[float, tuple[int, ...] | None]:
     return float(per_node[v_star]), best_cycle
 
 
+def karp_parent_table(weight) -> tuple[float, tuple[int, ...] | None]:
+    """Oracle: Karp with an (n + 1, n) parent table filled by a per-step argmin.
+
+    ``_karp_min_mean_cycle`` keeps no table and recomputes each parent along
+    the witness walk; both must return the same bits.
+    """
+    n = weight.shape[0]
+    d = np.full((n + 1, n), np.inf)
+    parent = np.zeros((n + 1, n), dtype=np.intp)
+    d[0] = 0.0
+    for k in range(1, n + 1):
+        via = d[k - 1][:, None] + weight
+        parent[k] = np.argmin(via, axis=0)
+        d[k] = via[parent[k], np.arange(n)]
+
+    finite_n = np.isfinite(d[n])
+    if not finite_n.any():
+        return math.inf, None
+    with np.errstate(invalid="ignore"):
+        ratios = (d[n][None, :] - d[:n]) / (n - np.arange(n))[:, None]
+    ratios[~np.isfinite(d[:n])] = -np.inf
+    per_node = np.max(ratios, axis=0)
+    per_node[~finite_n] = np.inf
+    v_star = int(np.argmin(per_node))
+    mu = float(per_node[v_star])
+
+    walk = [v_star]
+    for k in range(n, 0, -1):
+        walk.append(int(parent[k, walk[-1]]))
+    walk.reverse()
+    seen: dict[int, int] = {}
+    j = 0
+    while walk[j] not in seen:
+        seen[walk[j]] = j
+        j += 1
+    return mu, tuple(walk[seen[walk[j]]:j])
+
+
+def assert_same_karp(weight) -> None:
+    mu, witness = _karp_min_mean_cycle(weight)
+    oracle_mu, oracle_witness = karp_parent_table(weight)
+    assert np.float64(mu).tobytes() == np.float64(oracle_mu).tobytes()
+    assert witness == oracle_witness
+
+
 def oracle_deut(dataset) -> float:
     mu, strict_zero = enumerate_min_mean_cycle(build_eu_graph(dataset))
     if mu < -CYCLE_TOL:
@@ -272,6 +317,54 @@ class TestDenseMatrices:
     def test_all_zero_quantities_degenerate(self):
         with pytest.raises(DegenerateDataError):
             _eu_matrices(_all_zero_dataset())
+
+
+def _small_integer_weights(rng):
+    # integer sums are exact, so d[k-1] + weight ties often and the
+    # first-minimum rule picks the parent
+    for n in [1, 2, 3] + [int(m) for m in rng.integers(4, 31, size=40)]:
+        weight = rng.integers(-3, 4, size=(n, n)).astype(float)
+        weight[rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.8)] = np.inf
+        yield weight
+
+
+class TestKarpOracle:
+    @pytest.mark.parametrize(
+        "family",
+        [_random_sloppy, _equal_quantities, _ties_at_the_tolerances, _zero_quantity_corners,
+         _equal_prices_unequal_holdings, _kink_subjects, _rho_near_one_beta_near_minus_one],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_equals_parent_table_on_dense_matrices(self, family):
+        rng = np.random.default_rng(83)
+        for ds in family(rng):
+            assert_same_karp(_eu_matrices(ds)[0])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+    def test_equals_parent_table_on_simulated_subjects(self, beta):
+        # beta = 0: expected utility; beta > 0: disappointment aversion
+        rng = np.random.default_rng(89)
+        for i, n_rounds in enumerate((25, 25, 175)):
+            params = DAParams(beta, float(rng.uniform(0.3, 2.0)))
+            subject = simulate_subject(params, generate_budgets(900 + i, n_rounds), f"k{i}")
+            assert_same_karp(_eu_matrices(subject.dataset)[0])
+
+    def test_equals_parent_table_with_integer_ties(self):
+        cycles = 0
+        for weight in _small_integer_weights(np.random.default_rng(97)):
+            assert_same_karp(weight)
+            cycles += _karp_min_mean_cycle(weight)[1] is not None
+        assert cycles > 20
+
+    @pytest.mark.parametrize(
+        "weight",
+        [np.array([[np.inf, -1.0], [np.inf, np.inf]]),
+         np.array([[-0.5]]),
+         np.array([[np.inf, np.inf], [np.inf, 2.0]])],
+        ids=["acyclic", "self_loop", "self_loop_on_the_last_node"],
+    )
+    def test_equals_parent_table_on_small_graphs(self, weight):
+        assert_same_karp(weight)
 
 
 class TestDeutIndex:

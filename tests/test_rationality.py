@@ -6,10 +6,35 @@ from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
 from prefbench.data import Allocation, ChoiceRound, normalize_q_format, Provenance, SubjectDataset
 from prefbench.errors import ValidationError
-from prefbench.rationality import ccei, direct_relation, fosd_violations, garp_holds
+from prefbench.rationality import (
+    _transitive_closure,
+    ccei,
+    direct_relation,
+    fosd_violations,
+    garp_holds,
+)
 from prefbench.simulation import generate_budgets, simulate_subject
 
 BISECT_TOL = 1e-6
+
+
+def squaring_closure(direct: np.ndarray) -> np.ndarray:
+    """Oracle: square the reachability matrix until it stops growing."""
+    closure = direct.copy()
+    while True:
+        step = closure | ((closure.astype(np.uint8) @ closure.astype(np.uint8)) > 0)
+        if np.array_equal(step, closure):
+            return step
+        closure = step
+
+
+def oracle_pairs_at_1(dataset: SubjectDataset) -> tuple[tuple[int, int], ...]:
+    """GARP(1) violations read off the oracle closure of the e = 1 relation."""
+    cross = dataset.price_matrix() @ dataset.demand_matrix().T
+    own = np.diag(cross)
+    closure = squaring_closure(own[:, None] >= cross - 1e-12)
+    strictly_cheaper = own[None, :] > cross.T + 1e-12  # [i, j]: x^i cheap at p^j
+    return tuple((int(i), int(j)) for i, j in np.argwhere(closure & strictly_cheaper))
 
 
 def candidate_ratios(dataset: SubjectDataset) -> np.ndarray:
@@ -92,6 +117,64 @@ def _noisy_exact_subjects(rng):
             tokens = Allocation(t_a, round(100.0 - t_a, 2))
             rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
         yield SubjectDataset(f"n{i}", Provenance.HUMAN, tuple(rounds))
+
+
+def _exact_175_round_subjects(rng):
+    for i in range(3):
+        params = DAParams(float(rng.uniform(-0.5, 1.0)), float(rng.uniform(0.2, 3.0)))
+        yield simulate_subject(params, generate_budgets(800 + i, 175), f"x{i}").dataset
+
+
+def _efficiency_levels(dataset: SubjectDataset, rng) -> list[float]:
+    """e = 1, two candidate ratios (the CCEI and a random one) and the midpoints around each."""
+    candidates = candidate_ratios(dataset)
+    levels = [1.0]
+    for at in (int(np.searchsorted(candidates, ccei(dataset).ccei)),
+               int(rng.integers(len(candidates)))):
+        levels.append(float(candidates[at]))
+        if at > 0:
+            levels.append(float(0.5 * (candidates[at - 1] + candidates[at])))
+        if at + 1 < len(candidates):
+            levels.append(float(0.5 * (candidates[at] + candidates[at + 1])))
+    return levels
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize(
+        "family",
+        [_random_sloppy, _duplicated_observations, _corner_bundles, _close_ratio_pairs,
+         _exact_175_round_subjects],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_equals_squaring_closure_on_datasets(self, family):
+        rng = np.random.default_rng(71)
+        violated = 0
+        for ds in family(rng):
+            for e in _efficiency_levels(ds, rng):
+                rel = direct_relation(ds, e)
+                assert np.array_equal(rel.closure, squaring_closure(rel.direct))
+            pairs = oracle_pairs_at_1(ds)
+            assert ccei(ds).violating_pairs_at_1 == pairs
+            violated += bool(pairs)
+        assert violated > 0 or family is _exact_175_round_subjects
+
+    def test_equals_squaring_closure_on_random_relations(self):
+        rng = np.random.default_rng(73)
+        for n in [int(m) for m in rng.integers(3, 61, size=80)] + [175, 175]:
+            direct = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.9)
+            assert np.array_equal(_transitive_closure(direct), squaring_closure(direct))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_squaring_closure_on_every_small_relation(self, n):
+        for bits in range(2 ** (n * n)):
+            direct = ((bits >> np.arange(n * n)) & 1).astype(bool).reshape(n, n)
+            assert np.array_equal(_transitive_closure(direct), squaring_closure(direct))
+
+    def test_leaves_the_direct_relation_unchanged(self):
+        direct = np.random.default_rng(79).uniform(size=(30, 30)) < 0.1
+        before = direct.copy()
+        _transitive_closure(direct)
+        assert np.array_equal(direct, before)
 
 
 class TestDirectRelation:
