@@ -217,13 +217,13 @@ def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str,
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
 @click.option("--treatment", type=click.Choice(["decision", "recommendation", "personalized"]),
               required=True)
-@click.option("--sessions", type=int, default=1, show_default=True,
+@click.option("--sessions", type=click.IntRange(min=1), default=1, show_default=True,
               help="Session count for decision/recommendation treatments.")
 @click.option("--params-file", type=click.Path(exists=True), default=None,
               help="Mock backend only: per-session preference parameters.")
 @click.option("--sample-data", type=click.Path(exists=True), default=None,
               help="Personalized treatment: choice CSV supplying one session per subject.")
-@click.option("--sample-size", type=int, default=None,
+@click.option("--sample-size", type=click.IntRange(min=1), default=None,
               help="Personalized treatment: rounds of sample data shown.")
 @click.option("--schedule-file", type=click.Path(exists=True), default=None,
               help="Evaluation schedule CSV; defaults to the shared 25-round schedule.")

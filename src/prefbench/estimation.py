@@ -12,15 +12,20 @@ from the grid optimum in an unconstrained reparameterization
 Grid ties are broken lexicographically by (beta, rho); results are
 deterministic given data and configuration.
 
-The grid's per-round losses come from one kernel, :func:`_grid_losses`,
-which never calls :func:`optimal_demand_grid`.  Its rows with beta >= 0 take
-the closed-form maximizer (the utility is concave on the budget line there);
-its rows with beta < 0 compare the enumeration's five candidates with its tie
-rule and give its demand bit for bit, reusing the kink and corner felicities
-of each rho column across betas.  It works in blocks of beta rows, so no
-grid-sized demand array is built.  The loss is kept per round, so
-:func:`recover_batch` fits every prefix of a dataset from one grid pass by
-averaging the first ``s`` columns.
+The grid stage makes one pass per budget schedule (:func:`_grid_optima`):
+datasets whose price and return matrices are equal byte for byte share it.
+The model's demand depends on the prices only, so a pass computes it once per
+block of beta rows (:func:`_block_kernel`), for every dataset on the
+schedule, and never calls :func:`optimal_demand_grid`.  Its rows with
+beta >= 0 take the closed-form maximizer (the utility is concave on the
+budget line there); its rows with beta < 0 compare the enumeration's five
+candidates with its tie rule and give its demand bit for bit, reusing the
+kink and corner felicities of each rho column across betas.  Each dataset's
+per-round losses of a block (:func:`_token_losses`) go into one reusable
+buffer, averaged over the first ``s`` rounds for every prefix size ``s``;
+only a running first minimum per dataset and size survives the block, so no
+per-round grid is kept and :func:`recover_batch` fits every prefix of every
+dataset from its schedule's one pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
 step: each is a Nelder-Mead generator (:func:`_nelder_mead`, scipy's
@@ -90,22 +95,29 @@ class FitResult:
     flags: tuple[str, ...] = ()
 
 
-# grid cells per block of beta rows in _grid_losses: bounds its temporaries
+# grid cells per block of beta rows in a grid pass: bounds its temporaries
 _BLOCK_CELLS = 1 << 16
 # rounds refined in lock step at once: bounds the paired kernel's temporaries
 _LOCK_STEP_ROUNDS = 1 << 16
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
-                 betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Squared token-share gap per round at every grid point; (B,) x (R,) -> (B*R, N).
+def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
+    """Consecutive blocks of beta rows of one sign, about ``_BLOCK_CELLS`` cells each, in order."""
+    block = max(1, _BLOCK_CELLS // row_cells)
+    negative = betas < 0.0
+    edges = [0, *(np.flatnonzero(np.diff(negative)) + 1), len(betas)]
+    return [slice(start, min(start + block, hi))
+            for lo, hi in zip(edges, edges[1:]) for start in range(lo, hi, block)]
 
-    Rows are in lexicographic (beta, rho) order.  Each entry is
-    ``gap_a**2 + gap_b**2`` with ``gap_i = (x_i / r_i - t_i) / 100`` at the
-    optimal demand ``x`` described below.  Rows are computed in blocks of
-    betas of one sign, about ``_BLOCK_CELLS`` cells each, and each block is
-    written straight into the result, so no grid-sized demand array is built.
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
+    """The model's token allocations on one schedule, for a block of beta rows at a time.
+
+    Returns ``tokens_at(betas)``, which maps betas of one sign, (B,), to
+    ``(x_a / r_a, x_b / r_b)``, each (B, R, N), at the optimal demand ``x`` of
+    every (beta, rho) pair and round.  Only the prices and returns enter, so
+    every dataset on the schedule shares them.
 
     With beta >= 0 the weight on the better outcome is at most 1/2, so U is
     the minimum of the two one-sided objectives ``w u(x_a) + (1-w) u(x_b)``
@@ -117,15 +129,14 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
     With beta < 0 the five candidates are compared as the enumeration compares
     them (see :class:`_PairedLoss`), so the demand is
     :func:`optimal_demand_grid`'s bit for bit; the kink and corner felicities
-    depend on rho and the round only, so they are computed once per rho
-    column.  Every branch quantity uses the enumeration's expressions.
+    depend on rho and the round only, so they are computed once per schedule.
+    Every branch quantity uses the enumeration's expressions.
     """
     p_a, p_b = prices[:, 0], prices[:, 1]
     ratio_a, ratio_b = p_b / p_a, p_a / p_b
     kink = 1.0 / (p_a + p_b)
     corner_a, corner_b = 1.0 / p_a, 1.0 / p_b
     r_a, r_b = returns[:, 0], returns[:, 1]
-    t_a, t_b = tokens[:, 0], tokens[:, 1]
     rho = rhos[:, None]
     inv_rho = 1.0 / rho
     exponent = 1.0 - rho
@@ -182,39 +193,79 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
             best_not_kink |= better
         return best_xa, best_xb
 
-    losses = np.empty((len(betas), len(rhos), len(prices)))
-    block = max(1, _BLOCK_CELLS // (len(rhos) * len(prices)))
-    negative = betas < 0.0
-    edges = [0, *(np.flatnonzero(np.diff(negative)) + 1), len(betas)]
-    for lo, hi in zip(edges, edges[1:]):
-        for start in range(lo, hi, block):
-            rows = slice(start, min(start + block, hi))
-            w = 1.0 / (2.0 + betas[rows, None, None])
-            odds = w / (1.0 - w)
-            k_a = np.power(odds * ratio_a, inv_rho)
-            k_b = np.power(odds * ratio_b, inv_rho)
-            if negative[start]:
-                x_a, x_b = enumerated(w, k_a, k_b)
-            else:
-                # A-high if k_a > 1, else B-high if k_b > 1, else the kink; the
-                # kink is the A-high bundle at k_a = 1 (p_a * 1.0 + p_b is exact),
-                # so max(k_a, 1) leaves one selection
-                b_high = (k_b > 1.0) & ~(k_a > 1.0)
-                k_a = np.maximum(k_a, 1.0)
-                x_b_ia = 1.0 / (p_a * k_a + p_b)
-                x_a_ib = 1.0 / (p_b * k_b + p_a)
-                x_a = np.where(b_high, x_a_ib, k_a * x_b_ia)
-                x_b = np.where(b_high, k_b * x_a_ib, x_b_ia)
-            gap_a = x_a / r_a
-            gap_a -= t_a
-            gap_a /= 100.0
-            gap_a *= gap_a
-            gap_b = x_b / r_b
-            gap_b -= t_b
-            gap_b /= 100.0
-            gap_b *= gap_b
-            np.add(gap_a, gap_b, out=losses[rows])
-    return losses.reshape(-1, len(prices))
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def tokens_at(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = 1.0 / (2.0 + betas[:, None, None])
+        odds = w / (1.0 - w)
+        k_a = np.power(odds * ratio_a, inv_rho)
+        k_b = np.power(odds * ratio_b, inv_rho)
+        if betas[0] < 0.0:
+            x_a, x_b = enumerated(w, k_a, k_b)
+        else:
+            # A-high if k_a > 1, else B-high if k_b > 1, else the kink; the
+            # kink is the A-high bundle at k_a = 1 (p_a * 1.0 + p_b is exact),
+            # so max(k_a, 1) leaves one selection
+            b_high = (k_b > 1.0) & ~(k_a > 1.0)
+            k_a = np.maximum(k_a, 1.0)
+            x_b_ia = 1.0 / (p_a * k_a + p_b)
+            x_a_ib = 1.0 / (p_b * k_b + p_a)
+            x_a = np.where(b_high, x_a_ib, k_a * x_b_ia)
+            x_b = np.where(b_high, k_b * x_a_ib, x_b_ia)
+        return x_a / r_a, x_b / r_b
+
+    return tokens_at
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _token_losses(model_a: np.ndarray, model_b: np.ndarray, tokens: np.ndarray,
+                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Squared token-share gap per cell, ``gap_a**2 + gap_b**2``, written into ``out``.
+
+    ``gap_i = (model_i - t_i) / 100`` for the model's token allocations
+    (:func:`_block_kernel`) and one dataset's tokens, (N, 2); ``scratch``
+    has ``out``'s shape and is overwritten.
+    """
+    for model, column, gap in ((model_a, 0, out), (model_b, 1, scratch)):
+        np.subtract(model, tokens[:, column], out=gap)
+        gap /= 100.0
+        gap *= gap
+    out += scratch
+    return out
+
+
+def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
+                 sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray) -> list[list[int]]:
+    """Each member's grid optimum for each prefix size, as a flat (beta, rho) index.
+
+    ``members`` are the token matrices of datasets on one schedule.  The
+    model's token allocations are computed once per block of beta rows and
+    shared; each member's per-round losses of the block go into one reusable
+    buffer, whose first ``s`` columns are averaged for every size ``s``.  The
+    mean of a row's first ``s`` columns is the grid loss of the ``s``-round
+    prefix on its own.  Only a running first minimum per member and size is
+    kept, merged across the blocks in grid order by ``np.argmin``'s rule: the
+    first NaN if there is one, else the first smallest mean, which is the
+    lexicographic (beta, rho) tie rule.
+    """
+    row_cells = len(rhos) * len(prices)
+    blocks = _beta_blocks(betas, row_cells)
+    tokens_at = _block_kernel(prices, returns, rhos)
+    buffers = np.empty((2, max(rows.stop - rows.start for rows in blocks) * row_cells))
+    minima: list[list[tuple[float, int] | None]] = [[None] * len(sizes) for _ in members]
+    for rows in blocks:
+        model_a, model_b = tokens_at(betas[rows])
+        out, scratch = (buffer[:model_a.size].reshape(model_a.shape) for buffer in buffers)
+        first = rows.start * len(rhos)
+        for tokens, best in zip(members, minima):
+            per_round = _token_losses(model_a, model_b, tokens, out, scratch).reshape(-1, len(prices))
+            for k, size in enumerate(sizes):
+                means = per_round[:, :size].mean(axis=1)
+                at = int(np.argmin(means))
+                value = float(means[at])
+                if best[k] is None or (not math.isnan(best[k][0])
+                                       and (math.isnan(value) or value < best[k][0])):
+                    best[k] = value, first + at
+    return [[index for _, index in best] for best in minima]
 
 
 class _PairedLoss:
@@ -490,32 +541,43 @@ def recover_batch(
 ) -> list[dict[int, FitResult]]:
     """:func:`recover_prefixes` for every dataset; each one's full length if ``sizes`` is None.
 
-    Each dataset's per-round grid losses are computed once, and freed before
-    the next dataset's; a prefix's grid loss is the mean of its first ``s``
-    columns, which equals the grid loss of the prefix on its own.  Only the
-    data matrices are kept, so a generator of datasets holds one at a time.
-    Then the refinements of every dataset and prefix advance in lock step
-    (:func:`_refine_batch`).  The fits are those of one dataset at a time, bit
-    for bit, whatever the batch.
+    Datasets whose price and return matrices are equal byte for byte share
+    one schedule, and each schedule gets one grid pass (:func:`_grid_optima`):
+    the model's demand is computed once per block of beta rows for all of its
+    datasets, and only their token gaps are computed per dataset.  No
+    per-round grid is kept, so the memory of a pass does not grow with the
+    number of datasets on its schedule.  Only the data matrices are kept, so
+    a generator of datasets holds one at a time.  Then the refinements of
+    every dataset and prefix advance in lock step (:func:`_refine_batch`), in
+    dataset order.  The fits are those of one dataset at a time, bit for bit,
+    whatever the batch.
     """
     config = config or RecoveryConfig()
     betas, rhos = _parameter_grid(config)
-    results: list[dict[int, FitResult]] = []
-    slots, fits = [], []
+    entries = []  # (sizes and flags, data matrices) per dataset
+    schedules: dict[tuple[int, bytes, bytes], list[int]] = {}
     for dataset in datasets:
-        results.append({})
         flagged = [(size, _flags(dataset_prefix(dataset, size)))
                    for size in (sizes if sizes is not None else (dataset.n,))]
         data = dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix()
-        per_round = _grid_losses(*data, betas, rhos)
-        for size, flags in flagged:
-            # first minimum = lexicographic (beta, rho)
-            best_at = int(np.argmin(per_round[:, :size].mean(axis=1)))
+        schedules.setdefault((dataset.n, data[0].tobytes(), data[1].tobytes()),
+                             []).append(len(entries))
+        entries.append((flagged, data))
+    optima: dict[int, list[int]] = {}
+    for members in schedules.values():
+        flagged, (prices, returns, _) = entries[members[0]]
+        optima.update(zip(members, _grid_optima(
+            prices, returns, [entries[i][1][2] for i in members],
+            [size for size, _ in flagged], betas, rhos)))
+    results: list[dict[int, FitResult]] = []
+    slots, fits = [], []
+    for i, (flagged, data) in enumerate(entries):
+        results.append({})
+        for (size, flags), best_at in zip(flagged, optima[i]):
             beta_at, rho_at = divmod(best_at, len(rhos))
             grid_best = DAParams(float(betas[beta_at]), float(rhos[rho_at]))
             slots.append((results[-1], size))
             fits.append((flags, grid_best, tuple(column[:size] for column in data)))
-        del per_round  # one grid alive at a time
     for (by_size, size), fit in zip(slots, _refine_batch(fits, len(betas) * len(rhos), config)):
         by_size[size] = fit
     return results

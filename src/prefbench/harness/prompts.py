@@ -34,7 +34,9 @@ class Treatment:
             if self.sample_data is None:
                 raise ValidationError("personalized recommendation requires sample data")
             size = self.sample_size if self.sample_size is not None else self.sample_data.n
-            if not 1 <= size <= self.sample_data.n:
+            if size < 1:
+                raise ValidationError(f"sample_size {size} must be at least 1")
+            if size > self.sample_data.n:
                 raise ValidationError(
                     f"sample_size {size} exceeds the {self.sample_data.n} available rounds"
                 )

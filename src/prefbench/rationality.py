@@ -8,10 +8,11 @@ fails when some ``x^i`` is revealed preferred to an ``x^j`` that is strictly
 cheaper than ``e`` times own expenditure at ``p^j`` -- that is,
 closure(i, j) together with ``e (p^j . x^j) > p^j . x^i``.  The CCEI is the
 largest ``e`` in [0, 1] at which GARP(e) holds; it equals 1 exactly when the
-data has no violation at full efficiency.  Otherwise it is read off one
-Floyd-Warshall pass in (max, min) algebra -- the minimax path closure of the
-thresholds at which each direct edge appears (Varian 1990) -- and snapped to
-the nearest cross/own expenditure ratio.
+data has no violation at full efficiency.  Otherwise it is read off
+Floyd-Warshall passes in (max, min) algebra -- the minimax path closure of the
+thresholds at which each direct edge appears (Varian 1990), one pass per
+strongly connected component of the relation at e = 1, where every violation
+lies -- and snapped to the nearest cross/own expenditure ratio.
 
 Comparisons carry a 1e-12 absolute tolerance when building relations and
 1e-9 for dominance checks, so float noise cannot manufacture violations.
@@ -88,6 +89,33 @@ def garp_holds(dataset: SubjectDataset, e: float) -> tuple[bool, list[tuple[int,
     return not pairs, pairs
 
 
+def _minimax_value(cross: np.ndarray, own: np.ndarray) -> float:
+    """``min(1, min_ij max(B_ij, c_ji))`` from the cross and own expenditures (see :func:`ccei`).
+
+    A term below 1 needs an i -> j path whose thresholds are all below 1, and
+    ``c_ji < 1``; both mean edges of the e = 1 relation, so i, j and the path
+    lie in one strongly connected component of it.  Terms across components
+    are >= 1, which ``min(1, .)`` caps, so the (max, min) pass runs on each
+    component of more than one node alone; min and max are exact, so the
+    value has the bits of the pass over all n observations.
+    """
+    # imported here, not at module level: scipy.sparse.csgraph adds about
+    # 1.3 MB to the peak RSS of every command, and only scoring uses it
+    from scipy.sparse.csgraph import connected_components
+
+    thresholds = (cross - RELATION_TOL) / own[:, None]  # [i, j] = a_ij
+    cheaper_from = (cross.T + RELATION_TOL) / own[None, :]  # [i, j] = c_ji
+    _, labels = connected_components(own[:, None] >= cross - RELATION_TOL, connection="strong")
+    value = 1.0
+    for label in np.flatnonzero(np.bincount(labels) > 1):
+        nodes = np.ix_(labels == label, labels == label)
+        closure = thresholds[nodes]
+        for k in range(len(closure)):
+            np.minimum(closure, np.maximum(closure[:, k, None], closure[None, k, :]), out=closure)
+        value = min(value, float(np.maximum(closure, cheaper_from[nodes]).min()))
+    return value
+
+
 def ccei(dataset: SubjectDataset) -> CceiResult:
     """Largest efficiency level at which GARP holds.
 
@@ -95,9 +123,10 @@ def ccei(dataset: SubjectDataset) -> CceiResult:
     all exist at e (edge k -> l exists from ``a_kl = (E_kl - tol) / E_kk``
     upward) while ``e > c_ji = (E_ji + tol) / E_jj``.  With ``B`` the
     minimax path closure of ``a``, the supremum of the consistent levels is
-    therefore ``min_ij max(B_ij, c_ji)``.  That value sits within the
-    tolerance of a cross/own expenditure ratio, where GARP's status changes,
-    and is reported as the nearest such ratio.
+    therefore ``min_ij max(B_ij, c_ji)``, which :func:`_minimax_value` takes
+    on the strongly connected components of the e = 1 relation.  That value
+    sits within the tolerance of a cross/own expenditure ratio, where GARP's
+    status changes, and is reported as the nearest such ratio.
     """
     holds_at_1, pairs_at_1 = garp_holds(dataset, 1.0)
     pairs = tuple(pairs_at_1)
@@ -105,12 +134,7 @@ def ccei(dataset: SubjectDataset) -> CceiResult:
         return CceiResult(1.0, pairs)
 
     cross, own = _expenditures(dataset)
-    closure = (cross - RELATION_TOL) / own[:, None]
-    for k in range(dataset.n):
-        np.minimum(closure, np.maximum(closure[:, k, None], closure[None, k, :]), out=closure)
-    cheaper_from = (cross.T + RELATION_TOL) / own[None, :]  # [i, j] = c_ji
-    value = min(1.0, float(np.maximum(closure, cheaper_from).min()))
-
+    value = _minimax_value(cross, own)
     ratios = (cross / own[:, None])[~np.eye(dataset.n, dtype=bool)]
     candidates = np.unique(np.concatenate([ratios[(ratios >= 0.0) & (ratios <= 1.0)], [0.0, 1.0]]))
     return CceiResult(float(candidates[np.argmin(np.abs(candidates - value))]), pairs)

@@ -267,6 +267,37 @@ class TestExperiment:
             sid for sid, _ in sample_population(0, 2)
         )
 
+    @pytest.mark.parametrize("sessions", ["0", "-2"])
+    def test_sessions_below_one_is_a_usage_error(self, tmp_path, capsys, sessions):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--config", str(self._config(tmp_path)),
+                       "--treatment", "decision", "--sessions", sessions, "--out", str(out)) == 2
+        assert "--sessions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def _sample_data(self, tmp_path) -> Path:
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(make_params(tmp_path, n=1)), "--rounds", "5",
+                "--seed", "4", "--out", str(sim_out))
+        return sim_out / "choices.csv"
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_size_below_one_is_a_usage_error(self, tmp_path, capsys, size):
+        out = tmp_path / "pr"
+        assert run_cli("experiment", "--config", str(self._config(tmp_path)),
+                       "--treatment", "personalized", "--sample-data",
+                       str(self._sample_data(tmp_path)), "--sample-size", size,
+                       "--out", str(out)) == 2
+        assert "--sample-size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_size_above_the_sample_is_an_error(self, tmp_path, capsys):
+        assert run_cli("experiment", "--config", str(self._config(tmp_path)),
+                       "--treatment", "personalized", "--sample-data",
+                       str(self._sample_data(tmp_path)), "--sample-size", "6",
+                       "--out", str(tmp_path / "pr")) == 2
+        assert "sample_size 6 exceeds the 5 available rounds" in capsys.readouterr().err
+
     def test_http_backend_without_key_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("CHAT_API_KEY", raising=False)
         config = tmp_path / "config.json"

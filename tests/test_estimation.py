@@ -17,7 +17,6 @@ from prefbench.errors import ValidationError
 from prefbench.estimation import (
     FitResult,
     RecoveryConfig,
-    _grid_losses,
     _PairedLoss,
     _parameter_grid,
     _refine_batch,
@@ -28,6 +27,23 @@ from prefbench.estimation import (
 )
 from prefbench.simulation import BudgetSchedule, generate_budgets, simulate_subject
 from prefbench.workflows import LEARNING_SAMPLE_SIZES
+
+
+def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
+                 betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Squared token-share gap per round at every grid point; (B,) x (R,) -> (B*R, N).
+
+    The per-round grid the recovery's grid pass reduces block by block, assembled
+    from the same pieces: rows in lexicographic (beta, rho) order, each block of
+    ``estimation._block_kernel``'s token allocations turned into losses by
+    ``estimation._token_losses`` straight into the result.
+    """
+    losses = np.empty((len(betas), len(rhos), len(prices)))
+    tokens_at = estimation._block_kernel(prices, returns, rhos)
+    for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
+        model_a, model_b = tokens_at(betas[rows])
+        estimation._token_losses(model_a, model_b, tokens, losses[rows], np.empty_like(model_b))
+    return losses.reshape(-1, len(prices))
 
 
 def _noisy_copy(dataset, rng, spread=5.0):
@@ -315,15 +331,17 @@ class TestRecoverPrefixes:
 @pytest.fixture
 def enumeration_grid(monkeypatch):
     """Recovery as it was before the closed form: full candidate enumeration in every
-    grid row, and the loss summed over the asset axis."""
-    def enumerated_losses(prices, returns, tokens, betas, rhos):
-        demand = optimal_demand_grid(prices, *flat_grid(betas, rhos))[0]
-        shares = (demand / returns[None, :, :] - tokens[None, :, :]) / 100.0
-        return np.sum(shares * shares, axis=2)
+    grid row."""
+    def enumerated_kernel(prices, returns, rhos):
+        def tokens_at(betas):
+            demand = optimal_demand_grid(prices, *flat_grid(betas, rhos))[0]
+            model = demand / returns[None, :, :]
+            return tuple(model[:, :, i].reshape(len(betas), len(rhos), -1) for i in (0, 1))
+        return tokens_at
 
     def recover(dataset):
         with monkeypatch.context() as patch:
-            patch.setattr(estimation, "_grid_losses", enumerated_losses)
+            patch.setattr(estimation, "_block_kernel", enumerated_kernel)
             return recover_params(dataset)
 
     return recover
@@ -848,6 +866,180 @@ class TestRecoverBatch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + grid_bytes / 2
+
+
+def _retokened(dataset: SubjectDataset, rng: np.random.Generator) -> SubjectDataset:
+    """The same rounds with new uniform token shares: the price and return matrices are
+    the dataset's, byte for byte."""
+    rounds = []
+    for rd in dataset.rounds:
+        t_a = float(rng.uniform(0.0, 100.0))
+        rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns,
+                                                      Allocation(t_a, 100.0 - t_a)))
+    return SubjectDataset(dataset.subject_id + "r", dataset.provenance, tuple(rounds))
+
+
+@pytest.fixture
+def grid_passes(monkeypatch):
+    """Blocks computed by each grid pass, one entry per schedule pass, counted through
+    ``estimation._block_kernel``."""
+    passes: list[int] = []
+    kernel = estimation._block_kernel
+
+    def counted(prices, returns, rhos):
+        tokens_at = kernel(prices, returns, rhos)
+        passes.append(0)
+
+        def counted_tokens(betas):
+            passes[-1] += 1
+            return tokens_at(betas)
+        return counted_tokens
+
+    monkeypatch.setattr(estimation, "_block_kernel", counted)
+    return passes
+
+
+class TestSharedSchedules:
+    """Datasets on one schedule share a grid pass; their fits stay those of one
+    dataset at a time, bit for bit."""
+
+    def _batch(self) -> list[SubjectDataset]:
+        # five datasets on one 60-round schedule, two on another, one alone, interleaved
+        five = [_sloppy_subject(401, DAParams(beta, rho), n_rounds=60)
+                for beta, rho in ((0.0, 0.5), (0.4, 1.2), (-0.3, 0.8), (1.5, 3.0), (0.2, 0.3))]
+        exact = simulate_subject(DAParams(0.3, 0.9), generate_budgets(409, 60), "ex").dataset
+        two = [exact, _noisy_copy(exact, np.random.default_rng(411))]
+        one = _sloppy_subject(419, DAParams(0.6, 1.1), n_rounds=60)
+        return [five[0], two[0], five[1], one, five[2], two[1], five[3], five[4]]
+
+    def test_groups_of_one_two_and_five_in_any_order(self, grid_passes):
+        datasets = self._batch()
+        sizes = (1, 10, 25, 60)
+        got = recover_batch(datasets, sizes)
+        assert len(grid_passes) == 3
+        for fits, ds in zip(got, datasets):
+            assert_same_fits(fits, oracle_recover(ds, sizes))
+        for fits, want in zip(recover_batch(datasets[::-1], sizes)[::-1], got):
+            assert_same_fits(fits, want)
+
+    def test_one_round_and_degenerate_groups(self, grid_passes):
+        five = [_sloppy_subject(401, DAParams(beta, 0.9), n_rounds=60) for beta in (0.0, 0.4)]
+        degenerate = [SubjectDataset(f"flat{t_a}", Provenance.SIMULATED, tuple(
+            ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(t_a, 100.0 - t_a))
+            for i in range(6))) for t_a in (40.0, 70.0)]
+        datasets = [dataset_prefix(five[0], 1), degenerate[0], five[0], dataset_prefix(five[1], 1),
+                    degenerate[1], five[1]]
+        got = recover_batch(datasets)
+        assert len(grid_passes) == 3
+        for fits, ds in zip(got, datasets):
+            assert_same_fits(fits, oracle_recover(ds))
+        assert [fits[ds.n].flags for fits, ds in zip(got, datasets)] == [
+            ("insufficient_rounds",), ("degenerate_rounds",), (),
+            ("insufficient_rounds",), ("degenerate_rounds",), ()]
+
+    def test_nan_losses_on_a_shared_schedule(self):
+        # rho near 1e-3 on budgets costing more than 1 per unit gives NaN grid losses,
+        # so the first-minimum rule meets NaN in every member
+        config = RecoveryConfig(rho_min=1e-3)
+        rng = np.random.default_rng(421)
+        costly = _costly_budgets(rng, 20)
+        datasets = [costly, _retokened(costly, rng)]
+        betas, rhos = _parameter_grid(config)
+        for ds in datasets:
+            assert np.isnan(_grid_losses(*_matrices(ds), betas, rhos)).any()
+        for sizes in (None, (1, 7)):
+            got = recover_batch(datasets, sizes, config)
+            for fits, ds in zip(got, datasets):
+                assert_same_fits(fits, oracle_recover(ds, sizes, config))
+
+    def test_equal_prices_with_other_returns_are_not_merged(self, grid_passes):
+        # returns one ulp apart still pass ChoiceRound's 1e-12 consistency check
+        ds = _sloppy_subject(431, DAParams(0.2, 0.9), n_rounds=25)
+        rounds = []
+        for rd in ds.rounds:
+            returns = ReturnPair(float(np.nextafter(rd.returns.r_a, 1.0)), rd.returns.r_b)
+            rounds.append(ChoiceRound(rd.round, returns, rd.tokens, rd.prices, rd.demand))
+        shifted = SubjectDataset("shifted", ds.provenance, tuple(rounds))
+        assert np.array_equal(shifted.price_matrix(), ds.price_matrix())
+        assert not np.array_equal(shifted.return_matrix(), ds.return_matrix())
+        got = recover_batch([ds, shifted])
+        assert len(grid_passes) == 2
+        for fits, want in zip(got, (ds, shifted)):
+            assert_same_fits(fits, oracle_recover(want))
+
+    def test_one_demand_pass_per_schedule(self, grid_passes):
+        datasets = self._batch()
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        recover_batch(datasets, (10, 60))
+        blocks = len(estimation._beta_blocks(betas, len(rhos) * 60))
+        assert grid_passes == [blocks] * 3
+        grid_passes.clear()
+        recover_batch(datasets[:1])
+        assert grid_passes == [blocks]
+
+    def test_memory_does_not_grow_with_the_group(self):
+        # a (B*R, N) grid kept per member would add a grid to the peak per member
+        base = _sloppy_subject(433, DAParams(0.2, 0.9))
+        rng = np.random.default_rng(439)
+        group = [base] + [_retokened(base, rng) for _ in range(7)]
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        grid_bytes = len(betas) * len(rhos) * 175 * 8
+        peaks = []
+        for batch in (group[:1], group):
+            tracemalloc.start()
+            try:
+                recover_batch(batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + grid_bytes / 2
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
+    def test_block_prefix_means_are_the_full_grid_means(self, monkeypatch, block_rows):
+        # the pass averages each block in a buffer sized for the largest block; the
+        # means must be those of the whole (B*R, N) grid's first s columns
+        rng = np.random.default_rng(443)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        for n_rounds in (1, 25, 175):
+            monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * n_rounds)
+            prices, returns, tokens = _matrices(random_sloppy_dataset(rng, n_rounds))
+            full = _grid_losses(prices, returns, tokens, betas, rhos)
+            blocks = estimation._beta_blocks(betas, len(rhos) * n_rounds)
+            tokens_at = estimation._block_kernel(prices, returns, rhos)
+            buffers = np.empty((2, max(b.stop - b.start for b in blocks) * len(rhos) * n_rounds))
+            sizes = sorted({1, (n_rounds + 1) // 2, n_rounds})
+            means = {size: [] for size in sizes}
+            for rows in blocks:
+                model_a, model_b = tokens_at(betas[rows])
+                out, scratch = (b[:model_a.size].reshape(model_a.shape) for b in buffers)
+                per_round = estimation._token_losses(model_a, model_b, tokens, out, scratch)
+                for size in sizes:
+                    means[size].append(per_round.reshape(-1, n_rounds)[:, :size].mean(axis=1))
+            for size in sizes:
+                np.testing.assert_array_equal(_bits(np.concatenate(means[size])),
+                                              _bits(full[:, :size].mean(axis=1)))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1000])
+    def test_grid_optima_are_the_first_minima(self, monkeypatch, block_rows):
+        # one round: 540 cells in the last 9 beta rows tie at the minimum, across
+        # blocks.  Budgets costing more than 1 per unit at rho near 1e-3, on the beta
+        # axis reversed: NaN means from row 64 or 65 on, after finite ones and in
+        # several blocks.  Both must resolve as np.argmin resolves them
+        rng = np.random.default_rng(449)
+        one_round = random_sloppy_dataset(rng, 1)
+        costly = _costly_budgets(rng, 12)
+        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+        cases = (([one_round, _retokened(one_round, rng)], _parameter_grid(RecoveryConfig())),
+                 ([costly, _retokened(costly, rng)], (np.ascontiguousarray(betas[::-1]), rhos)))
+        for datasets, (betas, rhos) in cases:
+            prices, returns, _ = _matrices(datasets[0])
+            monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * len(prices))
+            sizes = sorted({1, len(prices)})
+            tokens = [ds.token_matrix() for ds in datasets]
+            got = estimation._grid_optima(prices, returns, tokens, sizes, betas, rhos)
+            for ds, optima in zip(datasets, got):
+                full = _grid_losses(*_matrices(ds), betas, rhos)
+                assert optima == [int(np.argmin(full[:, :size].mean(axis=1))) for size in sizes]
 
 
 def assert_kernel_matches_oracle(data, betas, rhos) -> np.ndarray:

@@ -103,6 +103,17 @@ class TestTreatmentValidation:
                 sample_size=3,
             )
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_size_below_one_says_so(self, size):
+        with pytest.raises(ValidationError, match=f"sample_size {size} must be at least 1"):
+            Treatment(TreatmentKind.PERSONALIZED_RECOMMENDATION, sample_data=sample_dataset(),
+                      sample_size=size)
+
+    def test_sample_size_above_the_data_says_it_exceeds(self):
+        with pytest.raises(ValidationError, match="sample_size 3 exceeds the 2 available rounds"):
+            Treatment(TreatmentKind.PERSONALIZED_RECOMMENDATION, sample_data=sample_dataset(),
+                      sample_size=3)
+
     def test_plain_treatments_reject_sample_data(self):
         with pytest.raises(ValidationError):
             Treatment(TreatmentKind.DECISION, sample_data=sample_dataset())

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
 from prefbench.data import Allocation, ChoiceRound, normalize_q_format, Provenance, SubjectDataset
 from prefbench.errors import ValidationError
 from prefbench.rationality import (
+    CceiResult,
+    _minimax_value,
     _transitive_closure,
     ccei,
     direct_relation,
@@ -35,6 +38,27 @@ def oracle_pairs_at_1(dataset: SubjectDataset) -> tuple[tuple[int, int], ...]:
     closure = squaring_closure(own[:, None] >= cross - 1e-12)
     strictly_cheaper = own[None, :] > cross.T + 1e-12  # [i, j]: x^i cheap at p^j
     return tuple((int(i), int(j)) for i, j in np.argwhere(closure & strictly_cheaper))
+
+
+def full_pass_value(cross: np.ndarray, own: np.ndarray) -> float:
+    """Oracle: ``min(1, min_ij max(B_ij, c_ji))`` with the (max, min) pass over all n."""
+    closure = (cross - 1e-12) / own[:, None]
+    for k in range(len(own)):
+        np.minimum(closure, np.maximum(closure[:, k, None], closure[None, k, :]), out=closure)
+    cheaper_from = (cross.T + 1e-12) / own[None, :]  # [i, j] = c_ji
+    return min(1.0, float(np.maximum(closure, cheaper_from).min()))
+
+
+def full_pass_ccei(dataset: SubjectDataset) -> CceiResult:
+    """Oracle: ``ccei`` before the pass ran on strongly connected components only."""
+    holds_at_1, pairs_at_1 = garp_holds(dataset, 1.0)
+    if holds_at_1:
+        return CceiResult(1.0, tuple(pairs_at_1))
+    cross = dataset.price_matrix() @ dataset.demand_matrix().T
+    own = np.diag(cross).copy()
+    value = full_pass_value(cross, own)
+    candidates = candidate_ratios(dataset)
+    return CceiResult(float(candidates[np.argmin(np.abs(candidates - value))]), tuple(pairs_at_1))
 
 
 def candidate_ratios(dataset: SubjectDataset) -> np.ndarray:
@@ -175,6 +199,70 @@ class TestClosureOracle:
         before = direct.copy()
         _transitive_closure(direct)
         assert np.array_equal(direct, before)
+
+
+class TestComponentPassOracle:
+    """``ccei`` runs the (max, min) pass on the e = 1 relation's strongly connected
+    components only; it must give the full pass's result, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [_random_sloppy, _duplicated_observations, _corner_bundles, _close_ratio_pairs,
+         _noisy_exact_subjects],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_equals_the_full_pass_on_datasets(self, family):
+        rng = np.random.default_rng(83)
+        imperfect = 0
+        for ds in family(rng):
+            result = ccei(ds)
+            assert result == full_pass_ccei(ds)
+            imperfect += result.ccei < 1.0
+        assert imperfect > 0
+
+    def test_pinned_longer_cycle_case(self):
+        ds = random_sloppy_dataset(np.random.default_rng(3884), 6)
+        assert ccei(ds) == full_pass_ccei(ds)
+
+    def test_sloppy_175_round_subjects(self):
+        # several components per subject, the largest 10-73 nodes
+        rng = np.random.default_rng(89)
+        for i in range(6):
+            params = DAParams(float(rng.uniform(-0.5, 1.0)), float(rng.uniform(0.2, 3.0)))
+            exact = simulate_subject(params, generate_budgets(900 + i, 175), f"s{i}").dataset
+            rounds = []
+            for rd in exact.rounds:
+                t_a = round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
+                tokens = Allocation(t_a, round(100.0 - t_a, 2))
+                rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
+            ds = SubjectDataset(f"s{i}", Provenance.HUMAN, tuple(rounds))
+            cross = ds.price_matrix() @ ds.demand_matrix().T
+            own = np.diag(cross)
+            components = connected_components(own[:, None] >= cross - 1e-12, connection="strong")[0]
+            assert 1 < components < ds.n
+            result = ccei(ds)
+            assert result == full_pass_ccei(ds)
+            assert result.ccei < 1.0
+
+    def test_random_relations(self):
+        # cross/own ratios uniform on [0, spread): the e = 1 relation has density
+        # about 1 / spread; some ratios are set to 1 and to 1 -+ the tolerance
+        rng = np.random.default_rng(97)
+        below = 0
+        for n in [int(m) for m in rng.integers(1, 61, size=150)] + [175, 175]:
+            own = rng.uniform(0.5, 2.0, n)
+            ratios = rng.uniform(0.0, float(rng.uniform(1.01, 30.0)), (n, n))
+            edge = rng.uniform(size=(n, n))
+            ratios[edge < 0.05] = 1.0
+            ratios[(edge >= 0.05) & (edge < 0.1)] = 1.0 - 1e-12
+            ratios[(edge >= 0.1) & (edge < 0.15)] = 1.0 + 1e-12
+            cross = ratios * own[:, None]
+            np.fill_diagonal(cross, own)
+            value = _minimax_value(cross, own)
+            want = full_pass_value(cross, own)
+            assert np.float64(value).view(np.int64) == np.float64(want).view(np.int64)
+            below += value < 1.0
+        assert below > 0
 
 
 class TestDirectRelation:
