@@ -140,7 +140,7 @@ def cli():
 
 
 @cli.command("sample-params")
-@click.option("--n", type=int, required=True, help="Population size.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Population size.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_sample_params(n: int, seed: int, out_dir: str):
@@ -337,13 +337,19 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
         estimates_by_size = {}
         for spec in estimate_specs:
             size_str, _, path = spec.partition("=")
-            if not path:
+            try:
+                size = int(size_str)
+            except ValueError:
+                size = None
+            if size is None or not path:
                 raise ValidationError(f"malformed --estimates spec {spec!r}; expected S=PATH")
-            rows_in = _read_index_csv(Path(path))
-            estimates_by_size[int(size_str)] = {
-                row["subject_id"]: DAParams(float(row["beta_hat"]), float(row["rho_hat"]))
-                for row in rows_in
-            }
+            estimates = estimates_by_size[size] = {}
+            for line, row in enumerate(_read_index_csv(Path(path)), start=2):
+                try:
+                    estimates[row["subject_id"]] = DAParams(float(row["beta_hat"]),
+                                                            float(row["rho_hat"]))
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"{path}:{line}: bad beta_hat or rho_hat: {exc}") from None
         rows = regress_per_size(truth, estimates_by_size)
 
     lines = ["sample_size,parameter,gamma,se_gamma,alpha,se_alpha,p_gamma,p_alpha,n"]

@@ -18,9 +18,10 @@ The model's demand depends on the prices only, so a pass computes it once per
 block of beta rows (:func:`_block_kernel`), for every dataset on the
 schedule, and never calls :func:`optimal_demand_grid`.  Its rows with
 beta >= 0 take the closed-form maximizer (the utility is concave on the
-budget line there); its rows with beta < 0 compare the enumeration's five
-candidates with its tie rule and give its demand bit for bit, reusing the
-kink and corner felicities of each rho column across betas.  Each dataset's
+budget line there); its rows with beta < 0 run the enumeration that
+:func:`optimal_demand_grid` runs, its candidates (``da_model._candidates``)
+and its one selection and tie rule (``da_model._Best``), reusing the kink and
+corner felicities of each rho column across betas.  Each dataset's
 per-round losses of a block (:func:`_token_losses`) go into one reusable
 buffer, averaged over the first ``s`` rounds for every prefix size ``s``;
 only a running first minimum per dataset and size survives the block, so no
@@ -31,8 +32,8 @@ The refinements of a whole batch (every prefix of every dataset) run in lock
 step: each is a Nelder-Mead generator (:func:`_nelder_mead`, scipy's
 algorithm transcribed) that yields the point it wants next, and each step
 values the pending points of all of them in one call of a paired kernel
-(:class:`_PairedLoss`: K datasets, K parameter pairs, K losses), which
-returns the enumeration's loss bit for bit.  The same kernel serves
+(:class:`_PairedLoss`: K datasets, K parameter pairs, K losses), which runs
+the same enumeration and selection on the rounds of all K.  The same kernel serves
 :func:`fit_loss` and the final comparison with the grid optimum, so the fits
 are those of scipy's ``minimize`` on one prefix at a time, evaluation counts
 included.
@@ -49,7 +50,7 @@ import numpy as np
 # traced run starts and fails if it is missing
 from scipy.optimize import minimize  # noqa: F401
 
-from .da_model import _LOG_RHO_EPS, DAParams
+from .da_model import DAParams, _Budgets, _candidates, _optimum, _Valuation
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -126,91 +127,32 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     admissible; if one is, it is the maximizer, otherwise the kink is, and
     CRRA's infinite marginal felicity at zero rules out the corners.
 
-    With beta < 0 the five candidates are compared as the enumeration compares
-    them (see :class:`_PairedLoss`), so the demand is
-    :func:`optimal_demand_grid`'s bit for bit; the kink and corner felicities
-    depend on rho and the round only, so they are computed once per schedule.
-    Every branch quantity uses the enumeration's expressions.
+    With beta < 0 the rows go through the enumeration that
+    :func:`optimal_demand_grid` runs (``da_model._candidates`` and the tie rule
+    of ``da_model._Best``), so the demand is its demand bit for bit; the kink
+    and corner felicities depend on rho and the round only, so they are
+    computed once per schedule.
     """
-    p_a, p_b = prices[:, 0], prices[:, 1]
-    ratio_a, ratio_b = p_b / p_a, p_a / p_b
-    kink = 1.0 / (p_a + p_b)
-    corner_a, corner_b = 1.0 / p_a, 1.0 / p_b
+    budgets = _Budgets(prices)
     r_a, r_b = returns[:, 0], returns[:, 1]
     rho = rhos[:, None]
     inv_rho = 1.0 / rho
-    exponent = 1.0 - rho
-    log_columns = np.abs(rhos - 1.0) < _LOG_RHO_EPS
-    corner_columns = rho < 1.0
-    at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / exponent)  # u(0)
-
-    def felicity(x):
-        """CRRA felicity of positive holdings, per rho column: (..., R, N)."""
-        u = (np.power(x, exponent) - 1.0) / exponent
-        if log_columns.any():
-            u[..., log_columns, :] = np.log(np.broadcast_to(x, u.shape)[..., log_columns, :])
-        return u
-
-    f_kink, f_corner_a, f_corner_b = felicity(kink), felicity(corner_a), felicity(corner_b)
-
-    def enumerated(w, k_a, k_b):
-        """Enumeration demand for beta < 0: kink, A-high, corner A, B-high, corner B."""
-        x_b_ia = 1.0 / (p_a * k_a + p_b)
-        x_a_ia = k_a * x_b_ia
-        x_a_ib = 1.0 / (p_b * k_b + p_a)
-        x_b_ib = k_b * x_a_ib
-        w_lo = 1.0 - w
-        zero_u = w * at_zero + w_lo * at_zero
-
-        def interior(x_hi, x_lo, k):
-            # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
-            # x_lo is 0 only where its denominator overflowed, and x_hi is then
-            # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
-            u = w * felicity(x_hi) + w_lo * felicity(x_lo)
-            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0, zero_u))
-            return np.where(k > 1.0, u, -np.inf)
-
-        def corner(f_held):
-            return np.where(corner_columns, w * f_held + w_lo * at_zero, -np.inf)
-
-        candidates = (
-            (x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a)),
-            (corner_a, 0.0, corner(f_corner_a)),
-            (x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b)),
-            (0.0, corner_b, corner(f_corner_b)),
-        )
-        # the kink wins the first comparison; a later candidate replaces the best
-        # on a larger utility, or on an equal one with a larger x_a unless the
-        # best is the kink (the tie rule of _PairedLoss)
-        best_u = w * f_kink + w_lo * f_kink
-        best_xa = best_xb = kink
-        best_not_kink = np.zeros(best_u.shape, dtype=bool)
-        for x_a, x_b, u in candidates:
-            better = (u > best_u) | ((u == best_u) & best_not_kink & (x_a > best_xa))
-            best_xa = np.where(better, x_a, best_xa)
-            best_xb = np.where(better, x_b, best_xb)
-            best_u = np.where(better, u, best_u)
-            best_not_kink |= better
-        return best_xa, best_xb
+    felicities = _Valuation(rho).fixed_felicities(budgets)
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def tokens_at(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = 1.0 / (2.0 + betas[:, None, None])
-        odds = w / (1.0 - w)
-        k_a = np.power(odds * ratio_a, inv_rho)
-        k_b = np.power(odds * ratio_b, inv_rho)
+        k_a, k_b = budgets.ratios(w / (1.0 - w), inv_rho)
         if betas[0] < 0.0:
-            x_a, x_b = enumerated(w, k_a, k_b)
+            x_a, x_b = _optimum(_candidates(budgets, _Valuation(rho, w), k_a, k_b, felicities))
         else:
             # A-high if k_a > 1, else B-high if k_b > 1, else the kink; the
             # kink is the A-high bundle at k_a = 1 (p_a * 1.0 + p_b is exact),
             # so max(k_a, 1) leaves one selection
             b_high = (k_b > 1.0) & ~(k_a > 1.0)
-            k_a = np.maximum(k_a, 1.0)
-            x_b_ia = 1.0 / (p_a * k_a + p_b)
-            x_a_ib = 1.0 / (p_b * k_b + p_a)
-            x_a = np.where(b_high, x_a_ib, k_a * x_b_ia)
-            x_b = np.where(b_high, k_b * x_a_ib, x_b_ia)
+            (x_a_ia, x_b_ia), (x_a_ib, x_b_ib) = budgets.interiors(np.maximum(k_a, 1.0), k_b)
+            x_a = np.where(b_high, x_a_ib, x_a_ia)
+            x_b = np.where(b_high, x_b_ib, x_b_ia)
         return x_a / r_a, x_b / r_b
 
     return tokens_at
@@ -274,16 +216,15 @@ class _PairedLoss:
     ``loss(beta, rho)`` gives, for dataset ``i``, the float that
     :func:`optimal_demand_grid` at G = 1 on that dataset followed by the mean
     squared token-share gap gives at ``(beta[i], rho[i])``, for positive prices
-    with a finite sum and finite ratios: the same expressions, candidate order
-    (kink, A-high, corner A, B-high, corner B) and tie rule (kink first, then
-    the larger ``x_a``).  The datasets' rounds are concatenated once, with the
-    price ratios, kink and corner bundles.  A call spreads each pair over its
-    dataset's rounds with ``np.repeat``, takes the log felicity only on rounds
-    whose rho is within ``_LOG_RHO_EPS`` of 1, and evaluates the corners, which
-    are admissible only for rho < 1, only if some pair has rho < 1 (masked to
-    -inf on the other rounds).  The datasets are stored by length, so the
-    losses are row means of one (datasets, rounds) block per length, which give
-    the bits of each dataset's own mean.
+    with a finite sum and finite ratios: it runs the same enumeration
+    (``da_model._candidates`` and the tie rule of ``da_model._Best``).  The
+    datasets' rounds are concatenated once, with the price ratios, kink and
+    corner bundles.  A call spreads each pair over its dataset's rounds with
+    ``np.repeat`` once its branches are decided: the log felicity is taken only
+    on rounds whose rho is within ``_LOG_RHO_EPS`` of 1, and the corners are
+    evaluated only if some pair has rho < 1.  The datasets are stored by
+    length, so the losses are row means of one (datasets, rounds) block per
+    length, which give the bits of each dataset's own mean.
     """
 
     def __init__(self, data: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
@@ -292,13 +233,7 @@ class _PairedLoss:
         self._lengths = lengths[self._order]
         prices, returns, tokens = (np.concatenate([data[i][k] for i in self._order])
                                    for k in range(3))
-        p_a, p_b = prices[:, 0], prices[:, 1]
-        self._p_a, self._p_b = p_a, p_b
-        self._ratio_a = p_b / p_a
-        self._ratio_b = p_a / p_b
-        self._kink = 1.0 / (p_a + p_b)
-        self._corner_a = 1.0 / p_a
-        self._corner_b = 1.0 / p_b
+        self._budgets = _Budgets(prices)
         self._r_a, self._r_b = returns[:, 0], returns[:, 1]
         self._t_a, self._t_b = tokens[:, 0], tokens[:, 1]
         # (first round, datasets, rounds each) per length
@@ -314,68 +249,10 @@ class _PairedLoss:
             return np.repeat(per_pair, self._lengths)
 
         w = 1.0 / (2.0 + beta)
-        w_lo = 1.0 - w
-        odds = w / w_lo
-        exponent = 1.0 - rho
-        # u(0), as _crra_grid has it; felicity(0) differs at rho = 1 - 1e-10
-        at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / exponent)
-        log_pairs = np.abs(rho - 1.0) < _LOG_RHO_EPS
-        log_rows = spread(log_pairs) if log_pairs.any() else None
-        corner_pairs = rho < 1.0
-        zero_u = spread(w * at_zero + w_lo * at_zero)
-        corner_zero = spread(w_lo * at_zero)
-        inv_rho, odds, exponent = spread(1.0 / rho), spread(odds), spread(exponent)
-        w, w_lo = spread(w), spread(w_lo)
-
-        def felicity(x):
-            u = (np.power(x, exponent) - 1.0) / exponent
-            if log_rows is not None:
-                u[log_rows] = np.log(x[log_rows])
-            return u
-
-        def interior(x_hi, x_lo, k):
-            # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
-            # x_lo is 0 only where its denominator overflowed, and x_hi is then
-            # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
-            u = w * felicity(x_hi) + w_lo * felicity(x_lo)
-            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0, zero_u))
-            return np.where(k > 1.0, u, -np.inf)
-
-        k_a = np.power(odds * self._ratio_a, inv_rho)
-        x_b_ia = 1.0 / (self._p_a * k_a + self._p_b)
-        x_a_ia = k_a * x_b_ia
-        k_b = np.power(odds * self._ratio_b, inv_rho)
-        x_a_ib = 1.0 / (self._p_b * k_b + self._p_a)
-        x_b_ib = k_b * x_a_ib
-        felicity_kink = felicity(self._kink)
-        best_u = w * felicity_kink + w_lo * felicity_kink
-        a_high = (x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a))
-        b_high = (x_a_ib, x_b_ib, interior(x_b_ib, x_a_ib, k_b))
-        if corner_pairs.any():
-            corner_rows = spread(corner_pairs)
-
-            def corner(x):
-                return np.where(corner_rows, w * felicity(x) + corner_zero, -np.inf)
-
-            candidates = (a_high, (self._corner_a, 0.0, corner(self._corner_a)),
-                          b_high, (0.0, self._corner_b, corner(self._corner_b)))
-        else:
-            candidates = (a_high, b_high)
-
-        # the kink, with a positive bundle and a utility that is never NaN, wins
-        # the enumeration's first comparison.  A later candidate replaces the
-        # best on a larger utility, or on an equal one with a larger x_a unless
-        # the best is the kink; a best that is not the kink has a utility above
-        # -inf, so an equal one belongs to an admissible candidate and a masked
-        # corner never wins
-        best_xa = best_xb = self._kink
-        best_not_kink = np.zeros(len(best_u), dtype=bool)
-        for x_a, x_b, u in candidates:
-            better = (u > best_u) | ((u == best_u) & best_not_kink & (x_a > best_xa))
-            best_xa = np.where(better, x_a, best_xa)
-            best_xb = np.where(better, x_b, best_xb)
-            best_u = np.where(better, u, best_u)
-            best_not_kink |= better
+        value = _Valuation(rho, w, spread)
+        k_a, k_b = self._budgets.ratios(spread(w / (1.0 - w)), spread(1.0 / rho))
+        best_xa, best_xb = _optimum(_candidates(self._budgets, value, k_a, k_b,
+                                                value.fixed_felicities(self._budgets)))
 
         gap_a = (best_xa / self._r_a - self._t_a) / 100.0
         gap_b = (best_xb / self._r_b - self._t_b) / 100.0

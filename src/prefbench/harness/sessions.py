@@ -108,7 +108,8 @@ def load_transcript(path: str | Path) -> Transcript:
 
     A final line that lacks its newline and does not decode is dropped: it is
     a record cut short by a process killed while writing it.  Any other
-    malformed line raises :class:`ValidationError`.
+    malformed line, or a record that lacks a field or holds an unknown
+    treatment, raises :class:`ValidationError` naming ``path:line``.
     """
     path = Path(path)
     transcript: Transcript | None = None
@@ -122,20 +123,24 @@ def load_transcript(path: str | Path) -> Transcript:
                 if not line.endswith("\n"):  # only the last line can lack it
                     break
                 raise ValidationError(f"{path}:{line_num}: invalid JSON: {exc}") from None
-            if transcript is None:
-                transcript = Transcript(obj["session_id"], TreatmentKind(obj["treatment"]))
-            record = RequestRecord(
-                round=obj["round"],
-                attempt=obj["attempt"],
-                messages=tuple(ChatMessage(m["role"], m["content"]) for m in obj["messages"]),
-                response=obj["response"],
-                parsed=tuple(
-                    ParsedAllocation(p["round"], p["t_a"], p["t_b"], tuple(p["flags"]))
-                    for p in obj["parsed"]
-                ),
-                started_at=obj["started_at"],
-                finished_at=obj["finished_at"],
-            )
+            try:
+                if transcript is None:
+                    transcript = Transcript(obj["session_id"], TreatmentKind(obj["treatment"]))
+                record = RequestRecord(
+                    round=obj["round"],
+                    attempt=obj["attempt"],
+                    messages=tuple(ChatMessage(m["role"], m["content"]) for m in obj["messages"]),
+                    response=obj["response"],
+                    parsed=tuple(
+                        ParsedAllocation(p["round"], p["t_a"], p["t_b"], tuple(p["flags"]))
+                        for p in obj["parsed"]
+                    ),
+                    started_at=obj["started_at"],
+                    finished_at=obj["finished_at"],
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"{path}:{line_num}: malformed record: {type(exc).__name__}: {exc}") from None
             transcript.records.append(record)
     if transcript is None:
         raise ValidationError(f"{path}: empty transcript")

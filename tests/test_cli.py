@@ -7,6 +7,7 @@ import pytest
 
 from prefbench.cli import main
 from prefbench.data import read_dataset
+from prefbench.errors import ValidationError
 from prefbench.harness.sessions import load_transcript
 from prefbench.simulation import sample_population, write_params_file
 
@@ -51,6 +52,15 @@ class TestSimulate:
         code = run_cli("simulate", "--params-file", str(bad), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+
+class TestSampleParams:
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_size_below_one_is_a_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "pop"
+        assert run_cli("sample-params", "--n", n, "--out", str(out)) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -250,6 +260,29 @@ class TestExperiment:
         assert load_transcript(spoiled).complete()
         assert (out / "choices.csv").read_bytes() == choices
 
+    @pytest.mark.parametrize("record", [
+        {"session_id": "decision001"},  # valid JSON without the other fields
+        "unknown_treatment",
+    ])
+    def test_resume_reruns_sessions_with_malformed_records(self, tmp_path, record):
+        out = tmp_path / "exp"
+        argv = ["experiment", "--config", str(self._config(tmp_path)),
+                "--treatment", "decision", "--sessions", "2", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        choices = (out / "choices.csv").read_bytes()
+        spoiled = out / "transcripts" / "decision001.jsonl"
+        lines = spoiled.read_text(encoding="utf-8").splitlines()
+        if record == "unknown_treatment":
+            record = {**json.loads(lines[0]), "treatment": "telepathy"}
+        spoiled.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"{spoiled.name}:1: malformed record"):
+            load_transcript(spoiled)
+
+        assert run_cli(*argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["arguments"]["resumed"] == 1
+        assert load_transcript(spoiled).complete()
+        assert (out / "choices.csv").read_bytes() == choices
+
     def test_personalized_uses_sample_subjects(self, tmp_path):
         params = make_params(tmp_path, n=2)
         sim_out = tmp_path / "sim"
@@ -343,6 +376,37 @@ class TestLearningCurveAndReport:
         assert code == 0
         text = (out / "learning_curve.csv").read_text()
         assert text.splitlines()[1].startswith("25,beta,")
+
+    def _index(self, tmp_path) -> tuple[Path, Path]:
+        """A truth file and the index ``analyze`` writes for its simulated subjects."""
+        params = make_params(tmp_path, n=3)
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(params), "--rounds", "10",
+                "--seed", "2", "--out", str(sim_out))
+        idx_out = tmp_path / "idx"
+        run_cli("analyze", "--choices", str(sim_out / "choices.csv"), "--out", str(idx_out))
+        return params, idx_out / "index.csv"
+
+    def test_estimates_size_that_is_not_an_integer(self, tmp_path, capsys):
+        params, index = self._index(tmp_path)
+        code = run_cli("learning-curve", "--truth", str(params), "--estimates", f"x={index}",
+                       "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert f"malformed --estimates spec 'x={index}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["beta_hat", "rho_hat"])
+    def test_estimates_value_that_is_not_a_number(self, tmp_path, capsys, column):
+        params, index = self._index(tmp_path)
+        lines = index.read_text(encoding="utf-8").splitlines()
+        at = lines[0].split(",").index(column)
+        cells = lines[2].split(",")
+        cells[at] = "abc"
+        lines[2] = ",".join(cells)
+        index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli("learning-curve", "--truth", str(params), "--estimates", f"10={index}",
+                       "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert f"{index}:3: bad beta_hat or rho_hat" in capsys.readouterr().err
 
     def test_mismatched_ids_fail_the_join(self, tmp_path, capsys):
         params = make_params(tmp_path, n=3)

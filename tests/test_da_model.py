@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefbench.da_model import Branch, DAParams, crra, da_utility, optimal_demand
+from demand_oracle import enumeration_demand_grid
+from prefbench.da_model import Branch, DAParams, crra, da_utility, optimal_demand, optimal_demand_grid
 from prefbench.data import PricePair
 from prefbench.errors import ValidationError
 
@@ -188,3 +189,85 @@ class TestOptimalDemand:
         sol = optimal_demand(p, DAParams(-0.9, 1.5))
         assert min(sol.demand) > 0.0
         assert da_utility((1.0 / p.p_a, 0.0), DAParams(-0.9, 1.5)) == -math.inf
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _adversarial_prices(betas, rng: np.random.Generator) -> np.ndarray:
+    """Equal prices, and prices whose interior ratio k is within 1e-12 .. 3e-16 of 1 for
+    each beta (the interior and kink utilities nearly tie), plus random budgets."""
+    rows = []
+    for beta in betas:
+        odds = (1.0 / (2.0 + beta)) / (1.0 - 1.0 / (2.0 + beta))
+        for p in (0.01, 0.004, 0.05):
+            rows.append((p, p))
+            for delta in (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 3e-16, -3e-16):
+                ratio = (1.0 + delta) / odds
+                rows += [(p, p * ratio), (p * ratio, p)]
+    rows += [tuple(r) for r in rng.uniform(0.002, 0.05, size=(20, 2))]
+    return np.array(rows)
+
+
+def _flat(betas, rhos) -> tuple[np.ndarray, np.ndarray]:
+    bb, rr = np.meshgrid(np.asarray(betas, dtype=float), np.asarray(rhos, dtype=float),
+                         indexing="ij")
+    return bb.reshape(-1), rr.reshape(-1)
+
+
+class TestAgainstEnumerationOracle:
+    """``optimal_demand_grid`` must equal the enumeration it was before its kernels shared
+    one selection, bit for bit: demand, branch codes, utility and tie flags."""
+
+    GRID_ZERO_BETA = -0.95 + 0.05 * 19  # the recovery grid's beta next to 0, about 1e-16
+
+    @staticmethod
+    def check(prices, betas, rhos):
+        got = optimal_demand_grid(prices, betas, rhos)
+        want = enumeration_demand_grid(prices, betas, rhos)
+        for name, a, b in zip(("demand", "code", "utility", "tie"), got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            if a.dtype == float:
+                a, b = _bits(a), _bits(b)
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        return want
+
+    def test_adversarial_budgets(self):
+        betas = (0.0, self.GRID_ZERO_BETA, 0.05, 1.0, 3.0, -0.5, -0.95, -1e-17)
+        rhos = (0.05, 0.3, 1.0 - 2e-10, 1.0 - 1e-10, 1.0 - 1e-11, 1.0, 1.0 + 1e-11,
+                1.0 + 1e-10, 2.0, 3.9, 5.0)
+        prices = _adversarial_prices(betas, np.random.default_rng(107))
+        _, code, _, tie = self.check(prices, *_flat(betas, rhos))
+        assert set(np.unique(code)) == {0, 1, 2, 3, 4}
+        assert tie.any()
+
+    def test_corners_below_rho_one(self):
+        # elation seekers at low rho on lopsided budgets pick a corner
+        rng = np.random.default_rng(109)
+        prices = np.vstack([rng.uniform(0.002, 0.1, size=(40, 2)), [[0.01, 0.01], [0.001, 0.1]]])
+        betas, rhos = _flat((-0.95, -0.9, -0.5, -1e-17), (0.02, 0.05, 0.1, 0.3, 0.9, 1.0 - 2e-10))
+        _, code, _, tie = self.check(prices, betas, rhos)
+        assert {2, 4} <= set(np.unique(code))
+        assert tie.any()
+
+    def test_price_ratio_overflows(self):
+        # a return of 6e-311 prices asset A at about 1.67e308: against a price of 0.02
+        # p_a / p_b overflows, so the interior bundle is (0, NaN), and the kink holding
+        # is subnormal, of utility -inf at rho = 5, which counts as a tie.  Against a
+        # price of 1 the ratio is finite, and at beta > 0 and rho = 1 the B-high
+        # bundle's denominator overflows: (0, 0)
+        returns = np.array([[6e-311, 0.5], [0.5, 6e-311], [6e-311, 0.01], [0.5, 0.9]])
+        prices = 1.0 / (100.0 * returns)
+        betas, rhos = _flat((-0.95, -0.5, -1e-17, 0.0, 0.5, 3.0),
+                            (0.05, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.0, 5.0))
+        demand, _, _, tie = self.check(prices, betas, rhos)
+        assert np.isnan(demand).any() and tie.any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        prices = rng.uniform(0.002, 0.1, size=(50, 2))
+        betas = rng.uniform(-0.9, 3.0, 200)
+        rhos = rng.uniform(0.05, 5.0, 200)
+        self.check(prices, betas, rhos)

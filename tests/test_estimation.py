@@ -10,8 +10,10 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import dataset_from_prices, random_sloppy_dataset
+from demand_oracle import crra_grid as _crra_grid
+from demand_oracle import enumeration_demand_grid as optimal_demand_grid
 from prefbench import estimation
-from prefbench.da_model import _LOG_RHO_EPS, DAParams, _crra_grid, optimal_demand_grid
+from prefbench.da_model import _LOG_RHO_EPS, DAParams
 from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset, dataset_prefix
 from prefbench.errors import ValidationError
 from prefbench.estimation import (
