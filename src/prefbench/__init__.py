@@ -41,7 +41,7 @@ from .estimation import (
     recover_prefixes,
 )
 from .eu_deviation import DeutResult, EuConstraintGraph, build_eu_graph, deut_index
-from .rationality import CceiResult, RevealedRelation, ccei, direct_relation, fosd_violations, garp_holds
+from .rationality import CceiResult, ccei, fosd_violations, garp_holds
 from .simulation import (
     BudgetSchedule,
     SyntheticSubject,

@@ -16,6 +16,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import Mapping, get_type_hints
 
 import click
 
@@ -63,6 +64,29 @@ from .workflows import (
 
 INDEX_COLUMNS = ["subject_id", "ccei", "deut", "fosd_count", "beta_hat", "rho_hat", "loss", "flags"]
 
+# every --config key: its config class, field and valid range ("" for any value; a
+# bound that names a key is that key's value); the field's annotation gives the type
+_CONFIG_KEYS = {
+    "grid.beta_min": (RecoveryConfig, "beta_min", "> -1"),
+    "grid.beta_max": (RecoveryConfig, "beta_max", ">= grid.beta_min"),
+    "grid.beta_step": (RecoveryConfig, "beta_step", "> 0"),
+    "grid.rho_points": (RecoveryConfig, "rho_points", ">= 1"),
+    "grid.rho_min": (RecoveryConfig, "rho_min", "> 0"),
+    "grid.rho_max": (RecoveryConfig, "rho_max", ">= grid.rho_min"),
+    "refine.max_evals": (RecoveryConfig, "max_evals", ">= 1"),
+    "refine.tol": (RecoveryConfig, "tol", ">= 0"),
+    "backend.kind": (BackendConfig, "kind", ""),
+    "backend.endpoint": (BackendConfig, "endpoint", ""),
+    "backend.model": (BackendConfig, "model", ""),
+    "backend.temperature": (BackendConfig, "temperature", ">= 0"),
+    "backend.max_retries": (BackendConfig, "max_retries", ">= 1"),
+    "backend.timeout": (BackendConfig, "timeout", "> 0"),
+    "backend.rate_per_min": (BackendConfig, "rate_per_min", ">= 1"),
+    "backend.concurrency": (BackendConfig, "concurrency", ">= 1"),
+    "backend.mock_beta": (BackendConfig, "mock_beta", "> -1"),
+    "backend.mock_rho": (BackendConfig, "mock_rho", "> 0"),
+}
+
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -80,6 +104,39 @@ def load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return cfg
+
+
+def _config_value(key: str, value: object, kind: type) -> object:
+    """``value`` as a str, an int (an integral number) or a finite float; else ConfigError."""
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind is float and abs(value) <= sys.float_info.max:  # not nan, inf or a huge int
+            return float(value)
+    expected = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _parse_config(cfg: Mapping[str, object]) -> tuple[RecoveryConfig, BackendConfig]:
+    """The recovery and backend settings of a dotted-key config; ConfigError names a bad key."""
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+    settings: dict[type, dict[str, object]] = {RecoveryConfig: {}, BackendConfig: {}}
+    values = {}
+    for key, (cls, name, valid) in _CONFIG_KEYS.items():
+        values[key] = getattr(cls, name)
+        if key in cfg:
+            value = _config_value(key, cfg[key], get_type_hints(cls)[name])
+            if valid:
+                op, bound = valid.split(" ")
+                limit = values[bound] if bound in values else float(bound)
+                if not (value >= limit if op == ">=" else value > limit):
+                    raise ConfigError(f"config key {key!r} must be {valid}, got {value!r}")
+            values[key] = settings[cls][name] = value
+    return RecoveryConfig(**settings[RecoveryConfig]), BackendConfig(**settings[BackendConfig])
 
 
 def write_manifest(out: Path, command: str, arguments: dict, seeds: dict,
@@ -187,12 +244,12 @@ def cmd_simulate(params_file: str, rounds: int, seed: int, shared_schedule: bool
 def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str, out_dir: str):
     """Per-subject indices: CCEI, EU-deviation, FOSD count, recovered parameters."""
     started = _now()
+    config, _ = _parse_config(load_config(config_file))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     datasets = read_dataset(choices_file)
     if not datasets:
         raise ValidationError(f"{choices_file}: no subjects")
-    config = RecoveryConfig.from_mapping(load_config(config_file))
     n_chunks = min(jobs, len(datasets))
     if n_chunks > 1:
         # contiguous non-empty chunks, one recovery batch and one worker each:
@@ -232,10 +289,10 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
                    schedule_file, out_dir):
     """Run harness sessions; resumable, transcripts as JSONL plus parsed choices."""
     started = _now()
+    cfg = load_config(config_file)
+    _, backend_config = _parse_config(cfg)
     out = Path(out_dir)
     (out / "transcripts").mkdir(parents=True, exist_ok=True)
-    cfg = load_config(config_file)
-    backend_config = BackendConfig.from_mapping(cfg)
     schedule = read_schedule(schedule_file) if schedule_file else evaluation_schedule()
 
     kind = {
@@ -247,29 +304,27 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
     population = read_params_file(params_file) if params_file else None
     if population is not None and backend_config.kind != "mock":
         raise ConfigError("--params-file applies to the mock backend only")
+    if kind is TreatmentKind.PERSONALIZED_RECOMMENDATION and sample_data is None:
+        raise ValidationError("personalized treatment requires --sample-data")
+    # one backend for every session without its own parameters, so that one
+    # rate limit and one HTTP session span the run
+    backend = make_backend(backend_config)
 
     # (session_id, treatment, backend) triples
     plans = []
     if kind is TreatmentKind.PERSONALIZED_RECOMMENDATION:
-        if sample_data is None:
-            raise ValidationError("personalized treatment requires --sample-data")
-        samples = read_dataset(sample_data)
         by_id = {sid: params for sid, params in population} if population else {}
-        for ds in samples:
+        for ds in read_dataset(sample_data):
             t = Treatment(kind, sample_data=ds, sample_size=sample_size)
-            backend = (
-                MockDecisionBackend(by_id[ds.subject_id])
-                if by_id.get(ds.subject_id) is not None
-                else make_backend(backend_config)
-            )
-            plans.append((ds.subject_id, t, backend))
+            params = by_id.get(ds.subject_id)
+            plans.append((ds.subject_id, t,
+                           backend if params is None else MockDecisionBackend(params)))
     else:
         t = Treatment(kind)
         if population:
             for sid, params in population:
                 plans.append((sid, t, MockDecisionBackend(params)))
         else:
-            backend = make_backend(backend_config)
             width = max(3, len(str(sessions)))
             for i in range(1, sessions + 1):
                 plans.append((f"{treatment}{i:0{width}d}", t, backend))
@@ -322,11 +377,11 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
 def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, config_file, out_dir):
     """Alignment regressions of recovered on generating parameters, per sample size."""
     started = _now()
+    config, _ = _parse_config(load_config(config_file))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     population = read_params_file(truth_file)
     truth = dict(population)
-    config = RecoveryConfig.from_mapping(load_config(config_file))
 
     if direct:
         rows, _ = learning_curve_direct(population, provision_seed,

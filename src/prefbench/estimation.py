@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 # unused here: the benchmark tracer (bench/tracing.py) wraps this name when a
@@ -64,26 +64,6 @@ class RecoveryConfig:
     rho_max: float = 5.0
     max_evals: int = 2000
     tol: float = 1e-6
-
-    @classmethod
-    def from_mapping(cls, cfg: Mapping[str, object]) -> "RecoveryConfig":
-        """Build from flat dotted keys (grid.beta_min, refine.max_evals, ...)."""
-        keys = {
-            "grid.beta_min": "beta_min",
-            "grid.beta_max": "beta_max",
-            "grid.beta_step": "beta_step",
-            "grid.rho_points": "rho_points",
-            "grid.rho_min": "rho_min",
-            "grid.rho_max": "rho_max",
-            "refine.max_evals": "max_evals",
-            "refine.tol": "tol",
-        }
-        kwargs = {}
-        for key, field in keys.items():
-            if key in cfg:
-                value = cfg[key]
-                kwargs[field] = int(value) if field in ("rho_points", "max_evals") else float(value)
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import requests
 
@@ -81,26 +81,6 @@ class BackendConfig:
     concurrency: int = 4
     mock_beta: float = 0.0
     mock_rho: float = 1.0
-
-    @classmethod
-    def from_mapping(cls, cfg: Mapping[str, object]) -> "BackendConfig":
-        fields = {
-            "backend.kind": ("kind", str),
-            "backend.endpoint": ("endpoint", str),
-            "backend.model": ("model", str),
-            "backend.temperature": ("temperature", float),
-            "backend.max_retries": ("max_retries", int),
-            "backend.timeout": ("timeout", float),
-            "backend.rate_per_min": ("rate_per_min", int),
-            "backend.concurrency": ("concurrency", int),
-            "backend.mock_beta": ("mock_beta", float),
-            "backend.mock_rho": ("mock_rho", float),
-        }
-        kwargs = {}
-        for key, (name, cast) in fields.items():
-            if key in cfg:
-                kwargs[name] = cast(cfg[key])
-        return cls(**kwargs)
 
 
 _RETRY_AFTER_STATUSES = (408, 429, 503)

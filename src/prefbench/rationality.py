@@ -1,21 +1,18 @@
-"""Revealed-preference tests: direct/indirect relations, GARP, CCEI, FOSD checks.
+"""Revealed-preference tests: GARP, CCEI, FOSD checks.
 
 For observations ``(p^i, x^i)`` with expenditure normalized to one, bundle
 ``x^i`` is directly revealed preferred to ``x^j`` at efficiency ``e`` when
-``e (p^i . x^i) >= p^i . x^j``; the full revealed-preference relation is the
-transitive closure, taken with one boolean Floyd-Warshall pass.  GARP(e)
-fails when some ``x^i`` is revealed preferred to an ``x^j`` that is strictly
-cheaper than ``e`` times own expenditure at ``p^j`` -- that is,
-closure(i, j) together with ``e (p^j . x^j) > p^j . x^i``.  The CCEI is the
-largest ``e`` in [0, 1] at which GARP(e) holds; it equals 1 exactly when the
-data has no violation at full efficiency.  Otherwise it is read off
-Floyd-Warshall passes in (max, min) algebra -- the minimax path closure of the
-thresholds at which each direct edge appears (Varian 1990), one pass per
-strongly connected component of the relation at e = 1, where every violation
-lies -- and snapped to the nearest cross/own expenditure ratio.
-
-Comparisons carry a 1e-12 absolute tolerance when building relations and
-1e-9 for dominance checks, so float noise cannot manufacture violations.
+``e (p^i . x^i) >= p^i . x^j``.  GARP(e) fails when some ``x^i`` is revealed
+preferred (through direct edges) to an ``x^j`` that is strictly cheaper than
+``e`` times own expenditure at ``p^j``.  That strict inequality is itself the
+edge j -> i, so a violation lies inside one strongly connected component of
+the direct relation, and GARP(e) is read from those components with no
+transitive closure (Talla Nobibon, Smeulders & Spieksma 2015).  The CCEI is the
+largest ``e`` in [0, 1] at which GARP(e) holds: 1 when the data has no
+violation at full efficiency, otherwise read off Floyd-Warshall passes in
+(max, min) algebra -- the minimax path closure of the thresholds at which each
+direct edge appears (Varian 1990), one pass per component of the relation at
+e = 1 -- and snapped to the nearest cross/own expenditure ratio.
 """
 
 from __future__ import annotations
@@ -32,16 +29,6 @@ FOSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RevealedRelation:
-    """Direct revealed-preference matrix at efficiency ``e`` and its closure."""
-
-    n: int
-    e: float
-    direct: np.ndarray
-    closure: np.ndarray
-
-
-@dataclass(frozen=True)
 class CceiResult:
     ccei: float
     violating_pairs_at_1: tuple[tuple[int, int], ...]
@@ -55,57 +42,45 @@ def _expenditures(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray]:
     return cross, np.diag(cross).copy()
 
 
-def _transitive_closure(direct: np.ndarray) -> np.ndarray:
-    """Boolean Floyd-Warshall: after step k, i reaches j through nodes 0..k."""
-    closure = direct.copy()
-    for k in range(closure.shape[0]):
-        closure |= closure[:, k, None] & closure[None, k, :]
-    return closure
+def _garp(cross: np.ndarray, own: np.ndarray, e: float) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Strong-component labels of R^D(e) and the GARP(e) violating pairs (i, j), row-major.
 
-
-def direct_relation(dataset: SubjectDataset, e: float) -> RevealedRelation:
-    """Build R^D(e) and its transitive closure.
-
-    No special-casing of the diagonal: x^i relates to itself only when
-    ``e >= 1`` up to tolerance, exactly as the defining inequality dictates.
-    """
-    if not 0.0 <= e <= 1.0:
-        raise ValidationError(f"efficiency must lie in [0, 1], got {e}")
-    cross, own = _expenditures(dataset)
-    direct = e * own[:, None] >= cross - RELATION_TOL
-    closure = _transitive_closure(direct)
-    direct.setflags(write=False)
-    closure.setflags(write=False)
-    return RevealedRelation(dataset.n, e, direct, closure)
-
-
-def garp_holds(dataset: SubjectDataset, e: float) -> tuple[bool, list[tuple[int, int]]]:
-    """GARP(e) with the list of violating ordered pairs (i, j), 0-based."""
-    relation = direct_relation(dataset, e)
-    cross, own = _expenditures(dataset)
-    strictly_cheaper = (e * own[None, :]) > cross.T + RELATION_TOL  # [i, j]: x^i cheap at p^j
-    violations = relation.closure & strictly_cheaper
-    pairs = [(i, j) for i, j in np.argwhere(violations).tolist()]
-    return not pairs, pairs
-
-
-def _minimax_value(cross: np.ndarray, own: np.ndarray) -> float:
-    """``min(1, min_ij max(B_ij, c_ji))`` from the cross and own expenditures (see :func:`ccei`).
-
-    A term below 1 needs an i -> j path whose thresholds are all below 1, and
-    ``c_ji < 1``; both mean edges of the e = 1 relation, so i, j and the path
-    lie in one strongly connected component of it.  Terms across components
-    are >= 1, which ``min(1, .)`` caps, so the (max, min) pass runs on each
-    component of more than one node alone; min and max are exact, so the
-    value has the bits of the pass over all n observations.
+    For e <= 1, ``e own_j > cross_ji + tol`` implies the edge j -> i, so an i
+    that reaches such a j shares its component: the violations are the
+    same-component pairs with that inequality.
     """
     # imported here, not at module level: scipy.sparse.csgraph adds about
     # 1.3 MB to the peak RSS of every command, and only scoring uses it
     from scipy.sparse.csgraph import connected_components
 
+    _, labels = connected_components(e * own[:, None] >= cross - RELATION_TOL, connection="strong")
+    strictly_cheaper = (e * own[None, :]) > cross.T + RELATION_TOL  # [i, j]: x^i cheap at p^j
+    violations = (labels[:, None] == labels[None, :]) & strictly_cheaper
+    return labels, [(i, j) for i, j in np.argwhere(violations).tolist()]
+
+
+def garp_holds(dataset: SubjectDataset, e: float) -> tuple[bool, list[tuple[int, int]]]:
+    """GARP(e) with the list of violating ordered pairs (i, j), 0-based."""
+    if not 0.0 <= e <= 1.0:
+        raise ValidationError(f"efficiency must lie in [0, 1], got {e}")
+    cross, own = _expenditures(dataset)
+    _, pairs = _garp(cross, own, e)
+    return not pairs, pairs
+
+
+def _minimax_value(cross: np.ndarray, own: np.ndarray, labels: np.ndarray) -> float:
+    """``min(1, min_ij max(B_ij, c_ji))`` from the cross and own expenditures (see :func:`ccei`).
+
+    ``labels`` are the strongly connected components of the e = 1 relation.
+    A term below 1 needs an i -> j path whose thresholds are all below 1, and
+    ``c_ji < 1``; both mean edges of the e = 1 relation, so i, j and the path
+    lie in one component.  Terms across components are >= 1, which
+    ``min(1, .)`` caps, so the (max, min) pass runs on each component of more
+    than one node alone; min and max are exact, so the value has the bits of
+    the pass over all n observations.
+    """
     thresholds = (cross - RELATION_TOL) / own[:, None]  # [i, j] = a_ij
     cheaper_from = (cross.T + RELATION_TOL) / own[None, :]  # [i, j] = c_ji
-    _, labels = connected_components(own[:, None] >= cross - RELATION_TOL, connection="strong")
     value = 1.0
     for label in np.flatnonzero(np.bincount(labels) > 1):
         nodes = np.ix_(labels == label, labels == label)
@@ -128,13 +103,13 @@ def ccei(dataset: SubjectDataset) -> CceiResult:
     sits within the tolerance of a cross/own expenditure ratio, where GARP's
     status changes, and is reported as the nearest such ratio.
     """
-    holds_at_1, pairs_at_1 = garp_holds(dataset, 1.0)
+    cross, own = _expenditures(dataset)
+    labels, pairs_at_1 = _garp(cross, own, 1.0)
     pairs = tuple(pairs_at_1)
-    if holds_at_1:
+    if not pairs:
         return CceiResult(1.0, pairs)
 
-    cross, own = _expenditures(dataset)
-    value = _minimax_value(cross, own)
+    value = _minimax_value(cross, own, labels)
     ratios = (cross / own[:, None])[~np.eye(dataset.n, dtype=bool)]
     candidates = np.unique(np.concatenate([ratios[(ratios >= 0.0) & (ratios <= 1.0)], [0.0, 1.0]]))
     return CceiResult(float(candidates[np.argmin(np.abs(candidates - value))]), pairs)

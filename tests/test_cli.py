@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from prefbench.cli import main
+from prefbench.cli import _parse_config, main
+from prefbench.da_model import DAParams
 from prefbench.data import read_dataset
 from prefbench.errors import ValidationError
+from prefbench.harness.backends import HttpChatBackend, MockDecisionBackend
+from prefbench.harness.prompts import ChatMessage
 from prefbench.harness.sessions import load_transcript
 from prefbench.simulation import sample_population, write_params_file
 
@@ -342,6 +345,102 @@ class TestExperiment:
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "CHAT_API_KEY" in capsys.readouterr().err
+
+    def test_personalized_http_sessions_share_one_backend(self, tmp_path, monkeypatch):
+        params = make_params(tmp_path, n=3)
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(params), "--rounds", "10", "--seed", "4",
+                "--shared-schedule", "--out", str(sim_out))
+        answers = MockDecisionBackend(DAParams(0.1, 0.6))
+
+        class Response:
+            status_code = 200
+
+            def __init__(self, text):
+                self.text = text
+
+            def json(self):
+                return {"choices": [{"message": {"content": self.text}}]}
+
+        def post(session, url, json=None, headers=None, timeout=None):
+            messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
+            return Response(answers.send(messages))
+
+        inits = []
+        init = HttpChatBackend.__init__
+
+        def counted_init(self, config):
+            inits.append(config)
+            init(self, config)
+
+        monkeypatch.setattr("requests.Session.post", post)
+        monkeypatch.setattr(HttpChatBackend, "__init__", counted_init)
+        monkeypatch.setenv("CHAT_API_KEY", "sekret")
+        config = tmp_path / "http.json"
+        config.write_text(json.dumps(
+            {"backend.kind": "http", "backend.endpoint": "https://example.invalid/v1",
+             "backend.model": "m"}
+        ), encoding="utf-8")
+        out = tmp_path / "pr"
+        code = run_cli("experiment", "--config", str(config), "--treatment", "personalized",
+                       "--sample-data", str(sim_out / "choices.csv"), "--sample-size", "10",
+                       "--out", str(out))
+        assert code == 0
+        assert len(list((out / "transcripts").glob("*.jsonl"))) == 3
+        assert len(inits) == 1
+
+
+class TestConfig:
+    def _config(self, tmp_path, cfg) -> Path:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"grid.rho_points": "abc"}, "'grid.rho_points' must be an integer, got 'abc'"),
+        ({"grid.rho_points": 10.5}, "'grid.rho_points' must be an integer, got 10.5"),
+        ({"grid.beta_step": 0}, "'grid.beta_step' must be > 0, got 0.0"),
+        ({"grid.rho_points": 0}, "'grid.rho_points' must be >= 1, got 0"),
+        ({"grid.beta_max": -2}, "'grid.beta_max' must be >= grid.beta_min, got -2.0"),
+        ({"grid.rho_point": 5}, "unknown config key 'grid.rho_point'"),
+        ({"refine.tol": float("nan")}, "'refine.tol' must be a finite number, got nan"),
+        ({"backend.rate_per_min": 0}, "'backend.rate_per_min' must be >= 1, got 0"),
+    ])
+    def test_bad_analyze_config_is_a_config_error(self, tmp_path, capsys, cfg, message):
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(make_params(tmp_path, n=1)), "--rounds", "5",
+                "--out", str(sim_out))
+        out = tmp_path / "idx"
+        assert run_cli("analyze", "--choices", str(sim_out / "choices.csv"),
+                       "--config", str(self._config(tmp_path, cfg)), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_http_rate_limit_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # with 0 the rate limiter's window check indexed an empty deque
+        monkeypatch.setenv("CHAT_API_KEY", "sekret")
+        config = self._config(tmp_path, {
+            "backend.kind": "http", "backend.endpoint": "https://example.invalid/v1",
+            "backend.model": "m", "backend.rate_per_min": 0})
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--config", str(config), "--treatment", "decision",
+                       "--out", str(out)) == 2
+        assert "'backend.rate_per_min' must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_http_settings_keep_their_keys(self):
+        recovery, backend = _parse_config({
+            "backend.kind": "http", "backend.endpoint": "http://127.0.0.1:9/v1",
+            "backend.model": "m", "backend.max_retries": 5, "backend.timeout": 10,
+            "backend.rate_per_min": 1_000_000, "backend.concurrency": 2,
+            "grid.rho_points": 25.0,
+        })
+        assert (backend.kind, backend.endpoint, backend.model) == (
+            "http", "http://127.0.0.1:9/v1", "m")
+        assert (backend.max_retries, backend.rate_per_min, backend.concurrency) == (
+            5, 1_000_000, 2)
+        assert type(backend.timeout) is float and backend.timeout == 10.0
+        assert type(recovery.rho_points) is int and recovery.rho_points == 25
 
 
 class TestLearningCurveAndReport:

@@ -114,7 +114,9 @@ class TestRecovery:
         assert "degenerate_rounds" in fit.flags
 
     def test_config_mapping(self):
-        config = RecoveryConfig.from_mapping(
+        from prefbench.cli import _parse_config
+
+        config, _ = _parse_config(
             {"grid.beta_min": -0.5, "grid.rho_points": 10, "refine.max_evals": 100,
              "refine.tol": 1e-4}
         )

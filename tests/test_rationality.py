@@ -9,10 +9,9 @@ from prefbench.data import Allocation, ChoiceRound, normalize_q_format, Provenan
 from prefbench.errors import ValidationError
 from prefbench.rationality import (
     CceiResult,
+    _garp,
     _minimax_value,
-    _transitive_closure,
     ccei,
-    direct_relation,
     fosd_violations,
     garp_holds,
 )
@@ -31,13 +30,31 @@ def squaring_closure(direct: np.ndarray) -> np.ndarray:
         closure = step
 
 
-def oracle_pairs_at_1(dataset: SubjectDataset) -> tuple[tuple[int, int], ...]:
-    """GARP(1) violations read off the oracle closure of the e = 1 relation."""
+def expenditures(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Cross expenditures E[i, j] = p^i . x^j and own expenditures E[i, i]."""
     cross = dataset.price_matrix() @ dataset.demand_matrix().T
-    own = np.diag(cross)
-    closure = squaring_closure(own[:, None] >= cross - 1e-12)
-    strictly_cheaper = own[None, :] > cross.T + 1e-12  # [i, j]: x^i cheap at p^j
-    return tuple((int(i), int(j)) for i, j in np.argwhere(closure & strictly_cheaper))
+    return cross, np.diag(cross).copy()
+
+
+def oracle_pairs(cross: np.ndarray, own: np.ndarray, e: float) -> list[tuple[int, int]]:
+    """GARP(e) violations read off the oracle closure of the relation at e, row-major."""
+    closure = squaring_closure(e * own[:, None] >= cross - 1e-12)
+    strictly_cheaper = e * own[None, :] > cross.T + 1e-12  # [i, j]: x^i cheap at p^j
+    return [(int(i), int(j)) for i, j in np.argwhere(closure & strictly_cheaper)]
+
+
+def random_expenditures(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cross/own ratios uniform on [0, spread): the e = 1 relation has density about
+    1 / spread; some ratios are set to 1 and to 1 -+ the tolerance."""
+    own = rng.uniform(0.5, 2.0, n)
+    ratios = rng.uniform(0.0, float(rng.uniform(1.01, 30.0)), (n, n))
+    edge = rng.uniform(size=(n, n))
+    ratios[edge < 0.05] = 1.0
+    ratios[(edge >= 0.05) & (edge < 0.1)] = 1.0 - 1e-12
+    ratios[(edge >= 0.1) & (edge < 0.15)] = 1.0 + 1e-12
+    cross = ratios * own[:, None]
+    np.fill_diagonal(cross, own)
+    return cross, own
 
 
 def full_pass_value(cross: np.ndarray, own: np.ndarray) -> float:
@@ -164,6 +181,8 @@ def _efficiency_levels(dataset: SubjectDataset, rng) -> list[float]:
 
 
 class TestClosureOracle:
+    """GARP(e) read from strong components equals the pairs of the squaring closure."""
+
     @pytest.mark.parametrize(
         "family",
         [_random_sloppy, _duplicated_observations, _corner_bundles, _close_ratio_pairs,
@@ -174,31 +193,37 @@ class TestClosureOracle:
         rng = np.random.default_rng(71)
         violated = 0
         for ds in family(rng):
+            cross, own = expenditures(ds)
             for e in _efficiency_levels(ds, rng):
-                rel = direct_relation(ds, e)
-                assert np.array_equal(rel.closure, squaring_closure(rel.direct))
-            pairs = oracle_pairs_at_1(ds)
-            assert ccei(ds).violating_pairs_at_1 == pairs
-            violated += bool(pairs)
+                pairs = oracle_pairs(cross, own, e)
+                assert garp_holds(ds, e) == (not pairs, pairs)
+                violated += bool(pairs)
+            assert ccei(ds).violating_pairs_at_1 == tuple(oracle_pairs(cross, own, 1.0))
         assert violated > 0 or family is _exact_175_round_subjects
 
     def test_equals_squaring_closure_on_random_relations(self):
+        # read at e = 1, at a random level and at 0
         rng = np.random.default_rng(73)
+        violated = 0
         for n in [int(m) for m in rng.integers(3, 61, size=80)] + [175, 175]:
-            direct = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.9)
-            assert np.array_equal(_transitive_closure(direct), squaring_closure(direct))
+            cross, own = random_expenditures(rng, n)
+            for e in (1.0, float(rng.uniform()), 0.0):
+                pairs = oracle_pairs(cross, own, e)
+                assert _garp(cross, own, e)[1] == pairs
+                violated += bool(pairs)
+        assert violated > 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_squaring_closure_on_every_small_relation(self, n):
-        for bits in range(2 ** (n * n)):
-            direct = ((bits >> np.arange(n * n)) & 1).astype(bool).reshape(n, n)
-            assert np.array_equal(_transitive_closure(direct), squaring_closure(direct))
-
-    def test_leaves_the_direct_relation_unchanged(self):
-        direct = np.random.default_rng(79).uniform(size=(30, 30)) < 0.1
-        before = direct.copy()
-        _transitive_closure(direct)
-        assert np.array_equal(direct, before)
+        # every off-diagonal cross/own ratio in {1/2, 1, 2}: at e = 1 an edge
+        # that is strict, weak only, or absent
+        off_diagonal = ~np.eye(n, dtype=bool)
+        own = np.ones(n)
+        for values in np.ndindex(*(3,) * (n * n - n)):
+            cross = np.ones((n, n))
+            cross[off_diagonal] = np.array([0.5, 1.0, 2.0])[list(values)]
+            for e in (1.0, 0.75, 0.5, 0.0):
+                assert _garp(cross, own, e)[1] == oracle_pairs(cross, own, e)
 
 
 class TestComponentPassOracle:
@@ -245,20 +270,12 @@ class TestComponentPassOracle:
             assert result.ccei < 1.0
 
     def test_random_relations(self):
-        # cross/own ratios uniform on [0, spread): the e = 1 relation has density
-        # about 1 / spread; some ratios are set to 1 and to 1 -+ the tolerance
         rng = np.random.default_rng(97)
         below = 0
         for n in [int(m) for m in rng.integers(1, 61, size=150)] + [175, 175]:
-            own = rng.uniform(0.5, 2.0, n)
-            ratios = rng.uniform(0.0, float(rng.uniform(1.01, 30.0)), (n, n))
-            edge = rng.uniform(size=(n, n))
-            ratios[edge < 0.05] = 1.0
-            ratios[(edge >= 0.05) & (edge < 0.1)] = 1.0 - 1e-12
-            ratios[(edge >= 0.1) & (edge < 0.15)] = 1.0 + 1e-12
-            cross = ratios * own[:, None]
-            np.fill_diagonal(cross, own)
-            value = _minimax_value(cross, own)
+            cross, own = random_expenditures(rng, n)
+            labels = connected_components(own[:, None] >= cross - 1e-12, connection="strong")[1]
+            value = _minimax_value(cross, own, labels)
             want = full_pass_value(cross, own)
             assert np.float64(value).view(np.int64) == np.float64(want).view(np.int64)
             below += value < 1.0
@@ -266,35 +283,36 @@ class TestComponentPassOracle:
 
 
 class TestDirectRelation:
+    """The direct relation, observed through the components and pairs GARP reads."""
+
     def test_identical_observations_all_related(self):
         ds = dataset_from_prices([(0.01, 0.01, 50.0, 50.0), (0.01, 0.01, 50.0, 50.0)])
-        rel = direct_relation(ds, 1.0)
-        assert rel.direct.all() and rel.closure.all()
+        labels, pairs = _garp(*expenditures(ds), 1.0)
+        assert labels[0] == labels[1] and pairs == []
 
     def test_crossing_pair_related_both_ways(self, crossing_dataset):
-        rel = direct_relation(crossing_dataset, 1.0)
-        assert rel.direct[0, 1] and rel.direct[1, 0]
+        # both edges exist from e = 0.5 on, and each bundle is strictly cheaper
+        # at the other's prices from just above 0.5
+        assert garp_holds(crossing_dataset, 0.6) == (False, [(0, 1), (1, 0)])
 
     def test_deflated_budgets_drop_the_edges(self, crossing_dataset):
-        rel = direct_relation(crossing_dataset, 0.4)
-        assert not rel.direct[0, 1] and not rel.direct[1, 0]
+        labels, pairs = _garp(*expenditures(crossing_dataset), 0.4)
+        assert labels[0] != labels[1]
+        assert garp_holds(crossing_dataset, 0.4) == (True, [])
 
     def test_diagonal_follows_the_inequality(self, crossing_dataset):
-        assert direct_relation(crossing_dataset, 1.0).direct.diagonal().all()
-        assert not direct_relation(crossing_dataset, 0.9).direct.diagonal().any()
-
-    def test_closure_is_transitive_and_contains_direct(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            ds = random_sloppy_dataset(rng, 6)
-            rel = direct_relation(ds, 1.0)
-            assert (rel.closure | rel.direct == rel.closure).all()
-            reach = rel.closure.astype(np.uint8)
-            assert ((reach @ reach > 0) <= rel.closure).all()
+        # x^i is never strictly cheaper than itself, so no (i, i) pair at any e,
+        # and the oracle's diagonal (an edge only at e = 1) gives the same pairs
+        cross, own = expenditures(crossing_dataset)
+        for e in (1.0, 0.9, 0.5, 0.0):
+            _, pairs = garp_holds(crossing_dataset, e)
+            assert pairs == oracle_pairs(cross, own, e)
+            assert all(i != j for i, j in pairs)
 
     def test_efficiency_domain(self, crossing_dataset):
-        with pytest.raises(ValidationError):
-            direct_relation(crossing_dataset, 1.5)
+        for e in (1.5, -0.1):
+            with pytest.raises(ValidationError):
+                garp_holds(crossing_dataset, e)
 
 
 class TestGarp:

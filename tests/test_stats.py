@@ -238,12 +238,23 @@ class TestWelch:
             welch_t_test([1.0], [1.0, 2.0])
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats would make `import prefbench` about half again as slow
+def loaded_after_import(module: str, probe: str) -> bool:
+    """Whether ``import module`` in a fresh interpreter loads ``probe``."""
     src = str(Path(prefbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, prefbench; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {module}; print({probe!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats would make `import prefbench` about half again as slow
+    assert not loaded_after_import("prefbench", "scipy.stats")
+
+
+def test_cli_import_does_not_load_csgraph():
+    # scipy.sparse.csgraph adds about 1.3 MB to the peak RSS of every command;
+    # only scoring imports it, inside rationality._garp
+    assert not loaded_after_import("prefbench.cli", "scipy.sparse.csgraph")
