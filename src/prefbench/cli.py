@@ -12,9 +12,10 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from datetime import datetime, timezone
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, get_type_hints
 
@@ -22,15 +23,9 @@ import click
 
 from . import __version__
 from .da_model import DAParams
-from .data import (
-    Provenance,
-    SubjectDataset,
-    format_float,
-    read_dataset,
-    write_dataset,
-)
+from .data import read_dataset, read_table, write_dataset, write_table
 from .errors import BackendError, ConfigError, SessionError, ValidationError
-from .estimation import RecoveryConfig
+from .estimation import RecoveryConfig, _beta_rows
 from .harness import (
     Treatment,
     TreatmentKind,
@@ -62,7 +57,15 @@ from .workflows import (
     regress_per_size,
 )
 
-INDEX_COLUMNS = ["subject_id", "ccei", "deut", "fosd_count", "beta_hat", "rho_hat", "loss", "flags"]
+INDEX_COLUMNS = ("subject_id", "ccei", "deut", "fosd_count", "beta_hat", "rho_hat", "loss", "flags")
+# beta_hat and rho_hat stay strings here: _read_index parses them into DAParams
+_INDEX_TYPES = (str, float, float, int, str, str, float, str)
+_CURVE_COLUMNS = ("sample_size", "parameter", "gamma", "se_gamma", "alpha", "se_alpha",
+                  "p_gamma", "p_alpha", "n")
+_CURVE_TYPES = (int, str, float, float, float, float, float, float, int)
+
+# the most cells (beta rows x rho points) a recovery grid may have: 3,495 times the default
+_MAX_GRID_CELLS = 2**24
 
 # every --config key: its config class, field and valid range ("" for any value; a
 # bound that names a key is that key's value); the field's annotation gives the type
@@ -136,7 +139,13 @@ def _parse_config(cfg: Mapping[str, object]) -> tuple[RecoveryConfig, BackendCon
                 if not (value >= limit if op == ">=" else value > limit):
                     raise ConfigError(f"config key {key!r} must be {valid}, got {value!r}")
             values[key] = settings[cls][name] = value
-    return RecoveryConfig(**settings[RecoveryConfig]), BackendConfig(**settings[BackendConfig])
+    recovery = RecoveryConfig(**settings[RecoveryConfig])
+    beta_rows = _beta_rows(recovery)
+    if beta_rows * recovery.rho_points > _MAX_GRID_CELLS:
+        raise ConfigError(
+            f"config keys 'grid.beta_min', 'grid.beta_max', 'grid.beta_step' and 'grid.rho_points' "
+            f"give a grid of {beta_rows:g} x {recovery.rho_points} cells, more than {_MAX_GRID_CELLS}")
+    return recovery, BackendConfig(**settings[BackendConfig])
 
 
 def write_manifest(out: Path, command: str, arguments: dict, seeds: dict,
@@ -162,33 +171,20 @@ def _write_index_reports(reports: list[IndexReport], path: Path, fmt: str) -> No
                 obj["flags"] = list(rep.flags)
                 fh.write(json.dumps(obj) + "\n")
         return
-    lines = [",".join(INDEX_COLUMNS)]
-    for rep in reports:
-        lines.append(
-            ",".join(
-                [
-                    rep.subject_id,
-                    format_float(rep.ccei),
-                    format_float(rep.deut),
-                    str(rep.fosd_count),
-                    format_float(rep.beta_hat),
-                    format_float(rep.rho_hat),
-                    format_float(rep.loss),
-                    ";".join(rep.flags),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, INDEX_COLUMNS, ((*attrgetter(*INDEX_COLUMNS[:-1])(rep), ";".join(rep.flags))
+                                      for rep in reports))
 
 
-def _read_index_csv(path: Path) -> list[dict]:
-    import csv as _csv
-
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames != INDEX_COLUMNS:
-            raise ValidationError(f"{path}: expected index columns {INDEX_COLUMNS}")
-        return list(reader)
+def _read_index(path: str | Path) -> list[tuple[str, float, float, DAParams]]:
+    """(subject_id, ccei, deut, recovered parameters) for each row of an ``analyze`` index."""
+    rows = []
+    for row_num, (sid, ccei, deut, _, beta, rho, _, _) in read_table(
+            path, {INDEX_COLUMNS: lambda *fields: fields}, _INDEX_TYPES):
+        try:
+            rows.append((sid, ccei, deut, DAParams(float(beta), float(rho))))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{row_num}: bad beta_hat or rho_hat: {exc}") from None
+    return rows
 
 
 @click.group()
@@ -398,25 +394,12 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
                 size = None
             if size is None or not path:
                 raise ValidationError(f"malformed --estimates spec {spec!r}; expected S=PATH")
-            estimates = estimates_by_size[size] = {}
-            for line, row in enumerate(_read_index_csv(Path(path)), start=2):
-                try:
-                    estimates[row["subject_id"]] = DAParams(float(row["beta_hat"]),
-                                                            float(row["rho_hat"]))
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(f"{path}:{line}: bad beta_hat or rho_hat: {exc}") from None
+            estimates_by_size[size] = {sid: params for sid, _, _, params in _read_index(path)}
         rows = regress_per_size(truth, estimates_by_size)
 
-    lines = ["sample_size,parameter,gamma,se_gamma,alpha,se_alpha,p_gamma,p_alpha,n"]
-    for row in rows:
-        reg = row.regression
-        lines.append(",".join([
-            str(row.sample_size), row.parameter,
-            format_float(reg.gamma), format_float(reg.se_gamma),
-            format_float(reg.alpha), format_float(reg.se_alpha),
-            format_float(reg.p_gamma), format_float(reg.p_alpha), str(reg.n),
-        ]))
-    (out / "learning_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(out / "learning_curve.csv", _CURVE_COLUMNS, (
+        (row.sample_size, row.parameter, *attrgetter(*_CURVE_COLUMNS[2:])(row.regression))
+        for row in rows))
     write_manifest(
         out, "learning-curve",
         {"truth": truth_file, "estimates": list(estimate_specs), "direct": direct},
@@ -451,44 +434,32 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
 
     panels = []
     for label, path in parse_specs(index_specs):
-        rows = _read_index_csv(path)
+        rows = _read_index(path)
         if not rows:
             raise ValidationError(f"{path}: empty index file")
-        panel_lines = ["variable,p5,p25,p50,p75,p95,mean,std,n"]
-        for variable, column in (("ccei", "ccei"), ("deut", "deut"),
-                                 ("beta", "beta_hat"), ("rho", "rho_hat")):
-            row = summarize([float(r[column]) for r in rows])
-            panel_lines.append(",".join(
-                [variable] + [format_float(v) for v in
-                              (row.p5, row.p25, row.p50, row.p75, row.p95, row.mean, row.std)]
-                + [str(row.n)]
-            ))
+        _, cceis, deuts, params = zip(*rows)
+        columns = {"ccei": cceis, "deut": deuts,
+                   "beta": [p.beta for p in params], "rho": [p.rho for p in params]}
         name = f"summary_{label}.csv"
-        (out / name).write_text("\n".join(panel_lines) + "\n", encoding="utf-8")
+        write_table(out / name, ("variable", "p5", "p25", "p50", "p75", "p95", "mean", "std", "n"),
+                    ((variable, *astuple(summarize(values))) for variable, values in columns.items()))
         panels.append(name)
         outputs.append(name)
 
     for label, path in parse_specs(choice_specs):
         datasets = read_dataset(path)
-        lines = ["subject_id,round,log_price_ratio,relative_demand_a"]
-        for ds in datasets:
-            for rd in ds.rounds:
-                ratio = math.log(rd.prices.p_a / rd.prices.p_b)
-                share = rd.demand[0] / (rd.demand[0] + rd.demand[1])
-                lines.append(f"{ds.subject_id},{rd.round},{format_float(ratio)},{format_float(share)}")
         name = f"scatter_{label}.csv"
-        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(out / name, ("subject_id", "round", "log_price_ratio", "relative_demand_a"), (
+            (ds.subject_id, rd.round, math.log(rd.prices.p_a / rd.prices.p_b),
+             rd.demand[0] / (rd.demand[0] + rd.demand[1]))
+            for ds in datasets for rd in ds.rounds))
         outputs.append(name)
 
     if curve_file:
-        import csv as _csv
-
-        with open(curve_file, newline="", encoding="utf-8") as fh:
-            curve_rows = list(_csv.DictReader(fh))
-        lines = ["parameter,sample_size,gamma,se_gamma"]
-        for row in sorted(curve_rows, key=lambda r: (r["parameter"], int(r["sample_size"]))):
-            lines.append(",".join([row["parameter"], row["sample_size"], row["gamma"], row["se_gamma"]]))
-        (out / "gamma_vs_s.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        curve = read_table(curve_file, {_CURVE_COLUMNS: lambda size, parameter, gamma, se_gamma, *_:
+                                        (parameter, size, gamma, se_gamma)}, _CURVE_TYPES)
+        write_table(out / "gamma_vs_s.csv", ("parameter", "sample_size", "gamma", "se_gamma"),
+                    sorted((row for _, row in curve), key=lambda row: row[:2]))
         outputs.append("gamma_vs_s.csv")
 
     if not outputs:

@@ -14,7 +14,14 @@ accepted; sums that differ from 100 by more than ``BUDGET_TOL`` are rescaled
 to exactly 100 and the round is flagged.  Sums within ``BUDGET_TOL`` are kept
 bit-for-bit so that a write/read cycle reproduces every float field exactly.
 
-Types are immutable after construction and all functions are pure.
+Every CSV table the package reads or writes goes through :func:`read_table`
+and :func:`write_table`: UTF-8, LF line ends, a header row, floats as shortest
+round-trip decimals, and a field quoted (RFC 4180) only where it holds a comma,
+a quote or a line feed.  The reader checks the header, each row's field count
+and its numbers; every error is a ``ValidationError`` naming the file and row.
+
+Types are immutable after construction and all functions but the table I/O
+are pure.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -254,8 +261,8 @@ class SubjectDataset:
         return np.array([[rd.returns.r_a, rd.returns.r_b] for rd in self.rounds])
 
 
-RETURNS_HEADER = ["subject_id", "round", "r_a", "r_b", "t_a", "t_b"]
-PRICES_HEADER = ["subject_id", "round", "p_a", "p_b", "x_a", "x_b"]
+RETURNS_HEADER = ("subject_id", "round", "r_a", "r_b", "t_a", "t_b")
+PRICES_HEADER = ("subject_id", "round", "p_a", "p_b", "x_a", "x_b")
 
 
 def format_float(v: float) -> str:
@@ -277,70 +284,100 @@ def _parse_int(value: str, row_num: int, column: str) -> int:
         raise ValidationError(f"row {row_num}, column {column!r}: not an integer: {value!r}") from None
 
 
-def read_dataset(path: str | Path, provenance: Provenance = Provenance.HUMAN) -> list[SubjectDataset]:
-    """Read subjects from a choice CSV, auto-detecting the schema from its header.
+_PARSERS = {int: _parse_int, float: _parse_float}
 
-    Rows are grouped by ``subject_id`` in file order; every domain invariant is
-    validated on read and errors name the offending row and column.
+
+def read_table(
+    path: str | Path, tables: Mapping[tuple[str, ...], Callable], types: Sequence[type]
+) -> list[tuple[int, object]]:
+    """``(row number, value)`` for each data row of the CSV table at ``path``.
+
+    ``tables`` maps each header the table may have to the function that makes a
+    row's value from its fields; ``types`` gives each field's type, and ``int``
+    and ``float`` fields are parsed as numbers (the rest stay strings).  The
+    header is row 1; blank rows are skipped and every other row must have as
+    many fields as the header.  Every error is a ValidationError naming the
+    file, and the row where the reader can tell it.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if header == RETURNS_HEADER:
-            fmt = "returns"
-        elif header == PRICES_HEADER:
-            fmt = "prices"
-        else:
-            raise ValidationError(f"{path}: unrecognized header {header!r}")
-        by_subject: dict[str, list[ChoiceRound]] = {}
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ValidationError(f"row {row_num}: expected 6 fields, got {len(row)}")
-            sid = row[0]
-            idx = _parse_int(row[1], row_num, "round")
-            try:
-                if fmt == "returns":
-                    r = ReturnPair(_parse_float(row[2], row_num, "r_a"),
-                                   _parse_float(row[3], row_num, "r_b"))
-                    t = Allocation(_parse_float(row[4], row_num, "t_a"),
-                                   _parse_float(row[5], row_num, "t_b"))
-                    rd = ChoiceRound.from_returns_tokens(idx, r, t)
-                else:
-                    p = PricePair(_parse_float(row[2], row_num, "p_a"),
-                                  _parse_float(row[3], row_num, "p_b"))
-                    x = (_parse_float(row[4], row_num, "x_a"),
-                         _parse_float(row[5], row_num, "x_b"))
-                    rd = ChoiceRound.from_prices_demand(idx, p, x)
-            except ValidationError as exc:
-                raise ValidationError(f"row {row_num}: {exc}") from None
-            by_subject.setdefault(sid, []).append(rd)
-    return [
-        SubjectDataset(sid, provenance, tuple(rounds))
-        for sid, rounds in by_subject.items()
-    ]
+    parsers = [_PARSERS.get(kind) for kind in types]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            make = tables.get(tuple(header))
+            if make is None:
+                expected = " or ".join(",".join(known) for known in tables)
+                raise ValidationError(
+                    f"{path}: row 1: unrecognized header {header!r}; expected {expected}")
+            rows = []
+            for row_num, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ValidationError(
+                        f"{path}: row {row_num}: expected {len(header)} fields, got {len(fields)}")
+                try:  # the parsers name the row and the column
+                    values = [parse(value, row_num, column) if parse else value
+                              for parse, value, column in zip(parsers, fields, header)]
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: {exc}") from None
+                try:
+                    rows.append((row_num, make(*values)))
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: row {row_num}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over csv's size limit
+        raise ValidationError(f"{path}: {exc}") from None
+    return rows
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: UTF-8, LF endings, floats by :func:`format_float`.
+
+    A field is quoted only where it holds a comma, a quote or a line feed.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+_CHOICE_TABLES = {
+    RETURNS_HEADER: lambda sid, index, r_a, r_b, t_a, t_b: (
+        sid, ChoiceRound.from_returns_tokens(index, ReturnPair(r_a, r_b), Allocation(t_a, t_b))),
+    PRICES_HEADER: lambda sid, index, p_a, p_b, x_a, x_b: (
+        sid, ChoiceRound.from_prices_demand(index, PricePair(p_a, p_b), (x_a, x_b))),
+}
+
+
+def read_dataset(path: str | Path, provenance: Provenance = Provenance.HUMAN) -> list[SubjectDataset]:
+    """Read subjects from a choice CSV in either format, told apart by the header.
+
+    Rows are grouped by ``subject_id`` in file order; every domain invariant is
+    validated on read and errors name the file and the offending row or subject.
+    """
+    by_subject: dict[str, list[ChoiceRound]] = {}
+    for _, (sid, rd) in read_table(path, _CHOICE_TABLES, (str, int, float, float, float, float)):
+        by_subject.setdefault(sid, []).append(rd)
+    try:
+        return [SubjectDataset(sid, provenance, tuple(rounds)) for sid, rounds in by_subject.items()]
+    except ValidationError as exc:  # a subject's round indices do not increase
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_dataset(datasets: Iterable[SubjectDataset], path: str | Path, fmt: str = "returns") -> None:
-    """Write subjects to a choice CSV (UTF-8, LF endings, round-trip floats)."""
-    if fmt not in ("returns", "prices"):
+    """Write subjects to a choice CSV in the return/token or the price/demand format."""
+    if fmt == "returns":
+        header, fields = RETURNS_HEADER, lambda rd: (
+            rd.returns.r_a, rd.returns.r_b, rd.tokens.t_a, rd.tokens.t_b)
+    elif fmt == "prices":
+        header, fields = PRICES_HEADER, lambda rd: (rd.prices.p_a, rd.prices.p_b, *rd.demand)
+    else:
         raise ValidationError(f"unknown format {fmt!r}")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RETURNS_HEADER if fmt == "returns" else PRICES_HEADER)
-        for ds in datasets:
-            for rd in ds.rounds:
-                if fmt == "returns":
-                    fields = (rd.returns.r_a, rd.returns.r_b, rd.tokens.t_a, rd.tokens.t_b)
-                else:
-                    fields = (rd.prices.p_a, rd.prices.p_b, rd.demand[0], rd.demand[1])
-                writer.writerow([ds.subject_id, rd.round] + [format_float(v) for v in fields])
+    write_table(path, header, ((ds.subject_id, rd.round, *fields(rd))
+                               for ds in datasets for rd in ds.rounds))
 
 
 def dataset_prefix(dataset: SubjectDataset, s: int) -> SubjectDataset:

@@ -368,10 +368,14 @@ def _nelder_mead(z0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     return sim[0], nfev, nfev < maxfev
 
 
+def _beta_rows(config: RecoveryConfig) -> float:
+    """Rows of the grid's beta axis, as a float (inf where the count overflows one)."""
+    return round((config.beta_max - config.beta_min) / config.beta_step, 0) + 1
+
+
 def _parameter_grid(config: RecoveryConfig) -> tuple[np.ndarray, np.ndarray]:
     """The grid's axes: betas (linear) and rhos (log-spaced)."""
-    n_beta = int(round((config.beta_max - config.beta_min) / config.beta_step)) + 1
-    betas = config.beta_min + config.beta_step * np.arange(n_beta)
+    betas = config.beta_min + config.beta_step * np.arange(int(_beta_rows(config)))
     rhos = np.exp(np.linspace(math.log(config.rho_min), math.log(config.rho_max), config.rho_points))
     return betas, rhos
 

@@ -8,7 +8,6 @@ subject on every platform.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -17,13 +16,14 @@ import numpy as np
 
 from .da_model import DAParams, optimal_demand_grid
 from .data import (
+    RETURNS_HEADER,
     Allocation,
     ChoiceRound,
     Provenance,
     ReturnPair,
     SubjectDataset,
-    _parse_float,
-    format_float,
+    read_table,
+    write_table,
 )
 from .errors import ValidationError
 
@@ -110,65 +110,37 @@ def sample_population(
     return out
 
 
-PARAMS_HEADER = ["subject_id", "beta", "rho"]
+PARAMS_HEADER = ("subject_id", "beta", "rho")
 
 
 def write_params_file(population: Iterable[tuple[str, DAParams]], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PARAMS_HEADER)
-        for sid, params in population:
-            writer.writerow([sid, format_float(params.beta), format_float(params.rho)])
+    write_table(path, PARAMS_HEADER, ((sid, params.beta, params.rho) for sid, params in population))
 
 
 def read_params_file(path: str | Path) -> list[tuple[str, DAParams]]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PARAMS_HEADER:
-            raise ValidationError(f"{path}: expected header {PARAMS_HEADER}, got {header!r}")
-        out = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"row {row_num}: expected 3 fields, got {len(row)}")
-            try:
-                params = DAParams(
-                    _parse_float(row[1], row_num, "beta"), _parse_float(row[2], row_num, "rho")
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"row {row_num}: {exc}") from None
-            out.append((row[0], params))
-    if not out:
+    """The (subject_id, parameters) rows of a params file; a subject id may not repeat."""
+    rows = read_table(path, {PARAMS_HEADER: lambda sid, beta, rho: (sid, DAParams(beta, rho))},
+                      (str, float, float))
+    first_row: dict[str, int] = {}
+    for row_num, (sid, _) in rows:
+        if first_row.setdefault(sid, row_num) != row_num:
+            raise ValidationError(
+                f"{path}: rows {first_row[sid]} and {row_num}: subject_id {sid!r} repeats")
+    if not rows:
         raise ValidationError(f"{path}: no subjects")
-    return out
+    return [value for _, value in rows]
 
 
 def write_schedule(schedule: BudgetSchedule, path: str | Path) -> None:
     """Export a schedule in the choice CSV schema with empty allocations."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "round", "r_a", "r_b", "t_a", "t_b"])
-        for i, r in enumerate(schedule.rounds, start=1):
-            writer.writerow(["schedule", i, format_float(r.r_a), format_float(r.r_b), "", ""])
+    write_table(path, RETURNS_HEADER, (("schedule", i, r.r_a, r.r_b, "", "")
+                                       for i, r in enumerate(schedule.rounds, start=1)))
 
 
 def read_schedule(path: str | Path, seed: int = -1) -> BudgetSchedule:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["subject_id", "round", "r_a", "r_b", "t_a", "t_b"]:
-            raise ValidationError(f"{path}: unrecognized schedule header {header!r}")
-        rounds = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rounds.append(
-                ReturnPair(_parse_float(row[2], row_num, "r_a"), _parse_float(row[3], row_num, "r_b"))
-            )
-    if not rounds:
+    """The returns of a schedule CSV, row by row; the allocation columns are not read."""
+    rows = read_table(path, {RETURNS_HEADER: lambda sid, index, r_a, r_b, *_: ReturnPair(r_a, r_b)},
+                      (str, int, float, float, str, str))
+    if not rows:
         raise ValidationError(f"{path}: no rounds")
-    return BudgetSchedule(seed, tuple(rounds))
+    return BudgetSchedule(seed, tuple(returns for _, returns in rows))

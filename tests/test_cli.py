@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from prefbench.cli import _parse_config, main
+from prefbench.cli import INDEX_COLUMNS, _parse_config, _write_index_reports, main
 from prefbench.da_model import DAParams
-from prefbench.data import read_dataset
-from prefbench.errors import ValidationError
+from prefbench.data import format_float, read_dataset
+from prefbench.errors import ConfigError, ValidationError
 from prefbench.harness.backends import HttpChatBackend, MockDecisionBackend
 from prefbench.harness.prompts import ChatMessage
 from prefbench.harness.sessions import load_transcript
-from prefbench.simulation import sample_population, write_params_file
+from prefbench.simulation import (
+    generate_budgets,
+    sample_population,
+    write_params_file,
+    write_schedule,
+)
+from prefbench.workflows import IndexReport
 
 
 def run_cli(*argv: str) -> int:
@@ -442,6 +449,30 @@ class TestConfig:
         assert type(backend.timeout) is float and backend.timeout == 10.0
         assert type(recovery.rho_points) is int and recovery.rho_points == 25
 
+    @pytest.mark.parametrize("cfg", [
+        {"grid.rho_points": 10**30},
+        {"grid.beta_step": 1e-300},
+        {"grid.beta_step": 5e-324},  # (beta_max - beta_min) / beta_step overflows to inf
+    ])
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, cfg):
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(make_params(tmp_path, n=1)), "--rounds", "5",
+                "--out", str(sim_out))
+        out = tmp_path / "idx"
+        assert run_cli("analyze", "--choices", str(sim_out / "choices.csv"),
+                       "--config", str(self._config(tmp_path, cfg)), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "'grid.beta_step' and 'grid.rho_points' give a grid of" in err
+        assert "more than 16777216" in err
+        assert not out.exists()
+
+    def test_grid_cell_limit_is_inclusive(self):
+        # the default grid has 80 beta rows
+        recovery, _ = _parse_config({"grid.rho_points": 2**24 // 80})
+        assert recovery.rho_points == 209715
+        with pytest.raises(ConfigError, match="give a grid of 80 x 209716 cells"):
+            _parse_config({"grid.rho_points": 2**24 // 80 + 1})
+
 
 class TestLearningCurveAndReport:
     def test_direct_pipeline_and_report(self, tmp_path):
@@ -546,3 +577,116 @@ class TestLearningCurveAndReport:
         scatter = (out / "scatter_alpha.csv").read_text().splitlines()
         assert scatter[0] == "subject_id,round,log_price_ratio,relative_demand_a"
         assert len(scatter) == 1 + 4 * 25
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestTableFiles:
+    """Every CSV a command reads is checked; every CSV it writes reads back."""
+
+    def _pipeline(self, root: Path, ids: list[str]) -> Path:
+        """simulate, analyze, then report and learning-curve on the index, for three subjects."""
+        root.mkdir()
+        params = root / "params.csv"
+        write_params_file([(sid, p) for sid, (_, p) in zip(ids, sample_population(0, 3))], params)
+        choices, index = root / "sim" / "choices.csv", root / "idx" / "index.csv"
+        assert run_cli("simulate", "--params-file", str(params), "--rounds", "25",
+                       "--seed", "2", "--out", str(root / "sim")) == 0
+        assert run_cli("analyze", "--choices", str(choices), "--out", str(root / "idx")) == 0
+        assert run_cli("report", "--index", f"x={index}", "--choices", f"x={choices}",
+                       "--out", str(root / "rep")) == 0
+        assert run_cli("learning-curve", "--truth", str(params), "--estimates", f"25={index}",
+                       "--out", str(root / "curve")) == 0
+        return root
+
+    def test_ids_with_a_comma_or_a_quote_round_trip(self, tmp_path):
+        # both id lists sort alike, so every per-subject order is the same
+        plain_ids, quoted_ids = ["s1", "s2", "s3"], ['s"1', "s,2", "s3"]
+        plain = self._pipeline(tmp_path / "plain", plain_ids)
+        quoted = self._pipeline(tmp_path / "quoted", quoted_ids)
+        for name in ("rep/summary_x.csv", "curve/learning_curve.csv"):
+            assert (quoted / name).read_bytes() == (plain / name).read_bytes()
+        rename = dict(zip(plain_ids, quoted_ids))
+        for name in ("sim/choices.csv", "idx/index.csv", "rep/scatter_x.csv"):
+            header, *rows = _csv_rows(plain / name)
+            assert _csv_rows(quoted / name) == [header] + [[rename[r[0]], *r[1:]] for r in rows]
+        lines = (quoted / "idx" / "index.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:3]] == ['"s""1"', '"s']
+        assert lines[3].startswith("s3,")  # a plain id stays unquoted
+
+    def _index(self, tmp_path) -> Path:
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(make_params(tmp_path, n=3)), "--rounds", "10",
+                "--seed", "2", "--out", str(sim_out))
+        idx_out = tmp_path / "idx"
+        run_cli("analyze", "--choices", str(sim_out / "choices.csv"), "--out", str(idx_out))
+        return idx_out / "index.csv"
+
+    def _edit_row(self, path: Path, row: int, edit) -> None:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[row - 1] = edit(lines[row - 1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_short_schedule_row(self, tmp_path, capsys):
+        schedule = tmp_path / "schedule.csv"
+        write_schedule(generate_budgets(1, 25), schedule)
+        self._edit_row(schedule, 3, lambda line: ",".join(line.split(",")[:3]))
+        assert run_cli("experiment", "--treatment", "decision", "--schedule-file", str(schedule),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"{schedule}: row 3: expected 6 fields, got 3" in capsys.readouterr().err
+
+    def test_short_index_row(self, tmp_path, capsys):
+        index = self._index(tmp_path)
+        self._edit_row(index, 3, lambda line: line.rsplit(",", 1)[0])
+        assert run_cli("report", "--index", f"x={index}", "--out", str(tmp_path / "rep")) == 2
+        assert f"{index}: row 3: expected 8 fields, got 7" in capsys.readouterr().err
+
+    def test_index_ccei_that_is_not_a_number(self, tmp_path, capsys):
+        index = self._index(tmp_path)
+
+        def spoil_ccei(line):
+            fields = line.split(",")
+            fields[1] = "abc"
+            return ",".join(fields)
+
+        self._edit_row(index, 3, spoil_ccei)
+        assert run_cli("report", "--index", f"x={index}", "--out", str(tmp_path / "rep")) == 2
+        assert f"{index}: row 3, column 'ccei': not a number: 'abc'" in capsys.readouterr().err
+
+    def test_curve_file_with_another_header(self, tmp_path, capsys):
+        index = self._index(tmp_path)
+        assert run_cli("report", "--curve", str(index), "--out", str(tmp_path / "rep")) == 2
+        err = capsys.readouterr().err
+        assert f"{index}: row 1: unrecognized header" in err
+        assert "expected sample_size,parameter,gamma," in err
+
+    def test_repeated_params_id(self, tmp_path, capsys):
+        params = tmp_path / "params.csv"
+        params.write_text("subject_id,beta,rho\ns1,0.1,0.5\ns2,0.2,0.6\ns1,0.0,1.0\n",
+                          encoding="utf-8")
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--treatment", "decision", "--params-file", str(params),
+                       "--out", str(out)) == 2
+        assert f"{params}: rows 2 and 4: subject_id 's1' repeats" in capsys.readouterr().err
+        assert not (out / "choices.csv").exists()
+
+    def test_index_writer_matches_the_joined_lines(self, tmp_path):
+        reports = [
+            IndexReport("s1", 1.0, 0.0, 0, 0.1, 0.6, 1e-300, ()),
+            IndexReport("s2", 0.1 + 0.2, 5e-324, 3, -0.95, 5.0, float("inf"),
+                        ("no_convergence", "rescaled:2")),
+            IndexReport("h-03", 0.875, 1.5e-7, 12, 3.0, 0.05, float("nan"),
+                        ("insufficient_rounds",)),
+        ]
+        path = tmp_path / "index.csv"
+        _write_index_reports(reports, path, "csv")
+        # the lines the index writer joined by hand before it used the table writer
+        lines = [",".join(INDEX_COLUMNS)] + [",".join([
+            rep.subject_id, format_float(rep.ccei), format_float(rep.deut), str(rep.fosd_count),
+            format_float(rep.beta_hat), format_float(rep.rho_hat), format_float(rep.loss),
+            ";".join(rep.flags),
+        ]) for rep in reports]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,44 @@ class TestCsvIO:
         path = tmp_path / "bad.csv"
         path.write_text(f"{header}\ns1,1,{good}\ns1,2,{bad}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 3: prices must have finite ratios"):
+            read_dataset(path)
+
+    def test_ids_with_a_comma_or_a_quote_round_trip(self, tmp_path):
+        datasets = [
+            SubjectDataset(sid, Provenance.SIMULATED, ds.rounds)
+            for sid, ds in zip(['a,b', 'q"x', "plain"], _random_clean_datasets(5, 3))
+        ]
+        path = tmp_path / "choices.csv"
+        write_dataset(datasets, path)
+        assert read_dataset(path, provenance=Provenance.SIMULATED) == datasets
+        ids = {line.rsplit(",", 5)[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]}
+        assert ids == {'"a,b"', '"q""x"', "plain"}
+
+    def test_short_row_names_the_file_and_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("subject_id,round,r_a,r_b,t_a,t_b\ns1,1,0.5,0.9,40,60\n\ns1,2,0.5\n",
+                        encoding="utf-8")
+        message = re.escape(f"{path}: row 4: expected 6 fields, got 3")
+        with pytest.raises(ValidationError, match=message):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("row", [
+        b"s\xff1,1,0.5,0.9,40,60",
+        b'"' + b"x" * 200_000 + b'",1,0.5,0.9,40,60',
+    ])
+    def test_undecodable_or_oversized_row_names_the_file(self, tmp_path, row):
+        # a byte that is not UTF-8, and a field over the csv module's size limit
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"subject_id,round,r_a,r_b,t_a,t_b\n" + row + b"\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: ")):
+            read_dataset(path)
+
+    def test_repeated_round_names_the_file_and_subject(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("subject_id,round,r_a,r_b,t_a,t_b\ns1,1,0.5,0.9,40,60\ns1,1,0.5,0.9,40,60\n",
+                        encoding="utf-8")
+        message = re.escape(f"{path}: subject 's1': round indices must be strictly increasing")
+        with pytest.raises(ValidationError, match=message):
             read_dataset(path)
 
     def test_unknown_header_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,29 @@ class TestPopulationFiles:
         path.write_text("subject_id,beta,rho\ns1,0.1,0.5\ns2,-2.0,0.5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 3"):
             read_params_file(path)
+
+    def test_params_file_repeated_id_names_both_rows(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_text("subject_id,beta,rho\ns1,0.1,0.5\ns2,0.2,0.6\ns1,0.0,1.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="rows 2 and 4: subject_id 's1' repeats"):
+            read_params_file(path)
+
+    @pytest.mark.parametrize("row", ["schedule,2,0.5", "schedule,2,0.5,0.9,,,"])
+    def test_schedule_row_with_the_wrong_field_count(self, tmp_path, row):
+        path = tmp_path / "schedule.csv"
+        path.write_text(f"subject_id,round,r_a,r_b,t_a,t_b\nschedule,1,0.5,0.9,,\n{row}\n",
+                        encoding="utf-8")
+        message = re.escape(f"{path}: row 3: expected 6 fields")
+        with pytest.raises(ValidationError, match=message):
+            read_schedule(path)
+
+    def test_schedule_with_a_nonpositive_return_names_the_row(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        path.write_text("subject_id,round,r_a,r_b,t_a,t_b\nschedule,1,0.5,0.0,,\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match="row 2: returns must be positive"):
+            read_schedule(path)
 
     def test_schedule_round_trip(self, tmp_path):
         schedule = generate_budgets(9, 25)
