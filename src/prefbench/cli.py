@@ -26,17 +26,8 @@ from .da_model import DAParams
 from .data import read_dataset, read_table, write_dataset, write_table
 from .errors import BackendError, ConfigError, SessionError, ValidationError
 from .estimation import RecoveryConfig, _beta_rows
-from .harness import (
-    Treatment,
-    TreatmentKind,
-    TranscriptWriter,
-    load_transcript,
-    make_backend,
-    run_decision_session,
-    run_recommendation_session,
-    transcript_to_dataset,
-)
-from .harness.backends import BackendConfig, MockDecisionBackend
+from .harness import TreatmentKind, make_backend
+from .harness.backends import BackendConfig
 from .simulation import (
     evaluation_schedule,
     generate_budgets,
@@ -53,8 +44,10 @@ from .workflows import (
     PROVISION_ROUNDS,
     IndexReport,
     analyze_batch,
+    experiment_plans,
     learning_curve_direct,
     regress_per_size,
+    run_experiment,
 )
 
 INDEX_COLUMNS = ("subject_id", "ccei", "deut", "fosd_count", "beta_hat", "rho_hat", "loss", "flags")
@@ -287,67 +280,27 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
     started = _now()
     cfg = load_config(config_file)
     _, backend_config = _parse_config(cfg)
-    out = Path(out_dir)
-    (out / "transcripts").mkdir(parents=True, exist_ok=True)
-    schedule = read_schedule(schedule_file) if schedule_file else evaluation_schedule()
-
-    kind = {
-        "decision": TreatmentKind.DECISION,
-        "recommendation": TreatmentKind.RECOMMENDATION,
-        "personalized": TreatmentKind.PERSONALIZED_RECOMMENDATION,
-    }[treatment]
-
-    population = read_params_file(params_file) if params_file else None
-    if population is not None and backend_config.kind != "mock":
+    kind = TreatmentKind("personalized_recommendation" if treatment == "personalized" else treatment)
+    if params_file and backend_config.kind != "mock":
         raise ConfigError("--params-file applies to the mock backend only")
-    if kind is TreatmentKind.PERSONALIZED_RECOMMENDATION and sample_data is None:
+    personalized = kind is TreatmentKind.PERSONALIZED_RECOMMENDATION
+    if personalized and sample_data is None:
         raise ValidationError("personalized treatment requires --sample-data")
-    # one backend for every session without its own parameters, so that one
-    # rate limit and one HTTP session span the run
-    backend = make_backend(backend_config)
-
-    # (session_id, treatment, backend) triples
-    plans = []
-    if kind is TreatmentKind.PERSONALIZED_RECOMMENDATION:
-        by_id = {sid: params for sid, params in population} if population else {}
-        for ds in read_dataset(sample_data):
-            t = Treatment(kind, sample_data=ds, sample_size=sample_size)
-            params = by_id.get(ds.subject_id)
-            plans.append((ds.subject_id, t,
-                           backend if params is None else MockDecisionBackend(params)))
-    else:
-        t = Treatment(kind)
-        if population:
-            for sid, params in population:
-                plans.append((sid, t, MockDecisionBackend(params)))
-        else:
-            width = max(3, len(str(sessions)))
-            for i in range(1, sessions + 1):
-                plans.append((f"{treatment}{i:0{width}d}", t, backend))
-
-    datasets, anomalies, resumed = [], 0, 0
-    for session_id, t, backend in plans:
-        path = out / "transcripts" / f"{session_id}.jsonl"
-        transcript = None
-        if path.exists():
-            try:
-                candidate = load_transcript(path)
-                if candidate.complete():
-                    transcript, resumed = candidate, resumed + 1
-            except ValidationError:
-                transcript = None
-        if transcript is None:
-            path.unlink(missing_ok=True)
-            writer = TranscriptWriter(path)
-            if kind is TreatmentKind.DECISION:
-                transcript = run_decision_session(backend, schedule, session_id, writer)
-            else:
-                transcript = run_recommendation_session(backend, t, schedule, session_id, writer)
-        anomalies += len(transcript.anomalies())
-        try:
-            datasets.append(transcript_to_dataset(transcript, schedule, session_id))
-        except ValidationError:
-            pass  # a session with zero usable rounds contributes no subject
+    if not personalized and (sample_data is not None or sample_size is not None):
+        raise ValidationError("--sample-data and --sample-size apply to the personalized "
+                              "treatment only")
+    schedule = read_schedule(schedule_file) if schedule_file else evaluation_schedule()
+    population = read_params_file(params_file) if params_file else None
+    samples = read_dataset(sample_data) if sample_data else None
+    plans = experiment_plans(kind, make_backend(backend_config), population, samples,
+                             sample_size, sessions)
+    # each id names a transcript file; ids come from --sample-data, else from --params-file
+    for session_id, _, _ in plans:
+        if session_id in ("", ".", "..") or "/" in session_id or "\0" in session_id:
+            raise ValidationError(f"{sample_data or params_file}: session id {session_id!r} "
+                                  "is not a plain file name")
+    out = Path(out_dir)
+    datasets, anomalies, resumed = run_experiment(plans, schedule, out / "transcripts")
     if datasets:
         write_dataset(datasets, out / "choices.csv")
     write_manifest(

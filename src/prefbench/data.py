@@ -18,7 +18,9 @@ Every CSV table the package reads or writes goes through :func:`read_table`
 and :func:`write_table`: UTF-8, LF line ends, a header row, floats as shortest
 round-trip decimals, and a field quoted (RFC 4180) only where it holds a comma,
 a quote or a line feed.  The reader checks the header, each row's field count
-and its numbers; every error is a ``ValidationError`` naming the file and row.
+and its numbers, and rejects a text field holding a carriage return (which the
+writer would leave unquoted); every error is a ``ValidationError`` naming the
+file and row.
 
 Types are immutable after construction and all functions but the table I/O
 are pure.
@@ -284,7 +286,14 @@ def _parse_int(value: str, row_num: int, column: str) -> int:
         raise ValidationError(f"row {row_num}, column {column!r}: not an integer: {value!r}") from None
 
 
-_PARSERS = {int: _parse_int, float: _parse_float}
+def _parse_str(value: str, row_num: int, column: str) -> str:
+    # csv.writer leaves a carriage return unquoted, so such a field would not read back
+    if "\r" in value:
+        raise ValidationError(f"row {row_num}, column {column!r}: carriage return in {value!r}")
+    return value
+
+
+_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str}
 
 
 def read_table(
@@ -293,14 +302,14 @@ def read_table(
     """``(row number, value)`` for each data row of the CSV table at ``path``.
 
     ``tables`` maps each header the table may have to the function that makes a
-    row's value from its fields; ``types`` gives each field's type, and ``int``
-    and ``float`` fields are parsed as numbers (the rest stay strings).  The
-    header is row 1; blank rows are skipped and every other row must have as
-    many fields as the header.  Every error is a ValidationError naming the
-    file, and the row where the reader can tell it.
+    row's value from its fields; ``types`` gives each field's type: ``int`` and
+    ``float`` fields are parsed as numbers, and a ``str`` field may not hold a
+    carriage return.  The header is row 1; blank rows are skipped and every
+    other row must have as many fields as the header.  Every error is a
+    ValidationError naming the file, and the row where the reader can tell it.
     """
     path = Path(path)
-    parsers = [_PARSERS.get(kind) for kind in types]
+    parsers = [_PARSERS[kind] for kind in types]
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -320,7 +329,7 @@ def read_table(
                     raise ValidationError(
                         f"{path}: row {row_num}: expected {len(header)} fields, got {len(fields)}")
                 try:  # the parsers name the row and the column
-                    values = [parse(value, row_num, column) if parse else value
+                    values = [parse(value, row_num, column)
                               for parse, value, column in zip(parsers, fields, header)]
                 except ValidationError as exc:
                     raise ValidationError(f"{path}: {exc}") from None

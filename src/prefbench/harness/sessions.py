@@ -147,6 +147,44 @@ def load_transcript(path: str | Path) -> Transcript:
     return transcript
 
 
+def reusable_transcript(path: Path, treatment: Treatment, schedule: BudgetSchedule) -> Transcript | None:
+    """The transcript at ``path`` if its session is done in this run, else None.
+
+    A session is done when its transcript loads, is :meth:`Transcript.complete`
+    and asked this run's questions: its treatment is ``treatment.kind``, and each
+    record's system message, instructions and question (its last user message,
+    without ``RETRY_REMINDER``) are those :func:`build_prompt` gives for the
+    record's round of ``schedule``.  Any other file at ``path`` is deleted, so
+    that its session runs again from round 1.
+    """
+    if path.exists():
+        try:
+            transcript = load_transcript(path)
+            if transcript.complete() and _asked(transcript, treatment, schedule):
+                return transcript
+        except ValidationError:
+            pass
+        path.unlink()
+    return None
+
+
+def _asked(transcript: Transcript, treatment: Treatment, schedule: BudgetSchedule) -> bool:
+    """Whether every request of ``transcript`` asked what ``treatment`` on ``schedule`` asks."""
+    if transcript.treatment is not treatment.kind:
+        return False
+    decision = treatment.kind is TreatmentKind.DECISION
+    for record in transcript.records:
+        if decision and not (type(record.round) is int and 1 <= record.round <= len(schedule.rounds)):
+            return False
+        system, instructions, question = build_prompt(
+            treatment, schedule.rounds[record.round - 1] if decision else schedule)
+        asked = [m.content for m in record.messages if m.role == "user"]
+        if (record.messages[:2] != (system, instructions) or not asked
+                or asked[-1].removesuffix(RETRY_REMINDER) != question.content):
+            return False
+    return True
+
+
 def _send_recorded(
     backend: ChatBackend,
     transcript: Transcript,

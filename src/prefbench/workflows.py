@@ -1,8 +1,17 @@
-"""Multi-module pipelines shared by the CLI and the acceptance suite."""
+"""Multi-module pipelines shared by the CLI and the acceptance suite.
+
+Each command's work is a function here that takes plain values and can be
+tested without the CLI: ``analyze`` is :func:`analyze_batch`, ``learning-curve``
+is :func:`learning_curve_direct` or :func:`regress_per_size`, and ``experiment``
+is :func:`experiment_plans` followed by :func:`run_experiment`, which reuses a
+session's transcript only under the rule of
+:func:`~prefbench.harness.sessions.reusable_transcript`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .da_model import DAParams
@@ -10,8 +19,12 @@ from .data import SubjectDataset
 from .errors import ValidationError
 from .estimation import FitResult, RecoveryConfig, recover_batch
 from .eu_deviation import deut_index
+from .harness import (SESSION_ROUNDS, ChatBackend, MockDecisionBackend, TranscriptWriter, Treatment,
+                      TreatmentKind, run_decision_session, run_recommendation_session,
+                      transcript_to_dataset)
+from .harness.sessions import reusable_transcript
 from .rationality import ccei, fosd_violations
-from .simulation import generate_budgets, simulate_subject
+from .simulation import BudgetSchedule, generate_budgets, simulate_subject
 from .stats import RegressionResult, regress_alignment
 
 LEARNING_SAMPLE_SIZES = (1, 10, 25, 75, 175)
@@ -126,3 +139,57 @@ def learning_curve_direct(
         for size, fit in fits.items():
             estimates_by_size[size][sid] = fit.params
     return regress_per_size(truth, estimates_by_size), estimates_by_size
+
+
+def experiment_plans(
+    kind: TreatmentKind, backend: ChatBackend, population: Sequence[tuple[str, DAParams]] | None,
+    samples: Sequence[SubjectDataset] | None, sample_size: int | None, sessions: int,
+) -> list[tuple[str, Treatment, ChatBackend]]:
+    """(session id, treatment, backend) for each session of an ``experiment`` run.
+
+    Personalized sessions are one per sample subject, shown its first
+    ``sample_size`` rounds; the others are one per ``population`` subject or,
+    without a population, ``sessions`` numbered ones.  A session whose id has
+    parameters in ``population`` gets its own mock backend; the rest share ``backend``.
+    """
+    by_id = dict(population or ())
+    if kind is TreatmentKind.PERSONALIZED_RECOMMENDATION:
+        treatments = [(ds.subject_id, Treatment(kind, ds, sample_size)) for ds in samples]
+    else:
+        width = max(3, len(str(sessions)))
+        ids = list(by_id) or [f"{kind.value}{i:0{width}d}" for i in range(1, sessions + 1)]
+        treatments = [(sid, Treatment(kind)) for sid in ids]
+    return [(sid, t, MockDecisionBackend(by_id[sid]) if sid in by_id else backend)
+            for sid, t in treatments]
+
+
+def run_experiment(
+    plans: Sequence[tuple[str, Treatment, ChatBackend]], schedule: BudgetSchedule, transcripts: Path,
+) -> tuple[list[SubjectDataset], int, int]:
+    """Run the planned sessions in order: (datasets, anomaly count, resumed count).
+
+    Each session's transcript is ``transcripts/{session id}.jsonl``; a session
+    whose transcript :func:`reusable_transcript` returns is not run again.  A
+    session with no usable round contributes no dataset.
+    """
+    if len(schedule.rounds) != SESSION_ROUNDS:  # before any transcript is reused or deleted
+        raise ValidationError(f"sessions need {SESSION_ROUNDS} rounds; the schedule has "
+                              f"{len(schedule.rounds)}")
+    transcripts.mkdir(parents=True, exist_ok=True)
+    datasets, anomalies, resumed = [], 0, 0
+    for session_id, treatment, backend in plans:
+        path = transcripts / f"{session_id}.jsonl"
+        transcript = reusable_transcript(path, treatment, schedule)
+        if transcript is not None:
+            resumed += 1
+        elif treatment.kind is TreatmentKind.DECISION:
+            transcript = run_decision_session(backend, schedule, session_id, TranscriptWriter(path))
+        else:
+            transcript = run_recommendation_session(backend, treatment, schedule, session_id,
+                                                    TranscriptWriter(path))
+        anomalies += len(transcript.anomalies())
+        try:
+            datasets.append(transcript_to_dataset(transcript, schedule, session_id))
+        except ValidationError:
+            pass  # a session with zero usable rounds contributes no subject
+    return datasets, anomalies, resumed

@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from prefbench.cli import INDEX_COLUMNS, _parse_config, _write_index_reports, main
 from prefbench.da_model import DAParams
-from prefbench.data import format_float, read_dataset
+from prefbench.data import format_float, read_dataset, write_dataset
 from prefbench.errors import ConfigError, ValidationError
 from prefbench.harness.backends import HttpChatBackend, MockDecisionBackend
 from prefbench.harness.prompts import ChatMessage
 from prefbench.harness.sessions import load_transcript
 from prefbench.simulation import (
+    BudgetSchedule,
+    evaluation_schedule,
     generate_budgets,
     sample_population,
     write_params_file,
@@ -292,6 +295,86 @@ class TestExperiment:
         assert json.loads((out / "manifest.json").read_text())["arguments"]["resumed"] == 1
         assert load_transcript(spoiled).complete()
         assert (out / "choices.csv").read_bytes() == choices
+
+    def _transcript_messages(self, out: Path) -> dict:
+        return {path.name: [record.messages for record in load_transcript(path).records]
+                for path in sorted((out / "transcripts").iterdir())}
+
+    @pytest.mark.parametrize("case", ["treatment", "schedule", "sample_size"])
+    def test_resume_reruns_sessions_that_asked_other_questions(self, tmp_path, case):
+        params = make_params(tmp_path, n=2)
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--params-file", str(params), "--rounds", "25", "--seed", "4",
+                       "--shared-schedule", "--out", str(sim)) == 0
+        personalized = ["--treatment", "personalized", "--sample-data", str(sim / "choices.csv")]
+        first, second = {
+            "treatment": (["--treatment", "decision"], ["--treatment", "recommendation"]),
+            "schedule": (["--treatment", "decision"],
+                         ["--treatment", "decision", "--schedule-file", str(sim / "schedule.csv")]),
+            "sample_size": (personalized + ["--sample-size", "5"],
+                            personalized + ["--sample-size", "25"]),
+        }[case]
+        out, fresh = tmp_path / "exp", tmp_path / "fresh"
+        assert run_cli("experiment", *first, "--params-file", str(params), "--out", str(out)) == 0
+        assert run_cli("experiment", *second, "--params-file", str(params), "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["arguments"]["resumed"] == 0
+        assert run_cli("experiment", *second, "--params-file", str(params),
+                       "--out", str(fresh)) == 0
+        assert (out / "choices.csv").read_bytes() == (fresh / "choices.csv").read_bytes()
+        assert self._transcript_messages(out) == self._transcript_messages(fresh)
+
+    def test_schedule_of_other_than_25_rounds_keeps_the_transcripts(self, tmp_path, capsys):
+        schedule = tmp_path / "schedule.csv"
+        rounds = evaluation_schedule().rounds + generate_budgets(3, 5).rounds
+        write_schedule(BudgetSchedule(-1, rounds), schedule)
+        out, fresh = tmp_path / "exp", tmp_path / "fresh"
+        assert run_cli("experiment", "--treatment", "decision", "--out", str(out)) == 0
+        stamps = {p.name: p.stat().st_mtime_ns for p in (out / "transcripts").iterdir()}
+        for target in (out, fresh):
+            assert run_cli("experiment", "--treatment", "decision", "--schedule-file",
+                           str(schedule), "--out", str(target)) == 2
+            assert "sessions need 25 rounds; the schedule has 30" in capsys.readouterr().err
+        assert {p.name: p.stat().st_mtime_ns for p in (out / "transcripts").iterdir()} == stamps
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("session_id", ["../../notes", "", ".", "..", "a/b", "a\0b"])
+    def test_session_id_that_is_not_a_plain_file_name(self, tmp_path, capsys, session_id):
+        params = tmp_path / "params.csv"
+        write_params_file([("s1", DAParams(0.1, 0.6)), (session_id, DAParams(0.2, 0.5))], params)
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text("not a transcript\n", encoding="utf-8")
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--treatment", "decision", "--params-file", str(params),
+                       "--out", str(out)) == 2
+        message = f"{params}: session id {session_id!r} is not a plain file name"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert notes.read_text(encoding="utf-8") == "not a transcript\n"
+
+    def test_sample_subject_id_that_is_not_a_plain_file_name(self, tmp_path, capsys):
+        sample = self._sample_data(tmp_path)
+        (ds,) = read_dataset(sample)
+        write_dataset([replace(ds, subject_id="../x")], sample)
+        out = tmp_path / "pr"
+        assert run_cli("experiment", "--treatment", "personalized", "--sample-data", str(sample),
+                       "--out", str(out)) == 2
+        assert f"{sample}: session id '../x' is not a plain file name" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("treatment,options", [
+        ("decision", ["--sample-data", "SAMPLE", "--sample-size", "3"]),
+        ("decision", ["--sample-data", "SAMPLE"]),
+        ("recommendation", ["--sample-size", "3"]),
+    ])
+    def test_sample_options_need_the_personalized_treatment(self, tmp_path, capsys, treatment,
+                                                            options):
+        sample = str(self._sample_data(tmp_path))
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--treatment", treatment,
+                       *[sample if o == "SAMPLE" else o for o in options], "--out", str(out)) == 2
+        assert ("--sample-data and --sample-size apply to the personalized treatment only"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_personalized_uses_sample_subjects(self, tmp_path):
         params = make_params(tmp_path, n=2)

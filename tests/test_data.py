@@ -269,6 +269,14 @@ class TestCsvIO:
         ids = {line.rsplit(",", 5)[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]}
         assert ids == {'"a,b"', '"q""x"', "plain"}
 
+    def test_carriage_return_in_an_id_names_the_file_row_and_column(self, tmp_path):
+        # the table writer would leave such an id unquoted, and the row would split on reading
+        path = tmp_path / "choices.csv"
+        path.write_bytes(b'subject_id,round,r_a,r_b,t_a,t_b\ns1,1,0.5,0.9,40,60\n"a\rb",1,0.5,0.9,40,60\n')
+        message = re.escape(f"{path}: row 3, column 'subject_id': carriage return in 'a\\rb'")
+        with pytest.raises(ValidationError, match=message):
+            read_dataset(path)
+
     def test_short_row_names_the_file_and_row(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("subject_id,round,r_a,r_b,t_a,t_b\ns1,1,0.5,0.9,40,60\n\ns1,2,0.5\n",

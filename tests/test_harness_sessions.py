@@ -9,10 +9,11 @@ from prefbench.da_model import DAParams
 from prefbench.data import Provenance
 from prefbench.errors import BackendError, SessionError, ValidationError
 from prefbench.harness.backends import MockDecisionBackend
-from prefbench.harness.prompts import Treatment, TreatmentKind
+from prefbench.harness.prompts import RETRY_REMINDER, Treatment, TreatmentKind
 from prefbench.harness.sessions import (
     TranscriptWriter,
     load_transcript,
+    reusable_transcript,
     run_decision_session,
     run_recommendation_session,
     transcript_to_dataset,
@@ -236,3 +237,47 @@ class TestTranscriptPersistence:
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="invalid JSON"):
             load_transcript(path)
+
+
+class TestReusableTranscript:
+    """A transcript is reused only when it is complete and asked this run's questions."""
+
+    def _transcript(self, path):
+        backend = MockDecisionBackend(DAParams(0.1, 0.6))
+        return run_decision_session(backend, evaluation_schedule(), "s1", TranscriptWriter(path))
+
+    def test_a_retried_round_still_asked_this_runs_question(self, tmp_path):
+        path, schedule = tmp_path / "s1.jsonl", evaluation_schedule()
+        backend = FlakyBackend(MockDecisionBackend(DAParams(0.0, 1.0)))
+        transcript = run_decision_session(backend, schedule, "s1", TranscriptWriter(path))
+        assert transcript.records[1].messages[-1].content.endswith(RETRY_REMINDER)
+        reused = reusable_transcript(path, Treatment(TreatmentKind.DECISION), schedule)
+        assert reused.records == transcript.records
+
+    @pytest.mark.parametrize("treatment,schedule", [
+        (Treatment(TreatmentKind.RECOMMENDATION), evaluation_schedule()),
+        (Treatment(TreatmentKind.DECISION), generate_budgets(1, 25)),
+    ])
+    def test_another_treatment_or_schedule_is_deleted(self, tmp_path, treatment, schedule):
+        path = tmp_path / "s1.jsonl"
+        self._transcript(path)
+        assert reusable_transcript(path, treatment, schedule) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize("record,edit", [
+        (0, lambda obj: obj["messages"][0].update(content="You are a trader.")),
+        (3, lambda obj: obj["messages"][1].update(content=obj["messages"][1]["content"] + "!")),
+        (7, lambda obj: obj["messages"][-1].update(content=obj["messages"][-1]["content"][1:])),
+        (4, lambda obj: obj.update(round=26)),
+        (4, lambda obj: obj.update(round=None)),
+    ])
+    def test_a_record_that_asked_another_question_is_deleted(self, tmp_path, record, edit):
+        path = tmp_path / "s1.jsonl"
+        self._transcript(path)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        edit(lines[record])
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        assert load_transcript(path).complete()
+        treatment = Treatment(TreatmentKind.DECISION)
+        assert reusable_transcript(path, treatment, evaluation_schedule()) is None
+        assert not path.exists()

@@ -117,6 +117,13 @@ class TestPopulationFiles:
         with pytest.raises(ValidationError, match="rows 2 and 4: subject_id 's1' repeats"):
             read_params_file(path)
 
+    def test_params_file_id_with_a_carriage_return_names_row_and_column(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_bytes(b'subject_id,beta,rho\n"a\rb",0.1,0.5\n')
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: row 2, column 'subject_id': carriage return")):
+            read_params_file(path)
+
     @pytest.mark.parametrize("row", ["schedule,2,0.5", "schedule,2,0.5,0.9,,,"])
     def test_schedule_row_with_the_wrong_field_count(self, tmp_path, row):
         path = tmp_path / "schedule.csv"
