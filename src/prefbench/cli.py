@@ -60,6 +60,9 @@ _CURVE_TYPES = (int, str, float, float, float, float, float, float, int)
 # the most cells (beta rows x rho points) a recovery grid may have: 3,495 times the default
 _MAX_GRID_CELLS = 2**24
 
+# the longest file name, in bytes, on common file systems (ext4, XFS, Btrfs)
+_MAX_NAME_BYTES = 255
+
 # every --config key: its config class, field and valid range ("" for any value; a
 # bound that names a key is that key's value); the field's annotation gives the type
 _CONFIG_KEYS = {
@@ -292,6 +295,8 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
     schedule = read_schedule(schedule_file) if schedule_file else evaluation_schedule()
     population = read_params_file(params_file) if params_file else None
     samples = read_dataset(sample_data) if sample_data else None
+    if sample_data and not samples:
+        raise ValidationError(f"{sample_data}: no subjects")
     plans = experiment_plans(kind, make_backend(backend_config), population, samples,
                              sample_size, sessions)
     # each id names a transcript file; ids come from --sample-data, else from --params-file
@@ -299,8 +304,13 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
         if session_id in ("", ".", "..") or "/" in session_id or "\0" in session_id:
             raise ValidationError(f"{sample_data or params_file}: session id {session_id!r} "
                                   "is not a plain file name")
+        if len(f"{session_id}.jsonl".encode()) > _MAX_NAME_BYTES:
+            raise ValidationError(f"{sample_data or params_file}: session id {session_id!r} "
+                                  "is too long for a file name")
     out = Path(out_dir)
-    datasets, anomalies, resumed = run_experiment(plans, schedule, out / "transcripts")
+    # the mock computes under the interpreter lock, so only http sessions gain from threads
+    workers = backend_config.concurrency if backend_config.kind == "http" else 1
+    datasets, anomalies, resumed = run_experiment(plans, schedule, out / "transcripts", workers)
     if datasets:
         write_dataset(datasets, out / "choices.csv")
     write_manifest(

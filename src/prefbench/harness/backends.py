@@ -122,6 +122,10 @@ class HttpChatBackend:
         self._config = config
         self._token = token
         self._session = requests.Session()
+        # a connection per concurrent request; urllib3 keeps only 10 per host by default
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.concurrency)
+        self._session.mount("https://", adapter)
+        self._session.mount("http://", adapter)
         self._lock = threading.Lock()
         self._sent: deque[float] = deque()
         self._slots = threading.Semaphore(max(1, config.concurrency))

@@ -10,6 +10,8 @@ session's transcript only under the rule of
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -19,8 +21,8 @@ from .data import SubjectDataset
 from .errors import ValidationError
 from .estimation import FitResult, RecoveryConfig, recover_batch
 from .eu_deviation import deut_index
-from .harness import (SESSION_ROUNDS, ChatBackend, MockDecisionBackend, TranscriptWriter, Treatment,
-                      TreatmentKind, run_decision_session, run_recommendation_session,
+from .harness import (SESSION_ROUNDS, ChatBackend, MockDecisionBackend, Transcript, TranscriptWriter,
+                      Treatment, TreatmentKind, run_decision_session, run_recommendation_session,
                       transcript_to_dataset)
 from .harness.sessions import reusable_transcript
 from .rationality import ccei, fosd_violations
@@ -165,31 +167,69 @@ def experiment_plans(
 
 def run_experiment(
     plans: Sequence[tuple[str, Treatment, ChatBackend]], schedule: BudgetSchedule, transcripts: Path,
+    workers: int = 1,
 ) -> tuple[list[SubjectDataset], int, int]:
-    """Run the planned sessions in order: (datasets, anomaly count, resumed count).
+    """Run the planned sessions, ``workers`` at once: (datasets, anomaly count, resumed count).
 
-    Each session's transcript is ``transcripts/{session id}.jsonl``; a session
-    whose transcript :func:`reusable_transcript` returns is not run again.  A
-    session with no usable round contributes no dataset.
+    Sessions run concurrently on a thread pool, started in plan order; the
+    datasets and counts come back in plan order, whatever order the sessions
+    finish in.  Each session's transcript is ``transcripts/{session id}.jsonl``;
+    a session whose transcript :func:`reusable_transcript` returns is not run
+    again.  A session with no usable round contributes no dataset.
+
+    Once a session fails, no session that has not started yet starts; the
+    running ones finish, so that their transcripts are complete and reused on a
+    re-run.  Then the failure of the earliest failing plan is raised.
     """
     if len(schedule.rounds) != SESSION_ROUNDS:  # before any transcript is reused or deleted
         raise ValidationError(f"sessions need {SESSION_ROUNDS} rounds; the schedule has "
                               f"{len(schedule.rounds)}")
     transcripts.mkdir(parents=True, exist_ok=True)
+    if not plans:
+        return [], 0, 0
+    failed = threading.Event()
+    pool = ThreadPoolExecutor(min(workers, len(plans)))
+    try:
+        futures = [pool.submit(_run_session, plan, schedule, transcripts, failed) for plan in plans]
+        wait(futures)
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an interrupt, only the running sessions finish
     datasets, anomalies, resumed = [], 0, 0
-    for session_id, treatment, backend in plans:
-        path = transcripts / f"{session_id}.jsonl"
-        transcript = reusable_transcript(path, treatment, schedule)
-        if transcript is not None:
-            resumed += 1
-        elif treatment.kind is TreatmentKind.DECISION:
-            transcript = run_decision_session(backend, schedule, session_id, TranscriptWriter(path))
-        else:
-            transcript = run_recommendation_session(backend, treatment, schedule, session_id,
-                                                    TranscriptWriter(path))
+    for (session_id, _, _), future in zip(plans, futures):
+        # raises the earliest plan's failure, which comes before every session it skipped
+        transcript, reused = future.result()
+        resumed += reused
         anomalies += len(transcript.anomalies())
         try:
             datasets.append(transcript_to_dataset(transcript, schedule, session_id))
         except ValidationError:
             pass  # a session with zero usable rounds contributes no subject
     return datasets, anomalies, resumed
+
+
+def _run_session(
+    plan: tuple[str, Treatment, ChatBackend], schedule: BudgetSchedule, transcripts: Path,
+    failed: threading.Event,
+) -> tuple[Transcript, bool] | None:
+    """One plan's (transcript, whether it was reused), or None once another session failed.
+
+    A failure sets ``failed`` before it propagates, so the pool's next session,
+    which may start before the caller sees the failure, does not run.
+    """
+    if failed.is_set():
+        return None
+    session_id, treatment, backend = plan
+    path = transcripts / f"{session_id}.jsonl"
+    try:
+        transcript = reusable_transcript(path, treatment, schedule)
+        if transcript is not None:
+            return transcript, True
+        if treatment.kind is TreatmentKind.DECISION:
+            transcript = run_decision_session(backend, schedule, session_id, TranscriptWriter(path))
+        else:
+            transcript = run_recommendation_session(backend, treatment, schedule, session_id,
+                                                    TranscriptWriter(path))
+        return transcript, False
+    except BaseException:
+        failed.set()
+        raise

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +37,18 @@ def make_params(tmp_path: Path, n: int = 3, seed: int = 0) -> Path:
     path = tmp_path / "params.csv"
     write_params_file(sample_population(seed, n), path)
     return path
+
+
+class ChatResponse:
+    """A chat-completions reply as ``requests.Session.post`` returns it."""
+
+    status_code = 200
+
+    def __init__(self, text):
+        self.text = text
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.text}}]}
 
 
 class TestSimulate:
@@ -436,6 +450,77 @@ class TestExperiment:
         assert code == 2
         assert "CHAT_API_KEY" in capsys.readouterr().err
 
+    def test_http_sessions_run_backend_concurrency_at_once(self, tmp_path, monkeypatch):
+        answers = MockDecisionBackend(DAParams(0.1, 0.6))
+        lock = threading.Lock()
+        in_flight, peak = 0, 0
+
+        def post(session, url, json=None, headers=None, timeout=None):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            time.sleep(0.005)
+            with lock:
+                in_flight -= 1
+            messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
+            return ChatResponse(answers.send(messages))
+
+        monkeypatch.setattr("requests.Session.post", post)
+        monkeypatch.setenv("CHAT_API_KEY", "sekret")
+        runs = {}
+        for concurrency in (3, 1):
+            config = tmp_path / f"http{concurrency}.json"
+            config.write_text(json.dumps(
+                {"backend.kind": "http", "backend.endpoint": "https://example.invalid/v1",
+                 "backend.model": "m", "backend.rate_per_min": 1_000_000,
+                 "backend.concurrency": concurrency}
+            ), encoding="utf-8")
+            out = tmp_path / f"exp{concurrency}"
+            peak = 0
+            assert run_cli("experiment", "--config", str(config), "--treatment", "decision",
+                           "--sessions", "5", "--out", str(out)) == 0
+            runs[concurrency] = peak, out
+        (peak3, out3), (peak1, out1) = runs[3], runs[1]
+        assert (peak3, peak1) == (3, 1)
+        assert (out3 / "choices.csv").read_bytes() == (out1 / "choices.csv").read_bytes()
+        assert self._untimed_transcripts(out3) == self._untimed_transcripts(out1)
+        assert len(self._untimed_transcripts(out3)) == 5
+
+    def _untimed_transcripts(self, out: Path) -> dict:
+        return {path.name: [replace(r, started_at="", finished_at="")
+                            for r in load_transcript(path).records]
+                for path in sorted((out / "transcripts").iterdir())}
+
+    @pytest.mark.parametrize("session_id", ["y" * 300, "\u00e9" * 125],  # 306, 256 bytes
+                             ids=["ascii", "two_byte"])
+    def test_session_id_too_long_for_a_file_name(self, tmp_path, capsys, session_id):
+        params = tmp_path / "params.csv"
+        longest = "x" * (255 - len(".jsonl"))  # 255 bytes with .jsonl: allowed
+        write_params_file([(longest, DAParams(0.1, 0.6)), (session_id, DAParams(0.2, 0.5))],
+                          params)
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--treatment", "decision", "--params-file", str(params),
+                       "--out", str(out)) == 2
+        assert (f"{params}: session id {session_id!r} is too long for a file name"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+        write_params_file([(longest, DAParams(0.1, 0.6))], params)
+        assert run_cli("experiment", "--treatment", "decision", "--params-file", str(params),
+                       "--out", str(out)) == 0
+        assert (out / "transcripts" / f"{longest}.jsonl").exists()
+
+    def test_personalized_sample_without_subjects(self, tmp_path, capsys):
+        sample = self._sample_data(tmp_path)
+        header, *_ = sample.read_text(encoding="utf-8").splitlines(keepends=True)
+        sample.write_text(header, encoding="utf-8")
+        out = tmp_path / "pr"
+        assert run_cli("experiment", "--treatment", "personalized", "--sample-data", str(sample),
+                       "--out", str(out)) == 2
+        assert f"{sample}: no subjects" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_personalized_http_sessions_share_one_backend(self, tmp_path, monkeypatch):
         params = make_params(tmp_path, n=3)
         sim_out = tmp_path / "sim"
@@ -443,18 +528,9 @@ class TestExperiment:
                 "--shared-schedule", "--out", str(sim_out))
         answers = MockDecisionBackend(DAParams(0.1, 0.6))
 
-        class Response:
-            status_code = 200
-
-            def __init__(self, text):
-                self.text = text
-
-            def json(self):
-                return {"choices": [{"message": {"content": self.text}}]}
-
         def post(session, url, json=None, headers=None, timeout=None):
             messages = [ChatMessage(m["role"], m["content"]) for m in json["messages"]]
-            return Response(answers.send(messages))
+            return ChatResponse(answers.send(messages))
 
         inits = []
         init = HttpChatBackend.__init__

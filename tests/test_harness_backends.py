@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import pytest
@@ -90,6 +93,45 @@ class TestHttpBackend:
             HttpChatBackend(BackendConfig(kind="http", endpoint="https://x"))
         with pytest.raises(ConfigError, match="CHAT_API_KEY"):
             HttpChatBackend(BackendConfig(kind="http", endpoint="https://x", model="m"))
+
+    def test_connection_pool_holds_every_concurrent_request(self, monkeypatch):
+        monkeypatch.setenv("CHAT_API_KEY", "sekret")
+        backend = HttpChatBackend(BackendConfig(
+            kind="http", endpoint="https://example.invalid/v1/chat", model="m", concurrency=16))
+        for url in ("https://example.invalid/v1/chat", "http://localhost:8000/v1"):
+            pool = backend._session.get_adapter(url).poolmanager
+            assert pool.connection_pool_kw["maxsize"] >= 16
+
+    def test_concurrent_sends_keep_the_cap_and_log_every_request(self, monkeypatch):
+        lock = threading.Lock()
+        in_flight, peak = 0, 0
+
+        def post(session, url, json=None, headers=None, timeout=None):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            time.sleep(0.001)
+            with lock:
+                in_flight -= 1
+            return ok_response(json["messages"][-1]["content"])
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setenv("CHAT_API_KEY", "sekret")
+        backend = HttpChatBackend(BackendConfig(
+            kind="http", endpoint="https://example.invalid/v1/chat", model="m", concurrency=3,
+            rate_per_min=1_000_000))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                answers = list(pool.map(
+                    lambda i: backend.send([ChatMessage("user", str(i))]), range(200)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [str(i) for i in range(200)]
+        assert peak == 3
+        assert len(backend._sent) == 200  # the rate limiter lost no update
 
     def test_payload_shape_and_auth_header(self, monkeypatch):
         backend, fake = http_backend(monkeypatch, [ok_response("hello")])
