@@ -25,6 +25,7 @@ demand alone.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -111,11 +112,13 @@ class _Budgets:
         on the B-high one."""
         return np.power(odds * self.ratio_a, inv_rho), np.power(odds * self.ratio_b, inv_rho)
 
-    def interiors(self, k_a, k_b):
-        """The bundles on the budget lines at those ratios: ``(x_a, x_b)`` A-high, then B-high."""
-        x_b_ia = 1.0 / (self.p_a * k_a + self.p_b)
-        x_a_ib = 1.0 / (self.p_b * k_b + self.p_a)
-        return (k_a * x_b_ia, x_b_ia), (x_a_ib, k_b * x_a_ib)
+
+def _interior(p_hi, p_lo, k):
+    """The bundle ``(x_hi, x_lo)`` on the budget line ``p_hi x_hi + p_lo x_lo = 1`` with
+    ``x_hi = k x_lo``: the A-high bundle at ``(p_a, p_b, k_a)``, the B-high one at
+    ``(p_b, p_a, k_b)``."""
+    x_lo = 1.0 / (p_hi * k + p_lo)
+    return k * x_lo, x_lo
 
 
 class _Valuation:
@@ -123,10 +126,8 @@ class _Valuation:
 
     ``rho`` is an array that broadcasts against the holdings, and ``w``, the
     weight on the better outcome, one that broadcasts against ``rho``; the
-    felicities need no ``w``.  ``spread`` maps each array computed per
-    parameter to the holdings' layout, after the branches are decided per
-    parameter (``estimation._PairedLoss`` repeats each pair over its
-    dataset's rounds).
+    felicities need no ``w``, and :meth:`weighted` gives the same rho arrays
+    at other weights.
 
     The felicity is CRRA: ``(x^(1 - rho) - 1) / (1 - rho)`` of positive
     holdings, ``log(x)`` where rho is within ``_LOG_RHO_EPS`` of 1 (on those
@@ -136,24 +137,33 @@ class _Valuation:
     rho < 1, where ``u(0)`` can be finite, and are left out where no rho is.
     """
 
-    def __init__(self, rho: np.ndarray, w: np.ndarray | None = None, spread=lambda a: a):
-        exponent = 1.0 - rho
+    def __init__(self, rho: np.ndarray, w: np.ndarray | None = None):
+        self._exponent = 1.0 - rho
         log = np.abs(rho - 1.0) < _LOG_RHO_EPS
         corners = rho < 1.0
-        self._spread = spread
-        self._at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / exponent)
-        self._exponent = spread(exponent)
-        self._log = spread(log) if log.any() else None
-        self._corners = spread(corners) if corners.any() else None
+        self._at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / self._exponent)
+        self._log = log if np.count_nonzero(log) else None
+        self._corners = corners if np.count_nonzero(corners) else None
         if w is not None:
-            self._w = spread(w)
-            self._w_lo = 1.0 - self._w
-            if self._corners is not None:
-                self._corner_zero = spread((1.0 - w) * self._at_zero)
+            self._weigh(w)
+
+    def weighted(self, w: np.ndarray) -> _Valuation:
+        """This valuation at the weights ``w``, sharing its rho arrays."""
+        value = copy.copy(self)
+        value._weigh(w)
+        return value
+
+    def _weigh(self, w):
+        self._w = w
+        self._w_lo = 1.0 - w
+        if self._corners is not None:
+            self._corner_zero = self._w_lo * self._at_zero
 
     def felicity(self, x):
         """u(x) of positive holdings, broadcast against rho."""
-        u = (np.power(x, self._exponent) - 1.0) / self._exponent
+        u = np.power(x, self._exponent)
+        u -= 1.0
+        u /= self._exponent
         if self._log is not None:
             log = np.broadcast_to(self._log, u.shape)
             u[log] = np.log(np.broadcast_to(x, u.shape)[log])
@@ -176,10 +186,14 @@ class _Valuation:
         overflowed, and ``x_hi`` is then 0, or NaN (inf * 0) if k = inf; both
         holdings are then valued as ``x_hi``, a NaN one as a holding of 1.
         """
-        u = self._w * self.felicity(x_hi) + self._w_lo * self.felicity(x_lo)
+        u = self.felicity(x_hi)
+        u *= self._w
+        f_lo = self.felicity(x_lo)
+        f_lo *= self._w_lo
+        u += f_lo
         held = x_lo > 0.0
-        if not held.all():
-            f = np.where(np.isnan(x_hi), self.felicity(1.0), self._spread(self._at_zero))
+        if np.count_nonzero(held) < held.size:
+            f = np.where(np.isnan(x_hi), self.felicity(1.0), self._at_zero)
             u = np.where(held, u, self._w * f + self._w_lo * f)
         return np.where(k > 1.0, u, -np.inf)
 
@@ -193,15 +207,20 @@ def _candidates(budgets: _Budgets, value: _Valuation, k_a, k_b, felicities):
     The order is kink, A-high, corner A, B-high, corner B, and ``code`` indexes
     ``_BRANCHES``.  ``felicities`` is ``value.fixed_felicities(budgets)``; the
     corners are left out where it has none.  A candidate's utility is -inf where
-    it is not admissible.
+    it is not admissible.  An interior ratio ``k_a`` or ``k_b`` of None leaves
+    that interior out, for a caller that knows it inadmissible on every entry:
+    a candidate of utility -inf never replaces the best.
     """
     f_kink, f_corners = felicities
-    (x_a_ia, x_b_ia), (x_a_ib, x_b_ib) = budgets.interiors(k_a, k_b)
     yield 0, budgets.kink, budgets.kink, value.kink(f_kink)
-    yield 1, x_a_ia, x_b_ia, value.interior(x_a_ia, x_b_ia, k_a)
+    if k_a is not None:
+        x_a, x_b = _interior(budgets.p_a, budgets.p_b, k_a)
+        yield 1, x_a, x_b, value.interior(x_a, x_b, k_a)
     if f_corners is not None:
         yield 2, budgets.corner_a, 0.0, value.corner(f_corners[0])
-    yield 3, x_a_ib, x_b_ib, value.interior(x_b_ib, x_a_ib, k_b)
+    if k_b is not None:
+        x_b, x_a = _interior(budgets.p_b, budgets.p_a, k_b)
+        yield 3, x_a, x_b, value.interior(x_b, x_a, k_b)
     if f_corners is not None:
         yield 4, 0.0, budgets.corner_b, value.corner(f_corners[1])
 
@@ -214,7 +233,9 @@ class _Best:
     candidate on a larger utility, or on an equal one with a larger ``x_a``
     unless the best is the kink, and returns where it did.  A best that is not
     the kink has a utility above -inf, so an equal utility belongs to an
-    admissible candidate.
+    admissible candidate.  The utilities have the full shape from the kink on;
+    a candidate that wins nowhere, or everywhere with full-shape holdings, is
+    taken without a selection once the best's holdings have that shape too.
     """
 
     def __init__(self, x_a, x_b, u):
@@ -222,11 +243,20 @@ class _Best:
         self._not_kink = False
 
     def offer(self, x_a, x_b, u):
-        better = (u > self.u) | ((u == self.u) & self._not_kink & (x_a > self.x_a))
-        self.x_a = np.where(better, x_a, self.x_a)
-        self.x_b = np.where(better, x_b, self.x_b)
-        self.u = np.where(better, u, self.u)
-        self._not_kink = self._not_kink | better
+        better = u > self.u
+        if self._not_kink is not False:
+            tie = (u == self.u) & self._not_kink
+            if np.count_nonzero(tie):
+                better |= tie & (x_a > self.x_a)
+        wins = np.count_nonzero(better)
+        if wins == better.size and np.shape(x_a) == np.shape(x_b) == better.shape:
+            self.x_a, self.x_b, self.u = x_a, x_b, u
+        elif wins or self.x_a.shape != better.shape:
+            self.x_a = np.where(better, x_a, self.x_a)
+            self.x_b = np.where(better, x_b, self.x_b)
+            self.u = np.where(better, u, self.u)
+        if wins:
+            self._not_kink = self._not_kink | better
         return better
 
 

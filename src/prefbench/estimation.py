@@ -16,17 +16,26 @@ The grid stage makes one pass per budget schedule (:func:`_grid_optima`):
 datasets whose price and return matrices are equal byte for byte share it.
 The model's demand depends on the prices only, so a pass computes it once per
 block of beta rows (:func:`_block_kernel`), for every dataset on the
-schedule, and never calls :func:`optimal_demand_grid`.  Its rows with
-beta >= 0 take the closed-form maximizer (the utility is concave on the
-budget line there); its rows with beta < 0 run the enumeration that
-:func:`optimal_demand_grid` runs, its candidates (``da_model._candidates``)
-and its one selection and tie rule (``da_model._Best``), reusing the kink and
-corner felicities of each rho column across betas.  Each dataset's
-per-round losses of a block (:func:`_token_losses`) go into one reusable
-buffer, averaged over the first ``s`` rounds for every prefix size ``s``;
-only a running first minimum per dataset and size survives the block, so no
-per-round grid is kept and :func:`recover_batch` fits every prefix of every
-dataset from its schedule's one pass.
+schedule, and never calls :func:`optimal_demand_grid`.  It computes demand
+only where a candidate can win.  An interior's ratio is ``k = base^(1/rho)``,
+and its base depends on the beta and the round but not on rho, so the kernel
+classes each (beta, round) pair once per block by which of its two bases
+exceed 1.  Rows with beta >= 0 take the closed-form maximizer (the utility
+is concave on the budget line there), and at most one base exceeds 1: a pair
+with none takes the round's kink tokens at every rho with no power, and a
+pair with one takes one power per rho and one interior bundle.  Rows with
+beta < 0 run the enumeration that :func:`optimal_demand_grid` runs, its
+candidates (``da_model._candidates``) and its one selection and tie rule
+(``da_model._Best``), with an interior left out on the pairs whose base is
+<= 1, where it is inadmissible at every rho; the kink and corner felicities
+of each rho column are computed once per schedule.  The classed pairs are
+gathered in chunks of ``_PAIR_CELLS`` cells, so the kernel's temporaries
+stay cache-sized, and its tokens go into one workspace per pass.  Each
+dataset's per-round losses of a block (:func:`_token_losses`) go into one
+reusable buffer, averaged over the first ``s`` rounds for every prefix size
+``s``; only a running first minimum per dataset and size survives the block,
+so no per-round grid is kept and :func:`recover_batch` fits every prefix of
+every dataset from its schedule's one pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
 step: each is a Nelder-Mead generator (:func:`_nelder_mead`, scipy's
@@ -50,7 +59,7 @@ import numpy as np
 # traced run starts and fails if it is missing
 from scipy.optimize import minimize  # noqa: F401
 
-from .da_model import DAParams, _Budgets, _candidates, _optimum, _Valuation
+from .da_model import DAParams, _Budgets, _candidates, _interior, _optimum, _Valuation
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -80,6 +89,9 @@ class FitResult:
 _BLOCK_CELLS = 1 << 16
 # rounds refined in lock step at once: bounds the paired kernel's temporaries
 _LOCK_STEP_ROUNDS = 1 << 16
+# grid cells per chunk of (beta, round) pairs in a block: keeps the kernel's
+# temporaries cache-sized
+_PAIR_CELLS = 1 << 13
 
 
 def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
@@ -98,42 +110,93 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     Returns ``tokens_at(betas)``, which maps betas of one sign, (B,), to
     ``(x_a / r_a, x_b / r_b)``, each (B, R, N), at the optimal demand ``x`` of
     every (beta, rho) pair and round.  Only the prices and returns enter, so
-    every dataset on the schedule shares them.
+    every dataset on the schedule shares them.  The two arrays are views of
+    one workspace per schedule, overwritten by the next call.
+
+    Each interior's ratio is ``k = base^(1/rho)``, whose base depends on the
+    beta and the round but not on rho: ``odds * p_b / p_a`` for A-high and
+    ``odds * p_a / p_b`` for B-high, ``odds = w / (1 - w)``.  A base <= 1
+    gives ``k <= 1`` at every rho, so the kernel classes each (beta, round)
+    pair by which bases exceed 1, once per block, and computes an interior's
+    power, bundle and felicities only on the pairs of its classes.  A class's
+    pairs are gathered into (pairs, R) arrays, ``_PAIR_CELLS`` cells at a
+    time so that the temporaries stay in cache, and their tokens are scattered
+    back into the workspace.
 
     With beta >= 0 the weight on the better outcome is at most 1/2, so U is
     the minimum of the two one-sided objectives ``w u(x_a) + (1-w) u(x_b)``
-    and ``w u(x_b) + (1-w) u(x_a)``, which is concave on the budget line.
-    Since ``k_a * k_b = odds^(2/rho) <= 1`` at most one interior branch is
-    admissible; if one is, it is the maximizer, otherwise the kink is, and
-    CRRA's infinite marginal felicity at zero rules out the corners.
+    and ``w u(x_b) + (1-w) u(x_a)``, which is concave on the budget line: an
+    admissible interior (``k > 1``) is the maximizer, otherwise the kink is,
+    and CRRA's infinite marginal felicity at zero rules out the corners.  At
+    most one base exceeds 1, in floats too: ``w = fl(1 / (2 + beta)) <= 1/2``
+    and ``fl(1 - w) >= 1/2``, so ``odds <= 1`` and each base is at most its
+    price ratio, and ``fl(p_b / p_a) > 1`` and ``fl(p_a / p_b) > 1`` would need
+    ``p_b > p_a`` and ``p_a > p_b``.  So a pair whose bases are both <= 1
+    takes the kink's tokens, computed once per round, at every rho with no
+    power at all; a pair with a base above 1 takes one power per rho and its
+    side's bundle at ``max(k, 1)``, which at ``k = 1`` is the kink bit for bit
+    (``p_hi * 1.0 + p_lo`` is exactly ``p_a + p_b``).
 
-    With beta < 0 the rows go through the enumeration that
+    With beta < 0 each class goes through the enumeration that
     :func:`optimal_demand_grid` runs (``da_model._candidates`` and the tie rule
-    of ``da_model._Best``), so the demand is its demand bit for bit; the kink
-    and corner felicities depend on rho and the round only, so they are
-    computed once per schedule.
+    of ``da_model._Best``) on its pairs, with an interior left out where its
+    base is <= 1: there it is inadmissible at every rho, its utility -inf,
+    and such a candidate never replaces the best.  So the demand is the
+    enumeration's bit for bit.  The kink and corner felicities depend on rho
+    and the round only, so they are computed once per schedule and gathered.
     """
     budgets = _Budgets(prices)
     r_a, r_b = returns[:, 0], returns[:, 1]
-    rho = rhos[:, None]
-    inv_rho = 1.0 / rho
-    felicities = _Valuation(rho).fixed_felicities(budgets)
+    inv_rho = 1.0 / rhos
+    # (N, 2, 1) prices make (N, 1) price columns, which broadcast against (R,)
+    # rho: the kink and corner felicities are (N, R), gathered by round
+    value = _Valuation(rhos)
+    f_kink, f_corners = value.fixed_felicities(_Budgets(prices[:, :, None]))
+    kink_a, kink_b = budgets.kink / r_a, budgets.kink / r_b
+    step = max(1, _PAIR_CELLS // len(rhos))
+    workspace = np.empty((2, 0))
+
+    def chunks(mask: np.ndarray):
+        """``(rows, rounds)`` of the pairs where ``mask``, at most ``step`` pairs at a time."""
+        rows, rounds = np.nonzero(mask)
+        for start in range(0, len(rows), step):
+            yield rows[start:start + step], rounds[start:start + step]
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def tokens_at(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = 1.0 / (2.0 + betas[:, None, None])
-        k_a, k_b = budgets.ratios(w / (1.0 - w), inv_rho)
+        nonlocal workspace
+        shape = (len(betas), len(rhos), len(prices))
+        cells = math.prod(shape)
+        if workspace.shape[1] < cells:
+            workspace = np.empty((2, cells))
+        model_a, model_b = (part[:cells].reshape(shape) for part in workspace)
+        w = 1.0 / (2.0 + betas[:, None])
+        odds = w / (1.0 - w)
+        base_a, base_b = odds * budgets.ratio_a, odds * budgets.ratio_b
         if betas[0] < 0.0:
-            x_a, x_b = _optimum(_candidates(budgets, _Valuation(rho, w), k_a, k_b, felicities))
+            above_a, above_b = base_a > 1.0, base_b > 1.0
+            for has_a, has_b in ((True, True), (True, False), (False, True), (False, False)):
+                for rows, rounds in chunks((above_a == has_a) & (above_b == has_b)):
+                    k_a = np.power(base_a[rows, rounds][:, None], inv_rho) if has_a else None
+                    k_b = np.power(base_b[rows, rounds][:, None], inv_rho) if has_b else None
+                    felicities = f_kink[rounds], (None if f_corners is None else
+                                                  (f_corners[0][rounds], f_corners[1][rounds]))
+                    x_a, x_b = _optimum(_candidates(_Budgets(prices[rounds, :, None]),
+                                                    value.weighted(w[rows]), k_a, k_b, felicities))
+                    model_a[rows, :, rounds] = x_a / r_a[rounds, None]
+                    model_b[rows, :, rounds] = x_b / r_b[rounds, None]
         else:
-            # A-high if k_a > 1, else B-high if k_b > 1, else the kink; the
-            # kink is the A-high bundle at k_a = 1 (p_a * 1.0 + p_b is exact),
-            # so max(k_a, 1) leaves one selection
-            b_high = (k_b > 1.0) & ~(k_a > 1.0)
-            (x_a_ia, x_b_ia), (x_a_ib, x_b_ib) = budgets.interiors(np.maximum(k_a, 1.0), k_b)
-            x_a = np.where(b_high, x_a_ib, x_a_ia)
-            x_b = np.where(b_high, x_b_ib, x_b_ia)
-        return x_a / r_a, x_b / r_b
+            model_a[...] = kink_a
+            model_b[...] = kink_b
+            for base, p_hi, p_lo, (out_hi, r_hi), (out_lo, r_lo) in (
+                    (base_a, budgets.p_a, budgets.p_b, (model_a, r_a), (model_b, r_b)),
+                    (base_b, budgets.p_b, budgets.p_a, (model_b, r_b), (model_a, r_a))):
+                for rows, rounds in chunks(base > 1.0):
+                    k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
+                    x_hi, x_lo = _interior(p_hi[rounds, None], p_lo[rounds, None], k)
+                    out_hi[rows, :, rounds] = x_hi / r_hi[rounds, None]
+                    out_lo[rows, :, rounds] = x_lo / r_lo[rounds, None]
+        return model_a, model_b
 
     return tokens_at
 
@@ -181,7 +244,7 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
         for tokens, best in zip(members, minima):
             per_round = _token_losses(model_a, model_b, tokens, out, scratch).reshape(-1, len(prices))
             for k, size in enumerate(sizes):
-                means = per_round[:, :size].mean(axis=1)
+                means = np.add.reduce(per_round[:, :size], axis=1) / size  # the bits of .mean
                 at = int(np.argmin(means))
                 value = float(means[at])
                 if best[k] is None or (not math.isnan(best[k][0])
@@ -199,12 +262,13 @@ class _PairedLoss:
     with a finite sum and finite ratios: it runs the same enumeration
     (``da_model._candidates`` and the tie rule of ``da_model._Best``).  The
     datasets' rounds are concatenated once, with the price ratios, kink and
-    corner bundles.  A call spreads each pair over its dataset's rounds with
-    ``np.repeat`` once its branches are decided: the log felicity is taken only
-    on rounds whose rho is within ``_LOG_RHO_EPS`` of 1, and the corners are
-    evaluated only if some pair has rho < 1.  The datasets are stored by
-    length, so the losses are row means of one (datasets, rounds) block per
-    length, which give the bits of each dataset's own mean.
+    corner bundles.  A call spreads beta and rho over each dataset's rounds
+    with ``np.repeat`` and derives everything else per round: the log
+    felicity is taken only on rounds whose rho is within ``_LOG_RHO_EPS`` of
+    1, the corners are evaluated only if some pair has rho < 1, and an
+    interior is left out when its base is <= 1 on every round.  The datasets
+    are stored by length, so the losses are row means of one (datasets,
+    rounds) block per length, which give the bits of each dataset's own mean.
     """
 
     def __init__(self, data: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
@@ -223,14 +287,13 @@ class _PairedLoss:
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def __call__(self, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        beta, rho = beta[self._order], rho[self._order]
-
-        def spread(per_pair):
-            return np.repeat(per_pair, self._lengths)
-
-        w = 1.0 / (2.0 + beta)
-        value = _Valuation(rho, w, spread)
-        k_a, k_b = self._budgets.ratios(spread(w / (1.0 - w)), spread(1.0 / rho))
+        rho = np.repeat(rho[self._order], self._lengths)
+        w = 1.0 / (2.0 + np.repeat(beta[self._order], self._lengths))
+        value = _Valuation(rho, w)
+        odds, inv_rho = w / (1.0 - w), 1.0 / rho
+        # an interior whose base is <= 1 on every round is inadmissible on all of them
+        k_a, k_b = (np.power(base, inv_rho) if np.count_nonzero(base > 1.0) else None
+                    for base in (odds * self._budgets.ratio_a, odds * self._budgets.ratio_b))
         best_xa, best_xb = _optimum(_candidates(self._budgets, value, k_a, k_b,
                                                 value.fixed_felicities(self._budgets)))
 
@@ -239,7 +302,8 @@ class _PairedLoss:
         per_round = gap_a * gap_a + gap_b * gap_b
         losses = np.empty(len(beta))
         losses[self._order] = np.concatenate([
-            per_round[first:first + count * length].reshape(count, length).mean(axis=1)
+            np.add.reduce(per_round[first:first + count * length].reshape(count, length), axis=1)
+            / length
             for first, count, length in self._blocks
         ])
         return losses

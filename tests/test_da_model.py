@@ -251,6 +251,20 @@ class TestAgainstEnumerationOracle:
         assert {2, 4} <= set(np.unique(code))
         assert tie.any()
 
+    def test_one_parameter_pair_at_a_time(self):
+        # one (beta, rho) on every budget, and on one budget at a time: a candidate can
+        # then win everywhere or nowhere, corners included, which the selection takes
+        # without a where
+        rng = np.random.default_rng(113)
+        prices = np.vstack([_adversarial_prices((-0.5, 0.0), rng)[::4],
+                            rng.uniform(0.002, 0.1, size=(6, 2)), [[0.001, 0.1], [0.1, 0.001]]])
+        codes = set()
+        for beta, rho in zip(*_flat((-0.95, -0.5, -1e-17, 0.0, 1.0), (0.05, 0.3, 1.0, 2.0))):
+            self.check(prices, np.array([beta]), np.array([rho]))
+            for row in prices:
+                codes |= set(self.check(row[None], np.array([beta]), np.array([rho]))[1].ravel())
+        assert codes == {0, 1, 2, 3, 4}
+
     def test_price_ratio_overflows(self):
         # a return of 6e-311 prices asset A at about 1.67e308: against a price of 0.02
         # p_a / p_b overflows, so the interior bundle is (0, NaN), and the kink holding

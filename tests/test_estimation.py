@@ -7,13 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import dataset_from_prices, random_sloppy_dataset
 from demand_oracle import crra_grid as _crra_grid
 from demand_oracle import enumeration_demand_grid as optimal_demand_grid
 from prefbench import estimation
-from prefbench.da_model import _LOG_RHO_EPS, DAParams
+from prefbench.da_model import (_LOG_RHO_EPS, DAParams, _Budgets, _candidates, _interior,
+                                _optimum, _Valuation)
 from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset, dataset_prefix
 from prefbench.errors import ValidationError
 from prefbench.estimation import (
@@ -1157,3 +1160,208 @@ class TestGridLosses:
         finally:
             tracemalloc.stop()
         assert peak < 3 * losses.nbytes
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def dense_tokens_at(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray,
+                    betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``estimation._block_kernel``'s ``tokens_at(betas)`` computed densely; betas of one sign.
+
+    The kernel as it was before its (beta, round) classes: both interior ratios,
+    both bundles and (beta < 0) every candidate's utility at every cell.  Rows
+    with beta >= 0 take the B-high bundle where only ``k_b > 1``, else the
+    A-high one at ``max(k_a, 1)``; rows with beta < 0 run the enumeration.
+    """
+    budgets = _Budgets(prices)
+    rho = rhos[:, None]
+    w = 1.0 / (2.0 + betas[:, None, None])
+    k_a, k_b = budgets.ratios(w / (1.0 - w), 1.0 / rho)
+    if betas[0] < 0.0:
+        x_a, x_b = _optimum(_candidates(budgets, _Valuation(rho, w), k_a, k_b,
+                                        _Valuation(rho).fixed_felicities(budgets)))
+    else:
+        b_high = (k_b > 1.0) & ~(k_a > 1.0)
+        x_a_ia, x_b_ia = _interior(budgets.p_a, budgets.p_b, np.maximum(k_a, 1.0))
+        x_b_ib, x_a_ib = _interior(budgets.p_b, budgets.p_a, k_b)
+        x_a = np.where(b_high, x_a_ib, x_a_ia)
+        x_b = np.where(b_high, x_b_ib, x_b_ia)
+    return x_a / returns[:, 0], x_b / returns[:, 1]
+
+
+def assert_kernel_matches_dense(prices: np.ndarray, returns: np.ndarray, betas, rhos) -> list:
+    """Every block of ``estimation._block_kernel`` must be ``dense_tokens_at``'s, as int64
+    bits; returns the dense blocks."""
+    betas, rhos = np.asarray(betas, dtype=float), np.asarray(rhos, dtype=float)
+    tokens_at = estimation._block_kernel(prices, returns, rhos)
+    blocks = []
+    for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
+        want = dense_tokens_at(prices, returns, rhos, betas[rows])
+        for got, wanted in zip(tokens_at(betas[rows]), want):
+            assert got.shape == wanted.shape == (rows.stop - rows.start, len(rhos), len(prices))
+            np.testing.assert_array_equal(_bits(got), _bits(wanted))
+        blocks.append(want)
+    return blocks
+
+
+def _bases(prices: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Each (beta, round) pair's interior bases ``odds * p_b / p_a`` and ``odds * p_a / p_b``,
+    (B, N) each, with the kernel's expressions."""
+    w = 1.0 / (2.0 + np.asarray(betas, dtype=float)[:, None])
+    odds = w / (1.0 - w)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        budgets = _Budgets(prices)
+        return odds * budgets.ratio_a, odds * budgets.ratio_b
+
+
+_ONE_ULP_UP = float(np.nextafter(1.0, 2.0))
+
+
+def _base_one_ulp_above_one(beta: float, p: float, side: str) -> tuple[float, float] | None:
+    """Prices near ``p`` whose A-high (``side`` "a") or B-high base is exactly one ulp above
+    1 at ``beta``, found by stepping the other price one float at a time; None if no
+    step lands on it."""
+    w = 1.0 / (2.0 + beta)
+    odds = w / (1.0 - w)
+    other = p / odds
+    for _ in range(200):
+        prices = (p, other) if side == "a" else (other, p)
+        base = _bases(np.array([prices]), [beta])[0 if side == "a" else 1][0, 0]
+        if base == _ONE_ULP_UP:
+            return prices
+        other = float(np.nextafter(other, math.inf if base < _ONE_ULP_UP else 0.0))
+    return None
+
+
+class TestClassedKernel:
+    """``estimation._block_kernel`` classes each (beta, round) pair by its interior bases and
+    computes demand only where a candidate can win; its tokens must be the dense kernel's,
+    bit for bit."""
+
+    @pytest.mark.parametrize("n_rounds", [1, 25, 175])
+    def test_random_schedules(self, n_rounds):
+        rng = np.random.default_rng(501 + n_rounds)
+        prices, returns, _ = _matrices(random_sloppy_dataset(rng, n_rounds))
+        assert_kernel_matches_dense(prices, returns, *_parameter_grid(RecoveryConfig()))
+
+    def test_equal_prices_put_every_nonnegative_pair_at_the_kink(self):
+        rng = np.random.default_rng(503)
+        price = rng.uniform(0.005, 0.05, 30)
+        prices, returns, _ = _priced(np.column_stack([price, price]), rng)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        base_a, base_b = _bases(prices, betas[betas >= 0.0])
+        assert not (base_a > 1.0).any() and not (base_b > 1.0).any()
+        blocks = assert_kernel_matches_dense(prices, returns, betas, rhos)
+        kink = 1.0 / (prices[:, 0] + prices[:, 1])
+        for rows, (model_a, model_b) in zip(estimation._beta_blocks(betas, len(rhos) * 30), blocks):
+            if betas[rows.start] >= 0.0:  # the round's kink tokens at every rho
+                for model, r in ((model_a, returns[:, 0]), (model_b, returns[:, 1])):
+                    np.testing.assert_array_equal(_bits(model),
+                                                  _bits(np.broadcast_to(kink / r, model.shape)))
+
+    def test_no_kink_pair(self):
+        # each round's larger price ratio is above 4, so at beta <= 3 (odds >= 1/4) one
+        # base exceeds 1 on every beta >= 0 pair
+        rng = np.random.default_rng(505)
+        p = rng.uniform(0.005, 0.05, 40)
+        ratio = rng.uniform(4.5, 20.0, 40)
+        high_b = rng.uniform(size=40) < 0.5
+        prices = np.column_stack([np.where(high_b, p, p * ratio), np.where(high_b, p * ratio, p)])
+        prices, returns, _ = _priced(prices, rng)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        base_a, base_b = _bases(prices, betas[betas >= 0.0])
+        assert ((base_a > 1.0) | (base_b > 1.0)).all()
+        assert_kernel_matches_dense(prices, returns, betas, rhos)
+
+    def test_bases_one_ulp_above_one(self):
+        # at rho = 5, k = (1 + 2^-52)^(1/5) rounds to exactly 1.0: such a pair is classed
+        # interior, yet its bundle is the kink's (beta >= 0) or inadmissible (beta < 0)
+        assert np.power(_ONE_ULP_UP, 1.0 / 5.0) == 1.0
+        betas = (-0.95, -0.5, -1e-17, 0.0, GRID_ZERO_BETA, 0.05, 1.0, 3.0)
+        found = [prices for beta in betas for p in (0.004, 0.01, 0.02, 0.033, 0.05)
+                 for side in "ab" if (prices := _base_one_ulp_above_one(beta, p, side))]
+        assert len(found) >= 4 * len(betas)
+        rng = np.random.default_rng(507)
+        prices, returns, _ = _priced(np.array(found), rng)
+        rhos = np.array([0.05, 0.5, 1.0, 2.0, 4.999, 5.0])
+        assert_kernel_matches_dense(prices, returns, betas, rhos)
+
+    def test_betas_next_to_zero(self):
+        # -1e-17 has odds of exactly 1 in a beta < 0 row; the grid's 1.1e-16 point is
+        # its first beta >= 0 row
+        rng = np.random.default_rng(509)
+        betas = (-1e-17, 0.0, GRID_ZERO_BETA)
+        prices = np.vstack([_kink_edge_prices(betas), rng.uniform(0.005, 0.05, (30, 2))])
+        prices, returns, _ = _priced(prices, rng)
+        assert_kernel_matches_dense(prices, returns, betas, _parameter_grid(RecoveryConfig())[1])
+
+    def test_powers_that_overflow_to_nan_bundles(self):
+        # budgets costing more than 1 per unit at rho near 1e-3: k = inf gives the
+        # (NaN, 0) interior bundle, which the enumeration picks in beta < 0 rows
+        rng = np.random.default_rng(511)
+        prices, returns, _ = _matrices(_costly_budgets(rng, 20))
+        blocks = assert_kernel_matches_dense(prices, returns,
+                                             *_parameter_grid(RecoveryConfig(rho_min=1e-3)))
+        assert any(np.isnan(model_a).any() for model_a, _ in blocks)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
+    @pytest.mark.parametrize("chunk_pairs", [1, 7, None])
+    def test_block_and_chunk_sizes(self, monkeypatch, block_rows, chunk_pairs):
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        rng = np.random.default_rng(513)
+        prices, returns, _ = _matrices(random_sloppy_dataset(rng, 25))
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * 25)
+        if chunk_pairs is not None:
+            monkeypatch.setattr(estimation, "_PAIR_CELLS", chunk_pairs * len(rhos))
+        assert_kernel_matches_dense(prices, returns, betas, rhos)
+
+    @given(st.floats(0.0, 1e300), st.floats(5e-324, 1e300), st.floats(5e-324, 1e300),
+           st.sampled_from(["random", "equal", "below", "above"]))
+    def test_no_nonnegative_beta_pair_has_both_bases_above_one(self, beta, p_a, p_b, kind):
+        # w = 1 / (2 + beta) <= 1/2 and 1 - w >= 1/2 in floats, so odds <= 1 and each base
+        # is at most its price ratio; both ratios above 1 would need p_b > p_a > p_b
+        if kind == "equal":
+            p_b = p_a
+        elif kind != "random":
+            p_b = float(np.nextafter(p_a, 0.0 if kind == "below" else math.inf))
+        base_a, base_b = _bases(np.array([[p_a, p_b]]), [beta])
+        assert not (base_a[0, 0] > 1.0 and base_b[0, 0] > 1.0)
+
+    def test_pass_memory_is_the_workspace_and_one_chunk(self):
+        # the pass keeps four block-sized arrays (the two model token arrays and the
+        # two loss buffers) and the gathered arrays of one chunk of pairs; measured
+        # 4.62 MB against 2.02 MB of workspace and 0.13 MB chunks (the dense kernel's
+        # per-block temporaries peaked at 8.97 MB)
+        ds = _sloppy_subject(515, DAParams(0.2, 0.9))
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, tokens = _matrices(ds)
+        block_bytes = max(rows.stop - rows.start for rows in
+                          estimation._beta_blocks(betas, len(rhos) * 175)) * len(rhos) * 175 * 8
+        chunk_bytes = (estimation._PAIR_CELLS // len(rhos)) * len(rhos) * 8
+        tracemalloc.start()
+        try:
+            estimation._grid_optima(prices, returns, [tokens], LEARNING_SAMPLE_SIZES, betas, rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block_bytes + 24 * chunk_bytes
+
+
+class TestPairedKernelSides:
+    """``_PairedLoss`` leaves an interior out of a call when its base is <= 1 on every
+    round; one-round datasets whose bases are next to 1 must still get the enumeration's
+    loss."""
+
+    def test_one_round_datasets_next_to_the_kink(self):
+        rng = np.random.default_rng(517)
+        betas = (-0.5, -1e-17, 0.0, GRID_ZERO_BETA, 0.5, 2.0)
+        found = [prices for beta in betas for side in "ab"
+                 if (prices := _base_one_ulp_above_one(beta, 0.01, side))]
+        prices, returns, tokens = _priced(np.vstack([_kink_edge_prices(betas)[::3], found]), rng)
+        rhos = np.array([0.05, 0.5, 1.0, 2.0, 5.0])
+        flat_betas, flat_rhos = flat_grid(np.array(betas), rhos)
+        for i in range(len(prices)):
+            data = prices[i:i + 1], returns[i:i + 1], tokens[i:i + 1]
+            want = loss_grid(*data, flat_betas, flat_rhos).reshape(len(betas), len(rhos))
+            for beta, wanted in zip(betas, want):
+                got = _PairedLoss([data] * len(rhos))(np.full(len(rhos), beta), rhos)
+                np.testing.assert_array_equal(_bits(got), _bits(wanted))
