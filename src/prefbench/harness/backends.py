@@ -17,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-import requests
-
 from ..da_model import DAParams, optimal_demand
 from ..data import Allocation, ReturnPair, demand_to_tokens, format_float, returns_to_prices
 from ..errors import BackendError, ConfigError
@@ -119,6 +117,10 @@ class HttpChatBackend:
         token = os.environ.get(API_KEY_ENV, "")
         if not token:
             raise ConfigError(f"http backend requires the {API_KEY_ENV} environment variable")
+        # imported here, not at module level: requests and urllib3 add about
+        # 0.13 s to the start of every command, and only live runs use them
+        import requests
+
         self._config = config
         self._token = token
         self._session = requests.Session()
@@ -143,6 +145,8 @@ class HttpChatBackend:
             time.sleep(max(wait, 0.05))
 
     def send(self, messages: Sequence[ChatMessage]) -> str:
+        import requests
+
         payload = {
             "model": self._config.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import prefbench
 from prefbench.data import ChoiceRound, PricePair, Provenance, SubjectDataset
 
 settings.register_profile(
@@ -20,6 +26,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this ``prefbench``; its stdout."""
+    src = str(Path(prefbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         env=env, capture_output=True, text=True, check=True)
+    return out.stdout
 
 
 def dataset_from_prices(rows, subject_id="s", provenance=Provenance.HUMAN) -> SubjectDataset:

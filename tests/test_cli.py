@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 from prefbench.cli import INDEX_COLUMNS, _parse_config, _write_index_reports, main
 from prefbench.da_model import DAParams
@@ -849,3 +850,43 @@ class TestTableFiles:
             ";".join(rep.flags),
         ]) for rep in reports]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Runs each command in turn in one fresh interpreter and prints, after each,
+# the scipy and requests modules it holds so far.
+_FOOTPRINT = """
+import json, sys
+from prefbench.cli import main
+
+out = sys.argv[1]
+config = f"{out}/config.json"
+open(config, "w").write(json.dumps({"grid.rho_points": 10}))
+commands = [
+    ["sample-params", "--n", "4", "--seed", "1", "--out", f"{out}/pop"],
+    ["simulate", "--params-file", f"{out}/pop/params.csv", "--rounds", "25", "--out", f"{out}/sim"],
+    ["experiment", "--treatment", "decision", "--sessions", "2", "--out", f"{out}/exp"],
+    ["learning-curve", "--truth", f"{out}/pop/params.csv", "--direct", "--config", config,
+     "--out", f"{out}/curve"],
+    ["analyze", "--choices", f"{out}/sim/choices.csv", "--jobs", "1", "--config", config,
+     "--out", f"{out}/idx"],
+]
+for argv in commands:
+    try:
+        main(argv)
+    except SystemExit as exc:
+        if exc.code not in (0, 4):
+            raise
+    print(json.dumps([m for m in sorted(sys.modules) if m.partition(".")[0] in ("scipy", "requests")]))
+"""
+
+
+class TestImportFootprint:
+    def test_commands_import_only_the_scipy_they_run(self, tmp_path):
+        lines = run_python(_FOOTPRINT, str(tmp_path)).splitlines()
+        *before_analyze, after_analyze = [set(json.loads(line)) for line in lines]
+        assert len(before_analyze) == 4
+        for loaded in before_analyze:
+            assert not loaded & {"scipy.optimize", "scipy.special", "requests"}
+        # only scoring loads scipy: ccei's strong components
+        assert "scipy.sparse.csgraph" in after_analyze
+        assert not after_analyze & {"scipy.optimize", "scipy.special", "requests"}

@@ -1365,3 +1365,22 @@ class TestPairedKernelSides:
             for beta, wanted in zip(betas, want):
                 got = _PairedLoss([data] * len(rhos))(np.full(len(rhos), beta), rhos)
                 np.testing.assert_array_equal(_bits(got), _bits(wanted))
+
+
+class TestTracerName:
+    """``estimation.minimize`` resolves on first use, for the benchmark tracer.
+
+    The tracer wraps the name it finds in the module's dict, so the first
+    lookup must leave scipy's function there.
+    """
+
+    def test_minimize_is_scipys_and_is_kept_in_the_module_dict(self, monkeypatch):
+        monkeypatch.delitem(vars(estimation), "minimize", raising=False)
+        assert "minimize" not in vars(estimation)
+        assert estimation.minimize is minimize
+        assert vars(estimation)["minimize"] is minimize
+
+    def test_other_missing_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            estimation.no_such_name
+        assert not hasattr(estimation, "maximize")

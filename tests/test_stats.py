@@ -1,16 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import run_python
 
-import prefbench
 from prefbench.errors import ValidationError
 from prefbench.stats import (
     regress_alignment,
@@ -238,23 +235,44 @@ class TestWelch:
             welch_t_test([1.0], [1.0, 2.0])
 
 
-def loaded_after_import(module: str, probe: str) -> bool:
+# Each module is imported in turn in one fresh interpreter, which prints
+# ``sys.modules`` after each: ``prefbench.cli`` imports ``prefbench`` first, so
+# the second snapshot is what a fresh ``import prefbench.cli`` loads.
+_IMPORTED = ("prefbench", "prefbench.cli")
+_SNAPSHOTS = """
+import importlib, json, sys
+for module in sys.argv[1:]:
+    importlib.import_module(module)
+    print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.fixture(scope="module")
+def modules_after_import() -> dict[str, frozenset[str]]:
+    """Each of ``_IMPORTED`` -> the modules a fresh interpreter holds after importing it."""
+    lines = run_python(_SNAPSHOTS, *_IMPORTED).splitlines()
+    return {module: frozenset(json.loads(line)) for module, line in zip(_IMPORTED, lines)}
+
+
+@pytest.fixture(scope="module")
+def loaded_after_import(modules_after_import):
     """Whether ``import module`` in a fresh interpreter loads ``probe``."""
-    src = str(Path(prefbench.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print({probe!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return out.stdout.strip() == "True"
+    return lambda module, probe: probe in modules_after_import[module]
 
 
-def test_import_does_not_load_scipy_stats():
+def test_import_does_not_load_scipy_stats(loaded_after_import):
     # scipy.stats would make `import prefbench` about half again as slow
     assert not loaded_after_import("prefbench", "scipy.stats")
 
 
-def test_cli_import_does_not_load_csgraph():
+def test_cli_import_does_not_load_csgraph(loaded_after_import):
     # scipy.sparse.csgraph adds about 1.3 MB to the peak RSS of every command;
     # only scoring imports it, inside rationality._garp
     assert not loaded_after_import("prefbench.cli", "scipy.sparse.csgraph")
+
+
+def test_cli_import_loads_no_scipy_and_no_requests(modules_after_import):
+    # a module-level scipy.optimize costs about 0.6 s of every command's start;
+    # scipy and requests are imported where they run (test_cli.TestImportFootprint)
+    loaded = modules_after_import["prefbench.cli"]
+    assert not {m for m in loaded if m.partition(".")[0] in ("scipy", "requests")}
