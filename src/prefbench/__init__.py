@@ -10,13 +10,10 @@ from .da_model import Branch, DAParams, DemandSolution, crra, da_utility, optima
 from .data import (
     Allocation,
     ChoiceRound,
-    InterceptPair,
     PricePair,
-    Provenance,
     ReturnPair,
     SubjectDataset,
     demand_to_tokens,
-    normalize_q_format,
     prices_to_returns,
     read_dataset,
     returns_to_prices,
@@ -50,6 +47,6 @@ from .simulation import (
     sample_population,
     simulate_subject,
 )
-from .stats import RegressionResult, SummaryRow, regress_alignment, representative_filter, summarize, welch_t_test
+from .stats import RegressionResult, SummaryRow, regress_alignment, summarize, welch_t_test
 
 __version__ = "0.1.0"

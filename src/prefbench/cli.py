@@ -144,6 +144,14 @@ def _parse_config(cfg: Mapping[str, object]) -> tuple[RecoveryConfig, BackendCon
     return recovery, BackendConfig(**settings[BackendConfig])
 
 
+def _check_file_name(name: str, file_name: str, what: str) -> None:
+    """ValidationError naming ``what`` unless ``name`` makes ``file_name`` a plain file name."""
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise ValidationError(f"{what} {name!r} is not a plain file name")
+    if len(file_name.encode()) > _MAX_NAME_BYTES:
+        raise ValidationError(f"{what} {name!r} is too long for a file name")
+
+
 def write_manifest(out: Path, command: str, arguments: dict, seeds: dict,
                    inputs: list[str], outputs: list[str], started_at: str) -> None:
     manifest = {
@@ -301,18 +309,14 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
                              sample_size, sessions)
     # each id names a transcript file; ids come from --sample-data, else from --params-file
     for session_id, _, _ in plans:
-        if session_id in ("", ".", "..") or "/" in session_id or "\0" in session_id:
-            raise ValidationError(f"{sample_data or params_file}: session id {session_id!r} "
-                                  "is not a plain file name")
-        if len(f"{session_id}.jsonl".encode()) > _MAX_NAME_BYTES:
-            raise ValidationError(f"{sample_data or params_file}: session id {session_id!r} "
-                                  "is too long for a file name")
+        _check_file_name(session_id, f"{session_id}.jsonl",
+                         f"{sample_data or params_file}: session id")
     out = Path(out_dir)
     # the mock computes under the interpreter lock, so only http sessions gain from threads
     workers = backend_config.concurrency if backend_config.kind == "http" else 1
     datasets, anomalies, resumed = run_experiment(plans, schedule, out / "transcripts", workers)
-    if datasets:
-        write_dataset(datasets, out / "choices.csv")
+    # header only when no session has a usable round, so no earlier run's choices remain
+    write_dataset(datasets, out / "choices.csv")
     write_manifest(
         out, "experiment",
         {"treatment": treatment, "sessions": len(plans), "sample_size": sample_size,
@@ -337,18 +341,10 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
     """Alignment regressions of recovered on generating parameters, per sample size."""
     started = _now()
     config, _ = _parse_config(load_config(config_file))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    population = read_params_file(truth_file)
-    truth = dict(population)
-
-    if direct:
-        rows, _ = learning_curve_direct(population, provision_seed,
-                                        LEARNING_SAMPLE_SIZES, config)
-    else:
+    estimate_paths = {}
+    if not direct:
         if not estimate_specs:
             raise ValidationError("provide --estimates S=PATH pairs or use --direct")
-        estimates_by_size = {}
         for spec in estimate_specs:
             size_str, _, path = spec.partition("=")
             try:
@@ -357,8 +353,20 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
                 size = None
             if size is None or not path:
                 raise ValidationError(f"malformed --estimates spec {spec!r}; expected S=PATH")
-            estimates_by_size[size] = {sid: params for sid, _, _, params in _read_index(path)}
-        rows = regress_per_size(truth, estimates_by_size)
+            if size in estimate_paths:
+                raise ValidationError(f"--estimates {spec!r}: sample size {size} repeats")
+            estimate_paths[size] = path
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    population = read_params_file(truth_file)
+
+    if direct:
+        rows, _ = learning_curve_direct(population, provision_seed,
+                                        LEARNING_SAMPLE_SIZES, config)
+    else:
+        rows = regress_per_size(dict(population), {
+            size: {sid: params for sid, _, _, params in _read_index(path)}
+            for size, path in estimate_paths.items()})
 
     write_table(out / "learning_curve.csv", _CURVE_COLUMNS, (
         (row.sample_size, row.parameter, *attrgetter(*_CURVE_COLUMNS[2:])(row.regression))
@@ -382,21 +390,27 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
 def cmd_report(index_specs, choice_specs, curve_file, out_dir):
     """Summary panels and plot-ready CSVs."""
     started = _now()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
 
-    def parse_specs(specs):
-        pairs = []
+    def parse_specs(option, specs, file_name):
+        """Sorted (label, path) pairs; each label names the output ``file_name.format(label)``."""
+        pairs = {}
         for spec in specs:
             label, _, path = spec.partition("=")
             if not path:
                 raise ValidationError(f"malformed spec {spec!r}; expected LABEL=PATH")
-            pairs.append((label, Path(path)))
-        return sorted(pairs)
+            _check_file_name(label, file_name.format(label), f"{option} {spec!r}: label")
+            if label in pairs:
+                raise ValidationError(f"{option} {spec!r}: label {label!r} repeats")
+            pairs[label] = Path(path)
+        return sorted(pairs.items())
 
+    index_pairs = parse_specs("--index", index_specs, "summary_{}.csv")
+    choice_pairs = parse_specs("--choices", choice_specs, "scatter_{}.csv")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
     panels = []
-    for label, path in parse_specs(index_specs):
+    for label, path in index_pairs:
         rows = _read_index(path)
         if not rows:
             raise ValidationError(f"{path}: empty index file")
@@ -409,7 +423,7 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
         panels.append(name)
         outputs.append(name)
 
-    for label, path in parse_specs(choice_specs):
+    for label, path in choice_pairs:
         datasets = read_dataset(path)
         name = f"scatter_{label}.csv"
         write_table(out / name, ("subject_id", "round", "log_price_ratio", "relative_demand_a"), (
@@ -428,7 +442,7 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
     if not outputs:
         raise ValidationError("nothing to report: provide --index, --choices, or --curve")
     write_manifest(out, "report", {"panels": panels}, {},
-                   [str(p) for _, p in parse_specs(index_specs) + parse_specs(choice_specs)],
+                   [str(p) for _, p in index_pairs + choice_pairs],
                    outputs, started)
 
 

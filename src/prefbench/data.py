@@ -1,18 +1,19 @@
 """Domain types for two-asset budget-allocation data, format conversions, and CSV I/O.
 
-One observation can be written in three equivalent coordinate systems:
+One observation can be written in two equivalent coordinate systems:
 
 * return/token form ``(r_a, r_b, t_a, t_b)`` -- each of 100 points invested in
   asset ``i`` pays ``r_i`` dollars;
 * price/demand form ``(p_a, p_b, x_a, x_b)`` -- expenditure normalized to 1,
-  with ``p_i = 1 / (100 r_i)`` and ``x_i = r_i t_i``;
-* A-normalized form ``(1, q_b, y_a, y_b)`` -- the price of asset A set to one.
+  with ``p_i = 1 / (100 r_i)`` and ``x_i = r_i t_i``.
 
-All analysis modules consume the price/demand form with expenditure 1; the
-other two are I/O formats.  Token sums inside ``100 +/- TOKEN_SLACK`` are
-accepted; sums that differ from 100 by more than ``BUDGET_TOL`` are rescaled
-to exactly 100 and the round is flagged.  Sums within ``BUDGET_TOL`` are kept
-bit-for-bit so that a write/read cycle reproduces every float field exactly.
+All analysis modules consume the price/demand form with expenditure 1.  Choice
+CSVs are read in either form and written in the return/token form.  Token sums
+(implied by the demand, in the price/demand form) inside ``100 +/- TOKEN_SLACK``
+are accepted; sums that differ from 100 by more than ``BUDGET_TOL`` are
+rescaled to exactly 100 and the round is flagged.  Sums within ``BUDGET_TOL``
+are kept bit-for-bit so that a write/read cycle reproduces every float field
+exactly.
 
 Every CSV table the package reads or writes goes through :func:`read_table`
 and :func:`write_table`: UTF-8, LF line ends, a header row, floats as shortest
@@ -31,7 +32,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,14 +43,6 @@ TOKEN_BUDGET = 100.0
 TOKEN_SLACK = 5.0
 BUDGET_TOL = 1e-9
 _COMPONENT_TOL = 1e-9
-
-
-class Provenance(str, Enum):
-    HUMAN = "human"
-    SIMULATED = "simulated"
-    LLM_DECISION = "llm_decision"
-    LLM_RECOMMENDATION = "llm_recommendation"
-    LLM_PERSONALIZED = "llm_personalized"
 
 
 @dataclass(frozen=True)
@@ -103,21 +95,6 @@ class Allocation:
         return self.t_a + self.t_b
 
 
-@dataclass(frozen=True)
-class InterceptPair:
-    """Budget-line intercepts; implies p_i = 1/z_i and expenditure 1."""
-
-    z_a: float
-    z_b: float
-
-    def __post_init__(self):
-        if not (self.z_a > 0 and self.z_b > 0):
-            raise ValidationError(f"intercepts must be positive, got ({self.z_a}, {self.z_b})")
-
-    def to_prices(self) -> PricePair:
-        return PricePair(1.0 / self.z_a, 1.0 / self.z_b)
-
-
 def returns_to_prices(r: ReturnPair) -> PricePair:
     """p_i = 1 / (100 r_i)."""
     return PricePair(1.0 / (100.0 * r.r_a), 1.0 / (100.0 * r.r_b))
@@ -126,6 +103,24 @@ def returns_to_prices(r: ReturnPair) -> PricePair:
 def prices_to_returns(p: PricePair) -> ReturnPair:
     """r_i = 1 / (100 p_i); inverse of :func:`returns_to_prices`."""
     return ReturnPair(1.0 / (100.0 * p.p_a), 1.0 / (100.0 * p.p_b))
+
+
+def _on_budget(x_a: float, x_b: float, total: float, what: str) -> tuple[tuple[float, float], bool]:
+    """Demand ``(x_a, x_b)`` of a bundle whose tokens sum to ``total``, and whether it was rescaled.
+
+    Sums outside ``100 +/- TOKEN_SLACK`` are rejected, the error naming the sum
+    as ``what``; sums within ``BUDGET_TOL`` of 100 keep the demand as it is,
+    and any other sum scales it by ``100 / total`` onto the budget line.
+    """
+    if not (TOKEN_BUDGET - TOKEN_SLACK <= total <= TOKEN_BUDGET + TOKEN_SLACK):
+        raise ValidationError(
+            f"{what} {total} outside [{TOKEN_BUDGET - TOKEN_SLACK:g}, "
+            f"{TOKEN_BUDGET + TOKEN_SLACK:g}]"
+        )
+    if abs(total - TOKEN_BUDGET) <= BUDGET_TOL:
+        return (x_a, x_b), False
+    scale = TOKEN_BUDGET / total
+    return (x_a * scale, x_b * scale), True
 
 
 def tokens_to_demand(r: ReturnPair, t: Allocation) -> tuple[tuple[float, float], bool]:
@@ -137,18 +132,7 @@ def tokens_to_demand(r: ReturnPair, t: Allocation) -> tuple[tuple[float, float],
     budget line; the second return value reports whether rescaling happened.
     Sums outside ``100 +/- TOKEN_SLACK`` are rejected.
     """
-    total = t.total
-    if not (TOKEN_BUDGET - TOKEN_SLACK <= total <= TOKEN_BUDGET + TOKEN_SLACK):
-        raise ValidationError(
-            f"token sum {total} outside [{TOKEN_BUDGET - TOKEN_SLACK:g}, "
-            f"{TOKEN_BUDGET + TOKEN_SLACK:g}]"
-        )
-    x_a = r.r_a * t.t_a
-    x_b = r.r_b * t.t_b
-    if abs(total - TOKEN_BUDGET) <= BUDGET_TOL:
-        return (x_a, x_b), False
-    scale = TOKEN_BUDGET / total
-    return (x_a * scale, x_b * scale), True
+    return _on_budget(r.r_a * t.t_a, r.r_b * t.t_b, t.total, "token sum")
 
 
 def demand_to_tokens(r: ReturnPair, x: tuple[float, float]) -> Allocation:
@@ -194,47 +178,15 @@ class ChoiceRound:
         if x[0] < 0 or x[1] < 0:
             raise ValidationError(f"demand must be nonnegative, got {x}")
         tokens = Allocation(100.0 * x[0] * p.p_a, 100.0 * x[1] * p.p_b)
-        total = tokens.total
-        if not (TOKEN_BUDGET - TOKEN_SLACK <= total <= TOKEN_BUDGET + TOKEN_SLACK):
-            raise ValidationError(
-                f"implied token sum {total} outside [{TOKEN_BUDGET - TOKEN_SLACK:g}, "
-                f"{TOKEN_BUDGET + TOKEN_SLACK:g}]"
-            )
-        if abs(total - TOKEN_BUDGET) <= BUDGET_TOL:
-            demand, rescaled = x, False
-        else:
-            scale = TOKEN_BUDGET / total
-            demand, rescaled = (x[0] * scale, x[1] * scale), True
+        demand, rescaled = _on_budget(*x, tokens.total, "implied token sum")
         return cls(index, prices_to_returns(p), tokens, p, demand, rescaled)
-
-    @classmethod
-    def from_intercepts(cls, index: int, z: InterceptPair, x: tuple[float, float]) -> "ChoiceRound":
-        return cls.from_prices_demand(index, z.to_prices(), x)
-
-
-def normalize_q_format(q_b: float, y: tuple[float, float], index: int = 1) -> ChoiceRound:
-    """Convert an observation in A-normalized form (q_a = 1) to a round.
-
-    p_a = 1 / (y_a + q_b y_b), p_b = q_b p_a, demand unchanged.
-    """
-    if q_b <= 0:
-        raise ValidationError(f"q_b must be positive, got {q_b}")
-    y_a, y_b = y
-    if y_a < 0 or y_b < 0:
-        raise ValidationError(f"demand must be nonnegative, got {y}")
-    expenditure = y_a + q_b * y_b
-    if expenditure <= 0:
-        raise ValidationError("degenerate bundle: zero expenditure in q-format")
-    p_a = 1.0 / expenditure
-    return ChoiceRound.from_prices_demand(index, PricePair(p_a, q_b * p_a), y)
 
 
 @dataclass(frozen=True)
 class SubjectDataset:
-    """Ordered rounds for one subject plus a provenance tag."""
+    """Ordered rounds for one subject."""
 
     subject_id: str
-    provenance: Provenance
     rounds: tuple[ChoiceRound, ...]
 
     def __post_init__(self):
@@ -361,7 +313,7 @@ _CHOICE_TABLES = {
 }
 
 
-def read_dataset(path: str | Path, provenance: Provenance = Provenance.HUMAN) -> list[SubjectDataset]:
+def read_dataset(path: str | Path) -> list[SubjectDataset]:
     """Read subjects from a choice CSV in either format, told apart by the header.
 
     Rows are grouped by ``subject_id`` in file order; every domain invariant is
@@ -371,22 +323,16 @@ def read_dataset(path: str | Path, provenance: Provenance = Provenance.HUMAN) ->
     for _, (sid, rd) in read_table(path, _CHOICE_TABLES, (str, int, float, float, float, float)):
         by_subject.setdefault(sid, []).append(rd)
     try:
-        return [SubjectDataset(sid, provenance, tuple(rounds)) for sid, rounds in by_subject.items()]
+        return [SubjectDataset(sid, tuple(rounds)) for sid, rounds in by_subject.items()]
     except ValidationError as exc:  # a subject's round indices do not increase
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def write_dataset(datasets: Iterable[SubjectDataset], path: str | Path, fmt: str = "returns") -> None:
-    """Write subjects to a choice CSV in the return/token or the price/demand format."""
-    if fmt == "returns":
-        header, fields = RETURNS_HEADER, lambda rd: (
-            rd.returns.r_a, rd.returns.r_b, rd.tokens.t_a, rd.tokens.t_b)
-    elif fmt == "prices":
-        header, fields = PRICES_HEADER, lambda rd: (rd.prices.p_a, rd.prices.p_b, *rd.demand)
-    else:
-        raise ValidationError(f"unknown format {fmt!r}")
-    write_table(path, header, ((ds.subject_id, rd.round, *fields(rd))
-                               for ds in datasets for rd in ds.rounds))
+def write_dataset(datasets: Iterable[SubjectDataset], path: str | Path) -> None:
+    """Write subjects to a choice CSV in the return/token format."""
+    write_table(path, RETURNS_HEADER, (
+        (ds.subject_id, rd.round, rd.returns.r_a, rd.returns.r_b, rd.tokens.t_a, rd.tokens.t_b)
+        for ds in datasets for rd in ds.rounds))
 
 
 def dataset_prefix(dataset: SubjectDataset, s: int) -> SubjectDataset:

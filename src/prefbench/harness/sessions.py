@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from ..data import Allocation, ChoiceRound, Provenance, SubjectDataset
+from ..data import Allocation, ChoiceRound, SubjectDataset
 from ..errors import BackendError, SessionError, ValidationError
 from ..simulation import BudgetSchedule
 from .backends import ChatBackend
@@ -31,12 +31,6 @@ from .prompts import (
 )
 
 SESSION_ROUNDS = 25
-
-_PROVENANCE = {
-    TreatmentKind.DECISION: Provenance.LLM_DECISION,
-    TreatmentKind.RECOMMENDATION: Provenance.LLM_RECOMMENDATION,
-    TreatmentKind.PERSONALIZED_RECOMMENDATION: Provenance.LLM_PERSONALIZED,
-}
 
 
 def _now() -> str:
@@ -268,4 +262,4 @@ def transcript_to_dataset(
         )
     if not rounds:
         raise ValidationError(f"session {transcript.session_id!r}: no usable rounds")
-    return SubjectDataset(subject_id, _PROVENANCE[transcript.treatment], tuple(rounds))
+    return SubjectDataset(subject_id, tuple(rounds))

@@ -19,7 +19,6 @@ from .data import (
     RETURNS_HEADER,
     Allocation,
     ChoiceRound,
-    Provenance,
     ReturnPair,
     SubjectDataset,
     read_table,
@@ -45,7 +44,6 @@ REPRESENTATIVE_RHO_RANGE = (0.38, 0.95)
 
 @dataclass(frozen=True)
 class BudgetSchedule:
-    seed: int
     rounds: tuple[ReturnPair, ...]
 
 
@@ -66,7 +64,7 @@ def generate_budgets(seed: int, n_rounds: int) -> BudgetSchedule:
         r_a, r_b = rng.uniform(RETURN_LOW, RETURN_HIGH, size=2)
         if max(r_a, r_b) >= RETURN_MIN_MAX:
             rounds.append(ReturnPair(float(r_a), float(r_b)))
-    return BudgetSchedule(seed, tuple(rounds))
+    return BudgetSchedule(tuple(rounds))
 
 
 def evaluation_schedule() -> BudgetSchedule:
@@ -88,9 +86,7 @@ def simulate_subject(
         )
         for i in range(len(schedule.rounds))
     )
-    return SyntheticSubject(
-        subject_id, params, SubjectDataset(subject_id, Provenance.SIMULATED, rounds)
-    )
+    return SyntheticSubject(subject_id, params, SubjectDataset(subject_id, rounds))
 
 
 def sample_population(
@@ -137,10 +133,10 @@ def write_schedule(schedule: BudgetSchedule, path: str | Path) -> None:
                                        for i, r in enumerate(schedule.rounds, start=1)))
 
 
-def read_schedule(path: str | Path, seed: int = -1) -> BudgetSchedule:
+def read_schedule(path: str | Path) -> BudgetSchedule:
     """The returns of a schedule CSV, row by row; the allocation columns are not read."""
     rows = read_table(path, {RETURNS_HEADER: lambda sid, index, r_a, r_b, *_: ReturnPair(r_a, r_b)},
                       (str, int, float, float, str, str))
     if not rows:
         raise ValidationError(f"{path}: no rounds")
-    return BudgetSchedule(seed, tuple(returns for _, returns in rows))
+    return BudgetSchedule(tuple(returns for _, returns in rows))

@@ -1,11 +1,11 @@
-"""Summary statistics, representative-sample filtering, OLS alignment, Welch tests.
+"""Summary statistics, OLS alignment, Welch tests.
 
 Percentiles use inclusive linear interpolation between order statistics (the
 value at probe point k/(n-1) is the k-th order statistic).  The alignment
-regression is univariate OLS with heteroskedasticity-consistent standard
-errors (HC1 by default, HC0 on request) and two-sided normal-approximation
-p-values.  The Welch test takes its two-sided p-value from scipy's Student-t
-CDF, ``scipy.special.stdtr``, which accepts fractional degrees of freedom.
+regression is univariate OLS with HC1 heteroskedasticity-consistent standard
+errors and two-sided normal-approximation p-values.  The Welch test takes its
+two-sided p-value from scipy's Student-t CDF, ``scipy.special.stdtr``, which
+accepts fractional degrees of freedom.
 ``stdtr`` is imported inside :func:`student_t_two_sided_p`, so importing this
 module loads no scipy; ``scipy.stats`` is not imported at all.
 """
@@ -54,30 +54,15 @@ def summarize(values: Sequence[float]) -> SummaryRow:
     return SummaryRow(*(float(v) for v in q), float(np.mean(arr)), std, int(arr.size))
 
 
-def representative_filter(betas: Sequence[float], rhos: Sequence[float]) -> np.ndarray:
-    """Mask of subjects whose parameters both lie in the closed IQR box."""
-    b = np.asarray(betas, dtype=float)
-    r = np.asarray(rhos, dtype=float)
-    if b.shape != r.shape:
-        raise ValidationError("beta and rho samples must have equal length")
-    if b.size < 4:
-        raise ValidationError(f"need at least 4 subjects, got {b.size}")
-    b_lo, b_hi = np.quantile(b, [0.25, 0.75], method="linear")
-    r_lo, r_hi = np.quantile(r, [0.25, 0.75], method="linear")
-    return (b >= b_lo) & (b <= b_hi) & (r >= r_lo) & (r <= r_hi)
-
-
 def _normal_two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def regress_alignment(
-    truth: Sequence[float], estimates: Sequence[float], variance: str = "HC1"
-) -> RegressionResult:
+def regress_alignment(truth: Sequence[float], estimates: Sequence[float]) -> RegressionResult:
     """OLS of estimates on truth: estimate = alpha + gamma * truth + error.
 
-    The robust covariance is (X'X)^-1 X' diag(e^2) X (X'X)^-1, scaled by
-    n/(n-2) for HC1 and unscaled for HC0.
+    The robust covariance is the HC1 estimator, n/(n-2) times
+    (X'X)^-1 X' diag(e^2) X (X'X)^-1.
     """
     x = np.asarray(truth, dtype=float)
     y = np.asarray(estimates, dtype=float)
@@ -86,8 +71,6 @@ def regress_alignment(
     n = x.size
     if n < 3:
         raise ValidationError(f"need at least 3 observations, got {n}")
-    if variance not in ("HC1", "HC0"):
-        raise ValidationError(f"unknown variance estimator {variance!r}")
     if np.ptp(x) == 0.0:
         raise ValidationError("singular design: truth parameter has zero variance")
 
@@ -98,9 +81,7 @@ def regress_alignment(
     alpha, gamma = float(coef[0]), float(coef[1])
     resid = y - design @ coef
     meat = design.T @ (design * (resid * resid)[:, None])
-    cov = bread @ meat @ bread
-    if variance == "HC1":
-        cov = cov * (n / (n - 2))
+    cov = bread @ meat @ bread * (n / (n - 2))
     se_alpha = math.sqrt(max(cov[0, 0], 0.0))
     se_gamma = math.sqrt(max(cov[1, 1], 0.0))
     p_alpha = _normal_two_sided_p(alpha / se_alpha) if se_alpha > 0 else (1.0 if alpha == 0 else 0.0)

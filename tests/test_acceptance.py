@@ -16,7 +16,7 @@ import pytest
 import conftest
 from conftest import dataset_from_prices
 from prefbench.da_model import DAParams
-from prefbench.data import Provenance, ReturnPair, SubjectDataset
+from prefbench.data import ReturnPair, SubjectDataset
 from prefbench.estimation import recover_params
 from prefbench.eu_deviation import deut_index
 from prefbench.harness.backends import MockDecisionBackend
@@ -77,8 +77,7 @@ def test_criterion_2_eu_consistency():
         full = deut_index(subject.dataset)
         positive += full.deut > 1e-9
         for lo in (0, 9, 19):  # three distinct size-6 windows per subject
-            sub = SubjectDataset(f"da{i}w{lo}", Provenance.SIMULATED,
-                                 subject.dataset.rounds[lo:lo + 6])
+            sub = SubjectDataset(f"da{i}w{lo}", subject.dataset.rounds[lo:lo + 6])
             got = deut_index(sub).deut
             want = oracle_deut(sub)
             assert got == pytest.approx(want, abs=1e-9), f"da{i}[{lo}]: {got} vs {want}"

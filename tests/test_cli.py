@@ -12,7 +12,14 @@ from conftest import run_python
 
 from prefbench.cli import INDEX_COLUMNS, _parse_config, _write_index_reports, main
 from prefbench.da_model import DAParams
-from prefbench.data import format_float, read_dataset, write_dataset
+from prefbench.data import (
+    PRICES_HEADER,
+    RETURNS_HEADER,
+    format_float,
+    read_dataset,
+    write_dataset,
+    write_table,
+)
 from prefbench.errors import ConfigError, ValidationError
 from prefbench.harness.backends import HttpChatBackend, MockDecisionBackend
 from prefbench.harness.prompts import ChatMessage
@@ -220,6 +227,26 @@ class TestAnalyze:
         row = (out / "index.csv").read_text().splitlines()[1]
         assert "insufficient_rounds" in row
 
+    def test_price_row_off_the_budget_is_flagged_rescaled(self, tmp_path):
+        # round 2's demand implies 50 + 53 = 103 tokens: inside the band, rescaled onto the line
+        choices = tmp_path / "prices.csv"
+        write_table(choices, PRICES_HEADER, [("v1", 1, 0.01, 0.01, 50.0, 50.0),
+                                             ("v1", 2, 0.01, 0.02, 50.0, 26.5),
+                                             ("v1", 3, 0.02, 0.01, 20.0, 60.0)])
+        out = tmp_path / "idx"
+        assert run_cli("analyze", "--choices", str(choices), "--out", str(out)) == 4
+        (row,) = _csv_rows(out / "index.csv")[1:]
+        assert "rescaled:1" in row[-1].split(";")
+
+    def test_price_row_outside_the_band_names_the_row(self, tmp_path, capsys):
+        # round 2's demand implies 50 + 60 = 110 tokens, outside [95, 105]
+        choices = tmp_path / "prices.csv"
+        write_table(choices, PRICES_HEADER, [("v1", 1, 0.01, 0.01, 50.0, 50.0),
+                                             ("v1", 2, 0.01, 0.02, 50.0, 30.0)])
+        assert run_cli("analyze", "--choices", str(choices), "--out", str(tmp_path / "idx")) == 2
+        err = capsys.readouterr().err
+        assert f"{choices}: row 3: implied token sum" in err and "outside [95, 105]" in err
+
     def test_jsonl_format(self, tmp_path):
         params = make_params(tmp_path, n=2)
         sim_out = tmp_path / "sim"
@@ -338,10 +365,26 @@ class TestExperiment:
         assert (out / "choices.csv").read_bytes() == (fresh / "choices.csv").read_bytes()
         assert self._transcript_messages(out) == self._transcript_messages(fresh)
 
+    def test_rerun_without_a_usable_round_writes_a_header_only_choices_file(self, tmp_path,
+                                                                            monkeypatch):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--treatment", "decision", "--out", str(out)) == 0
+        assert len(read_dataset(out / "choices.csv")) == 1
+
+        class Unparsable:
+            def send(self, messages):
+                return "I would rather not say."
+
+        monkeypatch.setattr("prefbench.cli.make_backend", lambda config: Unparsable())
+        assert run_cli("experiment", "--treatment", "recommendation", "--out", str(out)) == 4
+        assert (out / "choices.csv").read_text(encoding="utf-8") == ",".join(RETURNS_HEADER) + "\n"
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == ["choices.csv", "transcripts/"]
+
     def test_schedule_of_other_than_25_rounds_keeps_the_transcripts(self, tmp_path, capsys):
         schedule = tmp_path / "schedule.csv"
         rounds = evaluation_schedule().rounds + generate_budgets(3, 5).rounds
-        write_schedule(BudgetSchedule(-1, rounds), schedule)
+        write_schedule(BudgetSchedule(rounds), schedule)
         out, fresh = tmp_path / "exp", tmp_path / "fresh"
         assert run_cli("experiment", "--treatment", "decision", "--out", str(out)) == 0
         stamps = {p.name: p.stat().st_mtime_ns for p in (out / "transcripts").iterdir()}
@@ -712,6 +755,34 @@ class TestLearningCurveAndReport:
                        "--out", str(tmp_path / "c"))
         assert code == 2
         assert "do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "--index", "../../x=IDX"],
+         "--index '../../x=IDX': label '../../x' is not a plain file name"),
+        (["report", "--choices", "a/b=SIM"],
+         "--choices 'a/b=SIM': label 'a/b' is not a plain file name"),
+        (["report", "--index", "=IDX"], "--index '=IDX': label '' is not a plain file name"),
+        # scatter_{label}.csv is 256 bytes
+        (["report", "--choices", "y" * 244 + "=SIM"],
+         f"--choices '{'y' * 244}=SIM': label '{'y' * 244}' is too long for a file name"),
+        (["report", "--index", "a=IDX", "--index", "a=SIM"], "--index 'a=SIM': label 'a' repeats"),
+        (["learning-curve", "--truth", "TRUTH", "--estimates", "10=IDX", "--estimates", "10=SIM"],
+         "--estimates '10=SIM': sample size 10 repeats"),
+    ], ids=["parent_dir", "slash", "empty", "too_long", "repeated_label", "repeated_size"])
+    def test_spec_that_cannot_name_its_output(self, tmp_path, capsys, argv, message):
+        params, index = self._index(tmp_path)
+        paths = {"IDX": str(index), "SIM": str(tmp_path / "sim" / "choices.csv"),
+                 "TRUTH": str(params)}
+
+        def filled(text):
+            for key, path in paths.items():
+                text = text.replace(key, path)
+            return text
+
+        out = tmp_path / "rep"
+        assert run_cli(*map(filled, argv), "--out", str(out)) == 2
+        assert f"error: {filled(message)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_panels_sorted_by_label(self, tmp_path):
         params = make_params(tmp_path, n=4)

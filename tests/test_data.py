@@ -9,21 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prefbench.data import (
+    PRICES_HEADER,
     Allocation,
     ChoiceRound,
-    InterceptPair,
     PricePair,
-    Provenance,
     ReturnPair,
     SubjectDataset,
     dataset_prefix,
     demand_to_tokens,
-    normalize_q_format,
     prices_to_returns,
     read_dataset,
     returns_to_prices,
     tokens_to_demand,
     write_dataset,
+    write_table,
 )
 from prefbench.errors import ValidationError
 
@@ -124,32 +123,6 @@ class TestConversions:
         assert back.t_b == pytest.approx(t.t_b, abs=1e-9)
 
 
-class TestQFormat:
-    def test_symmetric(self):
-        rd = normalize_q_format(1.0, (50.0, 50.0))
-        assert rd.prices == PricePair(0.01, 0.01)
-        assert rd.demand == (50.0, 50.0)
-
-    def test_asymmetric_corner(self):
-        rd = normalize_q_format(2.0, (0.0, 50.0))
-        assert rd.prices == PricePair(0.01, 0.02)
-        assert rd.demand == (0.0, 50.0)
-
-    def test_unit_bundle(self):
-        rd = normalize_q_format(1.0, (1.0, 0.0))
-        assert rd.prices == PricePair(1.0, 1.0)
-        assert rd.demand == (1.0, 0.0)
-
-    def test_degenerate_bundle(self):
-        with pytest.raises(ValidationError, match="degenerate"):
-            normalize_q_format(1.0, (0.0, 0.0))
-
-    def test_intercepts_imply_unit_expenditure(self):
-        rd = ChoiceRound.from_intercepts(1, InterceptPair(100.0, 50.0), (30.0, 35.0))
-        assert rd.prices == PricePair(0.01, 0.02)
-        assert rd.prices.cost(*rd.demand) == pytest.approx(1.0, abs=1e-9)
-
-
 class TestRoundInvariants:
     def test_budget_identity_enforced(self):
         with pytest.raises(ValidationError, match="budget identity"):
@@ -164,16 +137,16 @@ class TestRoundInvariants:
     def test_dataset_requires_increasing_rounds(self):
         rd = ChoiceRound.from_returns_tokens(1, ReturnPair(0.5, 0.9), Allocation(50, 50))
         with pytest.raises(ValidationError, match="strictly increasing"):
-            SubjectDataset("s", Provenance.SIMULATED, (rd, rd))
+            SubjectDataset("s", (rd, rd))
         with pytest.raises(ValidationError, match="nonempty"):
-            SubjectDataset("s", Provenance.SIMULATED, ())
+            SubjectDataset("s", ())
 
     def test_prefix(self):
         rounds = tuple(
             ChoiceRound.from_returns_tokens(i, ReturnPair(0.5, 0.9), Allocation(50, 50))
             for i in range(1, 6)
         )
-        ds = SubjectDataset("s", Provenance.SIMULATED, rounds)
+        ds = SubjectDataset("s", rounds)
         assert dataset_prefix(ds, 5) == ds
         assert dataset_prefix(ds, 1).n == 1
         assert dataset_prefix(ds, 3).rounds == rounds[:3]
@@ -192,7 +165,7 @@ def _random_clean_datasets(seed: int, n_subjects: int) -> list[SubjectDataset]:
             r = ReturnPair(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0)))
             t_a = float(rng.uniform(0.0, 100.0))
             rounds.append(ChoiceRound.from_returns_tokens(i + 1, r, Allocation(t_a, 100.0 - t_a)))
-        datasets.append(SubjectDataset(f"subj{s}", Provenance.SIMULATED, tuple(rounds)))
+        datasets.append(SubjectDataset(f"subj{s}", tuple(rounds)))
     return datasets
 
 
@@ -201,26 +174,41 @@ class TestCsvIO:
         datasets = _random_clean_datasets(3, 4)
         path = tmp_path / "choices.csv"
         write_dataset(datasets, path)
-        back = read_dataset(path, provenance=Provenance.SIMULATED)
+        back = read_dataset(path)
         assert [ds.subject_id for ds in back] == [ds.subject_id for ds in datasets]
         assert back == datasets  # dataclass equality covers every float field bitwise
 
     def test_price_format_round_trip(self, tmp_path):
         datasets = _random_clean_datasets(5, 3)
         path = tmp_path / "choices.csv"
-        write_dataset(datasets, path, fmt="prices")
-        back = read_dataset(path, provenance=Provenance.SIMULATED)
+        write_table(path, PRICES_HEADER, ((ds.subject_id, rd.round, rd.prices.p_a, rd.prices.p_b,
+                                           *rd.demand) for ds in datasets for rd in ds.rounds))
+        back = read_dataset(path)
         for orig, loaded in zip(datasets, back):
             for a, b in zip(orig.rounds, loaded.rounds):
                 assert a.demand == b.demand
                 assert a.prices == b.prices
+
+    def test_price_row_off_the_budget_reads_back_rescaled(self, tmp_path):
+        # demand that implies 103 tokens is scaled by 100/103 onto the budget line
+        p_a, p_b, x_a, x_b = 0.01, 0.02, 50.0, 26.5
+        path = tmp_path / "choices.csv"
+        write_table(path, PRICES_HEADER, [("s1", 1, 0.01, 0.01, 50.0, 50.0),
+                                          ("s1", 2, p_a, p_b, x_a, x_b)])
+        exact, sloppy = read_dataset(path)[0].rounds
+        assert not exact.rescaled and exact.demand == (50.0, 50.0)
+        total = 100.0 * x_a * p_a + 100.0 * x_b * p_b
+        assert total == pytest.approx(103.0, abs=1e-9)
+        assert sloppy.rescaled
+        assert sloppy.tokens == Allocation(100.0 * x_a * p_a, 100.0 * x_b * p_b)
+        assert sloppy.demand == (x_a * (100.0 / total), x_b * (100.0 / total))
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_write_read_bitwise_property(self, tmp_path_factory, seed):
         datasets = _random_clean_datasets(seed, 2)
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         write_dataset(datasets, path)
-        assert read_dataset(path, provenance=Provenance.SIMULATED) == datasets
+        assert read_dataset(path) == datasets
 
     def test_validation_error_names_band(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -260,12 +248,12 @@ class TestCsvIO:
 
     def test_ids_with_a_comma_or_a_quote_round_trip(self, tmp_path):
         datasets = [
-            SubjectDataset(sid, Provenance.SIMULATED, ds.rounds)
+            SubjectDataset(sid, ds.rounds)
             for sid, ds in zip(['a,b', 'q"x', "plain"], _random_clean_datasets(5, 3))
         ]
         path = tmp_path / "choices.csv"
         write_dataset(datasets, path)
-        assert read_dataset(path, provenance=Provenance.SIMULATED) == datasets
+        assert read_dataset(path) == datasets
         ids = {line.rsplit(",", 5)[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]}
         assert ids == {'"a,b"', '"q""x"', "plain"}
 
@@ -318,4 +306,3 @@ class TestCsvIO:
         datasets = read_dataset(path)
         assert len(datasets) == 1
         assert datasets[0].n == 25
-        assert datasets[0].provenance is Provenance.HUMAN

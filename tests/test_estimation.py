@@ -17,7 +17,7 @@ from demand_oracle import enumeration_demand_grid as optimal_demand_grid
 from prefbench import estimation
 from prefbench.da_model import (_LOG_RHO_EPS, DAParams, _Budgets, _candidates, _interior,
                                 _optimum, _Valuation)
-from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset, dataset_prefix
+from prefbench.data import Allocation, ChoiceRound, ReturnPair, SubjectDataset, dataset_prefix
 from prefbench.errors import ValidationError
 from prefbench.estimation import (
     FitResult,
@@ -59,7 +59,7 @@ def _noisy_copy(dataset, rng, spread=5.0):
         rounds.append(
             ChoiceRound.from_returns_tokens(rd.round, rd.returns, Allocation(t_a, 100.0 - t_a))
         )
-    return SubjectDataset(dataset.subject_id, Provenance.SIMULATED, tuple(rounds))
+    return SubjectDataset(dataset.subject_id, tuple(rounds))
 
 
 class TestFitLoss:
@@ -77,12 +77,12 @@ class TestFitLoss:
             assert fit_loss(subject.dataset, neighbor) >= base
 
     def test_fifty_fifty_tokens_at_symmetric_prices_fit_large_beta(self):
-        schedule = BudgetSchedule(-1, tuple(ReturnPair(0.6, 0.6) for _ in range(5)))
+        schedule = BudgetSchedule(tuple(ReturnPair(0.6, 0.6) for _ in range(5)))
         rounds = tuple(
             ChoiceRound.from_returns_tokens(i + 1, r, Allocation(50.0, 50.0))
             for i, r in enumerate(schedule.rounds)
         )
-        ds = SubjectDataset("k", Provenance.SIMULATED, rounds)
+        ds = SubjectDataset("k", rounds)
         assert fit_loss(ds, DAParams(2.0, 1.0)) <= 1e-12
 
 
@@ -112,7 +112,7 @@ class TestRecovery:
         rounds = tuple(
             ChoiceRound.from_returns_tokens(i + 1, r, Allocation(40.0, 60.0)) for i in range(5)
         )
-        fit = recover_params(SubjectDataset("flat", Provenance.SIMULATED, rounds))
+        fit = recover_params(SubjectDataset("flat", rounds))
         assert not fit.converged
         assert "degenerate_rounds" in fit.flags
 
@@ -289,7 +289,7 @@ def _sloppy_subject(seed: int, params: DAParams, n_rounds: int = 175) -> Subject
         rounds.append(
             ChoiceRound.from_returns_tokens(rd.round, rd.returns, Allocation(t_a, 100.0 - t_a))
         )
-    return SubjectDataset(exact.subject_id, Provenance.SIMULATED, tuple(rounds))
+    return SubjectDataset(exact.subject_id, tuple(rounds))
 
 
 class TestRecoverPrefixes:
@@ -320,7 +320,7 @@ class TestRecoverPrefixes:
             ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(40.0, 60.0))
             for i in range(4)
         ) + (ChoiceRound.from_returns_tokens(5, ReturnPair(0.8, 0.4), Allocation(70.0, 30.0)),)
-        ds = SubjectDataset("p", Provenance.SIMULATED, rounds)
+        ds = SubjectDataset("p", rounds)
         fits = recover_prefixes(ds, (1, 4, 5))
         assert fits[1].flags == ("insufficient_rounds",)
         assert fits[4].flags == ("degenerate_rounds",)
@@ -828,7 +828,7 @@ class TestRecoverBatch:
             random_sloppy_dataset(rng, 2),
             simulate_subject(DAParams(0.4, 0.7), generate_budgets(337, 12), "ex12").dataset,
             _sloppy_subject(347, DAParams(-0.3, 1.6), n_rounds=60),
-            SubjectDataset("flat", Provenance.SIMULATED, degenerate),
+            SubjectDataset("flat", degenerate),
             _sloppy_subject(349, DAParams(1.2, 0.4)),
         ]
 
@@ -883,7 +883,7 @@ def _retokened(dataset: SubjectDataset, rng: np.random.Generator) -> SubjectData
         t_a = float(rng.uniform(0.0, 100.0))
         rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns,
                                                       Allocation(t_a, 100.0 - t_a)))
-    return SubjectDataset(dataset.subject_id + "r", dataset.provenance, tuple(rounds))
+    return SubjectDataset(dataset.subject_id + "r", tuple(rounds))
 
 
 @pytest.fixture
@@ -931,7 +931,7 @@ class TestSharedSchedules:
 
     def test_one_round_and_degenerate_groups(self, grid_passes):
         five = [_sloppy_subject(401, DAParams(beta, 0.9), n_rounds=60) for beta in (0.0, 0.4)]
-        degenerate = [SubjectDataset(f"flat{t_a}", Provenance.SIMULATED, tuple(
+        degenerate = [SubjectDataset(f"flat{t_a}", tuple(
             ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(t_a, 100.0 - t_a))
             for i in range(6))) for t_a in (40.0, 70.0)]
         datasets = [dataset_prefix(five[0], 1), degenerate[0], five[0], dataset_prefix(five[1], 1),
@@ -966,7 +966,7 @@ class TestSharedSchedules:
         for rd in ds.rounds:
             returns = ReturnPair(float(np.nextafter(rd.returns.r_a, 1.0)), rd.returns.r_b)
             rounds.append(ChoiceRound(rd.round, returns, rd.tokens, rd.prices, rd.demand))
-        shifted = SubjectDataset("shifted", ds.provenance, tuple(rounds))
+        shifted = SubjectDataset("shifted", tuple(rounds))
         assert np.array_equal(shifted.price_matrix(), ds.price_matrix())
         assert not np.array_equal(shifted.return_matrix(), ds.return_matrix())
         got = recover_batch([ds, shifted])

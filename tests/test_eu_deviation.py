@@ -12,7 +12,6 @@ from prefbench.data import (
     Allocation,
     ChoiceRound,
     PricePair,
-    Provenance,
     ReturnPair,
     SubjectDataset,
 )
@@ -182,7 +181,6 @@ def _all_zero_dataset() -> SubjectDataset:
         object.__setattr__(rd, name, value)
     ds = object.__new__(SubjectDataset)
     object.__setattr__(ds, "subject_id", "z")
-    object.__setattr__(ds, "provenance", Provenance.HUMAN)
     object.__setattr__(ds, "rounds", (rd,))
     return ds
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from prefbench.data import Allocation, ChoiceRound, Provenance, ReturnPair, SubjectDataset
+from prefbench.data import Allocation, ChoiceRound, ReturnPair, SubjectDataset
 from prefbench.errors import TemplateError, ValidationError
 from prefbench.harness.prompts import Treatment, TreatmentKind, build_prompt
 from prefbench.simulation import BudgetSchedule, evaluation_schedule
@@ -17,9 +17,7 @@ def golden_bytes(name: str) -> bytes:
 
 
 def mini_schedule() -> BudgetSchedule:
-    return BudgetSchedule(
-        -1, (ReturnPair(0.5, 0.9), ReturnPair(0.75, 0.3), ReturnPair(0.2, 0.6))
-    )
+    return BudgetSchedule((ReturnPair(0.5, 0.9), ReturnPair(0.75, 0.3), ReturnPair(0.2, 0.6)))
 
 
 def sample_dataset() -> SubjectDataset:
@@ -27,7 +25,7 @@ def sample_dataset() -> SubjectDataset:
         ChoiceRound.from_returns_tokens(1, ReturnPair(0.5, 0.9), Allocation(30.0, 70.0)),
         ChoiceRound.from_returns_tokens(2, ReturnPair(0.75, 0.3), Allocation(80.0, 20.0)),
     )
-    return SubjectDataset("h1", Provenance.HUMAN, rounds)
+    return SubjectDataset("h1", rounds)
 
 
 class TestGoldenBytes:

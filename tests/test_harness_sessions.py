@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import pytest
 
 from prefbench.da_model import DAParams
-from prefbench.data import Provenance
 from prefbench.errors import BackendError, SessionError, ValidationError
 from prefbench.harness.backends import MockDecisionBackend
 from prefbench.harness.prompts import RETRY_REMINDER, Treatment, TreatmentKind
@@ -63,7 +62,6 @@ class TestDecisionSession:
         assert len(parsed) == 25
         assert all(a.ok for a in parsed)
         dataset = transcript_to_dataset(transcript, schedule, "d1")
-        assert dataset.provenance is Provenance.LLM_DECISION
         assert ccei(dataset).ccei == 1.0
         # the harness reproduces the direct simulation path exactly
         direct = simulate_subject(params, schedule, "d1").dataset
@@ -124,7 +122,6 @@ class TestRecommendationSession:
         parsed = transcript.parsed_rounds()
         assert len(parsed) == 25 and all(a.ok for a in parsed)
         dataset = transcript_to_dataset(transcript, schedule, "r1")
-        assert dataset.provenance is Provenance.LLM_RECOMMENDATION
         assert ccei(dataset).ccei == 1.0
 
     def test_personalized_session_provenance(self):
@@ -137,7 +134,6 @@ class TestRecommendationSession:
             MockDecisionBackend(DAParams(0.2, 0.5)), treatment, schedule, "pr"
         )
         dataset = transcript_to_dataset(transcript, schedule, "pr")
-        assert dataset.provenance is Provenance.LLM_PERSONALIZED
         assert "participate in 10 rounds" in transcript.records[0].messages[1].content
 
     def test_sessions_are_stateless_and_identical(self):

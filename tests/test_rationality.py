@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
-from prefbench.data import Allocation, ChoiceRound, normalize_q_format, Provenance, SubjectDataset
+from prefbench.data import Allocation, ChoiceRound, SubjectDataset
 from prefbench.errors import ValidationError
 from prefbench.rationality import (
     CceiResult,
@@ -157,7 +157,7 @@ def _noisy_exact_subjects(rng):
             t_a = round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
             tokens = Allocation(t_a, round(100.0 - t_a, 2))
             rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
-        yield SubjectDataset(f"n{i}", Provenance.HUMAN, tuple(rounds))
+        yield SubjectDataset(f"n{i}", tuple(rounds))
 
 
 def _exact_175_round_subjects(rng):
@@ -260,7 +260,7 @@ class TestComponentPassOracle:
                 t_a = round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
                 tokens = Allocation(t_a, round(100.0 - t_a, 2))
                 rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
-            ds = SubjectDataset(f"s{i}", Provenance.HUMAN, tuple(rounds))
+            ds = SubjectDataset(f"s{i}", tuple(rounds))
             cross = ds.price_matrix() @ ds.demand_matrix().T
             own = np.diag(cross)
             components = connected_components(own[:, None] >= cross - 1e-12, connection="strong")[0]
@@ -423,17 +423,6 @@ class TestCcei:
             c = float(rng.uniform(0.2, 5.0))
             scaled = [(p_a * c, p_b * c, x_a / c, x_b / c) for p_a, p_b, x_a, x_b in rows]
             assert ccei(dataset_from_prices(scaled)).ccei == base
-
-    def test_format_invariance_q_versus_p(self):
-        # the same behavior ingested via the A-normalized format scores identically
-        rows = [(0.02, 0.01, 20.0, 60.0), (0.01, 0.03, 40.0, 20.0), (0.025, 0.02, 30.0, 12.5)]
-        p_dataset = dataset_from_prices(rows)
-        q_rounds = []
-        for i, (p_a, p_b, x_a, x_b) in enumerate(rows, start=1):
-            q_rounds.append(normalize_q_format(p_b / p_a, (x_a, x_b), index=i))
-        q_dataset = SubjectDataset("q", Provenance.HUMAN, tuple(q_rounds))
-        assert ccei(q_dataset).ccei == pytest.approx(ccei(p_dataset).ccei, abs=1e-12)
-        assert fosd_violations(q_dataset) == fosd_violations(p_dataset)
 
 
 class TestFosd:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from prefbench.da_model import DAParams
-from prefbench.data import Provenance
 from prefbench.errors import ValidationError
 from prefbench.eu_deviation import deut_index
 from prefbench.rationality import ccei
@@ -67,7 +66,7 @@ class TestSimulateSubject:
             assert rd.tokens.t_b == pytest.approx(50.0, abs=1e-9)
 
     def test_kink_at_symmetric_prices(self):
-        schedule = BudgetSchedule(-1, (ReturnPair(0.7, 0.7),))
+        schedule = BudgetSchedule((ReturnPair(0.7, 0.7),))
         subject = simulate_subject(DAParams(0.5, 1.2), schedule, "kink")
         assert subject.dataset.rounds[0].tokens.t_a == pytest.approx(50.0, abs=1e-12)
         assert subject.dataset.rounds[0].tokens.t_b == pytest.approx(50.0, abs=1e-12)
@@ -77,7 +76,6 @@ class TestSimulateSubject:
         for i in range(8):
             params = DAParams(float(rng.uniform(-0.5, 2.0)), float(rng.uniform(0.2, 3.0)))
             subject = simulate_subject(params, generate_budgets(600 + i, 25), f"c{i}")
-            assert subject.dataset.provenance is Provenance.SIMULATED
             assert ccei(subject.dataset).ccei == 1.0
             if params.beta == 0.0:
                 assert deut_index(subject.dataset).deut == 0.0
@@ -144,7 +142,7 @@ class TestPopulationFiles:
         schedule = generate_budgets(9, 25)
         path = tmp_path / "schedule.csv"
         write_schedule(schedule, path)
-        loaded = read_schedule(path, seed=9)
+        loaded = read_schedule(path)
         assert loaded.rounds == schedule.rounds
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[1].endswith(",,")  # allocation columns left empty

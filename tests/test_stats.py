@@ -11,7 +11,6 @@ from conftest import run_python
 from prefbench.errors import ValidationError
 from prefbench.stats import (
     regress_alignment,
-    representative_filter,
     student_t_two_sided_p,
     summarize,
     welch_t_test,
@@ -64,35 +63,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             summarize([])
-
-
-class TestRepresentativeFilter:
-    def test_identical_parameters_all_kept(self):
-        mask = representative_filter([0.1] * 6, [0.5] * 6)
-        assert mask.all()
-
-    def test_uniform_grid_selectivity_by_enumeration(self):
-        values = list(range(10))
-        betas = [float(b) for b in values for _ in values]
-        rhos = [float(r) for _ in values for r in values]
-        mask = representative_filter(betas, rhos)
-        b_lo, b_hi = hand_percentile(sorted(betas), 0.25), hand_percentile(sorted(betas), 0.75)
-        r_lo, r_hi = hand_percentile(sorted(rhos), 0.25), hand_percentile(sorted(rhos), 0.75)
-        expected = sum(
-            1 for b, r in zip(betas, rhos) if b_lo <= b <= b_hi and r_lo <= r <= r_hi
-        )
-        assert int(mask.sum()) == expected
-        assert 0 < expected < len(betas)
-
-    def test_outlier_excluded(self):
-        betas = [0.1, 0.12, 0.11, 0.13, 0.09, 50.0]
-        rhos = [0.5, 0.52, 0.51, 0.49, 0.5, 0.5]
-        mask = representative_filter(betas, rhos)
-        assert not mask[-1]
-
-    def test_minimum_size(self):
-        with pytest.raises(ValidationError):
-            representative_filter([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestRegression:
@@ -152,13 +122,6 @@ class TestRegression:
             scaled = regress_alignment(x * c, y)
             assert scaled.gamma == pytest.approx(base.gamma / c, rel=1e-9)
             assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
-
-    def test_hc0_flag(self):
-        x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        y = [1.0, 2.2, 2.8, 4.1, 4.9, 6.2]
-        hc0 = regress_alignment(x, y, variance="HC0")
-        hc1 = regress_alignment(x, y, variance="HC1")
-        assert hc1.se_gamma == pytest.approx(hc0.se_gamma * math.sqrt(6 / 4), rel=1e-12)
 
     def test_hc1_matches_classical_under_homoskedasticity_in_expectation(self):
         # HC1 is exactly unbiased for the classical variance when every
