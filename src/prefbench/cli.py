@@ -342,6 +342,9 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
     started = _now()
     config, _ = _parse_config(load_config(config_file))
     estimate_paths = {}
+    if direct and estimate_specs:
+        raise ValidationError("--estimates does not apply with --direct, which recovers its "
+                              "own estimates")
     if not direct:
         if not estimate_specs:
             raise ValidationError("provide --estimates S=PATH pairs or use --direct")
@@ -406,6 +409,8 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
 
     index_pairs = parse_specs("--index", index_specs, "summary_{}.csv")
     choice_pairs = parse_specs("--choices", choice_specs, "scatter_{}.csv")
+    if not (index_pairs or choice_pairs or curve_file):
+        raise ValidationError("nothing to report: provide --index, --choices, or --curve")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -439,8 +444,6 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
                     sorted((row for _, row in curve), key=lambda row: row[:2]))
         outputs.append("gamma_vs_s.csv")
 
-    if not outputs:
-        raise ValidationError("nothing to report: provide --index, --choices, or --curve")
     write_manifest(out, "report", {"panels": panels}, {},
                    [str(p) for _, p in index_pairs + choice_pairs],
                    outputs, started)

@@ -30,22 +30,24 @@ candidates (``da_model._candidates``) and its one selection and tie rule
 <= 1, where it is inadmissible at every rho; the kink and corner felicities
 of each rho column are computed once per schedule.  The classed pairs are
 gathered in chunks of ``_PAIR_CELLS`` cells, so the kernel's temporaries
-stay cache-sized, and its tokens go into one workspace per pass.  Each
-dataset's per-round losses of a block (:func:`_token_losses`) go into one
-reusable buffer, averaged over the first ``s`` rounds for every prefix size
-``s``; only a running first minimum per dataset and size survives the block,
-so no per-round grid is kept and :func:`recover_batch` fits every prefix of
-every dataset from its schedule's one pass.
+stay cache-sized, and a block's tokens stay in that gathered order, shared
+by every dataset on the schedule.  Each dataset's per-round losses of a
+block (:func:`_block_losses`) go into one reusable buffer: the kink pairs
+take the round's kink loss, one number per round, and each chunk's loss is
+formed on its gathered cells and scattered once.  The buffer's first ``s``
+rounds are averaged for every prefix size ``s``; only a running first
+minimum per dataset and size survives the block, so no per-round grid is
+kept and :func:`recover_batch` fits every prefix of every dataset from its
+schedule's one pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
-step: each is a Nelder-Mead generator (:func:`_nelder_mead`, scipy's
-algorithm transcribed) that yields the point it wants next, and each step
-values the pending points of all of them in one call of a paired kernel
-(:class:`_PairedLoss`: K datasets, K parameter pairs, K losses), which runs
-the same enumeration and selection on the rounds of all K.  The same kernel serves
-:func:`fit_loss` and the final comparison with the grid optimum, so the fits
-are those of scipy's ``minimize`` on one prefix at a time, evaluation counts
-included.
+step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
+transcribed, on Python floats).  Each step values the pending points of all
+fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
+parameter pairs, K losses), which runs the same enumeration and selection on
+the rounds of all K.  The same kernel serves :func:`fit_loss` and the final
+comparison with the grid optimum, so the fits are those of scipy's
+``minimize`` on one prefix at a time, evaluation counts included.
 """
 
 from __future__ import annotations
@@ -117,11 +119,17 @@ def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
 def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     """The model's token allocations on one schedule, for a block of beta rows at a time.
 
-    Returns ``tokens_at(betas)``, which maps betas of one sign, (B,), to
-    ``(x_a / r_a, x_b / r_b)``, each (B, R, N), at the optimal demand ``x`` of
-    every (beta, rho) pair and round.  Only the prices and returns enter, so
-    every dataset on the schedule shares them.  The two arrays are views of
-    one workspace per schedule, overwritten by the next call.
+    Returns ``tokens_at(betas)``, which maps betas of one sign, (B,), to the
+    tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every
+    (beta, rho) pair and round, as ``(kink, pieces)``.  ``pieces`` lists
+    ``(rows, rounds, model_a, model_b)``: the (beta, round) pairs of one chunk,
+    (pairs,) each, and their tokens in that gathered order, (pairs, R) each.
+    Every pair in no piece takes the round's kink tokens ``kink = (kink_a,
+    kink_b)``, (N,) each, at every rho; with beta < 0 the pieces hold every
+    pair and ``kink`` is None.  Only the prices and returns enter, so every
+    dataset on the schedule shares them (:func:`_block_losses`).  The pieces'
+    tokens are views of one workspace per schedule, no larger than a block's
+    two token arrays, and the next call overwrites them.
 
     Each interior's ratio is ``k = base^(1/rho)``, whose base depends on the
     beta and the round but not on rho: ``odds * p_b / p_a`` for A-high and
@@ -130,8 +138,8 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     pair by which bases exceed 1, once per block, and computes an interior's
     power, bundle and felicities only on the pairs of its classes.  A class's
     pairs are gathered into (pairs, R) arrays, ``_PAIR_CELLS`` cells at a
-    time so that the temporaries stay in cache, and their tokens are scattered
-    back into the workspace.
+    time so that the temporaries stay in cache, and their tokens are written
+    into the workspace in that gathered order.
 
     With beta >= 0 the weight on the better outcome is at most 1/2, so U is
     the minimum of the two one-sided objectives ``w u(x_a) + (1-w) u(x_b)``
@@ -142,9 +150,9 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     and ``fl(1 - w) >= 1/2``, so ``odds <= 1`` and each base is at most its
     price ratio, and ``fl(p_b / p_a) > 1`` and ``fl(p_a / p_b) > 1`` would need
     ``p_b > p_a`` and ``p_a > p_b``.  So a pair whose bases are both <= 1
-    takes the kink's tokens, computed once per round, at every rho with no
-    power at all; a pair with a base above 1 takes one power per rho and its
-    side's bundle at ``max(k, 1)``, which at ``k = 1`` is the kink bit for bit
+    takes the kink's tokens at every rho with no power at all and is in no
+    piece; a pair with a base above 1 takes one power per rho and its side's
+    bundle at ``max(k, 1)``, which at ``k = 1`` is the kink bit for bit
     (``p_hi * 1.0 + p_lo`` is exactly ``p_a + p_b``).
 
     With beta < 0 each class goes through the enumeration that
@@ -162,7 +170,7 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     # rho: the kink and corner felicities are (N, R), gathered by round
     value = _Valuation(rhos)
     f_kink, f_corners = value.fixed_felicities(_Budgets(prices[:, :, None]))
-    kink_a, kink_b = budgets.kink / r_a, budgets.kink / r_b
+    kink = budgets.kink / r_a, budgets.kink / r_b
     step = max(1, _PAIR_CELLS // len(rhos))
     workspace = np.empty((2, 0))
 
@@ -173,13 +181,25 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
             yield rows[start:start + step], rounds[start:start + step]
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def tokens_at(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tokens_at(betas: np.ndarray):
         nonlocal workspace
-        shape = (len(betas), len(rhos), len(prices))
-        cells = math.prod(shape)
+        cells = len(betas) * len(rhos) * len(prices)
         if workspace.shape[1] < cells:
             workspace = np.empty((2, cells))
-        model_a, model_b = (part[:cells].reshape(shape) for part in workspace)
+        pieces, used = [], 0
+
+        def add(rows: np.ndarray, rounds: np.ndarray, x_a: np.ndarray, x_b: np.ndarray):
+            """A piece of the pairs' tokens at demand ``x``, written into the workspace after
+            the pieces before it."""
+            nonlocal used
+            size = len(rows) * len(rhos)
+            model_a, model_b = (part[used:used + size].reshape(len(rows), len(rhos))
+                                for part in workspace)
+            np.divide(x_a, r_a[rounds, None], out=model_a)
+            np.divide(x_b, r_b[rounds, None], out=model_b)
+            pieces.append((rows, rounds, model_a, model_b))
+            used += size
+
         w = 1.0 / (2.0 + betas[:, None])
         odds = w / (1.0 - w)
         base_a, base_b = odds * budgets.ratio_a, odds * budgets.ratio_b
@@ -193,38 +213,53 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
                                                   (f_corners[0][rounds], f_corners[1][rounds]))
                     x_a, x_b = _optimum(_candidates(_Budgets(prices[rounds, :, None]),
                                                     value.weighted(w[rows]), k_a, k_b, felicities))
-                    model_a[rows, :, rounds] = x_a / r_a[rounds, None]
-                    model_b[rows, :, rounds] = x_b / r_b[rounds, None]
-        else:
-            model_a[...] = kink_a
-            model_b[...] = kink_b
-            for base, p_hi, p_lo, (out_hi, r_hi), (out_lo, r_lo) in (
-                    (base_a, budgets.p_a, budgets.p_b, (model_a, r_a), (model_b, r_b)),
-                    (base_b, budgets.p_b, budgets.p_a, (model_b, r_b), (model_a, r_a))):
-                for rows, rounds in chunks(base > 1.0):
-                    k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
-                    x_hi, x_lo = _interior(p_hi[rounds, None], p_lo[rounds, None], k)
-                    out_hi[rows, :, rounds] = x_hi / r_hi[rounds, None]
-                    out_lo[rows, :, rounds] = x_lo / r_lo[rounds, None]
-        return model_a, model_b
+                    add(rows, rounds, x_a, x_b)
+            return None, pieces
+        for base, p_hi, p_lo, high_a in ((base_a, budgets.p_a, budgets.p_b, True),
+                                         (base_b, budgets.p_b, budgets.p_a, False)):
+            for rows, rounds in chunks(base > 1.0):
+                k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
+                x_hi, x_lo = _interior(p_hi[rounds, None], p_lo[rounds, None], k)
+                add(rows, rounds, *((x_hi, x_lo) if high_a else (x_lo, x_hi)))
+        return kink, pieces
 
     return tokens_at
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _token_losses(model_a: np.ndarray, model_b: np.ndarray, tokens: np.ndarray,
-                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Squared token-share gap per cell, ``gap_a**2 + gap_b**2``, written into ``out``.
+def _token_losses(model_a: np.ndarray, model_b: np.ndarray, t_a: np.ndarray,
+                  t_b: np.ndarray) -> np.ndarray:
+    """Squared token-share gap per cell, ``gap_a**2 + gap_b**2``, in a new array.
 
-    ``gap_i = (model_i - t_i) / 100`` for the model's token allocations
-    (:func:`_block_kernel`) and one dataset's tokens, (N, 2); ``scratch``
-    has ``out``'s shape and is overwritten.
+    ``gap_i = (model_i - t_i) / 100`` for the model's token allocations and
+    a dataset's tokens ``t_a`` and ``t_b``, which broadcast against them.
     """
-    for model, column, gap in ((model_a, 0, out), (model_b, 1, scratch)):
-        np.subtract(model, tokens[:, column], out=gap)
-        gap /= 100.0
-        gap *= gap
-    out += scratch
+    loss = np.subtract(model_a, t_a)
+    loss /= 100.0
+    loss *= loss
+    gap_b = np.subtract(model_b, t_b)
+    gap_b /= 100.0
+    gap_b *= gap_b
+    loss += gap_b
+    return loss
+
+
+def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One dataset's squared token-share gap per cell of a block, written into ``out``.
+
+    ``block`` is ``tokens_at(betas)`` of :func:`_block_kernel`, ``tokens``
+    the dataset's (N, 2) and ``out`` (B, R, N).  A pair that takes the kink
+    at every rho takes the round's kink loss, one number per round broadcast
+    over its rows and rho columns; the loss of each piece is computed on its
+    gathered (pairs, R) cells and scattered once.  Every cell's float is
+    that of the gap formula on the full token array.
+    """
+    kink, pieces = block
+    t_a, t_b = tokens[:, 0], tokens[:, 1]
+    if kink is not None:
+        out[...] = _token_losses(*kink, t_a, t_b)
+    for rows, rounds, model_a, model_b in pieces:
+        out[rows, :, rounds] = _token_losses(model_a, model_b, t_a[rounds, None], t_b[rounds, None])
     return out
 
 
@@ -233,26 +268,27 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
     """Each member's grid optimum for each prefix size, as a flat (beta, rho) index.
 
     ``members`` are the token matrices of datasets on one schedule.  The
-    model's token allocations are computed once per block of beta rows and
-    shared; each member's per-round losses of the block go into one reusable
-    buffer, whose first ``s`` columns are averaged for every size ``s``.  The
-    mean of a row's first ``s`` columns is the grid loss of the ``s``-round
-    prefix on its own.  Only a running first minimum per member and size is
-    kept, merged across the blocks in grid order by ``np.argmin``'s rule: the
-    first NaN if there is one, else the first smallest mean, which is the
+    model's token allocations are computed once per block of beta rows, in
+    the kernel's gathered order, and shared; each member's per-round losses
+    of the block go into one reusable buffer (:func:`_block_losses`), whose
+    first ``s`` columns are averaged for every size ``s``.  The mean of a
+    row's first ``s`` columns is the grid loss of the ``s``-round prefix on
+    its own.  Only a running first minimum per member and size is kept,
+    merged across the blocks in grid order by ``np.argmin``'s rule: the first
+    NaN if there is one, else the first smallest mean, which is the
     lexicographic (beta, rho) tie rule.
     """
     row_cells = len(rhos) * len(prices)
     blocks = _beta_blocks(betas, row_cells)
     tokens_at = _block_kernel(prices, returns, rhos)
-    buffers = np.empty((2, max(rows.stop - rows.start for rows in blocks) * row_cells))
+    buffer = np.empty(max(rows.stop - rows.start for rows in blocks) * row_cells)
     minima: list[list[tuple[float, int] | None]] = [[None] * len(sizes) for _ in members]
     for rows in blocks:
-        model_a, model_b = tokens_at(betas[rows])
-        out, scratch = (buffer[:model_a.size].reshape(model_a.shape) for buffer in buffers)
+        block = tokens_at(betas[rows])
+        out = buffer[:(rows.stop - rows.start) * row_cells].reshape(-1, len(rhos), len(prices))
         first = rows.start * len(rhos)
         for tokens, best in zip(members, minima):
-            per_round = _token_losses(model_a, model_b, tokens, out, scratch).reshape(-1, len(prices))
+            per_round = _block_losses(block, tokens, out).reshape(-1, len(prices))
             for k, size in enumerate(sizes):
                 means = np.add.reduce(per_round[:, :size], axis=1) / size  # the bits of .mean
                 at = int(np.argmin(means))
@@ -329,37 +365,31 @@ class _MaxEvalsReached(Exception):
     """The evaluation cap, raised before the evaluation that would exceed it."""
 
 
-def _nelder_mead(z0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+def _nelder_mead(z0: Sequence[float], maxfev: int, xatol: float, fatol: float):
     """Nelder-Mead as a generator: yields each point it wants, is sent that point's loss.
 
     A transcription of ``_minimize_neldermead`` from scipy 1.17.1
     (``scipy/optimize/_optimize.py``; BSD 3-clause licence, copyright the
-    SciPy developers), restricted to the path the refinement uses: no bounds,
-    not adaptive, the default initial simplex (each nonzero coordinate of
-    ``z0`` scaled by 1.05 in turn, a zero one set to 0.00025) and only
-    ``maxfev`` set, so ``maxiter`` is infinite and the iteration count decides
-    nothing.  The numpy expressions and their order are scipy's, and each
-    point is yielded as a copy, as scipy's wrapper passes it; so the iterates,
-    the evaluation count and the outcome are those of ``minimize(...,
-    method="Nelder-Mead", options={"maxfev", "xatol", "fatol"})`` bit for bit.
-    As in scipy, the cap is checked before each evaluation; reaching it leaves
-    the current iteration, and the simplex is still sorted.  Returns ``(x,
-    nfev, success)``; success is false exactly when the cap was reached.
+    SciPy developers) in two dimensions, restricted to the path the
+    refinement uses: no bounds, not adaptive, the default initial simplex
+    (each nonzero coordinate of ``z0`` scaled by 1.05 in turn, a zero one
+    set to 0.00025) and only ``maxfev`` set, so ``maxiter`` is infinite and
+    the iteration count decides nothing.  The control flow is scipy's, and
+    its numpy expressions are written out on Python floats, whose arithmetic
+    and comparisons are the same float64 ones; the simplex is sorted by
+    ``np.argsort``, as scipy sorts it, ties and NaN included.  So the
+    iterates, the evaluation count and the outcome are those of
+    ``minimize(..., method="Nelder-Mead", options={"maxfev", "xatol",
+    "fatol"})`` bit for bit.  As in scipy, the cap is checked before each
+    evaluation; reaching it leaves the current iteration, and the simplex is
+    still sorted.  Returns ``(x, nfev, success)``; success is false exactly
+    when the cap was reached.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.asarray(np.atleast_1d(z0).flatten(), dtype=float)
-    n = len(x0)
-    sim = np.empty((n + 1, n), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf, dtype=float)
+    a, b = (float(z) for z in z0)
+    sim = [[a, b], [(1 + nonzdelt) * a if a != 0 else zdelt, b],
+           [a, (1 + nonzdelt) * b if b != 0 else zdelt]]
+    fsim = [math.inf] * 3
     nfev = 0
 
     def func(x):
@@ -367,77 +397,74 @@ def _nelder_mead(z0: np.ndarray, maxfev: int, xatol: float, fatol: float):
         if nfev >= maxfev:
             raise _MaxEvalsReached
         nfev += 1
-        return (yield np.copy(x))
+        return (yield x)
+
+    def sort():
+        f0, f1, f2 = fsim
+        # three distinct numbers have one order; ties, signed zeros and NaN take
+        # np.argsort's, as in scipy
+        if f0 < f1 < f2:
+            return
+        if f0 != f1 != f2 != f0 and not math.isnan(f0 + f1 + f2):
+            order = sorted(range(3), key=fsim.__getitem__)
+        else:
+            order = np.argsort(fsim).tolist()
+        sim[:] = [sim[k] for k in order]
+        fsim[:] = [fsim[k] for k in order]
 
     try:
-        for k in range(n + 1):
+        for k in range(3):
             fsim[k] = yield from func(sim[k])
     except _MaxEvalsReached:
         pass
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
+    sort()
+    sort()
 
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
-
+    # scipy's coefficients rho, chi, psi, sigma = 1, 2, 0.5, 0.5 multiplied out
     while nfev < maxfev:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            (a0, b0), (a1, b1), (w0, w1) = sim
+            # np.max(...) <= tol, NaN included, is every element <= tol
+            if (abs(a1 - a0) <= xatol and abs(b1 - b0) <= xatol and abs(w0 - a0) <= xatol
+                    and abs(w1 - b0) <= xatol and abs(fsim[0] - fsim[1]) <= fatol
+                    and abs(fsim[0] - fsim[2]) <= fatol):
                 break
 
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            c0, c1 = (a0 + a1) / 2, (b0 + b1) / 2  # xbar, the centroid of the best two
+            xr = [2 * c0 - w0, 2 * c1 - w1]  # (1 + rho) xbar - rho x_worst
             fxr = yield from func(xr)
-            doshrink = 0
+            doshrink = False
 
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                # (1 + rho chi) xbar - rho chi x_worst
+                xe = [3 * c0 - 2 * w0, 3 * c1 - 2 * w1]
                 fxe = yield from func(xe)
-
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                # (1 + psi rho) xbar - psi rho x_worst
+                xc = [1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1]
+                fxc = yield from func(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
                 else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-            else:  # fsim[0] <= fxr
-                if fxr < fsim[-2]:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-                else:  # fxr >= fsim[-2]
-                    # contraction
-                    if fxr < fsim[-1]:
-                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                        fxc = yield from func(xc)
+                    doshrink = True
+            else:
+                xcc = [0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1]  # (1 - psi) xbar + psi x_worst
+                fxcc = yield from func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
 
-                        if fxc <= fxr:
-                            sim[-1] = xc
-                            fsim[-1] = fxc
-                        else:
-                            doshrink = 1
-                    else:
-                        # inside contraction
-                        xcc = (1 - psi) * xbar + psi * sim[-1]
-                        fxcc = yield from func(xcc)
-
-                        if fxcc < fsim[-1]:
-                            sim[-1] = xcc
-                            fsim[-1] = fxcc
-                        else:
-                            doshrink = 1
-
-                    if doshrink:
-                        for j in range(1, n + 1):
-                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                            fsim[j] = yield from func(sim[j])
+            if doshrink:
+                for j in (1, 2):  # x_0 + sigma (x_j - x_0)
+                    sim[j] = [a0 + 0.5 * (sim[j][0] - a0), b0 + 0.5 * (sim[j][1] - b0)]
+                    fsim[j] = yield from func(sim[j])
         except _MaxEvalsReached:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sort()
 
     return sim[0], nfev, nfev < maxfev
 
@@ -569,7 +596,7 @@ def _refine_group(
     """
     beta_floor = config.beta_min
 
-    def from_unconstrained(z: np.ndarray) -> tuple[float, float]:
+    def from_unconstrained(z: Sequence[float]) -> tuple[float, float]:
         # exponents clamped so stray simplex probes stay finite; the loss is
         # flat (all-kink demand) at such extreme parameters anyway
         beta = beta_floor + math.exp(min(max(float(z[0]), -60.0), 60.0))
@@ -582,8 +609,8 @@ def _refine_group(
                         config.max_evals, config.tol, 1e-14)
         for i, (flags, grid_best, _) in enumerate(fits) if not flags
     }
-    points: dict[int, np.ndarray] = {}
-    outcomes: dict[int, tuple[np.ndarray, int, bool]] = {}
+    points: dict[int, list[float]] = {}
+    outcomes: dict[int, tuple[list[float], int, bool]] = {}
 
     def advance(i: int, loss: float | None) -> bool:
         try:

@@ -784,6 +784,24 @@ class TestLearningCurveAndReport:
         assert f"error: {filled(message)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_with_nothing_to_report_creates_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "rep_empty"
+        assert run_cli("report", "--out", str(out)) == 2
+        assert ("nothing to report: provide --index, --choices, or --curve"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_direct_rejects_estimates(self, tmp_path, capsys):
+        # --direct recovers its own estimates: an --estimates path, even one that does not
+        # exist, would be ignored yet listed among the manifest's inputs
+        params = make_params(tmp_path, n=3)
+        out = tmp_path / "curve"
+        assert run_cli("learning-curve", "--truth", str(params), "--direct",
+                       "--estimates", "25=nonexistent.csv", "--out", str(out)) == 2
+        assert ("--estimates does not apply with --direct, which recovers its own estimates"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_report_panels_sorted_by_label(self, tmp_path):
         params = make_params(tmp_path, n=4)
         sim_out = tmp_path / "sim"

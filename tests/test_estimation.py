@@ -41,14 +41,36 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
     The per-round grid the recovery's grid pass reduces block by block, assembled
     from the same pieces: rows in lexicographic (beta, rho) order, each block of
     ``estimation._block_kernel``'s token allocations turned into losses by
-    ``estimation._token_losses`` straight into the result.
+    ``estimation._block_losses`` straight into the result.
     """
     losses = np.empty((len(betas), len(rhos), len(prices)))
     tokens_at = estimation._block_kernel(prices, returns, rhos)
     for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
-        model_a, model_b = tokens_at(betas[rows])
-        estimation._token_losses(model_a, model_b, tokens, losses[rows], np.empty_like(model_b))
+        estimation._block_losses(tokens_at(betas[rows]), tokens, losses[rows])
     return losses.reshape(-1, len(prices))
+
+
+def _one_piece(model_a: np.ndarray, model_b: np.ndarray):
+    """Full (B, R, N) token arrays as a ``tokens_at`` block: one piece holding every pair."""
+    rows, rounds = np.nonzero(np.ones((model_a.shape[0], model_a.shape[2]), dtype=bool))
+    return None, [(rows, rounds, model_a[rows, :, rounds], model_b[rows, :, rounds])]
+
+
+def _dense_block(block, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The full (B, R, N) token arrays of a ``tokens_at`` block: every pair in no piece
+    at the round's kink tokens, each piece's pairs at its gathered tokens.  No pair may
+    be in two pieces, and with no kink every pair must be in one."""
+    kink, pieces = block
+    dense = np.empty((2, *shape))
+    held = np.zeros((shape[0], shape[2]), dtype=np.intp)
+    if kink is not None:
+        dense[0], dense[1] = kink
+    for rows, rounds, model_a, model_b in pieces:
+        np.add.at(held, (rows, rounds), 1)
+        dense[0][rows, :, rounds] = model_a
+        dense[1][rows, :, rounds] = model_b
+    assert held.max(initial=0) <= 1 and (kink is not None or held.min(initial=1) == 1)
+    return dense[0], dense[1]
 
 
 def _noisy_copy(dataset, rng, spread=5.0):
@@ -343,7 +365,7 @@ def enumeration_grid(monkeypatch):
         def tokens_at(betas):
             demand = optimal_demand_grid(prices, *flat_grid(betas, rhos))[0]
             model = demand / returns[None, :, :]
-            return tuple(model[:, :, i].reshape(len(betas), len(rhos), -1) for i in (0, 1))
+            return _one_piece(*(model[:, :, i].reshape(len(betas), len(rhos), -1) for i in (0, 1)))
         return tokens_at
 
     def recover(dataset):
@@ -776,7 +798,7 @@ class TestAgainstScipyOracle:
 
 
 def _drive(run, objective):
-    """Run a :func:`estimation._nelder_mead` generator on a Python objective."""
+    """Run an :func:`estimation._nelder_mead` generator on a Python objective."""
     try:
         point = next(run)
         while True:
@@ -805,15 +827,56 @@ class TestNelderMead:
             asked, seen = [], []
 
             def recorded(z, calls):
-                calls.append(z.tolist())
-                return objective(z)
+                calls.append([float(v) for v in z])
+                return objective(np.array(z))
 
-            x, nfev, success = _drive(estimation._nelder_mead(np.array(z0), maxfev, 1e-6, 1e-14),
+            x, nfev, success = _drive(estimation._nelder_mead(z0, maxfev, 1e-6, 1e-14),
                                       lambda z: recorded(z, asked))
             result = minimize(lambda z: recorded(z, seen), np.array(z0), method="Nelder-Mead",
                               options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-14})
             assert asked == seen
-            assert (x.tolist(), nfev, success) == (result.x.tolist(), result.nfev, result.success)
+            assert (x, nfev, success) == (result.x.tolist(), result.nfev, result.success)
+
+
+class TestLockStep:
+    """The refinement steps many :func:`estimation._nelder_mead` generators in lock step;
+    each must ask for the points of its own scipy run and end with its result."""
+
+    def test_one_group_of_mixed_fits(self):
+        # caps reached at different steps (1 and 2 inside the initial simplex), NaN
+        # losses, exactly tied values (flat, steps), and zero coordinates in z0
+        cases = [(name, z0, cap) for name in sorted(_TEST_OBJECTIVES)
+                 for z0 in ((1.0, -0.5), (0.0, 0.0), (-2.0, 3.0), (0.0, 1.5))
+                 for cap in (1, 2, 3, 7, 2000)]
+        runs = [estimation._nelder_mead(z0, cap, 1e-6, 1e-14) for _, z0, cap in cases]
+        points = {i: run.send(None) for i, run in enumerate(runs)}
+        asked: list[list] = [[] for _ in cases]
+        outcomes = {}
+        steps = 0
+        while points:
+            values = {}
+            for i, point in points.items():
+                asked[i].append(list(point))
+                values[i] = _TEST_OBJECTIVES[cases[i][0]](np.array(point))
+            for i, value in values.items():
+                try:
+                    points[i] = runs[i].send(value)
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+                    del points[i]
+            steps += 1
+        assert steps > 7  # the capped fits ended while others ran on
+        for i, (name, z0, cap) in enumerate(cases):
+            seen = []
+
+            def recorded(z):
+                seen.append(z.tolist())
+                return _TEST_OBJECTIVES[name](z)
+
+            result = minimize(recorded, np.array(z0), method="Nelder-Mead",
+                              options={"maxfev": cap, "xatol": 1e-6, "fatol": 1e-14})
+            assert asked[i] == seen, (name, z0, cap)
+            assert outcomes[i] == (result.x.tolist(), result.nfev, result.success), (name, z0, cap)
 
 
 class TestRecoverBatch:
@@ -1013,13 +1076,13 @@ class TestSharedSchedules:
             full = _grid_losses(prices, returns, tokens, betas, rhos)
             blocks = estimation._beta_blocks(betas, len(rhos) * n_rounds)
             tokens_at = estimation._block_kernel(prices, returns, rhos)
-            buffers = np.empty((2, max(b.stop - b.start for b in blocks) * len(rhos) * n_rounds))
+            buffer = np.empty(max(b.stop - b.start for b in blocks) * len(rhos) * n_rounds)
             sizes = sorted({1, (n_rounds + 1) // 2, n_rounds})
             means = {size: [] for size in sizes}
             for rows in blocks:
-                model_a, model_b = tokens_at(betas[rows])
-                out, scratch = (b[:model_a.size].reshape(model_a.shape) for b in buffers)
-                per_round = estimation._token_losses(model_a, model_b, tokens, out, scratch)
+                out = buffer[:(rows.stop - rows.start) * len(rhos) * n_rounds].reshape(
+                    -1, len(rhos), n_rounds)
+                per_round = estimation._block_losses(tokens_at(betas[rows]), tokens, out)
                 for size in sizes:
                     means[size].append(per_round.reshape(-1, n_rounds)[:, :size].mean(axis=1))
             for size in sizes:
@@ -1196,7 +1259,8 @@ def assert_kernel_matches_dense(prices: np.ndarray, returns: np.ndarray, betas, 
     blocks = []
     for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
         want = dense_tokens_at(prices, returns, rhos, betas[rows])
-        for got, wanted in zip(tokens_at(betas[rows]), want):
+        shape = (rows.stop - rows.start, len(rhos), len(prices))
+        for got, wanted in zip(_dense_block(tokens_at(betas[rows]), shape), want):
             assert got.shape == wanted.shape == (rows.stop - rows.start, len(rhos), len(prices))
             np.testing.assert_array_equal(_bits(got), _bits(wanted))
         blocks.append(want)
@@ -1313,6 +1377,42 @@ class TestClassedKernel:
         if chunk_pairs is not None:
             monkeypatch.setattr(estimation, "_PAIR_CELLS", chunk_pairs * len(rhos))
         assert_kernel_matches_dense(prices, returns, betas, rhos)
+
+    @pytest.mark.parametrize("kind", ["random", "equal"])
+    def test_kink_pairs_take_the_rounds_kink_loss(self, kind):
+        # a beta >= 0 pair with no base above 1 (class 0) is in no piece: its loss at
+        # every rho must be the round's kink loss, bit for bit, and every cell's loss
+        # the gap formula on the dense kernel's tokens
+        rng = np.random.default_rng(519)
+        if kind == "equal":
+            price = rng.uniform(0.005, 0.05, 60)
+            prices, returns, tokens = _priced(np.column_stack([price, price]), rng)
+        else:
+            prices, returns, tokens = _matrices(random_sloppy_dataset(rng, 175))
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        kink = 1.0 / (prices[:, 0] + prices[:, 1])
+        gap_a = (kink / returns[:, 0] - tokens[:, 0]) / 100.0
+        gap_b = (kink / returns[:, 1] - tokens[:, 1]) / 100.0
+        kink_loss = gap_a * gap_a + gap_b * gap_b
+        tokens_at = estimation._block_kernel(prices, returns, rhos)
+        kink_cells = 0
+        for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
+            model_a, model_b = dense_tokens_at(prices, returns, rhos, betas[rows])
+            gap_a = (model_a - tokens[:, 0]) / 100.0
+            gap_b = (model_b - tokens[:, 1]) / 100.0
+            losses = estimation._block_losses(tokens_at(betas[rows]), tokens,
+                                              np.empty(model_a.shape))
+            np.testing.assert_array_equal(_bits(losses), _bits(gap_a * gap_a + gap_b * gap_b))
+            if betas[rows.start] >= 0.0:
+                base_a, base_b = _bases(prices, betas[rows])
+                at_kink = ~(base_a > 1.0) & ~(base_b > 1.0)
+                want = np.broadcast_to(kink_loss, at_kink.shape)[at_kink]
+                np.testing.assert_array_equal(
+                    _bits(losses.transpose(0, 2, 1)[at_kink]),
+                    _bits(np.repeat(want[:, None], len(rhos), axis=1)))
+                kink_cells += np.count_nonzero(at_kink) * len(rhos)
+        nonnegative_cells = np.count_nonzero(betas >= 0.0) * len(rhos) * len(prices)
+        assert kink_cells == nonnegative_cells if kind == "equal" else kink_cells > 0.2 * nonnegative_cells
 
     @given(st.floats(0.0, 1e300), st.floats(5e-324, 1e300), st.floats(5e-324, 1e300),
            st.sampled_from(["random", "equal", "below", "above"]))
