@@ -6,7 +6,7 @@ recovers preference parameters, and measures how well a recommender --
 deterministic mock or live chat endpoint -- learns preferences from data.
 """
 
-from .da_model import Branch, DAParams, DemandSolution, crra, da_utility, optimal_demand
+from .da_model import DAParams, optimal_demand
 from .data import (
     Allocation,
     ChoiceRound,
@@ -35,7 +35,6 @@ from .estimation import (
     fit_loss,
     recover_batch,
     recover_params,
-    recover_prefixes,
 )
 from .eu_deviation import DeutResult, EuConstraintGraph, build_eu_graph, deut_index
 from .rationality import CceiResult, ccei, fosd_violations, garp_holds

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple
+from dataclasses import astuple
 from datetime import datetime, timezone
 from functools import partial
 from operator import attrgetter
@@ -167,14 +167,7 @@ def write_manifest(out: Path, command: str, arguments: dict, seeds: dict,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_index_reports(reports: list[IndexReport], path: Path, fmt: str) -> None:
-    if fmt == "jsonl":
-        with path.open("w", encoding="utf-8") as fh:
-            for rep in reports:
-                obj = asdict(rep)
-                obj["flags"] = list(rep.flags)
-                fh.write(json.dumps(obj) + "\n")
-        return
+def _write_index_reports(reports: list[IndexReport], path: Path) -> None:
     write_table(path, INDEX_COLUMNS, ((*attrgetter(*INDEX_COLUMNS[:-1])(rep), ";".join(rep.flags))
                                       for rep in reports))
 
@@ -211,7 +204,7 @@ def cmd_sample_params(n: int, seed: int, out_dir: str):
 
 @cli.command("simulate")
 @click.option("--params-file", type=click.Path(exists=True), required=True)
-@click.option("--rounds", type=int, default=PROVISION_ROUNDS, show_default=True)
+@click.option("--rounds", type=click.IntRange(min=1), default=PROVISION_ROUNDS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--shared-schedule", is_flag=True,
               help="Give every subject the same schedule instead of per-subject draws.")
@@ -219,9 +212,9 @@ def cmd_sample_params(n: int, seed: int, out_dir: str):
 def cmd_simulate(params_file: str, rounds: int, seed: int, shared_schedule: bool, out_dir: str):
     """Exact optimal choice data for a parameter population."""
     started = _now()
+    population = read_params_file(params_file)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    population = read_params_file(params_file)
     datasets = []
     for i, (sid, params) in enumerate(population):
         schedule = generate_budgets(seed if shared_schedule else seed + i, rounds)
@@ -239,17 +232,16 @@ def cmd_simulate(params_file: str, rounds: int, seed: int, shared_schedule: bool
 @click.option("--choices", "choices_file", type=click.Path(exists=True), required=True)
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str, out_dir: str):
+def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, out_dir: str):
     """Per-subject indices: CCEI, EU-deviation, FOSD count, recovered parameters."""
     started = _now()
     config, _ = _parse_config(load_config(config_file))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     datasets = read_dataset(choices_file)
     if not datasets:
         raise ValidationError(f"{choices_file}: no subjects")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     n_chunks = min(jobs, len(datasets))
     if n_chunks > 1:
         # contiguous non-empty chunks, one recovery batch and one worker each:
@@ -262,10 +254,9 @@ def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, fmt: str,
     else:
         reports = analyze_batch(datasets, config)
     reports.sort(key=lambda rep: rep.subject_id)
-    name = "index.jsonl" if fmt == "jsonl" else "index.csv"
-    _write_index_reports(reports, out / name, fmt)
-    write_manifest(out, "analyze", {"choices": choices_file, "jobs": jobs, "format": fmt},
-                   {}, [choices_file], [name], started)
+    _write_index_reports(reports, out / "index.csv")
+    write_manifest(out, "analyze", {"choices": choices_file, "jobs": jobs},
+                   {}, [choices_file], ["index.csv"], started)
     if any(rep.flags for rep in reports):
         sys.exit(4)
 
@@ -359,10 +350,7 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
             if size in estimate_paths:
                 raise ValidationError(f"--estimates {spec!r}: sample size {size} repeats")
             estimate_paths[size] = path
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     population = read_params_file(truth_file)
-
     if direct:
         rows, _ = learning_curve_direct(population, provision_seed,
                                         LEARNING_SAMPLE_SIZES, config)
@@ -370,7 +358,8 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
         rows = regress_per_size(dict(population), {
             size: {sid: params for sid, _, _, params in _read_index(path)}
             for size, path in estimate_paths.items()})
-
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_table(out / "learning_curve.csv", _CURVE_COLUMNS, (
         (row.sample_size, row.parameter, *attrgetter(*_CURVE_COLUMNS[2:])(row.regression))
         for row in rows))
@@ -411,14 +400,22 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
     choice_pairs = parse_specs("--choices", choice_specs, "scatter_{}.csv")
     if not (index_pairs or choice_pairs or curve_file):
         raise ValidationError("nothing to report: provide --index, --choices, or --curve")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    panels = []
+    # every input is read before --out is created
+    indexes = []
     for label, path in index_pairs:
         rows = _read_index(path)
         if not rows:
             raise ValidationError(f"{path}: empty index file")
+        indexes.append((label, rows))
+    choices = [(label, read_dataset(path)) for label, path in choice_pairs]
+    curve = read_table(curve_file, {_CURVE_COLUMNS: lambda size, parameter, gamma, se_gamma, *_:
+                                    (parameter, size, gamma, se_gamma)},
+                       _CURVE_TYPES) if curve_file else []
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    panels = []
+    for label, rows in indexes:
         _, cceis, deuts, params = zip(*rows)
         columns = {"ccei": cceis, "deut": deuts,
                    "beta": [p.beta for p in params], "rho": [p.rho for p in params]}
@@ -428,8 +425,7 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
         panels.append(name)
         outputs.append(name)
 
-    for label, path in choice_pairs:
-        datasets = read_dataset(path)
+    for label, datasets in choices:
         name = f"scatter_{label}.csv"
         write_table(out / name, ("subject_id", "round", "log_price_ratio", "relative_demand_a"), (
             (ds.subject_id, rd.round, math.log(rd.prices.p_a / rd.prices.p_b),
@@ -438,8 +434,6 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
         outputs.append(name)
 
     if curve_file:
-        curve = read_table(curve_file, {_CURVE_COLUMNS: lambda size, parameter, gamma, se_gamma, *_:
-                                        (parameter, size, gamma, se_gamma)}, _CURVE_TYPES)
         write_table(out / "gamma_vs_s.csv", ("parameter", "sample_size", "gamma", "se_gamma"),
                     sorted((row for _, row in curve), key=lambda row: row[:2]))
         outputs.append("gamma_vs_s.csv")

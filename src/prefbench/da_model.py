@@ -12,23 +12,23 @@ On a budget line the objective is kinked at ``x_a = x_b``, so the maximizer is
 found by enumerating the full candidate set rather than by smooth first-order
 conditions: the two one-sided interior branches, the kink bundle, and (for
 rho < 1 only, where zero wealth has finite felicity) the two corners.  Exact
-utility ties are broken deterministically -- kink first, then the candidate
-with the larger ``x_a`` -- and flagged.
+utility ties are broken deterministically: kink first, then the candidate
+with the larger ``x_a``.
 
 That enumeration is written once: :class:`_Valuation` values the candidates,
 :func:`_candidates` lists them in order, and :class:`_Best` is the one
-best-so-far selection that holds the tie rule.  :func:`optimal_demand_grid`
-derives its branch codes and tie flags from it, and the recovery kernels in
-``estimation`` (the beta < 0 grid rows and the paired loss) run it for the
-demand alone.
+best-so-far selection that holds the tie rule.  The optimal bundle is the
+module's one output, and :func:`_demand` is its one call: it runs the
+enumeration for arrays of budgets and parameters, leaving out an interior
+that is inadmissible everywhere.  :func:`optimal_demand_grid` and the paired
+loss in ``estimation`` call it; the recovery grid's beta < 0 rows run the
+candidates and the selection on their own classed pairs.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -57,45 +57,6 @@ class DAParams:
         return 1.0 / (2.0 + self.beta)
 
 
-class Branch(str, Enum):
-    INTERIOR_A_HIGH = "interior_A_high"
-    INTERIOR_B_HIGH = "interior_B_high"
-    KINK = "kink"
-    CORNER_A = "corner_A"
-    CORNER_B = "corner_B"
-
-
-_BRANCHES = (Branch.KINK, Branch.INTERIOR_A_HIGH, Branch.CORNER_A,
-             Branch.INTERIOR_B_HIGH, Branch.CORNER_B)
-
-
-@dataclass(frozen=True)
-class DemandSolution:
-    demand: tuple[float, float]
-    branch: Branch
-    utility: float
-    tie: bool = False
-
-
-def crra(x: float, rho: float) -> float:
-    """CRRA felicity; log branch within 1e-10 of rho = 1; -inf at x = 0 for rho >= 1."""
-    if x < 0:
-        raise ValidationError(f"wealth must be nonnegative, got {x}")
-    if abs(rho - 1.0) < _LOG_RHO_EPS:
-        return math.log(x) if x > 0 else -math.inf
-    if x == 0 and rho > 1.0:
-        return -math.inf
-    return (x ** (1.0 - rho) - 1.0) / (1.0 - rho)
-
-
-def da_utility(x: tuple[float, float], params: DAParams) -> float:
-    """w u(max) + (1-w) u(min) for a two-outcome bundle."""
-    x_a, x_b = x
-    w = params.weight
-    hi, lo = (x_a, x_b) if x_a >= x_b else (x_b, x_a)
-    return w * crra(hi, params.rho) + (1.0 - w) * crra(lo, params.rho)
-
-
 class _Budgets:
     """Per-round budgets as the demand kernels use them: (N,) price columns, the
     price ratios, and the bundles that do not depend on the parameters (the kink
@@ -106,11 +67,6 @@ class _Budgets:
         self.ratio_a, self.ratio_b = self.p_b / self.p_a, self.p_a / self.p_b
         self.kink = 1.0 / (self.p_a + self.p_b)
         self.corner_a, self.corner_b = 1.0 / self.p_a, 1.0 / self.p_b
-
-    def ratios(self, odds, inv_rho):
-        """The interior ratios: ``k_a = x_a / x_b`` on the A-high branch, ``k_b = x_b / x_a``
-        on the B-high one."""
-        return np.power(odds * self.ratio_a, inv_rho), np.power(odds * self.ratio_b, inv_rho)
 
 
 def _interior(p_hi, p_lo, k):
@@ -202,27 +158,27 @@ class _Valuation:
 
 
 def _candidates(budgets: _Budgets, value: _Valuation, k_a, k_b, felicities):
-    """The enumeration's candidates in order, as ``(code, x_a, x_b, utility)``.
+    """The enumeration's candidates in order, as ``(x_a, x_b, utility)``.
 
-    The order is kink, A-high, corner A, B-high, corner B, and ``code`` indexes
-    ``_BRANCHES``.  ``felicities`` is ``value.fixed_felicities(budgets)``; the
-    corners are left out where it has none.  A candidate's utility is -inf where
-    it is not admissible.  An interior ratio ``k_a`` or ``k_b`` of None leaves
-    that interior out, for a caller that knows it inadmissible on every entry:
-    a candidate of utility -inf never replaces the best.
+    The order is kink, A-high, corner A, B-high, corner B.  ``felicities`` is
+    ``value.fixed_felicities(budgets)``; the corners are left out where it has
+    none.  A candidate's utility is -inf where it is not admissible.  An
+    interior ratio ``k_a`` or ``k_b`` of None leaves that interior out, for a
+    caller that knows it inadmissible on every entry: a candidate of utility
+    -inf never replaces the best.
     """
     f_kink, f_corners = felicities
-    yield 0, budgets.kink, budgets.kink, value.kink(f_kink)
+    yield budgets.kink, budgets.kink, value.kink(f_kink)
     if k_a is not None:
         x_a, x_b = _interior(budgets.p_a, budgets.p_b, k_a)
-        yield 1, x_a, x_b, value.interior(x_a, x_b, k_a)
+        yield x_a, x_b, value.interior(x_a, x_b, k_a)
     if f_corners is not None:
-        yield 2, budgets.corner_a, 0.0, value.corner(f_corners[0])
+        yield budgets.corner_a, 0.0, value.corner(f_corners[0])
     if k_b is not None:
         x_b, x_a = _interior(budgets.p_b, budgets.p_a, k_b)
-        yield 3, x_a, x_b, value.interior(x_b, x_a, k_b)
+        yield x_a, x_b, value.interior(x_b, x_a, k_b)
     if f_corners is not None:
-        yield 4, 0.0, budgets.corner_b, value.corner(f_corners[1])
+        yield 0.0, budgets.corner_b, value.corner(f_corners[1])
 
 
 class _Best:
@@ -231,11 +187,11 @@ class _Best:
     It starts at the first candidate, the kink, whose bundle is positive and
     whose utility is never NaN.  ``offer`` replaces the best by a later
     candidate on a larger utility, or on an equal one with a larger ``x_a``
-    unless the best is the kink, and returns where it did.  A best that is not
-    the kink has a utility above -inf, so an equal utility belongs to an
-    admissible candidate.  The utilities have the full shape from the kink on;
-    a candidate that wins nowhere, or everywhere with full-shape holdings, is
-    taken without a selection once the best's holdings have that shape too.
+    unless the best is the kink.  A best that is not the kink has a utility
+    above -inf, so an equal utility belongs to an admissible candidate.  The
+    utilities have the full shape from the kink on; a candidate that wins
+    nowhere, or everywhere with full-shape holdings, is taken without a
+    selection once the best's holdings have that shape too.
     """
 
     def __init__(self, x_a, x_b, u):
@@ -257,56 +213,51 @@ class _Best:
             self.u = np.where(better, u, self.u)
         if wins:
             self._not_kink = self._not_kink | better
-        return better
 
 
 def _optimum(candidates) -> tuple[np.ndarray, np.ndarray]:
     """The bundle ``(x_a, x_b)`` that ``_Best`` keeps from ``_candidates``."""
-    best = _Best(*next(candidates)[1:])
-    for _, x_a, x_b, u in candidates:
-        best.offer(x_a, x_b, u)
+    best = _Best(*next(candidates))
+    for candidate in candidates:
+        best.offer(*candidate)
     return best.x_a, best.x_b
 
 
+def _demand(budgets: _Budgets, w: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal bundle ``(x_a, x_b)`` at the weights ``w`` and ``rho``.
+
+    ``rho`` broadcasts against the budgets' price columns and ``w`` against
+    ``rho``.  An interior whose base ``odds * price ratio`` is <= 1 on every
+    entry is left out: its ratio ``k = base^(1/rho)`` is then <= 1 at every
+    rho, so it is inadmissible, and a candidate of utility -inf never replaces
+    the best.  Where every candidate after the kink is left out, the holdings
+    are the kink's, of the budgets' shape.
+    """
+    value = _Valuation(rho, w)
+    odds, inv_rho = w / (1.0 - w), 1.0 / rho
+    k_a, k_b = (np.power(base, inv_rho) if np.count_nonzero(base > 1.0) else None
+                for base in (odds * budgets.ratio_a, odds * budgets.ratio_b))
+    return _optimum(_candidates(budgets, value, k_a, k_b, value.fixed_felicities(budgets)))
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def optimal_demand_grid(
-    prices: np.ndarray, beta: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def optimal_demand_grid(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Maximize the kinked objective for every (parameter, budget) pair.
 
-    ``prices`` has shape (N, 2); ``beta`` and ``rho`` shape (G,).  Returns
-    demand (G, N, 2), branch codes (G, N) indexing ``_BRANCHES``, utility
-    (G, N), and an exact-tie flag (G, N).  Candidates are compared on utility
-    with the deterministic tie order kink > larger x_a (:class:`_Best`).  A
-    candidate ties when its utility equals the best's before it and its bundle
-    differs; the kink ties where its utility is -inf, the utility the
-    comparison starts from.
+    ``prices`` has shape (N, 2); ``beta`` and ``rho`` shape (G,).  Returns the
+    demand (G, N, 2): the candidate of the largest utility, exact ties broken
+    kink first, then larger ``x_a`` (:class:`_Best`).
     """
-    budgets = _Budgets(np.asarray(prices, dtype=float))
-    rho = np.asarray(rho, dtype=float)[:, None]
+    prices = np.asarray(prices, dtype=float)
     w = 1.0 / (2.0 + np.asarray(beta, dtype=float)[:, None])
-    value = _Valuation(rho, w)
-    k_a, k_b = budgets.ratios(w / (1.0 - w), 1.0 / rho)
-    candidates = _candidates(budgets, value, k_a, k_b, value.fixed_felicities(budgets))
-    best = _Best(*next(candidates)[1:])
-    code = np.zeros(best.u.shape, dtype=np.int8)
-    tie = best.u == -np.inf
-    for c, x_a, x_b, u in candidates:
-        # a candidate that is not admissible has utility -inf, which equals the
-        # best's only where the best is a kink of utility -inf, already a tie
-        tie |= (u == best.u) & ((x_a != best.x_a) | (x_b != best.x_b))
-        code[best.offer(x_a, x_b, u)] = c
-    return np.stack([best.x_a, best.x_b], axis=-1), code, best.u, tie
+    bundle = _demand(_Budgets(prices), w, np.asarray(rho, dtype=float)[:, None])
+    shape = len(w), len(prices)
+    return np.stack([np.broadcast_to(x, shape) for x in bundle], axis=-1)
 
 
-def optimal_demand(p: PricePair, params: DAParams) -> DemandSolution:
-    """Exact demand at one budget; thin wrapper over the vectorized kernel."""
-    demand, code, util, tie = optimal_demand_grid(
+def optimal_demand(p: PricePair, params: DAParams) -> tuple[float, float]:
+    """The optimal bundle ``(x_a, x_b)`` at one budget: :func:`optimal_demand_grid` at one pair."""
+    demand = optimal_demand_grid(
         np.array([[p.p_a, p.p_b]]), np.array([params.beta]), np.array([params.rho])
     )
-    return DemandSolution(
-        demand=(float(demand[0, 0, 0]), float(demand[0, 0, 1])),
-        branch=_BRANCHES[int(code[0, 0])],
-        utility=float(util[0, 0]),
-        tie=bool(tie[0, 0]),
-    )
+    return float(demand[0, 0, 0]), float(demand[0, 0, 1])

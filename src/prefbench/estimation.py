@@ -58,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .da_model import DAParams, _Budgets, _candidates, _interior, _optimum, _Valuation
+from .da_model import DAParams, _Budgets, _candidates, _demand, _interior, _optimum, _Valuation
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -305,16 +305,16 @@ class _PairedLoss:
     ``loss(beta, rho)`` gives, for dataset ``i``, the float that
     :func:`optimal_demand_grid` at G = 1 on that dataset followed by the mean
     squared token-share gap gives at ``(beta[i], rho[i])``, for positive prices
-    with a finite sum and finite ratios: it runs the same enumeration
-    (``da_model._candidates`` and the tie rule of ``da_model._Best``).  The
-    datasets' rounds are concatenated once, with the price ratios, kink and
-    corner bundles.  A call spreads beta and rho over each dataset's rounds
-    with ``np.repeat`` and derives everything else per round: the log
-    felicity is taken only on rounds whose rho is within ``_LOG_RHO_EPS`` of
-    1, the corners are evaluated only if some pair has rho < 1, and an
-    interior is left out when its base is <= 1 on every round.  The datasets
-    are stored by length, so the losses are row means of one (datasets,
-    rounds) block per length, which give the bits of each dataset's own mean.
+    with a finite sum and finite ratios: it makes the same demand call
+    (``da_model._demand``).  The datasets' rounds are concatenated once, with
+    the price ratios, kink and corner bundles.  A call spreads beta and rho
+    over each dataset's rounds with ``np.repeat`` and derives everything else
+    per round: the log felicity is taken only on rounds whose rho is within
+    ``_LOG_RHO_EPS`` of 1, the corners are evaluated only if some pair has
+    rho < 1, and an interior is left out when its base is <= 1 on every
+    round.  The datasets are stored by length, so the losses are row means of
+    one (datasets, rounds) block per length, which give the bits of each
+    dataset's own mean.
     """
 
     def __init__(self, data: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
@@ -335,14 +335,7 @@ class _PairedLoss:
     def __call__(self, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
         rho = np.repeat(rho[self._order], self._lengths)
         w = 1.0 / (2.0 + np.repeat(beta[self._order], self._lengths))
-        value = _Valuation(rho, w)
-        odds, inv_rho = w / (1.0 - w), 1.0 / rho
-        # an interior whose base is <= 1 on every round is inadmissible on all of them
-        k_a, k_b = (np.power(base, inv_rho) if np.count_nonzero(base > 1.0) else None
-                    for base in (odds * self._budgets.ratio_a, odds * self._budgets.ratio_b))
-        best_xa, best_xb = _optimum(_candidates(self._budgets, value, k_a, k_b,
-                                                value.fixed_felicities(self._budgets)))
-
+        best_xa, best_xb = _demand(self._budgets, w, rho)
         gap_a = (best_xa / self._r_a - self._t_a) / 100.0
         gap_b = (best_xb / self._r_b - self._t_b) / 100.0
         per_round = gap_a * gap_a + gap_b * gap_b
@@ -490,18 +483,12 @@ def recover_params(dataset: SubjectDataset, config: RecoveryConfig | None = None
     return recover_batch([dataset], None, config)[0][dataset.n]
 
 
-def recover_prefixes(
-    dataset: SubjectDataset, sizes: Sequence[int], config: RecoveryConfig | None = None,
-) -> dict[int, FitResult]:
-    """:func:`recover_params` on the first ``s`` rounds, for every ``s`` in ``sizes``."""
-    return recover_batch([dataset], sizes, config)[0]
-
-
 def recover_batch(
     datasets: Iterable[SubjectDataset], sizes: Sequence[int] | None = None,
     config: RecoveryConfig | None = None,
 ) -> list[dict[int, FitResult]]:
-    """:func:`recover_prefixes` for every dataset; each one's full length if ``sizes`` is None.
+    """:func:`recover_params` on the first ``s`` rounds of every dataset, for every ``s`` in
+    ``sizes``; on each one's full length if ``sizes`` is None.
 
     Datasets whose price and return matrices are equal byte for byte share
     one schedule, and each schedule gets one grid pass (:func:`_grid_optima`):

@@ -42,8 +42,7 @@ class MockDecisionBackend:
     params: DAParams
 
     def _tokens(self, returns: ReturnPair) -> Allocation:
-        solution = optimal_demand(returns_to_prices(returns), self.params)
-        return demand_to_tokens(returns, solution.demand)
+        return demand_to_tokens(returns, optimal_demand(returns_to_prices(returns), self.params))
 
     def send(self, messages: Sequence[ChatMessage]) -> str:
         user_text = next((m.content for m in reversed(messages) if m.role == "user"), "")

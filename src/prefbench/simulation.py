@@ -78,7 +78,7 @@ def simulate_subject(
     """Exact optimal choices on every budget of the schedule, in token form."""
     returns = np.array([[r.r_a, r.r_b] for r in schedule.rounds])
     prices = 1.0 / (100.0 * returns)
-    demand, _, _, _ = optimal_demand_grid(prices, np.array([params.beta]), np.array([params.rho]))
+    demand = optimal_demand_grid(prices, np.array([params.beta]), np.array([params.rho]))
     tokens = demand[0] / returns
     rounds = tuple(
         ChoiceRound.from_returns_tokens(

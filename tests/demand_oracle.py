@@ -1,16 +1,43 @@
 """The candidate enumeration for optimal demand as it was written before its kernels
 shared one selection: the reference that ``da_model.optimal_demand_grid`` and the
-recovery kernels are compared against, bit for bit."""
+recovery kernels are compared against, bit for bit.  It also gives what the
+package no longer computes: the winning candidate's branch code, its utility and
+an exact-tie flag, and the scalar felicity and objective."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from prefbench.da_model import _LOG_RHO_EPS
+from prefbench.da_model import _LOG_RHO_EPS, DAParams
+from prefbench.errors import ValidationError
+
+# the branch codes of ``enumeration_demand_grid``: its candidates' indices, in order
+KINK, INTERIOR_A_HIGH, CORNER_A, INTERIOR_B_HIGH, CORNER_B = range(5)
+
+
+def crra(x: float, rho: float) -> float:
+    """CRRA felicity; log branch within 1e-10 of rho = 1; -inf at x = 0 for rho >= 1."""
+    if x < 0:
+        raise ValidationError(f"wealth must be nonnegative, got {x}")
+    if abs(rho - 1.0) < _LOG_RHO_EPS:
+        return math.log(x) if x > 0 else -math.inf
+    if x == 0 and rho > 1.0:
+        return -math.inf
+    return (x ** (1.0 - rho) - 1.0) / (1.0 - rho)
+
+
+def da_utility(x: tuple[float, float], params: DAParams) -> float:
+    """w u(max) + (1-w) u(min) for a two-outcome bundle."""
+    x_a, x_b = x
+    w = params.weight
+    hi, lo = (x_a, x_b) if x_a >= x_b else (x_b, x_a)
+    return w * crra(hi, params.rho) + (1.0 - w) * crra(lo, params.rho)
 
 
 def crra_grid(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Vectorized CRRA with the same branch rules as ``da_model.crra``."""
+    """Vectorized CRRA with the same branch rules as :func:`crra`."""
     log_branch = np.abs(rho - 1.0) < _LOG_RHO_EPS
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(
@@ -30,9 +57,12 @@ def enumeration_demand_grid(
     """Maximize the kinked objective for every (parameter, budget) pair.
 
     ``prices`` has shape (N, 2); ``beta`` and ``rho`` shape (G,).  Returns
-    demand (G, N, 2), branch codes (G, N) indexing ``da_model._BRANCHES``,
-    utility (G, N), and an exact-tie flag (G, N).  Candidates are compared on
-    utility with the deterministic tie order kink > larger x_a.
+    demand (G, N, 2), branch codes (G, N) (``KINK`` to ``CORNER_B``), utility
+    (G, N), and an exact-tie flag (G, N).  Candidates are compared on utility
+    with the deterministic tie order kink > larger x_a.  A candidate ties when
+    it is admissible, its utility equals the best's before it and its bundle
+    differs; the comparison starts from utility -inf at (0, 0), so a kink of
+    utility -inf ties.
     """
     prices = np.asarray(prices, dtype=float)
     p_a = prices[None, :, 0]

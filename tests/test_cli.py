@@ -247,18 +247,6 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"{choices}: row 3: implied token sum" in err and "outside [95, 105]" in err
 
-    def test_jsonl_format(self, tmp_path):
-        params = make_params(tmp_path, n=2)
-        sim_out = tmp_path / "sim"
-        run_cli("simulate", "--params-file", str(params), "--rounds", "10",
-                "--seed", "2", "--out", str(sim_out))
-        out = tmp_path / "idx"
-        run_cli("analyze", "--choices", str(sim_out / "choices.csv"), "--format", "jsonl",
-                "--out", str(out))
-        lines = (out / "index.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["ccei"] == 1.0
-
 
 class TestExperiment:
     def _config(self, tmp_path, beta=0.1, rho=0.6) -> Path:
@@ -922,6 +910,31 @@ class TestTableFiles:
         assert f"{params}: rows 2 and 4: subject_id 's1' repeats" in capsys.readouterr().err
         assert not (out / "choices.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--choices", "BAD_CHOICES"],
+        ["simulate", "--params-file", "REPEATED_ID"],
+        ["simulate", "--params-file", "PARAMS", "--rounds", "0"],
+        ["learning-curve", "--truth", "REPEATED_ID", "--direct"],
+        ["report", "--choices", "x=BAD_CHOICES"],
+    ], ids=["analyze_non_numeric_return", "simulate_repeated_id", "simulate_no_rounds",
+            "direct_curve_repeated_id", "report_malformed_choices"])
+    def test_bad_input_exits_before_out_exists(self, tmp_path, argv):
+        paths = {"BAD_CHOICES": tmp_path / "choices.csv", "REPEATED_ID": tmp_path / "repeated.csv",
+                 "PARAMS": make_params(tmp_path)}
+        paths["BAD_CHOICES"].write_text(",".join(RETURNS_HEADER) + "\ns1,1,0.5,abc,40,60\n",
+                                        encoding="utf-8")
+        paths["REPEATED_ID"].write_text("subject_id,beta,rho\ns1,0.1,0.5\ns1,0.0,1.0\n",
+                                        encoding="utf-8")
+
+        def filled(text):
+            for key, path in paths.items():
+                text = text.replace(key, str(path))
+            return text
+
+        out = tmp_path / "out"
+        assert run_cli(*map(filled, argv), "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_index_writer_matches_the_joined_lines(self, tmp_path):
         reports = [
             IndexReport("s1", 1.0, 0.0, 0, 0.1, 0.6, 1e-300, ()),
@@ -931,7 +944,7 @@ class TestTableFiles:
                         ("insufficient_rounds",)),
         ]
         path = tmp_path / "index.csv"
-        _write_index_reports(reports, path, "csv")
+        _write_index_reports(reports, path)
         # the lines the index writer joined by hand before it used the table writer
         lines = [",".join(INDEX_COLUMNS)] + [",".join([
             rep.subject_id, format_float(rep.ccei), format_float(rep.deut), str(rep.fosd_count),

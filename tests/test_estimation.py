@@ -28,7 +28,6 @@ from prefbench.estimation import (
     fit_loss,
     recover_batch,
     recover_params,
-    recover_prefixes,
 )
 from prefbench.simulation import BudgetSchedule, generate_budgets, simulate_subject
 from prefbench.workflows import LEARNING_SAMPLE_SIZES
@@ -220,7 +219,8 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_branch(prices, betas, rhos) -> np.ndarray:
-    """Branch code (``da_model._BRANCHES`` index) the closed form picks: A-high, B-high, kink."""
+    """Branch code (the oracle's, ``demand_oracle.KINK`` to ``CORNER_B``) the closed form picks:
+    A-high, B-high, kink."""
     p_a, p_b = prices[None, :, 0], prices[None, :, 1]
     w = 1.0 / (2.0 + betas[:, None])
     odds = w / (1.0 - w)
@@ -332,7 +332,7 @@ class TestRecoverPrefixes:
         params = DAParams(0.3, 1.2)
         ds = (simulate_subject(params, generate_budgets(127, 175), "ex").dataset
               if kind == "exact" else _sloppy_subject(127, params))
-        fits = recover_prefixes(ds, LEARNING_SAMPLE_SIZES)
+        fits = recover_batch([ds], LEARNING_SAMPLE_SIZES)[0]
         assert list(fits) == list(LEARNING_SAMPLE_SIZES)
         for size, fit in fits.items():
             assert fit == recover_params(dataset_prefix(ds, size))
@@ -343,7 +343,7 @@ class TestRecoverPrefixes:
             for i in range(4)
         ) + (ChoiceRound.from_returns_tokens(5, ReturnPair(0.8, 0.4), Allocation(70.0, 30.0)),)
         ds = SubjectDataset("p", rounds)
-        fits = recover_prefixes(ds, (1, 4, 5))
+        fits = recover_batch([ds], (1, 4, 5))[0]
         assert fits[1].flags == ("insufficient_rounds",)
         assert fits[4].flags == ("degenerate_rounds",)
         assert fits[5].flags == ()
@@ -354,7 +354,7 @@ class TestRecoverPrefixes:
     def test_rejects_sizes_outside_the_dataset(self, size):
         subject = simulate_subject(DAParams(0.2, 0.9), generate_budgets(131, 5), "s")
         with pytest.raises(ValidationError, match="prefix size"):
-            recover_prefixes(subject.dataset, (2, size))
+            recover_batch([subject.dataset], (2, size))
 
 
 @pytest.fixture
@@ -664,8 +664,8 @@ class TestAgainstEnumerationLoss:
             random_sloppy_dataset(rng, 175),
         ]
         for ds in datasets:
-            fits = recover_prefixes(ds, LEARNING_SAMPLE_SIZES)
-            assert fits == enumeration_loss(recover_prefixes, ds, LEARNING_SAMPLE_SIZES)
+            fits = recover_batch([ds], LEARNING_SAMPLE_SIZES)[0]
+            assert fits == enumeration_loss(recover_batch, [ds], LEARNING_SAMPLE_SIZES)[0]
             assert all(not math.isnan(fit.loss) for fit in fits.values())
 
 
@@ -700,7 +700,8 @@ def oracle_refine(dataset: SubjectDataset, grid_best: DAParams, evaluations: int
 
 def oracle_recover(dataset: SubjectDataset, sizes=None,
                    config: RecoveryConfig | None = None) -> dict[int, FitResult]:
-    """``recover_prefixes`` before the lock step: one grid pass, then one scipy fit per prefix."""
+    """``recover_batch([dataset], sizes)[0]`` before the lock step: one grid pass, then one
+    scipy fit per prefix."""
     config = config or RecoveryConfig()
     betas, rhos = _parameter_grid(config)
     per_round = _grid_losses(*_matrices(dataset), betas, rhos)
@@ -918,7 +919,7 @@ class TestRecoverBatch:
     def test_one_dataset_cases(self):
         ds = _sloppy_subject(353, DAParams(0.1, 0.9), n_rounds=30)
         want = oracle_recover(ds, (5, 30))
-        assert_same_fits(recover_prefixes(ds, (5, 30)), want)
+        assert_same_fits(recover_batch([ds], (5, 30))[0], want)
         assert_same_fits({30: recover_params(ds)}, {30: want[30]})
         assert recover_batch([]) == []
 
@@ -1238,7 +1239,8 @@ def dense_tokens_at(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray,
     budgets = _Budgets(prices)
     rho = rhos[:, None]
     w = 1.0 / (2.0 + betas[:, None, None])
-    k_a, k_b = budgets.ratios(w / (1.0 - w), 1.0 / rho)
+    odds = w / (1.0 - w)
+    k_a, k_b = (np.power(odds * ratio, 1.0 / rho) for ratio in (budgets.ratio_a, budgets.ratio_b))
     if betas[0] < 0.0:
         x_a, x_b = _optimum(_candidates(budgets, _Valuation(rho, w), k_a, k_b,
                                         _Valuation(rho).fixed_felicities(budgets)))

@@ -17,9 +17,10 @@ from prefbench.harness.backends import (
     MockDecisionBackend,
     make_backend,
 )
+from prefbench.harness.parsing import parse_allocations
 from prefbench.harness.prompts import ChatMessage, Treatment, TreatmentKind, build_prompt
 from prefbench.data import ReturnPair
-from prefbench.simulation import evaluation_schedule
+from prefbench.simulation import evaluation_schedule, simulate_subject
 
 
 class TestMockBackend:
@@ -34,6 +35,23 @@ class TestMockBackend:
         messages = build_prompt(Treatment(TreatmentKind.RECOMMENDATION), evaluation_schedule())
         answer = backend.send(messages)
         assert answer.count("I recommend investing") == 25
+
+    # no elation seeker of very low rho: below 1e-4 tokens the mock writes exponent
+    # notation ("3.3e-07"), which the parser misreads as its exponent
+    @pytest.mark.parametrize("params", [DAParams(-0.5, 0.4), DAParams(-0.3, 0.7),
+                                        DAParams(0.0, 1.0), DAParams(0.0, 2.5),
+                                        DAParams(0.3, 0.8), DAParams(2.0, 0.3)])
+    def test_answers_are_the_simulated_choices(self, params):
+        # the mock solves one budget at a time, the simulator all 25 rounds at once: the
+        # parsed answers must be the simulated tokens bit for bit
+        backend = MockDecisionBackend(params)
+        schedule = evaluation_schedule()
+        want = simulate_subject(params, schedule).dataset.rounds
+        for returns, round_ in zip(schedule.rounds, want):
+            answer = backend.send(build_prompt(Treatment(TreatmentKind.DECISION), returns))
+            (parsed,) = parse_allocations(answer)
+            assert parsed.ok
+            assert (parsed.t_a, parsed.t_b) == (round_.tokens.t_a, round_.tokens.t_b)
 
     def test_refuses_promptless_requests(self):
         backend = MockDecisionBackend(DAParams(0.0, 1.0))
