@@ -17,8 +17,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from ..da_model import DAParams, optimal_demand
-from ..data import Allocation, ReturnPair, demand_to_tokens, format_float, returns_to_prices
+import numpy as np
+
+from ..da_model import DAParams, optimal_demand_grid
+from ..data import Allocation, ReturnPair, demand_to_tokens, returns_to_prices
 from ..errors import BackendError, ConfigError
 from .prompts import ChatMessage
 
@@ -41,29 +43,40 @@ class MockDecisionBackend:
 
     params: DAParams
 
-    def _tokens(self, returns: ReturnPair) -> Allocation:
-        return demand_to_tokens(returns, optimal_demand(returns_to_prices(returns), self.params))
+    def _tokens(self, budgets: Sequence[ReturnPair]) -> list[Allocation]:
+        """The optimal allocation at each budget, from one demand call."""
+        prices = [(p.p_a, p.p_b) for p in map(returns_to_prices, budgets)]
+        demand = optimal_demand_grid(
+            np.array(prices), np.array([self.params.beta]), np.array([self.params.rho]))
+        return [demand_to_tokens(r, x) for r, x in zip(budgets, demand[0].tolist())]
 
     def send(self, messages: Sequence[ChatMessage]) -> str:
         user_text = next((m.content for m in reversed(messages) if m.role == "user"), "")
         rows = _TABLE_ROW.findall(user_text)
         if rows:
-            sentences = []
-            for idx, r_a, r_b in rows:
-                t = self._tokens(ReturnPair(float(r_a), float(r_b)))
-                sentences.append(
-                    f"In round {idx}, I recommend investing {format_float(t.t_a)} points in "
-                    f"asset A and {format_float(t.t_b)} points in asset B."
-                )
-            return " ".join(sentences)
+            budgets = [ReturnPair(float(r_a), float(r_b)) for _, r_a, r_b in rows]
+            return " ".join(
+                f"In round {idx}, I recommend investing {_points(t.t_a)} points in "
+                f"asset A and {_points(t.t_b)} points in asset B."
+                for (idx, _, _), t in zip(rows, self._tokens(budgets))
+            )
         match = _DECISION_RETURNS.search(user_text)
         if not match:
             raise BackendError("mock backend found no budget in the prompt")
-        t = self._tokens(ReturnPair(float(match.group(1)), float(match.group(2))))
+        (t,) = self._tokens([ReturnPair(float(match.group(1)), float(match.group(2)))])
         return (
-            f"I will invest {format_float(t.t_a)} points to asset A and "
-            f"{format_float(t.t_b)} points to asset B."
+            f"I will invest {_points(t.t_a)} points to asset A and "
+            f"{_points(t.t_b)} points to asset B."
         )
+
+
+def _points(tokens: float) -> str:
+    """Shortest round-tripping decimal, never in exponent notation.
+
+    The parser would read ``3.3e-07`` as 7.  From 1e-4 to 100 this is
+    ``repr``'s text.
+    """
+    return np.format_float_positional(tokens, unique=True, trim="0")
 
 
 @dataclass

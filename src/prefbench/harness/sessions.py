@@ -8,7 +8,11 @@ re-asked once with a terse reminder, then flagged; flagged rounds never get
 imputed allocations.
 
 Transcripts persist as JSON Lines, one object per request/response with
-ISO-8601 timestamps, and can be reloaded for resumption or re-analysis.
+ISO-8601 timestamps, and can be reloaded for resumption or re-analysis.  A
+record of format 2 stores only the messages after the ``prefix`` it shares
+with the record before it, so a decision transcript holds each message once;
+:func:`load_transcript` rebuilds the full messages, and reads format 1 files
+(no ``format`` key, every message stored) too.
 """
 
 from __future__ import annotations
@@ -72,19 +76,33 @@ class Transcript:
 
 
 class TranscriptWriter:
-    """Append-only JSONL sink; one file per session."""
+    """Append-only JSONL sink; one file per session.
+
+    Each line is a format 2 record: ``prefix`` is the number of leading
+    messages the record shares (by ``==``) with the record this writer wrote
+    just before it, 0 for its first, and ``messages`` holds the rest.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._previous: tuple[ChatMessage, ...] = ()
 
     def append(self, transcript: Transcript, record: RequestRecord) -> None:
+        prefix = 0
+        for old, new in zip(self._previous, record.messages):
+            if old != new:
+                break
+            prefix += 1
         obj = {
+            "format": 2,
             "session_id": transcript.session_id,
             "treatment": transcript.treatment.value,
             "round": record.round,
             "attempt": record.attempt,
-            "messages": [{"role": m.role, "content": m.content} for m in record.messages],
+            "prefix": prefix,
+            "messages": [{"role": m.role, "content": m.content}
+                         for m in record.messages[prefix:]],
             "response": record.response,
             "parsed": [
                 {"round": a.round, "t_a": a.t_a, "t_b": a.t_b, "flags": list(a.flags)}
@@ -95,18 +113,38 @@ class TranscriptWriter:
         }
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(obj) + "\n")
+        self._previous = record.messages
+
+
+def _shared_prefix(obj: dict, previous: tuple[ChatMessage, ...]) -> int:
+    """How many of ``previous``'s leading messages the record ``obj`` shares: 0 in format 1."""
+    if "format" not in obj:
+        return 0
+    if obj["format"] != 2:
+        raise ValueError(f"unknown format {obj['format']!r}")
+    prefix = obj["prefix"]
+    if type(prefix) is not int:
+        raise TypeError(f"prefix {prefix!r} is not an int")
+    if not 0 <= prefix <= len(previous):
+        raise ValueError(f"prefix {prefix} outside [0, {len(previous)}], "
+                         "the previous record's message count")
+    return prefix
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a JSONL transcript.
+    """Read a JSONL transcript of format 1 or 2, or of both mixed.
 
-    A final line that lacks its newline and does not decode is dropped: it is
-    a record cut short by a process killed while writing it.  Any other
-    malformed line, or a record that lacks a field or holds an unknown
-    treatment, raises :class:`ValidationError` naming ``path:line``.
+    A format 2 record's messages are the previous record's first ``prefix``
+    messages followed by the ones it stores.  A final line that lacks its
+    newline and does not decode is dropped: it is a record cut short by a
+    process killed while writing it.  Any other malformed line, or a record
+    that lacks a field, holds an unknown treatment or format, or a ``prefix``
+    that is not an int in [0, the previous record's message count], raises
+    :class:`ValidationError` naming ``path:line``.
     """
     path = Path(path)
     transcript: Transcript | None = None
+    previous: tuple[ChatMessage, ...] = ()
     with path.open(encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             if not line.strip():
@@ -123,7 +161,8 @@ def load_transcript(path: str | Path) -> Transcript:
                 record = RequestRecord(
                     round=obj["round"],
                     attempt=obj["attempt"],
-                    messages=tuple(ChatMessage(m["role"], m["content"]) for m in obj["messages"]),
+                    messages=previous[:_shared_prefix(obj, previous)] + tuple(
+                        ChatMessage(m["role"], m["content"]) for m in obj["messages"]),
                     response=obj["response"],
                     parsed=tuple(
                         ParsedAllocation(p["round"], p["t_a"], p["t_b"], tuple(p["flags"]))
@@ -136,6 +175,7 @@ def load_transcript(path: str | Path) -> Transcript:
                 raise ValidationError(
                     f"{path}:{line_num}: malformed record: {type(exc).__name__}: {exc}") from None
             transcript.records.append(record)
+            previous = record.messages
     if transcript is None:
         raise ValidationError(f"{path}: empty transcript")
     return transcript

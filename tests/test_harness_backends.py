@@ -6,6 +6,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 import requests
 
@@ -20,7 +21,7 @@ from prefbench.harness.backends import (
 from prefbench.harness.parsing import parse_allocations
 from prefbench.harness.prompts import ChatMessage, Treatment, TreatmentKind, build_prompt
 from prefbench.data import ReturnPair
-from prefbench.simulation import evaluation_schedule, simulate_subject
+from prefbench.simulation import evaluation_schedule, generate_budgets, simulate_subject
 
 
 class TestMockBackend:
@@ -36,11 +37,13 @@ class TestMockBackend:
         answer = backend.send(messages)
         assert answer.count("I recommend investing") == 25
 
-    # no elation seeker of very low rho: below 1e-4 tokens the mock writes exponent
-    # notation ("3.3e-07"), which the parser misreads as its exponent
+    # elation seekers of very low rho choose tokens below 1e-4 in some rounds, which
+    # the mock must not write in exponent notation ("3.3e-07" parses as 7)
     @pytest.mark.parametrize("params", [DAParams(-0.5, 0.4), DAParams(-0.3, 0.7),
                                         DAParams(0.0, 1.0), DAParams(0.0, 2.5),
-                                        DAParams(0.3, 0.8), DAParams(2.0, 0.3)])
+                                        DAParams(0.3, 0.8), DAParams(2.0, 0.3),
+                                        DAParams(-0.9, 0.05), DAParams(-0.9, 0.2),
+                                        DAParams(-0.5, 0.1)])
     def test_answers_are_the_simulated_choices(self, params):
         # the mock solves one budget at a time, the simulator all 25 rounds at once: the
         # parsed answers must be the simulated tokens bit for bit
@@ -50,8 +53,29 @@ class TestMockBackend:
         for returns, round_ in zip(schedule.rounds, want):
             answer = backend.send(build_prompt(Treatment(TreatmentKind.DECISION), returns))
             (parsed,) = parse_allocations(answer)
-            assert parsed.ok
-            assert (parsed.t_a, parsed.t_b) == (round_.tokens.t_a, round_.tokens.t_b)
+            tokens = (round_.tokens.t_a, round_.tokens.t_b)
+            if all(0.0 <= t <= 100.0 for t in tokens):
+                assert parsed.ok
+                assert (parsed.t_a, parsed.t_b) == tokens
+            else:  # an exact optimum of 100.00000000000001 tokens exceeds COMPONENT_MAX
+                assert parsed.flags == ("token_out_of_range",)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_table_answer_is_the_per_row_answers(self, seed):
+        # one demand call for the 25-row table gives the bits of 25 one-row calls
+        rng = np.random.default_rng(seed)
+        params = DAParams(rng.uniform(-0.9, 2.0), rng.uniform(0.05, 2.5))
+        schedule = evaluation_schedule() if seed == 0 else generate_budgets(seed, 25)
+        backend = MockDecisionBackend(params)
+        table = backend.send(build_prompt(Treatment(TreatmentKind.RECOMMENDATION), schedule))
+        rows = []
+        for idx, returns in enumerate(schedule.rounds, start=1):
+            answer = backend.send(build_prompt(Treatment(TreatmentKind.DECISION), returns))
+            points = answer.removeprefix("I will invest ").removesuffix(" points to asset B.")
+            t_a, t_b = points.split(" points to asset A and ")
+            rows.append(f"In round {idx}, I recommend investing {t_a} points in "
+                        f"asset A and {t_b} points in asset B.")
+        assert table == " ".join(rows)
 
     def test_refuses_promptless_requests(self):
         backend = MockDecisionBackend(DAParams(0.0, 1.0))

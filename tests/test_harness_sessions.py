@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,12 @@ from prefbench.harness.sessions import (
 )
 from prefbench.rationality import ccei
 from prefbench.simulation import evaluation_schedule, generate_budgets, simulate_subject
+
+# A format 1 transcript (every record stores all its messages), written before
+# format 2 existed by ``run_decision_session`` with
+# ``FlakyBackend(MockDecisionBackend(DAParams(0.1, 0.6)))`` on the evaluation
+# schedule, session "s1": round 1 is answered on its second attempt.
+GOLDEN_V1 = Path(__file__).parent / "golden" / "decision_transcript_v1.jsonl"
 
 
 @dataclass
@@ -208,6 +217,7 @@ class TestTranscriptPersistence:
         )
         complete = path.read_text(encoding="utf-8")
         last = complete.splitlines(keepends=True)[-1]
+        assert json.loads(last)["format"] == 2
         path.write_text(complete + last[: len(last) // 2], encoding="utf-8")
         assert load_transcript(path).records == transcript.records
         path.write_text(complete[: len(complete) - len(last) // 2], encoding="utf-8")
@@ -228,10 +238,84 @@ class TestTranscriptPersistence:
         with pytest.raises(ValidationError, match=f"bad.jsonl:{line_num}: invalid JSON"):
             load_transcript(path)
 
+    def test_records_store_the_messages_after_the_shared_prefix(self, tmp_path):
+        path = tmp_path / "s1.jsonl"
+        backend = FlakyBackend(MockDecisionBackend(DAParams(0.1, 0.6)))
+        transcript = run_decision_session(backend, evaluation_schedule(), "s1",
+                                          TranscriptWriter(path))
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert {obj["format"] for obj in lines} == {2}
+        # round 1, its retry (all but the re-asked question shared), then each round
+        # adds the previous answer and its own question
+        assert [obj["prefix"] for obj in lines] == [0, 2] + list(range(2, 26))
+        assert [len(obj["messages"]) for obj in lines] == [3, 1] + [2] * 24
+        for obj, record in zip(lines, transcript.records):
+            tail = record.messages[obj["prefix"]:]
+            assert obj["messages"] == [{"role": m.role, "content": m.content} for m in tail]
+        assert path.stat().st_size < GOLDEN_V1.stat().st_size / 2
+
     def test_corrupt_transcript_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="invalid JSON"):
+            load_transcript(path)
+
+
+def _timeless(records):
+    return [dataclasses.replace(r, started_at="", finished_at="") for r in records]
+
+
+def _edit_line(path, index, edit):
+    """Apply ``edit`` to the decoded record on line ``index + 1`` of ``path``."""
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edit(lines[index])
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+
+
+class TestFormatOne:
+    """Transcripts written before format 2 still load, resume and validate."""
+
+    def test_loads_to_the_records_of_a_format_two_file(self, tmp_path):
+        path = tmp_path / "s1.jsonl"
+        backend = FlakyBackend(MockDecisionBackend(DAParams(0.1, 0.6)))
+        run_decision_session(backend, evaluation_schedule(), "s1", TranscriptWriter(path))
+        old, new = load_transcript(GOLDEN_V1), load_transcript(path)
+        assert (old.session_id, old.treatment) == (new.session_id, new.treatment)
+        assert len(old.records) == 26
+        assert _timeless(old.records) == _timeless(new.records)
+
+    def test_is_reused(self, tmp_path):
+        path = tmp_path / "s1.jsonl"
+        shutil.copyfile(GOLDEN_V1, path)
+        reused = reusable_transcript(path, Treatment(TreatmentKind.DECISION), evaluation_schedule())
+        assert reused is not None and path.exists()
+        assert reused.records == load_transcript(GOLDEN_V1).records
+
+    def test_a_line_rewritten_in_format_two_loads_the_same(self, tmp_path):
+        path = tmp_path / "s1.jsonl"
+        shutil.copyfile(GOLDEN_V1, path)
+        # round 5 (line 6) shares all but the question of round 4's 6 messages
+        _edit_line(path, 5, lambda obj: obj.update(
+            format=2, prefix=5, messages=obj["messages"][5:]))
+        assert load_transcript(path).records == load_transcript(GOLDEN_V1).records
+
+    @pytest.mark.parametrize("line,fields,message", [
+        (6, {"format": 2, "prefix": "3"}, "prefix '3' is not an int"),
+        (6, {"format": 2, "prefix": 3.0}, "prefix 3.0 is not an int"),
+        (6, {"format": 2, "prefix": True}, "prefix True is not an int"),
+        (6, {"format": 2}, "KeyError: 'prefix'"),
+        (6, {"format": 2, "prefix": -1}, r"prefix -1 outside \[0, 6\]"),
+        (6, {"format": 2, "prefix": 7}, r"prefix 7 outside \[0, 6\]"),
+        (1, {"format": 2, "prefix": 1}, r"prefix 1 outside \[0, 0\]"),
+        (6, {"format": 3, "prefix": 0}, "unknown format 3"),
+        (6, {"format": "2", "prefix": 0}, "unknown format '2'"),
+    ])
+    def test_a_bad_prefix_or_format_is_rejected(self, tmp_path, line, fields, message):
+        path = tmp_path / "s1.jsonl"
+        shutil.copyfile(GOLDEN_V1, path)
+        _edit_line(path, line - 1, lambda obj: obj.update(fields))
+        match = f"s1.jsonl:{line}: malformed record: .*{message}"
+        with pytest.raises(ValidationError, match=match):
             load_transcript(path)
 
 
@@ -268,12 +352,23 @@ class TestReusableTranscript:
         (4, lambda obj: obj.update(round=None)),
     ])
     def test_a_record_that_asked_another_question_is_deleted(self, tmp_path, record, edit):
+        # format 1 records store every message, so each edit hits the message it names
+        path = tmp_path / "s1.jsonl"
+        shutil.copyfile(GOLDEN_V1, path)
+        _edit_line(path, record, edit)
+        assert load_transcript(path).complete()
+        treatment = Treatment(TreatmentKind.DECISION)
+        assert reusable_transcript(path, treatment, evaluation_schedule()) is None
+        assert not path.exists()
+
+    def test_an_edited_shared_message_is_deleted(self, tmp_path):
+        # in format 2, every later record inherits record 0's system message
         path = tmp_path / "s1.jsonl"
         self._transcript(path)
-        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        edit(lines[record])
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
-        assert load_transcript(path).complete()
+        _edit_line(path, 0, lambda obj: obj["messages"][0].update(content="You are a trader."))
+        loaded = load_transcript(path)
+        assert loaded.complete()
+        assert {r.messages[0].content for r in loaded.records} == {"You are a trader."}
         treatment = Treatment(TreatmentKind.DECISION)
         assert reusable_transcript(path, treatment, evaluation_schedule()) is None
         assert not path.exists()
