@@ -9,15 +9,12 @@ deterministic mock or live chat endpoint -- learns preferences from data.
 from .da_model import DAParams, optimal_demand
 from .data import (
     Allocation,
-    ChoiceRound,
     PricePair,
     ReturnPair,
     SubjectDataset,
     demand_to_tokens,
-    prices_to_returns,
     read_dataset,
     returns_to_prices,
-    tokens_to_demand,
     write_dataset,
 )
 from .errors import (

@@ -428,9 +428,10 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
     for label, datasets in choices:
         name = f"scatter_{label}.csv"
         write_table(out / name, ("subject_id", "round", "log_price_ratio", "relative_demand_a"), (
-            (ds.subject_id, rd.round, math.log(rd.prices.p_a / rd.prices.p_b),
-             rd.demand[0] / (rd.demand[0] + rd.demand[1]))
-            for ds in datasets for rd in ds.rounds))
+            (ds.subject_id, k, math.log(p_a / p_b), x_a / (x_a + x_b))
+            for ds in datasets
+            for k, (p_a, p_b), (x_a, x_b) in zip(ds.round.tolist(), ds.prices.tolist(),
+                                                 ds.demand.tolist())))
         outputs.append(name)
 
     if curve_file:

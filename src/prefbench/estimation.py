@@ -350,7 +350,7 @@ class _PairedLoss:
 
 def fit_loss(dataset: SubjectDataset, params: DAParams) -> float:
     """Mean squared token-share distance between data and model-optimal choices."""
-    loss = _PairedLoss([(dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix())])
+    loss = _PairedLoss([(dataset.prices, dataset.returns, dataset.tokens)])
     return float(loss(np.array([params.beta]), np.array([params.rho]))[0])
 
 
@@ -508,7 +508,7 @@ def recover_batch(
     for dataset in datasets:
         flagged = [(size, _flags(dataset_prefix(dataset, size)))
                    for size in (sizes if sizes is not None else (dataset.n,))]
-        data = dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix()
+        data = dataset.prices, dataset.returns, dataset.tokens
         schedules.setdefault((dataset.n, data[0].tobytes(), data[1].tobytes()),
                              []).append(len(entries))
         entries.append((flagged, data))
@@ -536,9 +536,7 @@ def _flags(dataset: SubjectDataset) -> tuple[str, ...]:
     """Why the rounds cannot pin two parameters, if they cannot."""
     if dataset.n < 2:
         return ("insufficient_rounds",)
-    if all(rd.prices == dataset.rounds[0].prices for rd in dataset.rounds) and all(
-        rd.tokens == dataset.rounds[0].tokens for rd in dataset.rounds
-    ):
+    if (dataset.prices == dataset.prices[0]).all() and (dataset.tokens == dataset.tokens[0]).all():
         return ("degenerate_rounds",)
     return ()
 

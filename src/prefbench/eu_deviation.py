@@ -71,8 +71,8 @@ def build_eu_graph(dataset: SubjectDataset) -> EuConstraintGraph:
     Quantities within ``QUANTITY_TOL`` of each other count as equal; pairs
     where either quantity is zero are dropped and counted.
     """
-    demand = dataset.demand_matrix()
-    prices = dataset.price_matrix()
+    demand = dataset.demand
+    prices = dataset.prices
     obs = np.repeat(np.arange(dataset.n), 2)
     qty = demand.reshape(-1)
     logp = np.full_like(qty, np.nan)
@@ -106,8 +106,8 @@ def _eu_matrices(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray, int]:
     pairings contributes one broadcast comparison; a slot is never compared
     with itself.  Also returns the number of zero quantities.
     """
-    demand = dataset.demand_matrix()
-    log_prices = np.log(dataset.price_matrix())
+    demand = dataset.demand
+    log_prices = np.log(dataset.prices)
     held = demand > 0.0
     if not held.any():
         raise DegenerateDataError("all quantities are zero; no comparisons available")

@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..da_model import DAParams, optimal_demand_grid
-from ..data import Allocation, ReturnPair, demand_to_tokens, returns_to_prices
+from ..data import demand_to_tokens, returns_to_prices
 from ..errors import BackendError, ConfigError
 from .prompts import ChatMessage
 
@@ -43,30 +43,29 @@ class MockDecisionBackend:
 
     params: DAParams
 
-    def _tokens(self, budgets: Sequence[ReturnPair]) -> list[Allocation]:
-        """The optimal allocation at each budget, from one demand call."""
-        prices = [(p.p_a, p.p_b) for p in map(returns_to_prices, budgets)]
+    def _tokens(self, returns: Sequence[tuple[str, str]]) -> list[list[float]]:
+        """The optimal (t_a, t_b) at each pair of returns in the prompt, from one demand call."""
+        returns = np.array([[float(r_a), float(r_b)] for r_a, r_b in returns])
         demand = optimal_demand_grid(
-            np.array(prices), np.array([self.params.beta]), np.array([self.params.rho]))
-        return [demand_to_tokens(r, x) for r, x in zip(budgets, demand[0].tolist())]
+            returns_to_prices(returns), np.array([self.params.beta]), np.array([self.params.rho]))
+        return demand_to_tokens(returns, demand[0]).tolist()
 
     def send(self, messages: Sequence[ChatMessage]) -> str:
         user_text = next((m.content for m in reversed(messages) if m.role == "user"), "")
         rows = _TABLE_ROW.findall(user_text)
         if rows:
-            budgets = [ReturnPair(float(r_a), float(r_b)) for _, r_a, r_b in rows]
             return " ".join(
-                f"In round {idx}, I recommend investing {_points(t.t_a)} points in "
-                f"asset A and {_points(t.t_b)} points in asset B."
-                for (idx, _, _), t in zip(rows, self._tokens(budgets))
+                f"In round {idx}, I recommend investing {_points(t_a)} points in "
+                f"asset A and {_points(t_b)} points in asset B."
+                for (idx, _, _), (t_a, t_b) in zip(rows, self._tokens([row[1:] for row in rows]))
             )
         match = _DECISION_RETURNS.search(user_text)
         if not match:
             raise BackendError("mock backend found no budget in the prompt")
-        (t,) = self._tokens([ReturnPair(float(match.group(1)), float(match.group(2)))])
+        ((t_a, t_b),) = self._tokens([match.groups()])
         return (
-            f"I will invest {_points(t.t_a)} points to asset A and "
-            f"{_points(t.t_b)} points to asset B."
+            f"I will invest {_points(t_a)} points to asset A and "
+            f"{_points(t_b)} points to asset B."
         )
 
 

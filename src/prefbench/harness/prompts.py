@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from ..data import ChoiceRound, ReturnPair, SubjectDataset, format_float
+from ..data import ReturnPair, SubjectDataset, dataset_prefix, format_float
 from ..errors import TemplateError, ValidationError
 from ..simulation import BudgetSchedule
 
@@ -128,14 +128,11 @@ def render_return_table(rounds: Sequence[ReturnPair]) -> str:
     )
 
 
-def render_choice_table(rounds: Sequence[ChoiceRound]) -> str:
-    """Tab-separated rows: return on A, return on B, points on A, points on B."""
+def render_choice_table(dataset: SubjectDataset) -> str:
+    """Tab-separated rows, one per round: return on A, return on B, points on A, points on B."""
     return "\n".join(
-        "\t".join(
-            format_float(v)
-            for v in (rd.returns.r_a, rd.returns.r_b, rd.tokens.t_a, rd.tokens.t_b)
-        )
-        for rd in rounds
+        "\t".join(map(format_float, (*returns, *tokens)))
+        for returns, tokens in zip(dataset.returns.tolist(), dataset.tokens.tolist())
     )
 
 
@@ -170,10 +167,10 @@ def build_prompt(treatment: Treatment, round_or_table) -> list[ChatMessage]:
         )
     assistant = RECOMMENDATION_ASSISTANT
     if treatment.kind is TreatmentKind.PERSONALIZED_RECOMMENDATION:
-        sample_rounds = treatment.sample_data.rounds[: treatment.sample_size]
         assistant += PERSONALIZED_DATA_BLOCK.format(
             sample_size=treatment.sample_size,
-            data_table=render_choice_table(sample_rounds),
+            data_table=render_choice_table(
+                dataset_prefix(treatment.sample_data, treatment.sample_size)),
         )
     user = RECOMMENDATION_USER_TEMPLATE.format(
         return_table=render_return_table(round_or_table.rounds)

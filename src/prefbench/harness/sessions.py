@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from ..data import Allocation, ChoiceRound, SubjectDataset
+from ..data import SubjectDataset
 from ..errors import BackendError, SessionError, ValidationError
 from ..simulation import BudgetSchedule
 from .backends import ChatBackend
@@ -292,14 +292,10 @@ def transcript_to_dataset(
     transcript: Transcript, schedule: BudgetSchedule, subject_id: str
 ) -> SubjectDataset:
     """Dataset of the cleanly parsed rounds; flagged rounds are dropped."""
-    rounds = []
-    for alloc in transcript.parsed_rounds():
-        if not alloc.ok:
-            continue
-        returns = schedule.rounds[alloc.round - 1]
-        rounds.append(
-            ChoiceRound.from_returns_tokens(alloc.round, returns, Allocation(alloc.t_a, alloc.t_b))
-        )
-    if not rounds:
+    usable = [alloc for alloc in transcript.parsed_rounds() if alloc.ok]
+    if not usable:
         raise ValidationError(f"session {transcript.session_id!r}: no usable rounds")
-    return SubjectDataset(subject_id, tuple(rounds))
+    returns = [schedule.rounds[alloc.round - 1] for alloc in usable]
+    return SubjectDataset.from_returns_tokens(
+        subject_id, [(r.r_a, r.r_b) for r in returns], [(alloc.t_a, alloc.t_b) for alloc in usable],
+        [alloc.round for alloc in usable])

@@ -36,8 +36,8 @@ class CceiResult:
 
 def _expenditures(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray]:
     """Cross-expenditure matrix E[i, j] = p^i . x^j and own expenditures."""
-    prices = dataset.price_matrix()
-    demand = dataset.demand_matrix()
+    prices = dataset.prices
+    demand = dataset.demand
     cross = prices @ demand.T
     return cross, np.diag(cross).copy()
 
@@ -122,12 +122,8 @@ def fosd_violations(dataset: SubjectDataset) -> tuple[int, tuple[bool, ...]]:
     yields the same payoff distribution at strictly lower cost, so the chosen
     bundle is first-order stochastically dominated.
     """
-    flags = []
-    for rd in dataset.rounds:
-        p_a, p_b = rd.prices.p_a, rd.prices.p_b
-        x_a, x_b = rd.demand
-        violates = (p_a - p_b > FOSD_TOL and x_a - x_b > FOSD_TOL) or (
-            p_b - p_a > FOSD_TOL and x_b - x_a > FOSD_TOL
-        )
-        flags.append(violates)
-    return sum(flags), tuple(flags)
+    p_a, p_b = dataset.prices.T
+    x_a, x_b = dataset.demand.T
+    flags = ((p_a - p_b > FOSD_TOL) & (x_a - x_b > FOSD_TOL)) | (
+        (p_b - p_a > FOSD_TOL) & (x_b - x_a > FOSD_TOL))
+    return int(np.count_nonzero(flags)), tuple(flags.tolist())

@@ -17,11 +17,11 @@ import numpy as np
 from .da_model import DAParams, optimal_demand_grid
 from .data import (
     RETURNS_HEADER,
-    Allocation,
-    ChoiceRound,
     ReturnPair,
     SubjectDataset,
+    demand_to_tokens,
     read_table,
+    returns_to_prices,
     write_table,
 )
 from .errors import ValidationError
@@ -77,16 +77,11 @@ def simulate_subject(
 ) -> SyntheticSubject:
     """Exact optimal choices on every budget of the schedule, in token form."""
     returns = np.array([[r.r_a, r.r_b] for r in schedule.rounds])
-    prices = 1.0 / (100.0 * returns)
-    demand = optimal_demand_grid(prices, np.array([params.beta]), np.array([params.rho]))
-    tokens = demand[0] / returns
-    rounds = tuple(
-        ChoiceRound.from_returns_tokens(
-            i + 1, schedule.rounds[i], Allocation(float(tokens[i, 0]), float(tokens[i, 1]))
-        )
-        for i in range(len(schedule.rounds))
-    )
-    return SyntheticSubject(subject_id, params, SubjectDataset(subject_id, rounds))
+    demand = optimal_demand_grid(
+        returns_to_prices(returns), np.array([params.beta]), np.array([params.rho]))
+    tokens = demand_to_tokens(returns, demand[0])
+    return SyntheticSubject(
+        subject_id, params, SubjectDataset.from_returns_tokens(subject_id, returns, tokens))
 
 
 def sample_population(

@@ -68,7 +68,7 @@ def _report(dataset: SubjectDataset, fit: FitResult) -> IndexReport:
         flags.append("no_convergence")
     if deviation.deut > 0 and deviation.deut < 1e-300:
         flags.append("deut_strict_zero")
-    rescaled = sum(1 for rd in dataset.rounds if rd.rescaled)
+    rescaled = int(dataset.rescaled.sum())
     if rescaled:
         flags.append(f"rescaled:{rescaled}")
     return IndexReport(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import prefbench
-from prefbench.data import ChoiceRound, PricePair, SubjectDataset
+from prefbench.data import SubjectDataset
 
 settings.register_profile(
     "ci", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -39,11 +39,9 @@ def run_python(code: str, *args: str) -> str:
 
 def dataset_from_prices(rows, subject_id="s") -> SubjectDataset:
     """Rows of (p_a, p_b, x_a, x_b) -> validated dataset."""
-    rounds = tuple(
-        ChoiceRound.from_prices_demand(i + 1, PricePair(p_a, p_b), (x_a, x_b))
-        for i, (p_a, p_b, x_a, x_b) in enumerate(rows)
-    )
-    return SubjectDataset(subject_id, rounds)
+    rows = [tuple(row) for row in rows]
+    return SubjectDataset.from_prices_demand(
+        subject_id, [row[:2] for row in rows], [row[2:] for row in rows])
 
 
 @pytest.fixture

@@ -77,7 +77,9 @@ def test_criterion_2_eu_consistency():
         full = deut_index(subject.dataset)
         positive += full.deut > 1e-9
         for lo in (0, 9, 19):  # three distinct size-6 windows per subject
-            sub = SubjectDataset(f"da{i}w{lo}", subject.dataset.rounds[lo:lo + 6])
+            ds = subject.dataset
+            sub = SubjectDataset(f"da{i}w{lo}", *(column[lo:lo + 6] for column in (
+                ds.round, ds.returns, ds.tokens, ds.prices, ds.demand, ds.rescaled)))
             got = deut_index(sub).deut
             want = oracle_deut(sub)
             assert got == pytest.approx(want, abs=1e-9), f"da{i}[{lo}]: {got} vs {want}"

@@ -17,7 +17,12 @@ from demand_oracle import enumeration_demand_grid as optimal_demand_grid
 from prefbench import estimation
 from prefbench.da_model import (_LOG_RHO_EPS, DAParams, _Budgets, _candidates, _interior,
                                 _optimum, _Valuation)
-from prefbench.data import Allocation, ChoiceRound, ReturnPair, SubjectDataset, dataset_prefix
+from prefbench.data import (
+    SubjectDataset,
+    _checks,
+    _first_failure,
+    dataset_prefix,
+)
 from prefbench.errors import ValidationError
 from prefbench.estimation import (
     FitResult,
@@ -29,7 +34,7 @@ from prefbench.estimation import (
     recover_batch,
     recover_params,
 )
-from prefbench.simulation import BudgetSchedule, generate_budgets, simulate_subject
+from prefbench.simulation import generate_budgets, simulate_subject
 from prefbench.workflows import LEARNING_SAMPLE_SIZES
 
 
@@ -72,15 +77,18 @@ def _dense_block(block, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.nda
     return dense[0], dense[1]
 
 
+def _with_t_a(dataset, t_a, subject_id=None):
+    """The dataset's rounds and returns with the tokens (t_a, 100 - t_a)."""
+    return SubjectDataset.from_returns_tokens(subject_id or dataset.subject_id, dataset.returns,
+                                              [(t, 100.0 - t) for t in t_a], dataset.round)
+
+
 def _noisy_copy(dataset, rng, spread=5.0):
-    rounds = []
+    t_a = []
     for rd in dataset.rounds:
         shift = float(rng.uniform(-spread, spread))
-        t_a = min(max(rd.tokens.t_a + shift, 0.0), 100.0)
-        rounds.append(
-            ChoiceRound.from_returns_tokens(rd.round, rd.returns, Allocation(t_a, 100.0 - t_a))
-        )
-    return SubjectDataset(dataset.subject_id, tuple(rounds))
+        t_a.append(min(max(rd.tokens.t_a + shift, 0.0), 100.0))
+    return _with_t_a(dataset, t_a)
 
 
 class TestFitLoss:
@@ -98,12 +106,7 @@ class TestFitLoss:
             assert fit_loss(subject.dataset, neighbor) >= base
 
     def test_fifty_fifty_tokens_at_symmetric_prices_fit_large_beta(self):
-        schedule = BudgetSchedule(tuple(ReturnPair(0.6, 0.6) for _ in range(5)))
-        rounds = tuple(
-            ChoiceRound.from_returns_tokens(i + 1, r, Allocation(50.0, 50.0))
-            for i, r in enumerate(schedule.rounds)
-        )
-        ds = SubjectDataset("k", rounds)
+        ds = SubjectDataset.from_returns_tokens("k", [(0.6, 0.6)] * 5, [(50.0, 50.0)] * 5)
         assert fit_loss(ds, DAParams(2.0, 1.0)) <= 1e-12
 
 
@@ -129,11 +132,8 @@ class TestRecovery:
         assert "insufficient_rounds" in fit.flags
 
     def test_identical_rounds_flagged(self):
-        r = ReturnPair(0.5, 0.9)
-        rounds = tuple(
-            ChoiceRound.from_returns_tokens(i + 1, r, Allocation(40.0, 60.0)) for i in range(5)
-        )
-        fit = recover_params(SubjectDataset("flat", rounds))
+        fit = recover_params(
+            SubjectDataset.from_returns_tokens("flat", [(0.5, 0.9)] * 5, [(40.0, 60.0)] * 5))
         assert not fit.converged
         assert "degenerate_rounds" in fit.flags
 
@@ -305,20 +305,16 @@ def _sloppy_subject(seed: int, params: DAParams, n_rounds: int = 175) -> Subject
     """Exact choices plus N(0, 10) token noise, rounded and clipped to the budget."""
     rng = np.random.default_rng(seed)
     exact = simulate_subject(params, generate_budgets(seed, n_rounds), f"sl{seed}").dataset
-    rounds = []
-    for rd in exact.rounds:
-        t_a = min(max(round(rd.tokens.t_a + float(rng.normal(0.0, 10.0))), 0.0), 100.0)
-        rounds.append(
-            ChoiceRound.from_returns_tokens(rd.round, rd.returns, Allocation(t_a, 100.0 - t_a))
-        )
-    return SubjectDataset(exact.subject_id, tuple(rounds))
+    t_a = [min(max(round(rd.tokens.t_a + float(rng.normal(0.0, 10.0))), 0.0), 100.0)
+           for rd in exact.rounds]
+    return _with_t_a(exact, t_a)
 
 
 class TestRecoverPrefixes:
     def test_prefix_grid_loss_is_the_prefix_of_per_round_losses(self):
         ds = _sloppy_subject(113, DAParams(0.4, 0.8))
         betas, rhos = _parameter_grid(RecoveryConfig())
-        prices, returns, tokens = ds.price_matrix(), ds.return_matrix(), ds.token_matrix()
+        prices, returns, tokens = ds.price_matrix(), ds.returns, ds.tokens
         for kernel in (_grid_losses, oracle_grid_losses):
             per_round = kernel(prices, returns, tokens, betas, rhos)
             for size in (1, 10, 25, 75):
@@ -338,11 +334,8 @@ class TestRecoverPrefixes:
             assert fit == recover_params(dataset_prefix(ds, size))
 
     def test_flags_are_per_prefix(self):
-        rounds = tuple(
-            ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(40.0, 60.0))
-            for i in range(4)
-        ) + (ChoiceRound.from_returns_tokens(5, ReturnPair(0.8, 0.4), Allocation(70.0, 30.0)),)
-        ds = SubjectDataset("p", rounds)
+        ds = SubjectDataset.from_returns_tokens(
+            "p", [(0.5, 0.9)] * 4 + [(0.8, 0.4)], [(40.0, 60.0)] * 4 + [(70.0, 30.0)])
         fits = recover_batch([ds], (1, 4, 5))[0]
         assert fits[1].flags == ("insufficient_rounds",)
         assert fits[4].flags == ("degenerate_rounds",)
@@ -376,13 +369,16 @@ def enumeration_grid(monkeypatch):
     return recover
 
 
+@pytest.fixture(scope="module")
+def round_trip_fits() -> list[tuple[SubjectDataset, FitResult]]:
+    """The 20 criterion-3 round trips and their fits, for each oracle to match."""
+    return [(ds, recover_params(ds)) for ds in _round_trip_datasets()]
+
+
 class TestAgainstEnumerationGrid:
-    def test_criterion_3_round_trips(self, enumeration_grid):
-        for i, beta0 in enumerate((-0.2, 0.0, 0.1, 0.3, 0.5)):
-            for j, rho0 in enumerate((0.3, 0.6, 1.0, 1.5)):
-                schedule = generate_budgets(40_000 + 10 * i + j, 25)
-                ds = simulate_subject(DAParams(beta0, rho0), schedule, "rt").dataset
-                assert recover_params(ds) == enumeration_grid(ds)
+    def test_criterion_3_round_trips(self, round_trip_fits, enumeration_grid):
+        for ds, fit in round_trip_fits:
+            assert fit == enumeration_grid(ds)
 
     def test_sloppy_175_round_subjects(self, enumeration_grid):
         rng = np.random.default_rng(137)
@@ -520,7 +516,7 @@ def _loss_mismatches(data, points) -> list:
 
 
 def _matrices(dataset: SubjectDataset):
-    return dataset.price_matrix(), dataset.return_matrix(), dataset.token_matrix()
+    return dataset.price_matrix(), dataset.returns, dataset.tokens
 
 
 def _priced(prices: np.ndarray, rng: np.random.Generator):
@@ -649,12 +645,9 @@ def enumeration_loss(monkeypatch):
 
 
 class TestAgainstEnumerationLoss:
-    def test_criterion_3_round_trips(self, enumeration_loss):
-        for i, beta0 in enumerate((-0.2, 0.0, 0.1, 0.3, 0.5)):
-            for j, rho0 in enumerate((0.3, 0.6, 1.0, 1.5)):
-                schedule = generate_budgets(40_000 + 10 * i + j, 25)
-                ds = simulate_subject(DAParams(beta0, rho0), schedule, "rt").dataset
-                assert recover_params(ds) == enumeration_loss(recover_params, ds)
+    def test_criterion_3_round_trips(self, round_trip_fits, enumeration_loss):
+        for ds, fit in round_trip_fits:
+            assert fit == enumeration_loss(recover_params, ds)
 
     def test_sloppy_175_round_prefixes(self, enumeration_loss):
         rng = np.random.default_rng(241)
@@ -883,16 +876,13 @@ class TestLockStep:
 class TestRecoverBatch:
     def _mixed_batch(self) -> list[SubjectDataset]:
         rng = np.random.default_rng(331)
-        degenerate = tuple(
-            ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(40.0, 60.0))
-            for i in range(6)
-        )
+        degenerate = SubjectDataset.from_returns_tokens("flat", [(0.5, 0.9)] * 6, [(40.0, 60.0)] * 6)
         return [
             random_sloppy_dataset(rng, 1),
             random_sloppy_dataset(rng, 2),
             simulate_subject(DAParams(0.4, 0.7), generate_budgets(337, 12), "ex12").dataset,
             _sloppy_subject(347, DAParams(-0.3, 1.6), n_rounds=60),
-            SubjectDataset("flat", degenerate),
+            degenerate,
             _sloppy_subject(349, DAParams(1.2, 0.4)),
         ]
 
@@ -942,12 +932,8 @@ class TestRecoverBatch:
 def _retokened(dataset: SubjectDataset, rng: np.random.Generator) -> SubjectDataset:
     """The same rounds with new uniform token shares: the price and return matrices are
     the dataset's, byte for byte."""
-    rounds = []
-    for rd in dataset.rounds:
-        t_a = float(rng.uniform(0.0, 100.0))
-        rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns,
-                                                      Allocation(t_a, 100.0 - t_a)))
-    return SubjectDataset(dataset.subject_id + "r", tuple(rounds))
+    t_a = [float(rng.uniform(0.0, 100.0)) for _ in range(dataset.n)]
+    return _with_t_a(dataset, t_a, dataset.subject_id + "r")
 
 
 @pytest.fixture
@@ -995,9 +981,8 @@ class TestSharedSchedules:
 
     def test_one_round_and_degenerate_groups(self, grid_passes):
         five = [_sloppy_subject(401, DAParams(beta, 0.9), n_rounds=60) for beta in (0.0, 0.4)]
-        degenerate = [SubjectDataset(f"flat{t_a}", tuple(
-            ChoiceRound.from_returns_tokens(i + 1, ReturnPair(0.5, 0.9), Allocation(t_a, 100.0 - t_a))
-            for i in range(6))) for t_a in (40.0, 70.0)]
+        degenerate = [SubjectDataset.from_returns_tokens(
+            f"flat{t_a}", [(0.5, 0.9)] * 6, [(t_a, 100.0 - t_a)] * 6) for t_a in (40.0, 70.0)]
         datasets = [dataset_prefix(five[0], 1), degenerate[0], five[0], dataset_prefix(five[1], 1),
                     degenerate[1], five[1]]
         got = recover_batch(datasets)
@@ -1024,15 +1009,15 @@ class TestSharedSchedules:
                 assert_same_fits(fits, oracle_recover(ds, sizes, config))
 
     def test_equal_prices_with_other_returns_are_not_merged(self, grid_passes):
-        # returns one ulp apart still pass ChoiceRound's 1e-12 consistency check
+        # returns one ulp apart still pass the 1e-12 consistency check
         ds = _sloppy_subject(431, DAParams(0.2, 0.9), n_rounds=25)
-        rounds = []
-        for rd in ds.rounds:
-            returns = ReturnPair(float(np.nextafter(rd.returns.r_a, 1.0)), rd.returns.r_b)
-            rounds.append(ChoiceRound(rd.round, returns, rd.tokens, rd.prices, rd.demand))
-        shifted = SubjectDataset("shifted", tuple(rounds))
+        returns = np.column_stack([np.nextafter(ds.returns[:, 0], 1.0), ds.returns[:, 1]])
+        assert _first_failure(
+            _checks(False, ds.round, returns, ds.tokens, ds.prices, ds.demand, ds.demand)) is None
+        shifted = SubjectDataset("shifted", ds.round, returns, ds.tokens, ds.prices, ds.demand,
+                                 ds.rescaled)
         assert np.array_equal(shifted.price_matrix(), ds.price_matrix())
-        assert not np.array_equal(shifted.return_matrix(), ds.return_matrix())
+        assert not np.array_equal(shifted.returns, ds.returns)
         got = recover_batch([ds, shifted])
         assert len(grid_passes) == 2
         for fits, want in zip(got, (ds, shifted)):
@@ -1106,7 +1091,7 @@ class TestSharedSchedules:
             prices, returns, _ = _matrices(datasets[0])
             monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * len(prices))
             sizes = sorted({1, len(prices)})
-            tokens = [ds.token_matrix() for ds in datasets]
+            tokens = [ds.tokens for ds in datasets]
             got = estimation._grid_optima(prices, returns, tokens, sizes, betas, rhos)
             for ds, optima in zip(datasets, got):
                 full = _grid_losses(*_matrices(ds), betas, rhos)

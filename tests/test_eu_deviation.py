@@ -8,13 +8,7 @@ import pytest
 
 from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
-from prefbench.data import (
-    Allocation,
-    ChoiceRound,
-    PricePair,
-    ReturnPair,
-    SubjectDataset,
-)
+from prefbench.data import SubjectDataset
 from prefbench.errors import DegenerateDataError
 from prefbench.eu_deviation import (
     CYCLE_TOL,
@@ -166,23 +160,11 @@ def oracle_deut(dataset) -> float:
 def _all_zero_dataset() -> SubjectDataset:
     """One round holding nothing.
 
-    Valid rounds always hold something (budget identity), so the object is
-    forged past validation.
+    Valid rounds always hold something (budget identity), so the columns go
+    straight to the constructor, which does not validate them.
     """
-    rd = object.__new__(ChoiceRound)
-    for name, value in [
-        ("round", 1),
-        ("returns", ReturnPair(0.5, 0.5)),
-        ("tokens", Allocation(0.0, 0.0)),
-        ("prices", PricePair(0.02, 0.02)),
-        ("demand", (0.0, 0.0)),
-        ("rescaled", False),
-    ]:
-        object.__setattr__(rd, name, value)
-    ds = object.__new__(SubjectDataset)
-    object.__setattr__(ds, "subject_id", "z")
-    object.__setattr__(ds, "rounds", (rd,))
-    return ds
+    return SubjectDataset("z", np.array([1]), np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]]),
+                          np.array([[0.02, 0.02]]), np.array([[0.0, 0.0]]), np.array([False]))
 
 
 class TestGraphConstruction:

@@ -46,19 +46,15 @@ class TestMockBackend:
                                         DAParams(-0.5, 0.1)])
     def test_answers_are_the_simulated_choices(self, params):
         # the mock solves one budget at a time, the simulator all 25 rounds at once: the
-        # parsed answers must be the simulated tokens bit for bit
+        # parsed answers must be the simulated tokens bit for bit, corners included
         backend = MockDecisionBackend(params)
         schedule = evaluation_schedule()
         want = simulate_subject(params, schedule).dataset.rounds
         for returns, round_ in zip(schedule.rounds, want):
             answer = backend.send(build_prompt(Treatment(TreatmentKind.DECISION), returns))
             (parsed,) = parse_allocations(answer)
-            tokens = (round_.tokens.t_a, round_.tokens.t_b)
-            if all(0.0 <= t <= 100.0 for t in tokens):
-                assert parsed.ok
-                assert (parsed.t_a, parsed.t_b) == tokens
-            else:  # an exact optimum of 100.00000000000001 tokens exceeds COMPONENT_MAX
-                assert parsed.flags == ("token_out_of_range",)
+            assert parsed.ok
+            assert (parsed.t_a, parsed.t_b) == (round_.tokens.t_a, round_.tokens.t_b)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_table_answer_is_the_per_row_answers(self, seed):

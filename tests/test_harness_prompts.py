@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from prefbench.data import Allocation, ChoiceRound, ReturnPair, SubjectDataset
+from prefbench.data import ReturnPair, SubjectDataset
 from prefbench.errors import TemplateError, ValidationError
 from prefbench.harness.prompts import Treatment, TreatmentKind, build_prompt
 from prefbench.simulation import BudgetSchedule, evaluation_schedule
@@ -21,11 +21,8 @@ def mini_schedule() -> BudgetSchedule:
 
 
 def sample_dataset() -> SubjectDataset:
-    rounds = (
-        ChoiceRound.from_returns_tokens(1, ReturnPair(0.5, 0.9), Allocation(30.0, 70.0)),
-        ChoiceRound.from_returns_tokens(2, ReturnPair(0.75, 0.3), Allocation(80.0, 20.0)),
-    )
-    return SubjectDataset("h1", rounds)
+    return SubjectDataset.from_returns_tokens(
+        "h1", [(0.5, 0.9), (0.75, 0.3)], [(30.0, 70.0), (80.0, 20.0)])
 
 
 class TestGoldenBytes:

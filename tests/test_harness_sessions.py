@@ -74,7 +74,7 @@ class TestDecisionSession:
         assert ccei(dataset).ccei == 1.0
         # the harness reproduces the direct simulation path exactly
         direct = simulate_subject(params, schedule, "d1").dataset
-        assert dataset.token_matrix() == pytest.approx(direct.token_matrix(), abs=1e-12)
+        assert dataset.tokens == pytest.approx(direct.tokens, abs=1e-12)
 
     def test_request_k_carries_k_minus_1_answers(self):
         schedule = evaluation_schedule()

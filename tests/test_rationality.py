@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
 from prefbench.da_model import DAParams
-from prefbench.data import Allocation, ChoiceRound, SubjectDataset
+from prefbench.data import SubjectDataset
 from prefbench.errors import ValidationError
 from prefbench.rationality import (
     CceiResult,
@@ -148,16 +148,19 @@ def _close_ratio_pairs(rng):
         yield dataset_from_prices([(1.0, 1.0, 1.0, 0.0), (1.0 / b + gap, b, 0.0, 1.0 / b)])
 
 
+def _noisy_copy(dataset: SubjectDataset, rng, subject_id: str) -> SubjectDataset:
+    """The dataset's budgets with its tokens plus N(0, 10) noise, rounded to cents."""
+    t_a = [round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
+           for rd in dataset.rounds]
+    return SubjectDataset.from_returns_tokens(
+        subject_id, dataset.returns, [(t, round(100.0 - t, 2)) for t in t_a], dataset.round)
+
+
 def _noisy_exact_subjects(rng):
     # exact choices plus N(0, 10) token noise, rounded to cents, 175 rounds
     for i in range(3):
         subject = simulate_subject(DAParams(0.3, 0.7), generate_budgets(600 + i, 175), f"n{i}")
-        rounds = []
-        for rd in subject.dataset.rounds:
-            t_a = round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
-            tokens = Allocation(t_a, round(100.0 - t_a, 2))
-            rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
-        yield SubjectDataset(f"n{i}", tuple(rounds))
+        yield _noisy_copy(subject.dataset, rng, f"n{i}")
 
 
 def _exact_175_round_subjects(rng):
@@ -255,12 +258,7 @@ class TestComponentPassOracle:
         for i in range(6):
             params = DAParams(float(rng.uniform(-0.5, 1.0)), float(rng.uniform(0.2, 3.0)))
             exact = simulate_subject(params, generate_budgets(900 + i, 175), f"s{i}").dataset
-            rounds = []
-            for rd in exact.rounds:
-                t_a = round(float(np.clip(rd.tokens.t_a + rng.normal(0.0, 10.0), 0.0, 100.0)), 2)
-                tokens = Allocation(t_a, round(100.0 - t_a, 2))
-                rounds.append(ChoiceRound.from_returns_tokens(rd.round, rd.returns, tokens))
-            ds = SubjectDataset(f"s{i}", tuple(rounds))
+            ds = _noisy_copy(exact, rng, f"s{i}")
             cross = ds.price_matrix() @ ds.demand_matrix().T
             own = np.diag(cross)
             components = connected_components(own[:, None] >= cross - 1e-12, connection="strong")[0]
@@ -457,7 +455,7 @@ class TestFosd:
             _, flags = fosd_violations(subject.dataset)
             for rd, flag in zip(subject.dataset.rounds, flags):
                 swap_cost = rd.prices.p_a * rd.demand[1] + rd.prices.p_b * rd.demand[0]
-                own_cost = rd.prices.cost(*rd.demand)
+                own_cost = rd.prices.p_a * rd.demand[0] + rd.prices.p_b * rd.demand[1]
                 assert flag == (swap_cost < own_cost - 1e-9)
 
     def test_flags_match_swap_test_on_noisy_behavior(self):
@@ -468,7 +466,7 @@ class TestFosd:
             _, flags = fosd_violations(ds)
             for rd, flag in zip(ds.rounds, flags):
                 swap_cost = rd.prices.p_a * rd.demand[1] + rd.prices.p_b * rd.demand[0]
-                own_cost = rd.prices.cost(*rd.demand)
+                own_cost = rd.prices.p_a * rd.demand[0] + rd.prices.p_b * rd.demand[1]
                 assert flag == (swap_cost < own_cost - 1e-9)
             flagged_any |= any(flags)
         assert flagged_any  # random behavior does violate dominance sometimes
