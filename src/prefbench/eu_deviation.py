@@ -17,13 +17,15 @@ cycle mean.  The index is therefore
 
     deut = max(0, -mu*),    mu* = minimum mean cycle weight,
 
-computed with Karp's dynamic program on the dense (n, n) matrix of lightest
+computed by Howard's policy iteration on the dense (n, n) matrix of lightest
 edges, which is built directly by broadcasting the quantity comparisons
-(``build_eu_graph`` lists the same edges one by one).  A zero-weight cycle
-through an edge generated by a *strict* quantity comparison is reported
-with the smallest positive double as a tie-diagnostic sentinel: such data is
-rationalizable only by felicities with kinks, not by smooth strictly concave
-ones.
+(``build_eu_graph`` lists the same edges one by one).  mu* is the mean of a
+witness cycle, the ``math.fsum`` of its weights over its length; Karp's
+dynamic program decides instead if policy iteration reaches its iteration
+cap.  A zero-weight cycle through an edge generated by a *strict* quantity
+comparison is reported with the smallest positive double as a
+tie-diagnostic sentinel: such data is rationalizable only by felicities
+with kinks, not by smooth strictly concave ones.
 
 Sign decisions on cycle weights carry a 1e-9 tolerance.
 """
@@ -41,6 +43,8 @@ from .errors import DegenerateDataError
 CYCLE_TOL = 1e-9
 QUANTITY_TOL = 1e-9
 STRICT_ZERO_SENTINEL = 5e-324  # smallest positive double
+HOWARD_TOL = 1e-12  # least change in a cycle mean or potential that moves a policy edge
+HOWARD_MAX_ITERATIONS = 100  # policies evaluated before Karp decides instead
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,104 @@ def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | N
     return mu, tuple(walk[seen[walk[j]]:j])
 
 
+def _policy_values(step: np.ndarray, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Cycle mean ``eta`` and potential ``x`` of every node under a policy.
+
+    A policy picks one out-edge per node (weight ``step[u]``), so every walk
+    ends on a cycle; the nodes the walks reach after 2**b > m steps are the
+    cycle nodes (pointer doubling).  A cycle's mean is the ``math.fsum`` of
+    its weights over its length, and its smallest node has potential 0, so
+    a cycle the policy keeps keeps its potentials.  Every other node has
+    ``x[u] = step[u] - eta[u] + x[policy[u]]``, summed up to its cycle by
+    pointer doubling.  Also returns the cycles as (mean, nodes from the
+    smallest), in the order of their smallest nodes.
+    """
+    m = len(policy)
+    doublings = m.bit_length()
+    ahead = policy
+    for _ in range(doublings):
+        ahead = ahead[ahead]
+    on_cycle = np.zeros(m, dtype=bool)
+    on_cycle[ahead] = True
+    eta = np.zeros(m)
+    x = np.zeros(m)
+    cycles = []
+    next_node = policy.tolist()
+    weights = step.tolist()
+    placed = set()
+    for first in np.flatnonzero(on_cycle).tolist():
+        if first in placed:
+            continue
+        cycle = [first]
+        while next_node[cycle[-1]] != first:
+            cycle.append(next_node[cycle[-1]])
+        placed.update(cycle)
+        mean = math.fsum(weights[c] for c in cycle) / len(cycle)
+        cycles.append((mean, cycle))
+        eta[cycle] = mean
+        potential = 0.0
+        for c in reversed(cycle[1:]):
+            potential = weights[c] - mean + potential
+            x[c] = potential
+    eta = eta[ahead]
+    rise = np.where(on_cycle, 0.0, step - eta)
+    to = np.where(on_cycle, np.arange(m), policy)
+    for _ in range(doublings):
+        rise = rise + rise[to]
+        to = to[to]
+    return eta, rise + x[to], cycles
+
+
+def _howard_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Howard's policy iteration on a dense weight matrix (inf = no edge).
+
+    Same contract as ``_karp_min_mean_cycle``, at O(n^2) per iteration
+    (Cochet-Terrasson, Cohen, Gaubert, McGettrick & Quadrat 1998).  Nodes
+    without an out-edge lie on no cycle and are pruned until none is left;
+    the first policy is each node's lightest edge.  Each iteration moves
+    nodes to an out-edge that reaches a lower cycle mean or, where none
+    does, among edges to their own mean, to one with a lower potential,
+    both by more than ``HOWARD_TOL``.  With no move left, the policy's
+    lightest cycle (the first of equal means) is a minimum-mean cycle, and
+    its mean is the value.  After ``HOWARD_MAX_ITERATIONS`` policies, Karp
+    decides instead.
+    """
+    nodes = np.arange(weight.shape[0])
+    sub = weight
+    while True:
+        has_out = np.isfinite(sub).any(axis=1)
+        if has_out.all():
+            break
+        nodes = nodes[has_out]
+        sub = weight[np.ix_(nodes, nodes)]
+    if len(nodes) == 0:
+        return math.inf, None
+    blocked = np.where(np.isfinite(sub), 0.0, np.inf)
+    rows = np.arange(len(nodes))
+    policy = sub.argmin(axis=1)
+    for _ in range(HOWARD_MAX_ITERATIONS):
+        eta, x, cycles = _policy_values(sub[rows, policy], policy)
+        mixed = eta.max() - eta.min() > HOWARD_TOL
+        if mixed:
+            reach = blocked + eta
+            target = reach.argmin(axis=1)
+            better = reach[rows, target] < eta - HOWARD_TOL
+            if better.any():
+                policy[better] = target[better]
+                continue
+        via = sub + x
+        if mixed:  # only edges to the node's own mean
+            via[eta > eta[:, None] + HOWARD_TOL] = np.inf
+        target = via.argmin(axis=1)
+        # rounding in large potentials can make a node's own edge look better
+        better = (via[rows, target] - eta < x - HOWARD_TOL) & (target != policy)
+        if not better.any():
+            mean, cycle = min(cycles, key=lambda c: c[0])
+            return mean, tuple(nodes[cycle].tolist())
+        policy[better] = target[better]
+    return _karp_min_mean_cycle(weight)
+
+
 def _floyd_warshall(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = weight.shape[0]
     dist = weight.copy()
@@ -187,7 +289,7 @@ def _floyd_warshall(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def deut_index(dataset: SubjectDataset) -> DeutResult:
     """Index value, an optional witness cycle, and the dropped-pair count."""
     weight, strict_at_min, dropped = _eu_matrices(dataset)
-    mu, witness = _karp_min_mean_cycle(weight)
+    mu, witness = _howard_min_mean_cycle(weight)
 
     if mu < -CYCLE_TOL:
         return DeutResult(-mu, witness, dropped)

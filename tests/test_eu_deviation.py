@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from conftest import dataset_from_prices, random_rows, random_sloppy_dataset
+from prefbench import eu_deviation
 from prefbench.da_model import DAParams
 from prefbench.data import SubjectDataset
 from prefbench.errors import DegenerateDataError
@@ -14,6 +17,7 @@ from prefbench.eu_deviation import (
     CYCLE_TOL,
     STRICT_ZERO_SENTINEL,
     _eu_matrices,
+    _howard_min_mean_cycle,
     _karp_min_mean_cycle,
     build_eu_graph,
     deut_index,
@@ -55,9 +59,29 @@ def enumerate_min_mean_cycle(graph) -> tuple[float, bool]:
     return best, strict_zero
 
 
+def cycle_edges(cycle) -> list[tuple[int, int]]:
+    return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+
+
 def cycle_mean(weight, cycle) -> float:
-    edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+    edges = cycle_edges(cycle)
     return sum(weight[e] for e in edges) / len(edges)
+
+
+def fsum_mean(weight, cycle) -> float:
+    edges = cycle_edges(cycle)
+    return math.fsum(weight[e] for e in edges) / len(edges)
+
+
+def exact_mean(weight, cycle) -> Fraction:
+    edges = cycle_edges(cycle)
+    return sum(Fraction(float(weight[e])) for e in edges) / len(edges)
+
+
+def assert_at_least_as_close(mu, karp_mu, weight, cycle) -> None:
+    """mu is no farther than Karp's value from the exact rational mean of ``cycle``."""
+    exact = exact_mean(weight, cycle)
+    assert abs(Fraction(mu) - exact) <= abs(Fraction(karp_mu) - exact)
 
 
 def karp_nested_witness(weight) -> tuple[float, tuple[int, ...] | None]:
@@ -421,7 +445,9 @@ class TestDeutIndex:
             mean = cycle_mean(weight, result.witness_cycle)
             assert -mean == pytest.approx(result.deut, abs=1e-12)
             mu, oracle_cycle = karp_nested_witness(weight)
-            assert -mu == result.deut
+            # the value is the witness's fsum mean, no farther than Karp's from its exact mean
+            assert -result.deut == fsum_mean(weight, result.witness_cycle)
+            assert_at_least_as_close(-result.deut, mu, weight, result.witness_cycle)
             assert mean == pytest.approx(cycle_mean(weight, oracle_cycle), abs=1e-12)
             assert len(set(result.witness_cycle)) == len(result.witness_cycle)
             checked += 1
@@ -486,3 +512,124 @@ class TestDeutIndex:
             swapped_rows = [(p_b, p_a, x_b, x_a) for p_a, p_b, x_a, x_b in rows]
             swapped = deut_index(dataset_from_prices(swapped_rows)).deut
             assert swapped == pytest.approx(base, abs=1e-12)
+
+
+def assert_howard_matches_karp(weight) -> None:
+    """Howard against the Karp oracle on one weight matrix.
+
+    Within 1e-12 of Karp's value with the same decisions at +-CYCLE_TOL, a
+    simple witness cycle whose fsum mean is the value bit for bit, and no
+    farther than Karp's value from that cycle's exact mean.
+    """
+    mu, cycle = _howard_min_mean_cycle(weight)
+    karp_mu, karp_cycle = _karp_min_mean_cycle(weight)
+    if karp_cycle is None:
+        assert (mu, cycle) == (math.inf, None)
+        return
+    assert abs(mu - karp_mu) <= 1e-12
+    assert (mu < -CYCLE_TOL) == (karp_mu < -CYCLE_TOL)
+    assert (mu <= CYCLE_TOL) == (karp_mu <= CYCLE_TOL)
+    assert len(set(cycle)) == len(cycle)
+    assert np.float64(mu).tobytes() == np.float64(fsum_mean(weight, cycle)).tobytes()
+    assert_at_least_as_close(mu, karp_mu, weight, cycle)
+
+
+def _decision(result) -> str:
+    if result.deut == 0.0:
+        return "zero"
+    return "sentinel" if result.deut == STRICT_ZERO_SENTINEL else "positive"
+
+
+@pytest.fixture(scope="module")
+def howard_cases() -> dict[str, list[tuple[SubjectDataset, np.ndarray]]]:
+    """Datasets with their weight matrices, built once for the Howard tests."""
+    rng = np.random.default_rng(71)
+    sloppy = [random_sloppy_dataset(rng, int(n)) for n in rng.integers(2, 61, size=30)]
+    simulated = [
+        simulate_subject(DAParams(beta, float(rng.uniform(0.3, 2.0))),
+                         generate_budgets(1100 + i, n_rounds), f"h{i}").dataset
+        for i, (beta, n_rounds) in enumerate(itertools.product((-0.5, 0.0, 0.5, 1.5), (25, 25, 175)))
+    ]
+    return {name: [(ds, _eu_matrices(ds)[0]) for ds in family]
+            for name, family in (("sloppy", sloppy), ("simulated", simulated))}
+
+
+def _equal_mean_cycles() -> np.ndarray:
+    # the first policy holds two cycles of mean -0.5, 0 <-> 1 and 2 <-> 3; the
+    # edges 0 -> 3 and 3 -> 1 between them tie exactly in potential, so no
+    # move helps, and the witness is the cycle through the smaller node
+    weight = np.full((4, 4), np.inf)
+    weight[0, 1], weight[1, 0], weight[2, 3], weight[3, 2] = 0.0, -1.0, 0.25, -1.25
+    weight[0, 3], weight[3, 1] = 0.25, -0.75
+    return weight
+
+
+def _dead_ends() -> np.ndarray:
+    # 3 has no out-edge and 2 leads only to 3: both are pruned, one after the
+    # other; 1's lightest edge leads to 2, so the first policy would walk off
+    weight = np.full((4, 4), np.inf)
+    weight[0, 1], weight[1, 0], weight[1, 2], weight[2, 3] = 1.0, 0.5, -3.0, -3.0
+    return weight
+
+
+class TestHowardAgainstKarp:
+    @pytest.mark.parametrize("family", ["sloppy", "simulated"])
+    def test_matches_karp(self, howard_cases, family):
+        for _, weight in howard_cases[family]:
+            assert_howard_matches_karp(weight)
+
+    @pytest.mark.parametrize(
+        "weight, expected",
+        [(_dead_ends(), (0.75, (0, 1))),
+         (np.array([[np.inf, -1.0, 2.0], [np.inf, np.inf, -4.0], [np.inf] * 3]), (math.inf, None)),
+         (np.diag([2.0, -1.0, 0.5]) + np.where(np.eye(3, dtype=bool), 0.0, np.inf), (-1.0, (1,))),
+         (_equal_mean_cycles(), (-0.5, (0, 1)))],
+        ids=["dead_ends", "acyclic", "self_loops_only", "equal_mean_cycles"],
+    )
+    def test_adversarial_graphs(self, weight, expected):
+        assert _howard_min_mean_cycle(weight) == expected
+        assert_howard_matches_karp(weight)
+
+    def test_value_is_the_fsum_mean(self):
+        # 1e16 + 1.0 rounds to 1e16, so a plain left-to-right sum of this
+        # cycle is 0; fsum keeps the 1.0
+        weight = np.full((3, 3), np.inf)
+        weight[0, 1], weight[1, 2], weight[2, 0] = 1e16, 1.0, -1e16
+        assert _howard_min_mean_cycle(weight) == (1.0 / 3.0, (0, 1, 2))
+
+    def test_deut_index_decides_as_with_karp(self, howard_cases, monkeypatch):
+        # the zero-weight cycle 0 -> 1 -> 0 runs through the strict edge 0 -> 1
+        # (45 > 40 at equal prices in both rounds): the sentinel path
+        sentinel = dataset_from_prices([(0.01, 0.01, 60.0, 40.0), (0.02, 0.02, 45.0, 5.0)])
+        datasets = [sentinel] + [ds for cases in howard_cases.values() for ds, _ in cases]
+        howard = [deut_index(ds) for ds in datasets]
+        monkeypatch.setattr(eu_deviation, "_howard_min_mean_cycle", _karp_min_mean_cycle)
+        karp = [deut_index(ds) for ds in datasets]
+        assert howard[0].deut == karp[0].deut == STRICT_ZERO_SENTINEL
+        for ours, theirs in zip(howard, karp):
+            assert _decision(ours) == _decision(theirs)
+            assert abs(ours.deut - theirs.deut) <= 1e-12
+            assert ours.dropped_pairs == theirs.dropped_pairs
+
+    def test_iteration_cap_hands_over_to_karp(self, howard_cases, monkeypatch):
+        cases = [case for case in howard_cases["simulated"] if case[0].n == 175]
+        monkeypatch.setattr(eu_deviation, "_howard_min_mean_cycle", _karp_min_mean_cycle)
+        karp = [deut_index(ds) for ds, _ in cases]
+        monkeypatch.undo()
+        calls = []
+
+        def counted_karp(weight):
+            calls.append(weight)
+            return _karp_min_mean_cycle(weight)
+
+        monkeypatch.setattr(eu_deviation, "HOWARD_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(eu_deviation, "_karp_min_mean_cycle", counted_karp)
+        for (ds, weight), expected in zip(cases, karp):
+            mu, cycle = _howard_min_mean_cycle(weight)
+            karp_mu, karp_cycle = _karp_min_mean_cycle(weight)
+            assert np.float64(mu).tobytes() == np.float64(karp_mu).tobytes()
+            assert cycle == karp_cycle
+            result = deut_index(ds)
+            assert np.float64(result.deut).tobytes() == np.float64(expected.deut).tobytes()
+            assert result.witness_cycle == expected.witness_cycle
+        assert len(calls) == 2 * len(cases)  # every one of them needed a second policy
