@@ -34,11 +34,19 @@ stay cache-sized, and a block's tokens stay in that gathered order, shared
 by every dataset on the schedule.  Each dataset's per-round losses of a
 block (:func:`_block_losses`) go into one reusable buffer: the kink pairs
 take the round's kink loss, one number per round, and each chunk's loss is
-formed on its gathered cells and scattered once.  The buffer's first ``s``
-rounds are averaged for every prefix size ``s``; only a running first
-minimum per dataset and size survives the block, so no per-round grid is
-kept and :func:`recover_batch` fits every prefix of every dataset from its
-schedule's one pass.
+formed on its gathered cells and scattered once.  Only a running first
+minimum per dataset survives the block, so no per-round grid is kept.
+
+With several prefix sizes, a pass runs them as stages, smallest first, each
+on the schedule's first ``s`` rounds with the same kernel.  The first stage
+runs every beta row; a later one runs only the rows that can still hold an
+optimum (branch and bound, Land & Doig 1960).  A per-round loss is a
+square, so a cell's sum over ``s`` rounds is at least its sum over fewer,
+and a cell whose known sum already exceeds an achieved ``s``-round sum, by
+a margin far above rounding, can neither win nor tie.  Rows where an
+interior ratio may overflow, the only source of NaN losses, always run, so
+every optimum is the full grid's bit for bit.  :func:`recover_batch` fits
+every prefix of every dataset from its schedule's one staged pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
 step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
@@ -89,6 +97,9 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit: ``evaluations`` counts every grid cell, whether or not a stage of the grid
+    pass left cells out, plus the refinement's loss evaluations."""
+
     params: DAParams
     loss: float
     grid_best: DAParams
@@ -104,6 +115,13 @@ _LOCK_STEP_ROUNDS = 1 << 16
 # grid cells per chunk of (beta, round) pairs in a block: keeps the kernel's
 # temporaries cache-sized
 _PAIR_CELLS = 1 << 13
+# a later stage of a grid pass leaves out a cell only if its known round-sum
+# exceeds the stage's bound by this relative margin, far above rounding, and by
+# _TINY per round (_grid_optima)
+_SLACK = 1e-9
+_TINY = float(np.finfo(float).tiny)
+# a beta row whose interior ratio could exceed this is never left out (_unbounded_rows)
+_RATIO_CAP = 1e300
 
 
 def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
@@ -119,15 +137,17 @@ def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
 def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     """The model's token allocations on one schedule, for a block of beta rows at a time.
 
-    Returns ``tokens_at(betas)``, which maps betas of one sign, (B,), to the
-    tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every
-    (beta, rho) pair and round, as ``(kink, pieces)``.  ``pieces`` lists
-    ``(rows, rounds, model_a, model_b)``: the (beta, round) pairs of one chunk,
-    (pairs,) each, and their tokens in that gathered order, (pairs, R) each.
-    Every pair in no piece takes the round's kink tokens ``kink = (kink_a,
-    kink_b)``, (N,) each, at every rho; with beta < 0 the pieces hold every
-    pair and ``kink`` is None.  Only the prices and returns enter, so every
-    dataset on the schedule shares them (:func:`_block_losses`).  The pieces'
+    Returns ``tokens_at(betas, size)``, which maps betas of one sign, (B,), to
+    the tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every
+    (beta, rho) pair and each of the schedule's first ``size`` rounds, as
+    ``(kink, pieces)``.  ``pieces`` lists ``(rows, rounds, model_a,
+    model_b)``: the (beta, round) pairs of one chunk, (pairs,) each, and their
+    tokens in that gathered order, (pairs, R) each.  Every pair in no piece
+    takes the round's kink tokens ``kink = (kink_a, kink_b)``, (size,) each, at
+    every rho; with beta < 0 the pieces hold every pair and ``kink`` is None.
+    Each token is computed on its own, so a round's tokens do not depend on
+    ``size``.  Only the prices and returns enter, so every dataset on the
+    schedule shares them (:func:`_block_losses`).  The pieces'
     tokens are views of one workspace per schedule, no larger than a block's
     two token arrays, and the next call overwrites them.
 
@@ -181,9 +201,9 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
             yield rows[start:start + step], rounds[start:start + step]
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def tokens_at(betas: np.ndarray):
+    def tokens_at(betas: np.ndarray, size: int):
         nonlocal workspace
-        cells = len(betas) * len(rhos) * len(prices)
+        cells = len(betas) * len(rhos) * size
         if workspace.shape[1] < cells:
             workspace = np.empty((2, cells))
         pieces, used = [], 0
@@ -202,7 +222,7 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
 
         w = 1.0 / (2.0 + betas[:, None])
         odds = w / (1.0 - w)
-        base_a, base_b = odds * budgets.ratio_a, odds * budgets.ratio_b
+        base_a, base_b = odds * budgets.ratio_a[:size], odds * budgets.ratio_b[:size]
         if betas[0] < 0.0:
             above_a, above_b = base_a > 1.0, base_b > 1.0
             for has_a, has_b in ((True, True), (True, False), (False, True), (False, False)):
@@ -221,7 +241,7 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
                 k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
                 x_hi, x_lo = _interior(p_hi[rounds, None], p_lo[rounds, None], k)
                 add(rows, rounds, *((x_hi, x_lo) if high_a else (x_lo, x_hi)))
-        return kink, pieces
+        return (kink[0][:size], kink[1][:size]), pieces
 
     return tokens_at
 
@@ -247,12 +267,13 @@ def _token_losses(model_a: np.ndarray, model_b: np.ndarray, t_a: np.ndarray,
 def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One dataset's squared token-share gap per cell of a block, written into ``out``.
 
-    ``block`` is ``tokens_at(betas)`` of :func:`_block_kernel`, ``tokens``
-    the dataset's (N, 2) and ``out`` (B, R, N).  A pair that takes the kink
-    at every rho takes the round's kink loss, one number per round broadcast
-    over its rows and rho columns; the loss of each piece is computed on its
-    gathered (pairs, R) cells and scattered once.  Every cell's float is
-    that of the gap formula on the full token array.
+    ``block`` is ``tokens_at(betas, size)`` of :func:`_block_kernel`,
+    ``tokens`` the dataset's first ``size`` rounds, (size, 2), and ``out``
+    (B, R, size).  A pair that takes the kink at every rho takes the round's
+    kink loss, one number per round broadcast over its rows and rho columns;
+    the loss of each piece is computed on its gathered (pairs, R) cells and
+    scattered once.  Every cell's float is that of the gap formula on the
+    full token array.
     """
     kink, pieces = block
     t_a, t_b = tokens[:, 0], tokens[:, 1]
@@ -263,40 +284,104 @@ def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unbounded_rows(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """The beta rows whose interior ratio ``k = base^(1/rho)`` may overflow at some round
+    and rho, as a (B,) mask: a bundle, and so a loss, can be NaN only there.
+
+    A row's largest base is its odds times the schedule's largest price ratio,
+    and its largest power is at the grid's largest ``1/rho``; a row is flagged
+    unless that power is <= ``_RATIO_CAP``, far below the overflow, NaN
+    included.
+    """
+    w = 1.0 / (2.0 + betas)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = max(np.max(prices[:, 1] / prices[:, 0]), np.max(prices[:, 0] / prices[:, 1]))
+        return ~(np.power(w / (1.0 - w) * ratio, np.max(1.0 / rhos)) <= _RATIO_CAP)
+
+
+def _argmin_order(cell: tuple[float, int]) -> tuple[bool, float, int]:
+    """A (mean, flat index) cell's place in ``np.argmin``'s order: a NaN mean first, then
+    the smaller mean, then the earlier cell."""
+    mean, index = cell
+    return not math.isnan(mean), 0.0 if math.isnan(mean) else mean, index
+
+
 def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
                  sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray) -> list[list[int]]:
     """Each member's grid optimum for each prefix size, as a flat (beta, rho) index.
 
     ``members`` are the token matrices of datasets on one schedule.  The
-    model's token allocations are computed once per block of beta rows, in
-    the kernel's gathered order, and shared; each member's per-round losses
-    of the block go into one reusable buffer (:func:`_block_losses`), whose
-    first ``s`` columns are averaged for every size ``s``.  The mean of a
-    row's first ``s`` columns is the grid loss of the ``s``-round prefix on
-    its own.  Only a running first minimum per member and size is kept,
-    merged across the blocks in grid order by ``np.argmin``'s rule: the first
-    NaN if there is one, else the first smallest mean, which is the
-    lexicographic (beta, rho) tie rule.
+    distinct sizes run as stages, smallest first, each on the schedule's first
+    ``s`` rounds, with one kernel (:func:`_block_kernel`) for all of them.  A
+    stage computes the model's token allocations once per block of the beta
+    rows it runs, in the kernel's gathered order, and shares them; each
+    member's per-round losses of the block go into one reusable buffer
+    (:func:`_block_losses`), and the sum of a row's ``s`` columns divided by
+    ``s`` is the grid loss of the ``s``-round prefix on its own.  Only a
+    running first minimum per member is kept across the blocks, by
+    ``np.argmin``'s rule (:func:`_argmin_order`): the first NaN if there is one,
+    else the first smallest mean, which is the lexicographic (beta, rho) tie
+    rule.
+
+    The first stage runs every row.  A later stage ``s`` can leave rows out,
+    because a per-round loss is a square, so >= 0, and a cell's sum over its
+    first ``s`` rounds is at least its sum over fewer (branch and bound; Land
+    & Doig 1960).  Each member keeps ``known``, every cell's round-sum from
+    the latest stage that ran it.  The stage first runs the rows of the
+    members' previous optima; a member's smallest mean there, ``U``, times
+    ``s`` bounds its ``s``-round minimum sum from above.  The stage then runs
+    every other row in which some member has a cell that is not ``known >
+    U * s * (1 + _SLACK) + s * _TINY``, and every row of
+    :func:`_unbounded_rows`.  A pairwise sum errs by about ``n * eps``, far
+    below ``_SLACK``, and the ``_TINY`` per round keeps a left-out sum normal
+    when ``U`` is subnormal or zero, so a left-out cell's ``s``-round mean is
+    strictly above ``U``: it can neither win nor tie.  A NaN mean comes only
+    from a NaN bundle, where ``k`` overflows, so it lies in a row that always
+    runs; a NaN ``U`` or ``known`` fails the ``>`` test and leaves nothing
+    out.  So every optimum is the one of the full grid, bit for bit.  With a
+    single size there is one stage over every row, and no bound or ``known``.
     """
-    row_cells = len(rhos) * len(prices)
-    blocks = _beta_blocks(betas, row_cells)
+    stages = sorted(set(sizes))
+    cols = len(rhos)
     tokens_at = _block_kernel(prices, returns, rhos)
-    buffer = np.empty(max(rows.stop - rows.start for rows in blocks) * row_cells)
-    minima: list[list[tuple[float, int] | None]] = [[None] * len(sizes) for _ in members]
-    for rows in blocks:
-        block = tokens_at(betas[rows])
-        out = buffer[:(rows.stop - rows.start) * row_cells].reshape(-1, len(rhos), len(prices))
-        first = rows.start * len(rhos)
-        for tokens, best in zip(members, minima):
-            per_round = _block_losses(block, tokens, out).reshape(-1, len(prices))
-            for k, size in enumerate(sizes):
-                means = np.add.reduce(per_round[:, :size], axis=1) / size  # the bits of .mean
-                at = int(np.argmin(means))
-                value = float(means[at])
-                if best[k] is None or (not math.isnan(best[k][0])
-                                       and (math.isnan(value) or value < best[k][0])):
-                    best[k] = value, first + at
-    return [[index for _, index in best] for best in minima]
+    # each stage's blocks have at most max(_BLOCK_CELLS, one row) cells
+    buffer = np.empty(max((min(len(betas), max(1, _BLOCK_CELLS // (cols * s))) * cols * s
+                           for s in stages), default=0))
+    known = np.empty((len(members), len(betas), cols)) if len(stages) > 1 else None
+    unbounded = _unbounded_rows(prices, betas, rhos) if known is not None else None
+    best: list[tuple[float, int]] = []
+
+    def run(rows: np.ndarray, size: int):
+        """Every member's ``size``-round losses on ``rows``, merged into ``best`` and ``known``."""
+        row_cells = cols * size
+        for block in _beta_blocks(betas[rows], row_cells):
+            at = rows[block]
+            tokens = tokens_at(betas[at], size)
+            out = buffer[:len(at) * row_cells].reshape(len(at), cols, size)
+            for m, member in enumerate(members):
+                per_round = _block_losses(tokens, member[:size], out).reshape(-1, size)
+                sums = np.add.reduce(per_round, axis=1)
+                means = sums / size  # the bits of .mean
+                i = int(np.argmin(means))
+                cell = float(means[i]), int(at[i // cols]) * cols + i % cols
+                best[m] = min(best[m], cell, key=_argmin_order)
+                if known is not None:
+                    known[m, at] = sums.reshape(len(at), cols)
+
+    optima = {}
+    for size in stages:
+        # the first stage runs every row, a later one first the rows of the last optima
+        seeds = (np.array(sorted({index // cols for _, index in best})) if best
+                 else np.arange(len(betas)))
+        best[:] = [(math.inf, len(betas) * cols)] * len(members)  # every cell beats it
+        run(seeds, size)
+        if optima:
+            limit = np.array([mean for mean, _ in best]) * size * (1.0 + _SLACK) + size * _TINY
+            rest = ~np.all(known > limit[:, None, None], axis=(0, 2)) | unbounded
+            rest[seeds] = False
+            run(np.flatnonzero(rest), size)
+        optima[size] = [index for _, index in best]
+    return [[optima[size][m] for size in sizes] for m in range(len(members))]
 
 
 class _PairedLoss:
@@ -493,10 +578,14 @@ def recover_batch(
     Datasets whose price and return matrices are equal byte for byte share
     one schedule, and each schedule gets one grid pass (:func:`_grid_optima`):
     the model's demand is computed once per block of beta rows for all of its
-    datasets, and only their token gaps are computed per dataset.  No
-    per-round grid is kept, so the memory of a pass does not grow with the
-    number of datasets on its schedule.  Only the data matrices are kept, so
-    a generator of datasets holds one at a time.  Then the refinements of
+    datasets, and only their token gaps are computed per dataset.  The
+    distinct sizes run as stages, smallest first, and a later stage skips
+    the beta rows that provably hold no optimum of its size; the optima are
+    those of a full pass per size, bit for bit.  No per-round grid is kept:
+    with one size a pass keeps a running minimum per dataset, and with
+    several also each cell's latest round-sum, ``B * R`` floats per dataset.
+    Only the data matrices are kept, so a generator of datasets holds one at
+    a time.  Then the refinements of
     every dataset and prefix advance in lock step (:func:`_refine_batch`), in
     dataset order.  The fits are those of one dataset at a time, bit for bit,
     whatever the batch.

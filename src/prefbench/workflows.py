@@ -128,8 +128,9 @@ def learning_curve_direct(
 
     Each subject gets its own 175-round provision schedule; parameters are
     recovered from every prefix length of every subject in one
-    :func:`recover_batch` (one grid pass per subject), then regressed on the
-    truth.
+    :func:`recover_batch` (one staged grid pass per subject: each larger
+    prefix runs only the grid rows that can still hold its optimum), then
+    regressed on the truth.
     """
     truth = dict(population)
     subjects = (

@@ -50,7 +50,7 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
     losses = np.empty((len(betas), len(rhos), len(prices)))
     tokens_at = estimation._block_kernel(prices, returns, rhos)
     for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
-        estimation._block_losses(tokens_at(betas[rows]), tokens, losses[rows])
+        estimation._block_losses(tokens_at(betas[rows], len(prices)), tokens, losses[rows])
     return losses.reshape(-1, len(prices))
 
 
@@ -333,6 +333,19 @@ class TestRecoverPrefixes:
         for size, fit in fits.items():
             assert fit == recover_params(dataset_prefix(ds, size))
 
+    def test_multi_size_equals_single_size(self):
+        # each fit of a staged pass must be the one-size pass's, as a whole FitResult
+        # (evaluations and flags included), for sizes in any order and repeated
+        exact = simulate_subject(DAParams(0.3, 1.2), generate_budgets(137, 175), "ex").dataset
+        datasets = [exact, _sloppy_subject(139, DAParams(-0.3, 0.8)),
+                    _noisy_copy(exact, np.random.default_rng(141))]
+        single = [{size: recover_batch([ds], [size])[0][size] for size in LEARNING_SAMPLE_SIZES}
+                  for ds in datasets]
+        for sizes in (LEARNING_SAMPLE_SIZES, (175, 10, 1, 75, 10, 25, 175)):
+            for fits, want in zip(recover_batch(datasets, sizes), single):
+                assert list(fits) == list(dict.fromkeys(sizes))
+                assert_same_fits(fits, {size: want[size] for size in fits})
+
     def test_flags_are_per_prefix(self):
         ds = SubjectDataset.from_returns_tokens(
             "p", [(0.5, 0.9)] * 4 + [(0.8, 0.4)], [(40.0, 60.0)] * 4 + [(70.0, 30.0)])
@@ -355,9 +368,9 @@ def enumeration_grid(monkeypatch):
     """Recovery as it was before the closed form: full candidate enumeration in every
     grid row."""
     def enumerated_kernel(prices, returns, rhos):
-        def tokens_at(betas):
-            demand = optimal_demand_grid(prices, *flat_grid(betas, rhos))[0]
-            model = demand / returns[None, :, :]
+        def tokens_at(betas, size):
+            demand = optimal_demand_grid(prices[:size], *flat_grid(betas, rhos))[0]
+            model = demand / returns[None, :size, :]
             return _one_piece(*(model[:, :, i].reshape(len(betas), len(rhos), -1) for i in (0, 1)))
         return tokens_at
 
@@ -912,6 +925,7 @@ class TestRecoverBatch:
         assert_same_fits(recover_batch([ds], (5, 30))[0], want)
         assert_same_fits({30: recover_params(ds)}, {30: want[30]})
         assert recover_batch([]) == []
+        assert recover_batch([ds], ()) == [{}]
 
     def test_frees_each_grid_before_the_next(self):
         # a (B*R, N) grid kept while the next is computed would add a grid to the peak
@@ -938,18 +952,18 @@ def _retokened(dataset: SubjectDataset, rng: np.random.Generator) -> SubjectData
 
 @pytest.fixture
 def grid_passes(monkeypatch):
-    """Blocks computed by each grid pass, one entry per schedule pass, counted through
-    ``estimation._block_kernel``."""
-    passes: list[int] = []
+    """Blocks computed by each grid pass, one list per schedule pass of ``(betas, size)``
+    per block, recorded through ``estimation._block_kernel``."""
+    passes: list[list[tuple[np.ndarray, int]]] = []
     kernel = estimation._block_kernel
 
     def counted(prices, returns, rhos):
         tokens_at = kernel(prices, returns, rhos)
-        passes.append(0)
+        passes.append([])
 
-        def counted_tokens(betas):
-            passes[-1] += 1
-            return tokens_at(betas)
+        def counted_tokens(betas, size):
+            passes[-1].append((betas.copy(), size))
+            return tokens_at(betas, size)
         return counted_tokens
 
     monkeypatch.setattr(estimation, "_block_kernel", counted)
@@ -1024,14 +1038,29 @@ class TestSharedSchedules:
             assert_same_fits(fits, oracle_recover(want))
 
     def test_one_demand_pass_per_schedule(self, grid_passes):
+        # one kernel per schedule, whatever its members.  Its stages run in increasing
+        # size; the first computes every row once, in as many blocks as a one-size pass,
+        # and a later one computes a row at most once for all members
         datasets = self._batch()
         betas, rhos = _parameter_grid(RecoveryConfig())
+
+        def stage_rows(calls, size):
+            return np.concatenate([rows for rows, at in calls if at == size])
+
         recover_batch(datasets, (10, 60))
-        blocks = len(estimation._beta_blocks(betas, len(rhos) * 60))
-        assert grid_passes == [blocks] * 3
+        assert len(grid_passes) == 3
+        for calls in grid_passes:
+            assert [size for _, size in calls] == sorted(size for _, size in calls)
+            assert len([size for _, size in calls if size == 10]) == len(
+                estimation._beta_blocks(betas, len(rhos) * 10))
+            np.testing.assert_array_equal(np.sort(stage_rows(calls, 10)), betas)
+            later = stage_rows(calls, 60)
+            assert len(np.unique(later)) == len(later)
         grid_passes.clear()
         recover_batch(datasets[:1])
-        assert grid_passes == [blocks]
+        blocks = len(estimation._beta_blocks(betas, len(rhos) * 60))
+        assert [len(calls) for calls in grid_passes] == [blocks]
+        np.testing.assert_array_equal(stage_rows(grid_passes[0], 60), betas)
 
     def test_memory_does_not_grow_with_the_group(self):
         # a (B*R, N) grid kept per member would add a grid to the peak per member
@@ -1068,7 +1097,7 @@ class TestSharedSchedules:
             for rows in blocks:
                 out = buffer[:(rows.stop - rows.start) * len(rhos) * n_rounds].reshape(
                     -1, len(rhos), n_rounds)
-                per_round = estimation._block_losses(tokens_at(betas[rows]), tokens, out)
+                per_round = estimation._block_losses(tokens_at(betas[rows], n_rounds), tokens, out)
                 for size in sizes:
                     means[size].append(per_round.reshape(-1, n_rounds)[:, :size].mean(axis=1))
             for size in sizes:
@@ -1076,26 +1105,90 @@ class TestSharedSchedules:
                                               _bits(full[:, :size].mean(axis=1)))
 
     @pytest.mark.parametrize("block_rows", [1, 3, 1000])
-    def test_grid_optima_are_the_first_minima(self, monkeypatch, block_rows):
-        # one round: 540 cells in the last 9 beta rows tie at the minimum, across
-        # blocks.  Budgets costing more than 1 per unit at rho near 1e-3, on the beta
-        # axis reversed: NaN means from row 64 or 65 on, after finite ones and in
-        # several blocks.  Both must resolve as np.argmin resolves them
-        rng = np.random.default_rng(449)
-        one_round = random_sloppy_dataset(rng, 1)
-        costly = _costly_budgets(rng, 12)
-        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
-        cases = (([one_round, _retokened(one_round, rng)], _parameter_grid(RecoveryConfig())),
-                 ([costly, _retokened(costly, rng)], (np.ascontiguousarray(betas[::-1]), rhos)))
-        for datasets, (betas, rhos) in cases:
-            prices, returns, _ = _matrices(datasets[0])
+    def test_grid_optima_are_the_first_minima(self, monkeypatch, block_rows, first_minima_cases):
+        # every case at the learning-curve sizes clipped to its rounds, unsorted and
+        # repeated, so each later stage may leave rows out; each optimum must be
+        # np.argmin's over the whole grid's means
+        for prices, returns, members, (betas, rhos), want in first_minima_cases:
             monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * len(prices))
-            sizes = sorted({1, len(prices)})
-            tokens = [ds.tokens for ds in datasets]
-            got = estimation._grid_optima(prices, returns, tokens, sizes, betas, rhos)
-            for ds, optima in zip(datasets, got):
-                full = _grid_losses(*_matrices(ds), betas, rhos)
-                assert optima == [int(np.argmin(full[:, :size].mean(axis=1))) for size in sizes]
+            assert estimation._grid_optima(prices, returns, members, _staged_sizes(len(prices)),
+                                           betas, rhos) == want
+
+    def test_later_stages_run_few_rows(self, grid_passes):
+        # a prune that silently leaves nothing out would run every row at every size
+        ds = simulate_subject(DAParams(0.3, 1.2), generate_budgets(457, 175), "ex").dataset
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, tokens = _matrices(ds)
+        estimation._grid_optima(prices, returns, [tokens], LEARNING_SAMPLE_SIZES, betas, rhos)
+        (calls,) = grid_passes
+        rows = {size: sum(len(at) for at, at_size in calls if at_size == size)
+                for size in LEARNING_SAMPLE_SIZES}
+        assert rows[1] == len(betas)
+        assert 0 < rows[175] < 0.25 * len(betas)
+
+    def test_rows_that_turn_nan_after_the_first_stage_are_never_left_out(self):
+        # an exact subject on 10 cheap budgets whose price ratios stay below 1.9, then on
+        # 15 costing more than 1 per unit: at rho near 1e-3 the beta < 0 rows' losses
+        # turn NaN from round 11 on, in rows that fit the first 10 rounds far worse than
+        # the optimum, so only the overflow guard keeps them in
+        rng = np.random.default_rng(461)
+        price, ratio = rng.uniform(0.005, 0.05, 10), rng.uniform(1.0, 1.9, 10)
+        cheap = np.column_stack([price, price * ratio])
+        flip = rng.uniform(size=10) < 0.5
+        cheap[flip] = cheap[flip][:, ::-1]
+        prices = np.vstack([cheap, rng.uniform(1.0, 2.0, (15, 2))])
+        demand = optimal_demand_grid(prices, np.array([1.0]), np.array([0.5]))[0][0]
+        ds = dataset_from_prices([(*p, *x) for p, x in zip(prices, demand)])
+        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+        full = _grid_losses(*_matrices(ds), betas, rhos)
+        assert not np.isnan(full[:, :10]).any() and np.isnan(full).any()
+        sizes = (1, 10, 25)
+        got = estimation._grid_optima(prices, ds.returns, [ds.tokens], sizes, betas, rhos)
+        assert got == [[int(np.argmin(full[:, :size].mean(axis=1))) for size in sizes]]
+        assert math.isnan(full[got[0][-1]].mean())
+
+
+def _staged_sizes(n: int) -> list[int]:
+    """The learning-curve sizes clipped to ``n`` rounds, largest first, 1 twice."""
+    return [min(size, n) for size in (*LEARNING_SAMPLE_SIZES[::-1], 1)]
+
+
+@pytest.fixture(scope="module")
+def first_minima_cases() -> list:
+    """``(prices, returns, members' tokens, (betas, rhos), optima)`` per case; the optima
+    are np.argmin of ``_grid_losses``' means, per member and ``_staged_sizes`` size."""
+    rng = np.random.default_rng(449)
+    # one round: 540 cells in the last 9 beta rows tie at the minimum, across blocks
+    one_round = random_sloppy_dataset(rng, 1)
+    # budgets costing more than 1 per unit at rho near 1e-3, on the beta axis reversed:
+    # NaN means from row 64 or 65 on, after finite ones and in several blocks
+    costly = _costly_budgets(rng, 12)
+    betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+    exact = simulate_subject(DAParams(0.3, 1.2), generate_budgets(451, 175), "ex").dataset
+    shared = simulate_subject(DAParams(-0.3, 0.8), generate_budgets(453, 175), "sh").dataset
+    # two exact subjects on one schedule: each keeps few rows, and not the same ones
+    budgets = generate_budgets(459, 175)
+    apart = [simulate_subject(params, budgets, "ap").dataset
+             for params in (DAParams(0.3, 1.2), DAParams(1.5, 0.4))]
+    # a return shrunk by 1e-200 in round 30 makes most cells' losses inf from there on
+    prices, returns, tokens = _matrices(_sloppy_subject(455, DAParams(1.5, 3.0)))
+    returns = returns.copy()
+    returns[29, 0] *= 1e-200
+    grid = _parameter_grid(RecoveryConfig())
+    raw = [([one_round, _retokened(one_round, rng)], grid),
+           ([costly, _retokened(costly, rng)], (np.ascontiguousarray(betas[::-1]), rhos)),
+           ([exact], grid),
+           ([_sloppy_subject(457, DAParams(0.0, 0.5))], grid),
+           ([shared, _noisy_copy(shared, rng), _retokened(shared, rng)], grid),
+           (apart, grid)]
+    cases = [(*_matrices(datasets[0])[:2], [ds.tokens for ds in datasets], axes)
+             for datasets, axes in raw]
+    cases.append((prices, returns, [tokens], grid))
+    with np.errstate(over="ignore"):
+        assert np.isinf(_grid_losses(prices, returns, tokens, *grid)).any()
+    return [(*case, [[int(np.argmin(_grid_losses(*case[:2], member, *case[3])[:, :size]
+                                     .mean(axis=1))) for size in _staged_sizes(len(case[0]))]
+                     for member in case[2]]) for case in cases]
 
 
 def assert_kernel_matches_oracle(data, betas, rhos) -> np.ndarray:
@@ -1247,9 +1340,14 @@ def assert_kernel_matches_dense(prices: np.ndarray, returns: np.ndarray, betas, 
     for rows in estimation._beta_blocks(betas, len(rhos) * len(prices)):
         want = dense_tokens_at(prices, returns, rhos, betas[rows])
         shape = (rows.stop - rows.start, len(rhos), len(prices))
-        for got, wanted in zip(_dense_block(tokens_at(betas[rows]), shape), want):
+        for got, wanted in zip(_dense_block(tokens_at(betas[rows], len(prices)), shape), want):
             assert got.shape == wanted.shape == (rows.stop - rows.start, len(rhos), len(prices))
             np.testing.assert_array_equal(_bits(got), _bits(wanted))
+        # a prefix's tokens are the first rounds' tokens of the whole schedule
+        size = (len(prices) + 1) // 2
+        prefix = _dense_block(tokens_at(betas[rows], size), (*shape[:2], size))
+        for got, wanted in zip(prefix, want):
+            np.testing.assert_array_equal(_bits(got), _bits(wanted[:, :, :size]))
         blocks.append(want)
     return blocks
 
@@ -1387,7 +1485,7 @@ class TestClassedKernel:
             model_a, model_b = dense_tokens_at(prices, returns, rhos, betas[rows])
             gap_a = (model_a - tokens[:, 0]) / 100.0
             gap_b = (model_b - tokens[:, 1]) / 100.0
-            losses = estimation._block_losses(tokens_at(betas[rows]), tokens,
+            losses = estimation._block_losses(tokens_at(betas[rows], len(prices)), tokens,
                                               np.empty(model_a.shape))
             np.testing.assert_array_equal(_bits(losses), _bits(gap_a * gap_a + gap_b * gap_b))
             if betas[rows.start] >= 0.0:
