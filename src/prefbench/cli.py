@@ -236,7 +236,8 @@ def cmd_simulate(params_file: str, rounds: int, seed: int, shared_schedule: bool
 def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, out_dir: str):
     """Per-subject indices: CCEI, EU-deviation, FOSD count, recovered parameters."""
     started = _now()
-    config, _ = _parse_config(load_config(config_file))
+    cfg = load_config(config_file)
+    config, _ = _parse_config(cfg)
     datasets = read_dataset(choices_file)
     if not datasets:
         raise ValidationError(f"{choices_file}: no subjects")
@@ -255,8 +256,9 @@ def cmd_analyze(choices_file: str, config_file: str | None, jobs: int, out_dir: 
         reports = analyze_batch(datasets, config)
     reports.sort(key=lambda rep: rep.subject_id)
     _write_index_reports(reports, out / "index.csv")
-    write_manifest(out, "analyze", {"choices": choices_file, "jobs": jobs},
-                   {}, [choices_file], ["index.csv"], started)
+    write_manifest(out, "analyze", {"choices": choices_file, "jobs": jobs,
+                                    **({"config": cfg} if config_file else {})},
+                   {}, [p for p in (config_file, choices_file) if p], ["index.csv"], started)
     if any(rep.flags for rep in reports):
         sys.exit(4)
 
@@ -331,7 +333,8 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
 def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, config_file, out_dir):
     """Alignment regressions of recovered on generating parameters, per sample size."""
     started = _now()
-    config, _ = _parse_config(load_config(config_file))
+    cfg = load_config(config_file)
+    config, _ = _parse_config(cfg)
     estimate_paths = {}
     if direct and estimate_specs:
         raise ValidationError("--estimates does not apply with --direct, which recovers its "
@@ -365,9 +368,10 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
         for row in rows))
     write_manifest(
         out, "learning-curve",
-        {"truth": truth_file, "estimates": list(estimate_specs), "direct": direct},
+        {"truth": truth_file, "estimates": list(estimate_specs), "direct": direct,
+         **({"config": cfg} if config_file else {})},
         {"provision_seed": provision_seed},
-        [truth_file] + [s.partition("=")[2] for s in estimate_specs],
+        [p for p in (config_file, truth_file) if p] + [s.partition("=")[2] for s in estimate_specs],
         ["learning_curve.csv"], started,
     )
 
@@ -440,8 +444,8 @@ def cmd_report(index_specs, choice_specs, curve_file, out_dir):
         outputs.append("gamma_vs_s.csv")
 
     write_manifest(out, "report", {"panels": panels}, {},
-                   [str(p) for _, p in index_pairs + choice_pairs],
-                   outputs, started)
+                   [str(p) for _, p in index_pairs + choice_pairs]
+                   + ([curve_file] if curve_file else []), outputs, started)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -53,9 +53,14 @@ step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
 transcribed, on Python floats).  Each step values the pending points of all
 fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
 parameter pairs, K losses), which runs the same enumeration and selection on
-the rounds of all K.  The same kernel serves :func:`fit_loss` and the final
-comparison with the grid optimum, so the fits are those of scipy's
-``minimize`` on one prefix at a time, evaluation counts included.
+the rounds of all K.  The same kernel values the refined points and serves
+:func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass, the
+float :func:`fit_loss` gives there (the same demand, per-round formula
+:func:`_token_losses` and row sum), unless it is NaN: where an interior
+ratio overflows, a beta >= 0 row's closed form takes the NaN bundle and the
+enumeration the kink, so only a NaN optimum is valued again.  The fits are
+those of scipy's ``minimize`` on one prefix at a time, evaluation counts
+included.
 """
 
 from __future__ import annotations
@@ -307,8 +312,10 @@ def _argmin_order(cell: tuple[float, int]) -> tuple[bool, float, int]:
 
 
 def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
-                 sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray) -> list[list[int]]:
-    """Each member's grid optimum for each prefix size, as a flat (beta, rho) index.
+                 sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray,
+                 ) -> list[list[tuple[float, int]]]:
+    """Each member's grid optimum for each prefix size, as ``(mean loss, flat (beta, rho)
+    index)``; a mean that is not NaN is the float :func:`fit_loss` gives there.
 
     ``members`` are the token matrices of datasets on one schedule.  The
     distinct sizes run as stages, smallest first, each on the schedule's first
@@ -380,7 +387,7 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
             rest = ~np.all(known > limit[:, None, None], axis=(0, 2)) | unbounded
             rest[seeds] = False
             run(np.flatnonzero(rest), size)
-        optima[size] = [index for _, index in best]
+        optima[size] = best[:]
     return [[optima[size][m] for size in sizes] for m in range(len(members))]
 
 
@@ -421,9 +428,7 @@ class _PairedLoss:
         rho = np.repeat(rho[self._order], self._lengths)
         w = 1.0 / (2.0 + np.repeat(beta[self._order], self._lengths))
         best_xa, best_xb = _demand(self._budgets, w, rho)
-        gap_a = (best_xa / self._r_a - self._t_a) / 100.0
-        gap_b = (best_xb / self._r_b - self._t_b) / 100.0
-        per_round = gap_a * gap_a + gap_b * gap_b
+        per_round = _token_losses(best_xa / self._r_a, best_xb / self._r_b, self._t_a, self._t_b)
         losses = np.empty(len(beta))
         losses[self._order] = np.concatenate([
             np.add.reduce(per_round[first:first + count * length].reshape(count, length), axis=1)
@@ -584,40 +589,33 @@ def recover_batch(
     those of a full pass per size, bit for bit.  No per-round grid is kept:
     with one size a pass keeps a running minimum per dataset, and with
     several also each cell's latest round-sum, ``B * R`` floats per dataset.
-    Only the data matrices are kept, so a generator of datasets holds one at
-    a time.  Then the refinements of
-    every dataset and prefix advance in lock step (:func:`_refine_batch`), in
-    dataset order.  The fits are those of one dataset at a time, bit for bit,
-    whatever the batch.
+    Then the refinements of every prefix advance in lock step
+    (:func:`_refine_batch`), each against its grid optimum's mean from the
+    pass.  The fits are those of one dataset at a time, bit for bit, whatever
+    the batch.
     """
     config = config or RecoveryConfig()
     betas, rhos = _parameter_grid(config)
-    entries = []  # (sizes and flags, data matrices) per dataset
-    schedules: dict[tuple[int, bytes, bytes], list[int]] = {}
-    for dataset in datasets:
-        flagged = [(size, _flags(dataset_prefix(dataset, size)))
-                   for size in (sizes if sizes is not None else (dataset.n,))]
-        data = dataset.prices, dataset.returns, dataset.tokens
-        schedules.setdefault((dataset.n, data[0].tobytes(), data[1].tobytes()),
-                             []).append(len(entries))
-        entries.append((flagged, data))
-    optima: dict[int, list[int]] = {}
-    for members in schedules.values():
-        flagged, (prices, returns, _) = entries[members[0]]
-        optima.update(zip(members, _grid_optima(
-            prices, returns, [entries[i][1][2] for i in members],
-            [size for size, _ in flagged], betas, rhos)))
     results: list[dict[int, FitResult]] = []
-    slots, fits = [], []
-    for i, (flagged, data) in enumerate(entries):
+    fits = []  # [its dataset's results, prefix, grid optimum, its loss] per fit, in dataset order
+    schedules: dict[tuple[bytes, bytes], list] = {}  # (first fit, data matrices) per member
+    for dataset in datasets:
+        data = dataset.prices, dataset.returns, dataset.tokens
+        schedules.setdefault((data[0].tobytes(), data[1].tobytes()), []).append((len(fits), data))
         results.append({})
-        for (size, flags), best_at in zip(flagged, optima[i]):
-            beta_at, rho_at = divmod(best_at, len(rhos))
-            grid_best = DAParams(float(betas[beta_at]), float(rhos[rho_at]))
-            slots.append((results[-1], size))
-            fits.append((flags, grid_best, tuple(column[:size] for column in data)))
-    for (by_size, size), fit in zip(slots, _refine_batch(fits, len(betas) * len(rhos), config)):
-        by_size[size] = fit
+        fits += [[results[-1], dataset_prefix(dataset, size)]
+                 for size in (sizes if sizes is not None else (dataset.n,))]
+    for members in schedules.values():
+        prices, returns, _ = members[0][1]
+        optima = _grid_optima(prices, returns, [data[2] for _, data in members],
+                              sizes if sizes is not None else (len(prices),), betas, rhos)
+        for (first, _), per_size in zip(members, optima):
+            for fit, (loss, at) in zip(fits[first:first + len(per_size)], per_size):
+                grid_best = DAParams(float(betas[at // len(rhos)]), float(rhos[at % len(rhos)]))
+                fit += [grid_best, fit_loss(fit[1], grid_best) if math.isnan(loss) else loss]
+    refined = _refine_batch([fit[1:] for fit in fits], len(betas) * len(rhos), config)
+    for (by_size, prefix, *_), fit in zip(fits, refined):
+        by_size[prefix.n] = fit
     return results
 
 
@@ -630,43 +628,18 @@ def _flags(dataset: SubjectDataset) -> tuple[str, ...]:
     return ()
 
 
-def _refine_batch(
-    fits: Sequence[tuple[tuple[str, ...], DAParams, tuple[np.ndarray, np.ndarray, np.ndarray]]],
-    evaluations: int, config: RecoveryConfig,
-) -> list[FitResult]:
+def _refine_batch(fits: Sequence[tuple[SubjectDataset, DAParams, float]], evaluations: int,
+                  config: RecoveryConfig) -> list[FitResult]:
     """Nelder-Mead from each grid optimum, unless the rounds cannot pin two parameters.
 
-    ``fits`` holds (flags, grid optimum, price, return and token matrices); a
-    flagged fit keeps its grid optimum.  Consecutive fits of at most
-    ``_LOCK_STEP_ROUNDS`` rounds in all are refined together
-    (:func:`_refine_group`), which bounds the paired kernel's temporaries
-    whatever the batch size.
-    """
-    results: list[FitResult] = []
-    group: list = []
-    rounds = 0
-    for fit in fits:
-        if group and rounds + len(fit[2][0]) > _LOCK_STEP_ROUNDS:
-            results += _refine_group(group, evaluations, config)
-            group, rounds = [], 0
-        group.append(fit)
-        rounds += len(fit[2][0])
-    if group:
-        results += _refine_group(group, evaluations, config)
-    return results
-
-
-def _refine_group(
-    fits: Sequence[tuple[tuple[str, ...], DAParams, tuple[np.ndarray, np.ndarray, np.ndarray]]],
-    evaluations: int, config: RecoveryConfig,
-) -> list[FitResult]:
-    """:func:`_refine_batch` on fits whose refinements all advance in lock step.
-
-    The refinements run as :func:`_nelder_mead` generators: each step
-    evaluates the next point of every active one in one :class:`_PairedLoss`
-    call, and the kernel is rebuilt only when a refinement finishes.  One more
-    call values every grid optimum and every refined point, for the flagged
-    fits and the final comparisons.
+    ``fits`` holds (dataset, grid optimum, its loss); a flagged fit keeps its
+    grid optimum.  The refinements run as :func:`_nelder_mead` generators, in
+    groups of consecutive unflagged fits of at most ``_LOCK_STEP_ROUNDS``
+    rounds in all, which bounds the paired kernel's temporaries.  Each step of
+    a group values the next point of every active refinement in one
+    :class:`_PairedLoss` call, a kernel rebuilt only when one finishes; one
+    more call values the refined points, and each replaces its grid optimum
+    if its loss is no larger.
     """
     beta_floor = config.beta_min
 
@@ -677,12 +650,22 @@ def _refine_group(
         rho = math.exp(min(max(float(z[1]), -60.0), 60.0))
         return beta, rho
 
-    runs = {
-        i: _nelder_mead(np.array([math.log(max(grid_best.beta - beta_floor, 1e-8)),
-                                  math.log(grid_best.rho)]),
-                        config.max_evals, config.tol, 1e-14)
-        for i, (flags, grid_best, _) in enumerate(fits) if not flags
-    }
+    data = [(dataset.prices, dataset.returns, dataset.tokens) for dataset, _, _ in fits]
+    results = [FitResult(grid_best, loss, grid_best, False, evaluations, _flags(dataset))
+               for dataset, grid_best, loss in fits]
+    groups: list[list[int]] = []
+    rounds = math.inf
+    for i, (result, (dataset, _, _)) in enumerate(zip(results, fits)):
+        if not result.flags:
+            if rounds + dataset.n > _LOCK_STEP_ROUNDS:
+                groups.append([])
+                rounds = 0
+            groups[-1].append(i)
+            rounds += dataset.n
+
+    runs = {i: _nelder_mead([math.log(max(fits[i][1].beta - beta_floor, 1e-8)),
+                             math.log(fits[i][1].rho)], config.max_evals, config.tol, 1e-14)
+            for group in groups for i in group}
     points: dict[int, list[float]] = {}
     outcomes: dict[int, tuple[list[float], int, bool]] = {}
 
@@ -694,32 +677,24 @@ def _refine_group(
             outcomes[i] = stop.value
             return False
 
-    active = [i for i in runs if advance(i, None)]
-    while active:
-        loss, stepping = _PairedLoss([fits[i][2] for i in active]), len(active)
-        while len(active) == stepping:
-            beta, rho = np.array([from_unconstrained(points[i]) for i in active]).T
-            active = [i for i, value in zip(active, loss(beta, rho).tolist()) if advance(i, value)]
+    for group in groups:
+        active = [i for i in group if advance(i, None)]
+        while active:
+            loss, stepping = _PairedLoss([data[i] for i in active]), len(active)
+            while len(active) == stepping:
+                beta, rho = np.array([from_unconstrained(points[i]) for i in active]).T
+                active = [i for i, value in zip(active, loss(beta, rho).tolist())
+                          if advance(i, value)]
 
-    refined = {i: DAParams(*from_unconstrained(outcomes[i][0])) for i in runs}
-    valued = [(data, grid_best) for _, grid_best, data in fits]
-    valued += [(fits[i][2], refined[i]) for i in runs]
-    values = _PairedLoss([data for data, _ in valued])(
-        np.array([params.beta for _, params in valued]),
-        np.array([params.rho for _, params in valued]),
-    ).tolist()
-    refined_loss = dict(zip(runs, values[len(fits):]))
-
-    results = []
-    for i, (flags, grid_best, _) in enumerate(fits):
-        grid_loss = values[i]
-        if flags:
-            results.append(FitResult(grid_best, grid_loss, grid_best, False, evaluations, flags))
-            continue
-        _, nfev, success = outcomes[i]
-        if refined_loss[i] <= grid_loss:
-            params, best = refined[i], refined_loss[i]
-        else:
-            params, best = grid_best, grid_loss
-        results.append(FitResult(params, best, grid_best, success, evaluations + nfev, ()))
+        refined = [DAParams(*from_unconstrained(outcomes[i][0])) for i in group]
+        values = _PairedLoss([data[i] for i in group])(
+            np.array([params.beta for params in refined]),
+            np.array([params.rho for params in refined]),
+        ).tolist()
+        for i, params, value in zip(group, refined, values):
+            _, grid_best, grid_loss = fits[i]
+            _, nfev, success = outcomes[i]
+            if not value <= grid_loss:  # a NaN refined loss keeps the grid optimum too
+                params, value = grid_best, grid_loss
+            results[i] = FitResult(params, value, grid_best, success, evaluations + nfev, ())
     return results

@@ -101,24 +101,14 @@ def build_eu_graph(dataset: SubjectDataset) -> EuConstraintGraph:
     return EuConstraintGraph(dataset.n, tuple(edges), dropped)
 
 
-def _eu_matrices(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray, int]:
-    """The constraint graph collapsed to dense (n, n) matrices.
-
-    ``weight[k', k]`` is the lightest edge k' -> k (inf when there is none)
-    and ``strict_at_min[k', k]`` marks a strict comparison within 1e-12 of
-    that minimum.  Each of the four (source state, target state) slot
-    pairings contributes one broadcast comparison; a slot is never compared
-    with itself.  Also returns the number of zero quantities.
-    """
+def _pairings(dataset: SubjectDataset):
+    """Each (source state, target state) slot pairing as dense (n, n) arrays: edge weights
+    (inf where there is no edge), the edge mask and the target's quantity less the
+    source's.  A slot is never compared with itself."""
     demand = dataset.demand
     log_prices = np.log(dataset.prices)
     held = demand > 0.0
-    if not held.any():
-        raise DegenerateDataError("all quantities are zero; no comparisons available")
-    n = dataset.n
-    other_slot = ~np.eye(n, dtype=bool)
-    weight = np.full((n, n), np.inf)
-    pairings = []
+    other_slot = ~np.eye(dataset.n, dtype=bool)
     for s_src in range(2):
         for s_dst in range(2):
             # the target slot holds at least as much as the source slot
@@ -126,13 +116,29 @@ def _eu_matrices(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray, int]:
             edge = (gap >= -QUANTITY_TOL) & held[:, None, s_src] & held[None, :, s_dst]
             if s_src == s_dst:
                 edge &= other_slot
-            w = np.where(edge, log_prices[:, None, s_src] - log_prices[None, :, s_dst], np.inf)
-            weight = np.minimum(weight, w)
-            pairings.append((w, edge & (gap > QUANTITY_TOL)))
-    strict_at_min = np.zeros((n, n), dtype=bool)
-    for w, strict in pairings:
-        strict_at_min |= strict & (w <= weight + 1e-12)
-    return weight, strict_at_min, int(np.count_nonzero(~held))
+            yield (np.where(edge, log_prices[:, None, s_src] - log_prices[None, :, s_dst], np.inf),
+                   edge, gap)
+
+
+def _eu_matrices(dataset: SubjectDataset) -> tuple[np.ndarray, int]:
+    """The lightest edge k' -> k as ``weight[k', k]`` (inf when there is none), a dense
+    (n, n) matrix, and the number of zero quantities."""
+    zeros = int(np.count_nonzero(~(dataset.demand > 0.0)))
+    if zeros == dataset.demand.size:
+        raise DegenerateDataError("all quantities are zero; no comparisons available")
+    weight = np.full((dataset.n, dataset.n), np.inf)
+    for w, _, _ in _pairings(dataset):
+        weight = np.minimum(weight, w)
+    return weight, zeros
+
+
+def _strict_at_min(dataset: SubjectDataset, weight: np.ndarray) -> np.ndarray:
+    """Marks k' -> k where a strict quantity comparison gives an edge within 1e-12 of
+    ``weight[k', k]``, the lightest; ``deut_index`` needs it only at a zero cycle mean."""
+    strict_at_min = np.zeros(weight.shape, dtype=bool)
+    for w, edge, gap in _pairings(dataset):
+        strict_at_min |= edge & (gap > QUANTITY_TOL) & (w <= weight + 1e-12)
+    return strict_at_min
 
 
 def _karp_min_mean_cycle(weight: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
@@ -288,16 +294,17 @@ def _floyd_warshall(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def deut_index(dataset: SubjectDataset) -> DeutResult:
     """Index value, an optional witness cycle, and the dropped-pair count."""
-    weight, strict_at_min, dropped = _eu_matrices(dataset)
+    weight, dropped = _eu_matrices(dataset)
     mu, witness = _howard_min_mean_cycle(weight)
 
     if mu < -CYCLE_TOL:
         return DeutResult(-mu, witness, dropped)
 
-    if mu <= CYCLE_TOL and strict_at_min.any():
+    strict = np.argwhere(_strict_at_min(dataset, weight)) if mu <= CYCLE_TOL else ()
+    if len(strict):
         # A strict edge closing a zero-weight cycle: w(u->v) + dist(v->u) == 0.
         dist, nxt = _floyd_warshall(weight)
-        for u, v in np.argwhere(strict_at_min):
+        for u, v in strict:
             if weight[u, v] + dist[v, u] <= CYCLE_TOL:
                 cycle = [int(u)]
                 node = int(v)

@@ -129,9 +129,16 @@ def write_schedule(schedule: BudgetSchedule, path: str | Path) -> None:
 
 
 def read_schedule(path: str | Path) -> BudgetSchedule:
-    """The returns of a schedule CSV, row by row; the allocation columns are not read."""
-    rows = read_table(path, {RETURNS_HEADER: lambda sid, index, r_a, r_b, *_: ReturnPair(r_a, r_b)},
+    """The returns of a schedule CSV: one subject whose rounds run 1..n in order; the
+    allocation columns are not read."""
+    rows = read_table(path, {RETURNS_HEADER: lambda sid, index, r_a, r_b, *_:
+                             (sid, index, ReturnPair(r_a, r_b))},
                       (str, int, float, float, str, str))
     if not rows:
         raise ValidationError(f"{path}: no rounds")
-    return BudgetSchedule(tuple(returns for _, returns in rows))
+    first_id = rows[0][1][0]
+    for expected, (row_num, (sid, index, _)) in enumerate(rows, start=1):
+        if (sid, index) != (first_id, expected):
+            raise ValidationError(f"{path}: row {row_num}: subject {sid!r} round {index}, expected "
+                                  f"{first_id!r} round {expected}: one subject, rounds 1..n in order")
+    return BudgetSchedule(tuple(returns for _, (_, _, returns) in rows))

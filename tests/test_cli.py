@@ -665,6 +665,53 @@ class TestConfig:
             _parse_config({"grid.rho_points": 2**24 // 80 + 1})
 
 
+class TestManifestInputs:
+    """A manifest names every file a command read, --config included, and the config's
+    settings; without --config it has neither."""
+
+    _GRID = {"grid.beta_step": 0.5, "grid.rho_points": 4}
+
+    def _config(self, tmp_path) -> Path:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self._GRID), encoding="utf-8")
+        return path
+
+    def _manifest(self, out: Path) -> dict:
+        return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+    def test_analyze_records_its_config(self, tmp_path):
+        sim_out = tmp_path / "sim"
+        run_cli("simulate", "--params-file", str(make_params(tmp_path, n=2)), "--rounds", "5",
+                "--out", str(sim_out))
+        choices, config = str(sim_out / "choices.csv"), str(self._config(tmp_path))
+        run_cli("analyze", "--choices", choices, "--config", config, "--out", str(tmp_path / "a"))
+        run_cli("analyze", "--choices", choices, "--out", str(tmp_path / "b"))
+        with_config, without = self._manifest(tmp_path / "a"), self._manifest(tmp_path / "b")
+        assert with_config["inputs"] == [config, choices]
+        assert with_config["arguments"] == {"choices": choices, "jobs": 1, "config": self._GRID}
+        assert without["inputs"] == [choices]
+        assert without["arguments"] == {"choices": choices, "jobs": 1}
+
+    def test_direct_learning_curve_records_its_config(self, tmp_path):
+        truth, config = str(make_params(tmp_path, n=6, seed=1)), str(self._config(tmp_path))
+        out = tmp_path / "curve"
+        assert run_cli("learning-curve", "--truth", truth, "--direct", "--config", config,
+                       "--out", str(out)) == 0
+        manifest = self._manifest(out)
+        assert manifest["inputs"] == [config, truth]
+        assert manifest["arguments"] == {"truth": truth, "estimates": [], "direct": True,
+                                         "config": self._GRID}
+
+    def test_report_lists_its_curve(self, tmp_path):
+        curve = tmp_path / "learning_curve.csv"
+        write_table(curve, ("sample_size", "parameter", "gamma", "se_gamma", "alpha", "se_alpha",
+                            "p_gamma", "p_alpha", "n"), [(25, "beta", 0.5, 0.1, 0.0, 0.1, 0.01,
+                                                          0.9, 6)])
+        out = tmp_path / "rep"
+        assert run_cli("report", "--curve", str(curve), "--out", str(out)) == 0
+        assert self._manifest(out)["inputs"] == [str(curve)]
+
+
 class TestLearningCurveAndReport:
     def test_direct_pipeline_and_report(self, tmp_path):
         params = make_params(tmp_path, n=6, seed=1)

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -772,8 +773,8 @@ class TestAgainstScipyOracle:
     def test_edge_points_as_grid_optima(self):
         ds = _sloppy_subject(307, DAParams(0.3, 0.8), n_rounds=25)
         config = RecoveryConfig()
-        fits = [(estimation._flags(ds), DAParams(beta, rho), _matrices(ds))
-                for beta, rho in EDGE_POINTS]
+        loss = _PointLoss(*_matrices(ds))
+        fits = [(ds, DAParams(beta, rho), loss(beta, rho)) for beta, rho in EDGE_POINTS]
         got = _refine_batch(fits, 0, config)
         for fit, (_, grid_best, _) in zip(got, fits):
             assert_same_fits({0: fit}, {0: oracle_refine(ds, grid_best, 0, config)})
@@ -802,6 +803,23 @@ class TestAgainstScipyOracle:
         for fits, ds in zip(got, datasets):
             assert_same_fits(fits, oracle_recover(ds, None, config))
         assert any(math.isnan(fit.loss) for fits in got for fit in fits.values())
+
+    def test_nan_grid_mean_with_a_finite_loss(self):
+        # at rho = 1e-3 the interior ratio of the beta >= 0 rows overflows on ordinary
+        # budgets: the grid's closed form gives a NaN mean there, so a NaN cell is the
+        # grid optimum, while the enumeration, and so fit_loss, takes the kink
+        config = RecoveryConfig(rho_min=1e-3, max_evals=40)
+        rng = np.random.default_rng(467)
+        datasets = [random_sloppy_dataset(rng, 25), random_sloppy_dataset(rng, 1)]
+        betas, rhos = _parameter_grid(config)
+        got = recover_batch(datasets, None, config)
+        for fits, ds in zip(got, datasets):
+            ((mean, _),), = estimation._grid_optima(*_matrices(ds)[:2], [ds.tokens], [ds.n],
+                                                     betas, rhos)
+            assert math.isnan(mean)
+            assert not math.isnan(fit_loss(ds, fits[ds.n].grid_best))
+            assert_same_fits(fits, oracle_recover(ds, None, config))
+        assert got[1][1].flags == ("insufficient_rounds",)
 
 
 def _drive(run, objective):
@@ -918,6 +936,28 @@ class TestRecoverBatch:
         monkeypatch.setattr(estimation, "_LOCK_STEP_ROUNDS", budget)
         for fits, wanted in zip(recover_batch(datasets, None), want):
             assert_same_fits(fits, wanted)
+
+    def test_final_valuation_takes_one_point_per_refined_fit(self, monkeypatch):
+        # each grid optimum comes with its loss, so a group's last kernel call values
+        # its K refined points only, not K more grid optima, and flagged fits need no
+        # kernel call at all
+        calls = []
+
+        class Recorded(_PairedLoss):
+            def __call__(self, beta, rho):
+                calls.append(len(beta))
+                return super().__call__(beta, rho)
+
+        monkeypatch.setattr(estimation, "_PairedLoss", Recorded)
+        datasets = self._mixed_batch()
+        got = recover_batch(datasets)
+        refined = sum(not fits[ds.n].flags for fits, ds in zip(got, datasets))
+        assert refined == 4
+        assert calls[0] == calls[-1] == refined
+        calls.clear()
+        assert [fits[ds.n].flags for fits, ds in zip(recover_batch(datasets[::4]), datasets[::4])
+                ] == [("insufficient_rounds",), ("degenerate_rounds",)]
+        assert calls == []
 
     def test_one_dataset_cases(self):
         ds = _sloppy_subject(353, DAParams(0.1, 0.9), n_rounds=30)
@@ -1111,8 +1151,33 @@ class TestSharedSchedules:
         # np.argmin's over the whole grid's means
         for prices, returns, members, (betas, rhos), want in first_minima_cases:
             monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * len(prices))
-            assert estimation._grid_optima(prices, returns, members, _staged_sizes(len(prices)),
-                                           betas, rhos) == want
+            got = estimation._grid_optima(prices, returns, members, _staged_sizes(len(prices)),
+                                          betas, rhos)
+            assert [[at for _, at in per_size] for per_size in got] == want
+
+    def test_grid_optimum_means_are_fit_loss(self, first_minima_cases):
+        # the pass hands each optimum's mean to the fit as its grid loss, so the mean
+        # must be fit_loss at that point on that prefix, bit for bit, NaN and inf
+        # included; the NaN cases run on the grid's own beta order too
+        rng = np.random.default_rng(463)
+        costly = [_costly_budgets(rng, n) for n in (20, 7)]
+        nan_cases = [(*_matrices(ds)[:2], [ds.tokens], _parameter_grid(RecoveryConfig(
+            rho_min=1e-3))) for ds in costly]
+        seen_nan = False
+        for prices, returns, members, (betas, rhos), *_ in [*first_minima_cases, *nan_cases]:
+            sizes = _staged_sizes(len(prices))
+            got = estimation._grid_optima(prices, returns, members, sizes, betas, rhos)
+            for tokens, per_size in zip(members, got):
+                for size, (mean, at) in zip(sizes, per_size):
+                    prefix = SimpleNamespace(prices=prices[:size], returns=returns[:size],
+                                             tokens=tokens[:size])
+                    params = DAParams(float(betas[at // len(rhos)]), float(rhos[at % len(rhos)]))
+                    with np.errstate(over="ignore"):
+                        want = fit_loss(prefix, params)
+                    assert type(mean) is float
+                    assert _bits(np.array(mean)) == _bits(np.array(want)), (size, params)
+                    seen_nan |= math.isnan(mean)
+        assert seen_nan
 
     def test_later_stages_run_few_rows(self, grid_passes):
         # a prune that silently leaves nothing out would run every row at every size
@@ -1143,9 +1208,10 @@ class TestSharedSchedules:
         full = _grid_losses(*_matrices(ds), betas, rhos)
         assert not np.isnan(full[:, :10]).any() and np.isnan(full).any()
         sizes = (1, 10, 25)
-        got = estimation._grid_optima(prices, ds.returns, [ds.tokens], sizes, betas, rhos)
-        assert got == [[int(np.argmin(full[:, :size].mean(axis=1))) for size in sizes]]
-        assert math.isnan(full[got[0][-1]].mean())
+        (got,) = estimation._grid_optima(prices, ds.returns, [ds.tokens], sizes, betas, rhos)
+        assert [at for _, at in got] == [int(np.argmin(full[:, :size].mean(axis=1)))
+                                         for size in sizes]
+        assert math.isnan(full[got[-1][1]].mean()) and math.isnan(got[-1][0])
 
 
 def _staged_sizes(n: int) -> list[int]:

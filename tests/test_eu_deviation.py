@@ -311,7 +311,8 @@ class TestDenseMatrices:
     def test_equal_to_collapsed_edge_list(self, family):
         rng = np.random.default_rng(67)
         for ds in family(rng):
-            weight, strict_at_min, dropped = _eu_matrices(ds)
+            weight, dropped = _eu_matrices(ds)
+            strict_at_min = eu_deviation._strict_at_min(ds, weight)
             graph = build_eu_graph(ds)
             ref_weight, ref_strict = collapse_edges(graph)
             np.testing.assert_array_equal(weight.view(np.int64), ref_weight.view(np.int64))

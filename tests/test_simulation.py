@@ -138,6 +138,21 @@ class TestPopulationFiles:
         with pytest.raises(ValidationError, match="row 2: returns must be positive"):
             read_schedule(path)
 
+    @pytest.mark.parametrize("rows,message", [
+        # shuffled: ids a,b,b and rounds 3,1,1 once loaded as a 3-round schedule
+        (["a,3,0.5,0.9", "b,1,0.6,0.8", "b,1,0.7,0.7"],
+         "row 2: subject 'a' round 3, expected 'a' round 1"),
+        (["a,1,0.5,0.9", "b,2,0.6,0.8"], "row 3: subject 'b' round 2, expected 'a' round 2"),
+        (["s,1,0.5,0.9", "s,3,0.6,0.8"], "row 3: subject 's' round 3, expected 's' round 2"),
+        (["s,2,0.5,0.9", "s,1,0.6,0.8"], "row 2: subject 's' round 2, expected 's' round 1"),
+    ])
+    def test_schedule_of_other_than_one_subject_in_round_order(self, tmp_path, rows, message):
+        path = tmp_path / "schedule.csv"
+        path.write_text("subject_id,round,r_a,r_b,t_a,t_b\n" + "".join(
+            f"{row},,\n" for row in rows), encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            read_schedule(path)
+
     def test_schedule_round_trip(self, tmp_path):
         schedule = generate_budgets(9, 25)
         path = tmp_path / "schedule.csv"
