@@ -640,8 +640,9 @@ class TestPointLoss:
 
 @pytest.fixture
 def enumeration_loss(monkeypatch):
-    """Recovery whose Nelder-Mead objective, final loss comparisons and fit_loss all go
-    through the full enumeration, as before the per-point and paired kernels."""
+    """Recovery whose Nelder-Mead objective, refined-point losses and fit_loss all go
+    through the full enumeration, as before the per-point and paired kernels; the grid
+    optima keep their grid-pass means, which must equal the enumeration's."""
     class EnumerationLoss:
         def __init__(self, data):
             self.data = data
