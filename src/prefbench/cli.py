@@ -299,7 +299,7 @@ def cmd_experiment(config_file, treatment, sessions, params_file, sample_data, s
     if sample_data and not samples:
         raise ValidationError(f"{sample_data}: no subjects")
     plans = experiment_plans(kind, make_backend(backend_config), population, samples,
-                             sample_size, sessions)
+                             sample_size, sessions, schedule)
     # each id names a transcript file; ids come from --sample-data, else from --params-file
     for session_id, _, _ in plans:
         _check_file_name(session_id, f"{session_id}.jsonl",
@@ -339,6 +339,9 @@ def cmd_learning_curve(truth_file, estimate_specs, direct, provision_seed, confi
     if direct and estimate_specs:
         raise ValidationError("--estimates does not apply with --direct, which recovers its "
                               "own estimates")
+    if config_file and not direct:
+        raise ValidationError("--config applies with --direct only: joined --estimates are "
+                              "regressed as they are")
     if not direct:
         if not estimate_specs:
             raise ValidationError("provide --estimates S=PATH pairs or use --direct")

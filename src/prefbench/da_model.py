@@ -250,9 +250,10 @@ def optimal_demand_grid(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray) -
     """
     prices = np.asarray(prices, dtype=float)
     w = 1.0 / (2.0 + np.asarray(beta, dtype=float)[:, None])
-    bundle = _demand(_Budgets(prices), w, np.asarray(rho, dtype=float)[:, None])
-    shape = len(w), len(prices)
-    return np.stack([np.broadcast_to(x, shape) for x in bundle], axis=-1)
+    x_a, x_b = _demand(_Budgets(prices), w, np.asarray(rho, dtype=float)[:, None])
+    demand = np.empty((len(w), len(prices), 2))
+    demand[..., 0], demand[..., 1] = x_a, x_b
+    return demand
 
 
 def optimal_demand(p: PricePair, params: DAParams) -> tuple[float, float]:

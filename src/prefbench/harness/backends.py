@@ -20,9 +20,10 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..da_model import DAParams, optimal_demand_grid
-from ..data import demand_to_tokens, returns_to_prices
+from ..data import ReturnPair, demand_to_tokens, returns_to_prices
 from ..errors import BackendError, ConfigError
-from .prompts import ChatMessage
+from ..simulation import BudgetSchedule
+from .prompts import ChatMessage, build_decision_round_user
 
 API_KEY_ENV = "CHAT_API_KEY"
 
@@ -39,16 +40,36 @@ class ChatBackend(Protocol):
 
 @dataclass
 class MockDecisionBackend:
-    """Answers every prompt with the exact optimum for fixed (beta, rho)."""
+    """Answers every prompt with the exact optimum for fixed (beta, rho).
+
+    Answers come from a table of the optimal ``(t_a, t_b)`` keyed by the
+    returns' text as the prompt shows it.  A budget not in the table is solved
+    in one demand call together with every ``schedule`` budget not in it yet,
+    so a mock given the run's schedule makes one call per run; without a
+    schedule it solves just the budgets it is asked.  The demand kernel is
+    elementwise, so a budget's answer has the same bits in either call.
+    """
 
     params: DAParams
+    schedule: BudgetSchedule | None = None
+    _table: dict[tuple[str, str], tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def _tokens(self, returns: Sequence[tuple[str, str]]) -> list[list[float]]:
-        """The optimal (t_a, t_b) at each pair of returns in the prompt, from one demand call."""
-        returns = np.array([[float(r_a), float(r_b)] for r_a, r_b in returns])
-        demand = optimal_demand_grid(
-            returns_to_prices(returns), np.array([self.params.beta]), np.array([self.params.rho]))
-        return demand_to_tokens(returns, demand[0]).tolist()
+    def _tokens(self, returns: Sequence[tuple[str, str]]) -> list[tuple[float, float]]:
+        """The optimal (t_a, t_b) at each pair of returns in the prompt."""
+        missing = dict.fromkeys(key for key in returns if key not in self._table)
+        if missing and self.schedule is not None:
+            missing.update(dict.fromkeys(
+                key for key in map(_schedule_key, self.schedule.rounds)
+                if key is not None and key not in self._table))
+        if missing:
+            values = np.array([[float(r_a), float(r_b)] for r_a, r_b in missing])
+            demand = optimal_demand_grid(returns_to_prices(values), np.array([self.params.beta]),
+                                         np.array([self.params.rho]))
+            tokens = demand_to_tokens(values, demand[0]).tolist()
+            # concurrent sessions may solve a budget twice; they store the same answer
+            self._table.update(zip(missing, map(tuple, tokens)))
+        return [self._table[key] for key in returns]
 
     def send(self, messages: Sequence[ChatMessage]) -> str:
         user_text = next((m.content for m in reversed(messages) if m.role == "user"), "")
@@ -67,6 +88,13 @@ class MockDecisionBackend:
             f"I will invest {_points(t_a)} points to asset A and "
             f"{_points(t_b)} points to asset B."
         )
+
+
+def _schedule_key(returns: ReturnPair) -> tuple[str, str] | None:
+    """The returns' text as the mock reads it from the round's decision prompt; None
+    where the prompt shows no returns the mock can read."""
+    match = _DECISION_RETURNS.search(build_decision_round_user(returns))
+    return match.groups() if match else None
 
 
 def _points(tokens: float) -> str:

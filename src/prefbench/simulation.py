@@ -59,12 +59,13 @@ def generate_budgets(seed: int, n_rounds: int) -> BudgetSchedule:
     if n_rounds < 1:
         raise ValidationError(f"n_rounds must be >= 1, got {n_rounds}")
     rng = np.random.default_rng(seed)
-    rounds = []
-    while len(rounds) < n_rounds:
-        r_a, r_b = rng.uniform(RETURN_LOW, RETURN_HIGH, size=2)
-        if max(r_a, r_b) >= RETURN_MIN_MAX:
-            rounds.append(ReturnPair(float(r_a), float(r_b)))
-    return BudgetSchedule(tuple(rounds))
+    # pairs drawn in blocks are the stream's pairs one at a time, so the kept rows are
+    # the ones a pair-by-pair draw keeps; rows past the n_rounds-th kept one are unused
+    kept = np.empty((0, 2))
+    while len(kept) < n_rounds:
+        pairs = rng.uniform(RETURN_LOW, RETURN_HIGH, size=(2 * (n_rounds - len(kept)), 2))
+        kept = np.concatenate([kept, pairs[pairs.max(axis=1) >= RETURN_MIN_MAX]])
+    return BudgetSchedule(tuple(ReturnPair(r_a, r_b) for r_a, r_b in kept[:n_rounds].tolist()))
 
 
 def evaluation_schedule() -> BudgetSchedule:

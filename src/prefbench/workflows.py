@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -147,6 +147,7 @@ def learning_curve_direct(
 def experiment_plans(
     kind: TreatmentKind, backend: ChatBackend, population: Sequence[tuple[str, DAParams]] | None,
     samples: Sequence[SubjectDataset] | None, sample_size: int | None, sessions: int,
+    schedule: BudgetSchedule,
 ) -> list[tuple[str, Treatment, ChatBackend]]:
     """(session id, treatment, backend) for each session of an ``experiment`` run.
 
@@ -154,6 +155,8 @@ def experiment_plans(
     ``sample_size`` rounds; the others are one per ``population`` subject or,
     without a population, ``sessions`` numbered ones.  A session whose id has
     parameters in ``population`` gets its own mock backend; the rest share ``backend``.
+    Every mock handed out solves the run's ``schedule`` at its first request, a
+    shared mock ``backend`` as a copy that does.
     """
     by_id = dict(population or ())
     if kind is TreatmentKind.PERSONALIZED_RECOMMENDATION:
@@ -162,7 +165,9 @@ def experiment_plans(
         width = max(3, len(str(sessions)))
         ids = list(by_id) or [f"{kind.value}{i:0{width}d}" for i in range(1, sessions + 1)]
         treatments = [(sid, Treatment(kind)) for sid in ids]
-    return [(sid, t, MockDecisionBackend(by_id[sid]) if sid in by_id else backend)
+    if isinstance(backend, MockDecisionBackend):
+        backend = replace(backend, schedule=schedule)
+    return [(sid, t, MockDecisionBackend(by_id[sid], schedule) if sid in by_id else backend)
             for sid, t in treatments]
 
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import run_python
 
 from prefbench.cli import INDEX_COLUMNS, _parse_config, _write_index_reports, main
-from prefbench.da_model import DAParams
+from prefbench.da_model import DAParams, optimal_demand_grid
 from prefbench.data import (
     PRICES_HEADER,
     RETURNS_HEADER,
@@ -23,7 +23,7 @@ from prefbench.data import (
 from prefbench.errors import ConfigError, ValidationError
 from prefbench.harness.backends import HttpChatBackend, MockDecisionBackend
 from prefbench.harness.prompts import ChatMessage
-from prefbench.harness.sessions import load_transcript
+from prefbench.harness.sessions import load_transcript, run_decision_session
 from prefbench.simulation import (
     BudgetSchedule,
     evaluation_schedule,
@@ -265,6 +265,34 @@ class TestExperiment:
         assert len(datasets) == 2
         assert all(ds.n == 25 for ds in datasets)
         assert len(list((out / "transcripts").glob("*.jsonl"))) == 2
+
+    @pytest.mark.parametrize("schedule_file", [False, True])
+    def test_each_mock_solves_the_run_schedule_in_one_demand_call(self, tmp_path, monkeypatch,
+                                                                  schedule_file):
+        calls = []
+
+        def counted(prices, beta, rho):
+            calls.append(len(prices))
+            return optimal_demand_grid(prices, beta, rho)
+
+        monkeypatch.setattr("prefbench.harness.backends.optimal_demand_grid", counted)
+        schedule = generate_budgets(4, 25) if schedule_file else evaluation_schedule()
+        argv = []
+        if schedule_file:
+            write_schedule(schedule, tmp_path / "schedule.csv")
+            argv = ["--schedule-file", str(tmp_path / "schedule.csv")]
+        params = str(make_params(tmp_path, n=3))
+        assert run_cli("experiment", "--treatment", "decision", "--params-file", params, *argv,
+                       "--out", str(tmp_path / "own")) == 0
+        assert calls == [25] * 3  # one per --params-file session
+        assert run_cli("experiment", "--treatment", "decision", "--sessions", "3", *argv,
+                       "--out", str(tmp_path / "shared")) == 0
+        assert calls == [25] * 4  # one per run for the shared mock
+        # a decision session at these parameters, answered without the table
+        want = run_decision_session(MockDecisionBackend(DAParams(0.0, 1.0)), schedule)
+        got = load_transcript(tmp_path / "shared" / "transcripts" / "decision003.jsonl")
+        assert ([(r.messages, r.response) for r in got.records]
+                == [(r.messages, r.response) for r in want.records])
 
     def test_resume_skips_complete_sessions(self, tmp_path):
         out = tmp_path / "exp"
@@ -835,6 +863,18 @@ class TestLearningCurveAndReport:
                        "--estimates", "25=nonexistent.csv", "--out", str(out)) == 2
         assert ("--estimates does not apply with --direct, which recovers its own estimates"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_config_without_direct_is_rejected(self, tmp_path, capsys):
+        # without --direct the estimates are joined, not recovered: no config setting applies
+        params, index = self._index(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid.rho_points": 25}), encoding="utf-8")
+        out = tmp_path / "curve"
+        assert run_cli("learning-curve", "--truth", str(params), "--estimates", f"10={index}",
+                       "--config", str(config), "--out", str(out)) == 2
+        assert ("--config applies with --direct only: joined --estimates are regressed as "
+                "they are" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_report_panels_sorted_by_label(self, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import requests
 
-from prefbench.da_model import DAParams
+from prefbench.da_model import DAParams, optimal_demand_grid
 from prefbench.errors import BackendError, ConfigError
 from prefbench.harness.backends import (
     BackendConfig,
@@ -19,9 +20,11 @@ from prefbench.harness.backends import (
     make_backend,
 )
 from prefbench.harness.parsing import parse_allocations
-from prefbench.harness.prompts import ChatMessage, Treatment, TreatmentKind, build_prompt
-from prefbench.data import ReturnPair
-from prefbench.simulation import evaluation_schedule, generate_budgets, simulate_subject
+from prefbench.harness.prompts import (RETRY_REMINDER, ChatMessage, Treatment, TreatmentKind,
+                                      build_prompt)
+from prefbench.data import RETURNS_HEADER, ReturnPair, write_table
+from prefbench.simulation import (BudgetSchedule, evaluation_schedule, generate_budgets,
+                                  read_schedule, simulate_subject)
 
 
 class TestMockBackend:
@@ -77,6 +80,94 @@ class TestMockBackend:
         backend = MockDecisionBackend(DAParams(0.0, 1.0))
         with pytest.raises(BackendError):
             backend.send([ChatMessage("user", "hello there")])
+
+
+# beta near -1; rho within 1e-9 of 1 on both sides and at 1; rho < 1, where corners can
+# win, down to 0.05; and rho up to e^2
+TABLE_PARAMS = [DAParams(-0.999, 0.3), DAParams(-0.95, 0.05), DAParams(-0.5, 0.1),
+                DAParams(0.0, 1.0 - 1e-9), DAParams(0.2, 1.0 + 5e-10), DAParams(0.1, 1.0),
+                DAParams(0.3, 0.6), DAParams(2.0, 0.3), DAParams(0.5, math.e ** 2)]
+
+
+def table_schedules(tmp_path) -> dict[str, BudgetSchedule]:
+    """The evaluation schedule, two drawn ones, and a schedule file that repeats a budget,
+    has equal and far-apart returns, and a round whose prompt shows 2.5e-05, which the
+    mock cannot read."""
+    path = tmp_path / "schedule.csv"
+    returns = [(0.5, 0.5), (1.0, 0.1), (0.1234567890123, 0.9), (3.0, 0.02), (1.0, 0.1),
+               (0.7, 2.5e-05), (0.25, 0.75)]
+    write_table(path, RETURNS_HEADER, (("file", i, r_a, r_b, "", "")
+                                       for i, (r_a, r_b) in enumerate(returns, start=1)))
+    return {"evaluation": evaluation_schedule(), "drawn7": generate_budgets(7, 25),
+            "drawn175": generate_budgets(11, 175), "file": read_schedule(path)}
+
+
+def decision_prompts(schedule: BudgetSchedule) -> list[list[ChatMessage]]:
+    """Each round's decision prompt and its re-ask, and the schedule's table prompt."""
+    prompts = []
+    for returns in schedule.rounds:
+        messages = build_prompt(Treatment(TreatmentKind.DECISION), returns)
+        prompts += [messages, messages[:-1] + [
+            ChatMessage("user", messages[-1].content + RETRY_REMINDER)]]
+    return prompts + [build_prompt(Treatment(TreatmentKind.RECOMMENDATION), schedule)]
+
+
+def answer_or_error(backend: MockDecisionBackend, messages) -> str:
+    try:
+        return backend.send(messages)
+    except BackendError as exc:
+        return f"BackendError: {exc}"
+
+
+class TestScheduleTable:
+    """A mock given the run's schedule answers from one demand call per run."""
+
+    @pytest.mark.parametrize("params", TABLE_PARAMS)
+    def test_answers_are_the_unaware_mock_answers(self, tmp_path, params):
+        # the oracle is a fresh mock without a schedule per prompt: one demand call for
+        # just that prompt's budgets, as every answer was made before the table
+        for name, schedule in table_schedules(tmp_path).items():
+            aware = MockDecisionBackend(params, schedule)
+            for messages in decision_prompts(schedule):
+                assert (answer_or_error(aware, messages)
+                        == answer_or_error(MockDecisionBackend(params), messages)), name
+
+    @pytest.fixture
+    def demand_calls(self, monkeypatch) -> list[int]:
+        """The budget count of every demand call the mock makes."""
+        calls = []
+
+        def counted(prices, beta, rho):
+            calls.append(len(prices))
+            return optimal_demand_grid(prices, beta, rho)
+
+        monkeypatch.setattr("prefbench.harness.backends.optimal_demand_grid", counted)
+        return calls
+
+    def test_one_demand_call_solves_the_schedule(self, tmp_path, demand_calls):
+        schedule = table_schedules(tmp_path)["file"]
+        backend = MockDecisionBackend(DAParams(0.3, 0.6), schedule)
+        # the last round first: the call solves it, then the other readable budgets
+        # (six, one of them repeated) once each
+        backend.send(decision_prompts(schedule)[-3])
+        for messages in decision_prompts(schedule):
+            answer_or_error(backend, messages)
+        assert demand_calls == [5]
+        # a budget off the schedule is solved alone, and then looked up
+        off_schedule = build_prompt(Treatment(TreatmentKind.DECISION), ReturnPair(0.3, 0.4))
+        backend.send(off_schedule)
+        backend.send(off_schedule)
+        assert demand_calls == [5, 1]
+
+    def test_without_a_schedule_only_asked_budgets_are_solved(self, demand_calls):
+        schedule = evaluation_schedule()
+        backend = MockDecisionBackend(DAParams(0.3, 0.6))
+        prompts = decision_prompts(schedule)
+        for messages in prompts[:6]:  # three rounds, each asked and re-asked
+            backend.send(messages)
+        assert demand_calls == [1, 1, 1]
+        backend.send(prompts[-1])  # the table's other 22 budgets, in one call
+        assert demand_calls == [1, 1, 1, 22]
 
 
 @dataclass

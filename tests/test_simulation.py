@@ -47,6 +47,18 @@ class TestBudgetGeneration:
         rate = float(np.mean(draws.max(axis=1) >= RETURN_MIN_MAX))
         assert rate == pytest.approx(1.0 - (0.4 / 0.9) ** 2, abs=0.01)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_block_draws_are_the_pair_by_pair_draws(self, seed):
+        # the oracle draws one pair at a time and keeps it when its larger return is >= 0.5
+        for n_rounds in (1, 2, 3, 25, 175, 400):
+            rng = np.random.default_rng(seed)
+            want = []
+            while len(want) < n_rounds:
+                r_a, r_b = rng.uniform(RETURN_LOW, RETURN_HIGH, size=2)
+                if max(r_a, r_b) >= RETURN_MIN_MAX:
+                    want.append(ReturnPair(float(r_a), float(r_b)))
+            assert generate_budgets(seed, n_rounds) == BudgetSchedule(tuple(want))
+
     def test_evaluation_schedule_is_fixed(self):
         schedule = evaluation_schedule()
         assert len(schedule.rounds) == EVALUATION_ROUNDS

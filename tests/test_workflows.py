@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import threading
+from dataclasses import dataclass, replace
 
 import pytest
 
-from prefbench.da_model import DAParams
+from prefbench.da_model import DAParams, optimal_demand_grid
 from prefbench.data import write_dataset
 from prefbench.errors import BackendError, SessionError
 from prefbench.harness.backends import MockDecisionBackend
-from prefbench.harness.prompts import Treatment, TreatmentKind
+from prefbench.harness.prompts import RETRY_REMINDER, Treatment, TreatmentKind
 from prefbench.harness.sessions import SESSION_ROUNDS, load_transcript
 from prefbench.simulation import evaluation_schedule, generate_budgets, simulate_subject
 from prefbench.workflows import experiment_plans, run_experiment
@@ -32,7 +34,8 @@ class FailingBackend:
 
 
 def run_decision(backend, transcripts):
-    plans = experiment_plans(TreatmentKind.DECISION, backend, None, None, None, 2)
+    plans = experiment_plans(TreatmentKind.DECISION, backend, None, None, None, 2,
+                             evaluation_schedule())
     return run_experiment(plans, evaluation_schedule(), transcripts)
 
 
@@ -59,23 +62,104 @@ def test_an_interrupted_run_resumes_without_asking_finished_sessions_again(tmp_p
 
 def test_plans_give_each_session_its_id_treatment_and_backend():
     shared = object()  # the backend of every session without parameters of its own
+    schedule = generate_budgets(5, SESSION_ROUNDS)
     population = [("s1", DAParams(0.1, 0.6)), ("s2", DAParams(0.3, 0.9))]
-    numbered = experiment_plans(TreatmentKind.RECOMMENDATION, shared, None, None, None, 2)
+    numbered = experiment_plans(TreatmentKind.RECOMMENDATION, shared, None, None, None, 2,
+                                schedule)
     assert [(sid, t.kind, b) for sid, t, b in numbered] == [
         ("recommendation001", TreatmentKind.RECOMMENDATION, shared),
         ("recommendation002", TreatmentKind.RECOMMENDATION, shared),
     ]
-    own = experiment_plans(TreatmentKind.DECISION, shared, population, None, None, 5)
-    assert [(sid, b) for sid, _, b in own] == [(sid, MockDecisionBackend(p)) for sid, p in population]
+    own = experiment_plans(TreatmentKind.DECISION, shared, population, None, None, 5, schedule)
+    assert [(sid, b) for sid, _, b in own] == [(sid, MockDecisionBackend(p, schedule))
+                                               for sid, p in population]
 
     # personalized: one session per sample subject; only s2 has parameters of its own
     samples = [simulate_subject(DAParams(0.0, 1.0), generate_budgets(1, 10), sid).dataset
                for sid in ("s0", "s2")]
     personalized = experiment_plans(TreatmentKind.PERSONALIZED_RECOMMENDATION, shared,
-                                    population, samples, 4, 1)
+                                    population, samples, 4, 1, schedule)
     assert [(sid, t.sample_data.subject_id, t.sample_size, b) for sid, t, b in personalized] == [
-        ("s0", "s0", 4, shared), ("s2", "s2", 4, MockDecisionBackend(DAParams(0.3, 0.9))),
+        ("s0", "s0", 4, shared), ("s2", "s2", 4, MockDecisionBackend(DAParams(0.3, 0.9), schedule)),
     ]
+
+
+def test_a_shared_mock_is_handed_out_as_one_copy_that_knows_the_schedule():
+    schedule = generate_budgets(5, SESSION_ROUNDS)
+    backend = MockDecisionBackend(DAParams(0.1, 0.6))
+    plans = experiment_plans(TreatmentKind.DECISION, backend, None, None, None, 3, schedule)
+    (shared,) = {id(b): b for _, _, b in plans}.values()
+    assert shared == MockDecisionBackend(DAParams(0.1, 0.6), schedule)
+    assert backend.schedule is None  # the caller's mock is left as it was
+
+
+def transcript_lines(transcripts) -> dict[str, list[dict]]:
+    """Each transcript's records, timestamps dropped."""
+    return {path.name: [{k: v for k, v in json.loads(line).items()
+                         if k not in ("started_at", "finished_at")}
+                        for line in path.read_text(encoding="utf-8").splitlines()]
+            for path in sorted(transcripts.iterdir())}
+
+
+@dataclass
+class Reasking:
+    """Garbles the first answer of round ``reask_round`` of each session, so it is re-asked."""
+
+    inner: MockDecisionBackend
+    reask_round: int = 13
+
+    def send(self, messages):
+        answer = self.inner.send(messages)
+        first_ask = not messages[-1].content.endswith(RETRY_REMINDER)
+        return "let me think" if len(messages) == 2 + self.reask_round and first_ask else answer
+
+
+EXPERIMENT_CASES = {  # (kind, population, sample size, sessions)
+    "decision_population": (TreatmentKind.DECISION, True, None, 1),
+    "decision_shared": (TreatmentKind.DECISION, False, None, 3),
+    "recommendation_shared": (TreatmentKind.RECOMMENDATION, False, None, 3),
+    "personalized_population": (TreatmentKind.PERSONALIZED_RECOMMENDATION, True, 10, 1),
+}
+
+
+@pytest.mark.parametrize("case", EXPERIMENT_CASES)
+@pytest.mark.parametrize("schedule_seed", [None, 3])
+def test_transcripts_are_those_of_unaware_mocks(tmp_path, case, schedule_seed):
+    kind, with_population, sample_size, sessions = EXPERIMENT_CASES[case]
+    schedule = (evaluation_schedule() if schedule_seed is None
+                else generate_budgets(schedule_seed, SESSION_ROUNDS))
+    population = [("s1", DAParams(-0.9, 0.2)), ("s2", DAParams(0.3, 0.9)), ("s3", DAParams(0.0, 1.0))]
+    samples = [simulate_subject(p, generate_budgets(i, 20), sid).dataset
+               for i, (sid, p) in enumerate(population)]
+    args = (kind, MockDecisionBackend(DAParams(0.1, 0.6)), population if with_population else None,
+            samples, sample_size, sessions, schedule)
+    aware = experiment_plans(*args)
+    unaware = [(sid, t, replace(b, schedule=None)) for sid, t, b in aware]
+    assert all(b.schedule == schedule for _, _, b in aware)
+    for name, plans in (("aware", aware), ("unaware", unaware)):
+        run_experiment([(sid, t, Reasking(b)) for sid, t, b in plans], schedule, tmp_path / name)
+    assert transcript_lines(tmp_path / "aware") == transcript_lines(tmp_path / "unaware")
+
+
+@pytest.mark.parametrize("with_population", [True, False])
+def test_a_decision_run_solves_the_schedule_once_per_mock(tmp_path, monkeypatch, with_population):
+    calls = []
+
+    def counted(prices, beta, rho):
+        calls.append(len(prices))
+        return optimal_demand_grid(prices, beta, rho)
+
+    monkeypatch.setattr("prefbench.harness.backends.optimal_demand_grid", counted)
+    population = [("s1", DAParams(0.1, 0.6)), ("s2", DAParams(0.3, 0.9))]
+    plans = experiment_plans(TreatmentKind.DECISION, MockDecisionBackend(DAParams(0.0, 1.0)),
+                             population if with_population else None, None, None, 3,
+                             evaluation_schedule())
+    run_experiment([(sid, t, Reasking(b)) for sid, t, b in plans], evaluation_schedule(),
+                   tmp_path / "exp")
+    # one call per population session, one per run for the shared mock; re-asks add none
+    assert calls == [SESSION_ROUNDS] * (2 if with_population else 1)
+    assert all(len(records) == SESSION_ROUNDS + 1
+               for records in transcript_lines(tmp_path / "exp").values())
 
 
 class PlanBackend:
