@@ -37,16 +37,23 @@ take the round's kink loss, one number per round, and each chunk's loss is
 formed on its gathered cells and scattered once.  Only a running first
 minimum per dataset survives the block, so no per-round grid is kept.
 
-With several prefix sizes, a pass runs them as stages, smallest first, each
-on the schedule's first ``s`` rounds with the same kernel.  The first stage
-runs every beta row; a later one runs only the rows that can still hold an
-optimum (branch and bound, Land & Doig 1960).  A per-round loss is a
-square, so a cell's sum over ``s`` rounds is at least its sum over fewer,
-and a cell whose known sum already exceeds an achieved ``s``-round sum, by
-a margin far above rounding, can neither win nor tie.  Rows where an
-interior ratio may overflow, the only source of NaN losses, always run, so
-every optimum is the full grid's bit for bit.  :func:`recover_batch` fits
-every prefix of every dataset from its schedule's one staged pass.
+A pass runs its prefix sizes as stages, smallest first, each on the
+schedule's first ``s`` rounds.  The first stage runs every beta row; a later
+one runs only the (beta, rho) cells that can still hold an optimum of some
+size still to come (branch and bound, Land & Doig 1960).  A per-round loss is
+a square, so a cell's sum over ``s`` rounds is at least its sum over fewer,
+and a cell whose known sum already exceeds an achieved sum of a later size,
+by a margin far above rounding, can neither win nor tie there.  A cell kernel
+(:func:`_cell_tokens`) repeats the pair kernel's float operations for each
+(cell, round) entry on its own, classed by the same bases, so a stage runs
+the rows where most cells are left in through the pair kernel and the other
+cells one by one.  A one-size pass on more than ``_BOUNDING_LENGTH`` rounds
+(every ``analyze``) first runs unreported stages: a short probe over every
+row, then each longer stage only where its predicted savings exceed its cost,
+a cost guard that noisy datasets, which leave most cells in, skip.  Rows
+where an interior ratio may overflow, the only source of NaN losses, always
+run, so every optimum is the full grid's bit for bit.  :func:`recover_batch`
+fits every prefix of every dataset from its schedule's one staged pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
 step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
@@ -54,19 +61,28 @@ transcribed, on Python floats).  Each step values the pending points of all
 fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
 parameter pairs, K losses), which runs the same enumeration and selection on
 the rounds of all K.  The same kernel values the refined points and serves
-:func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass, the
-float :func:`fit_loss` gives there (the same demand, per-round formula
-:func:`_token_losses` and row sum), unless it is NaN: where an interior
-ratio overflows, a beta >= 0 row's closed form takes the NaN bundle and the
-enumeration the kink, so only a NaN optimum is valued again.  The fits are
-those of scipy's ``minimize`` on one prefix at a time, evaluation counts
-included.
+:func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass,
+unless it is NaN, and that is not always the float :func:`fit_loss` gives
+there: the grid's beta >= 0 rows take the closed-form maximizer and
+:func:`fit_loss` the enumeration, and the two bundles differ on a few cells.
+Where the interior's ratio ``k`` is about 1e15 or more (the smallest rho
+columns), the enumeration takes the corner, a holding of exactly 0, where
+the closed form holds a tiny amount; next to the kink at large rho, it takes
+the kink where the closed form takes an interior just off it.  The per-round
+losses then differ in their last bits, or by about 5e-5 relative next to the
+kink (``test_grid_and_paired_losses_differ_only_where_pinned``).  Where an
+interior ratio overflows in a beta >= 0 row, the closed form takes the NaN
+bundle and the enumeration the kink, so a NaN optimum is valued again by
+:func:`fit_loss`.
+The fits are those of scipy's ``minimize`` on one prefix at a time,
+evaluation counts included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,7 +119,13 @@ class RecoveryConfig:
 @dataclass(frozen=True)
 class FitResult:
     """A fit: ``evaluations`` counts every grid cell, whether or not a stage of the grid
-    pass left cells out, plus the refinement's loss evaluations."""
+    pass left cells out, plus the refinement's loss evaluations.
+
+    ``loss`` is the loss at ``params``: :func:`fit_loss` there when the
+    refinement's point is kept, else the grid pass's mean at ``grid_best``,
+    which on a few beta >= 0 cells differs from :func:`fit_loss` there (the
+    closed form against the enumeration; see the module docstring), and
+    :func:`fit_loss` where that mean is NaN."""
 
     params: DAParams
     loss: float
@@ -127,6 +149,15 @@ _SLACK = 1e-9
 _TINY = float(np.finfo(float).tiny)
 # a beta row whose interior ratio could exceed this is never left out (_unbounded_rows)
 _RATIO_CAP = 1e300
+# a one-size pass on datasets longer than _BOUNDING_LENGTH rounds first runs an
+# unreported stage on the first of _BOUNDING_STAGES, the probe, then each later one that
+# pays (_grid_optima); the lengths are from a measured table (CHANGES.md)
+_BOUNDING_LENGTH = 25
+_BOUNDING_STAGES = (10, 50, 100)
+# the cost of a cell-round with beta < 0 and with beta >= 0 in the pair kernel and in the
+# cell kernel, relative to the pair kernel's with beta < 0 (measured at 175 rounds): a
+# stage runs a row through the cell kernel only where its cells cost less than the row
+_PAIR_COST, _CELL_COST = (1.0, 0.07), (1.5, 0.25)
 
 
 def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
@@ -138,23 +169,33 @@ def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
             for lo, hi in zip(edges, edges[1:]) for start in range(lo, hi, block)]
 
 
+def _fixed_felicities(prices: np.ndarray, rhos: np.ndarray):
+    """The kink and corner felicities of every (round, rho) pair, (N, R) each, as
+    ``_Valuation.fixed_felicities`` gives them: they depend on rho and the budget only."""
+    # (N, 2, 1) prices make (N, 1) price columns, which broadcast against (R,) rho
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _Valuation(rhos).fixed_felicities(_Budgets(prices[:, :, None]))
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
+def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray, felicities=None):
     """The model's token allocations on one schedule, for a block of beta rows at a time.
 
-    Returns ``tokens_at(betas, size)``, which maps betas of one sign, (B,), to
-    the tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every
-    (beta, rho) pair and each of the schedule's first ``size`` rounds, as
-    ``(kink, pieces)``.  ``pieces`` lists ``(rows, rounds, model_a,
-    model_b)``: the (beta, round) pairs of one chunk, (pairs,) each, and their
-    tokens in that gathered order, (pairs, R) each.  Every pair in no piece
-    takes the round's kink tokens ``kink = (kink_a, kink_b)``, (size,) each, at
-    every rho; with beta < 0 the pieces hold every pair and ``kink`` is None.
-    Each token is computed on its own, so a round's tokens do not depend on
-    ``size``.  Only the prices and returns enter, so every dataset on the
-    schedule shares them (:func:`_block_losses`).  The pieces'
-    tokens are views of one workspace per schedule, no larger than a block's
-    two token arrays, and the next call overwrites them.
+    Returns ``tokens_at(betas, size, lo=0)``, which maps betas of one sign,
+    (B,), to the tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x``
+    of every (beta, rho) pair and each of the schedule's rounds ``lo .. size -
+    1``, as ``(kink, pieces)``.  ``pieces`` lists ``(rows, rounds, model_a,
+    model_b)``: the (beta, round) pairs of one chunk, (pairs,) each, rounds
+    counted from ``lo``, and their tokens in that gathered order, (pairs, R)
+    each.  Every pair in no piece takes the round's kink tokens ``kink =
+    (kink_a, kink_b)``, (size - lo,) each, at every rho; with beta < 0 the
+    pieces hold every pair and ``kink`` is None.  Each token is computed on
+    its own, so a round's tokens do not depend on ``size`` or ``lo``.  Only
+    the prices and returns enter, so every dataset on the schedule shares
+    them (:func:`_block_losses`).  The pieces' tokens are views of one
+    workspace per schedule, no larger than a block's two token arrays, and
+    the next call overwrites them.  ``felicities`` are the schedule's
+    :func:`_fixed_felicities`, computed here if not given.
 
     Each interior's ratio is ``k = base^(1/rho)``, whose base depends on the
     beta and the round but not on rho: ``odds * p_b / p_a`` for A-high and
@@ -191,10 +232,9 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     budgets = _Budgets(prices)
     r_a, r_b = returns[:, 0], returns[:, 1]
     inv_rho = 1.0 / rhos
-    # (N, 2, 1) prices make (N, 1) price columns, which broadcast against (R,)
-    # rho: the kink and corner felicities are (N, R), gathered by round
     value = _Valuation(rhos)
-    f_kink, f_corners = value.fixed_felicities(_Budgets(prices[:, :, None]))
+    # the kink and corner felicities are (N, R), gathered by round
+    f_kink, f_corners = felicities or _fixed_felicities(prices, rhos)
     kink = budgets.kink / r_a, budgets.kink / r_b
     step = max(1, _PAIR_CELLS // len(rhos))
     workspace = np.empty((2, 0))
@@ -206,9 +246,9 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
             yield rows[start:start + step], rounds[start:start + step]
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def tokens_at(betas: np.ndarray, size: int):
+    def tokens_at(betas: np.ndarray, size: int, lo: int = 0):
         nonlocal workspace
-        cells = len(betas) * len(rhos) * size
+        cells = len(betas) * len(rhos) * (size - lo)
         if workspace.shape[1] < cells:
             workspace = np.empty((2, cells))
         pieces, used = [], 0
@@ -220,23 +260,24 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
             size = len(rows) * len(rhos)
             model_a, model_b = (part[used:used + size].reshape(len(rows), len(rhos))
                                 for part in workspace)
-            np.divide(x_a, r_a[rounds, None], out=model_a)
-            np.divide(x_b, r_b[rounds, None], out=model_b)
+            np.divide(x_a, r_a[rounds + lo, None], out=model_a)
+            np.divide(x_b, r_b[rounds + lo, None], out=model_b)
             pieces.append((rows, rounds, model_a, model_b))
             used += size
 
         w = 1.0 / (2.0 + betas[:, None])
         odds = w / (1.0 - w)
-        base_a, base_b = odds * budgets.ratio_a[:size], odds * budgets.ratio_b[:size]
+        base_a, base_b = odds * budgets.ratio_a[lo:size], odds * budgets.ratio_b[lo:size]
         if betas[0] < 0.0:
             above_a, above_b = base_a > 1.0, base_b > 1.0
             for has_a, has_b in ((True, True), (True, False), (False, True), (False, False)):
                 for rows, rounds in chunks((above_a == has_a) & (above_b == has_b)):
                     k_a = np.power(base_a[rows, rounds][:, None], inv_rho) if has_a else None
                     k_b = np.power(base_b[rows, rounds][:, None], inv_rho) if has_b else None
-                    felicities = f_kink[rounds], (None if f_corners is None else
-                                                  (f_corners[0][rounds], f_corners[1][rounds]))
-                    x_a, x_b = _optimum(_candidates(_Budgets(prices[rounds, :, None]),
+                    at = rounds + lo
+                    felicities = f_kink[at], (None if f_corners is None else
+                                              (f_corners[0][at], f_corners[1][at]))
+                    x_a, x_b = _optimum(_candidates(_Budgets(prices[at, :, None]),
                                                     value.weighted(w[rows]), k_a, k_b, felicities))
                     add(rows, rounds, x_a, x_b)
             return None, pieces
@@ -244,11 +285,98 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
                                          (base_b, budgets.p_b, budgets.p_a, False)):
             for rows, rounds in chunks(base > 1.0):
                 k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
-                x_hi, x_lo = _interior(p_hi[rounds, None], p_lo[rounds, None], k)
+                at = rounds + lo
+                x_hi, x_lo = _interior(p_hi[at, None], p_lo[at, None], k)
                 add(rows, rounds, *((x_hi, x_lo) if high_a else (x_lo, x_hi)))
-        return (kink[0][:size], kink[1][:size]), pieces
+        return (kink[0][lo:size], kink[1][lo:size]), pieces
 
     return tokens_at
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _cell_tokens(prices: np.ndarray, returns: np.ndarray, betas: np.ndarray, rhos: np.ndarray,
+                 felicities=None):
+    """The model's token allocations on one schedule, for any grid cells and rounds.
+
+    Returns ``tokens_of(cells, lo, hi)``, which maps flat (beta, rho) cell
+    indices, (C,), to the tokens of each cell at each of the schedule's rounds
+    ``lo .. hi - 1``, as ``(model_a, model_b)``, (C, hi - lo) each.  It
+    repeats :func:`_block_kernel`'s float operations for each (cell, round)
+    entry on its own, so every token is that kernel's bit for bit: the closed
+    form where beta >= 0, and where beta < 0 the enumeration
+    (``da_model._candidates`` and ``da_model._Best``), with the kink and
+    corner felicities gathered from the schedule's (round, rho) tables.  It
+    classes the entries as the pair kernel classes its (beta, round) pairs,
+    by which interior bases exceed 1, and each class computes only the
+    candidates that can win there; a beta >= 0 entry with no base above 1
+    takes its round's kink tokens with no power.  Each class's entries are
+    gathered, their tokens computed and scattered back into (cell, round)
+    order; the enumerated ones go ``_PAIR_CELLS // 2`` at a time, since each
+    holds about twice the temporaries of a pair-kernel cell.  It never calls
+    ``da_model._demand``, whose enumeration differs from the closed form on a
+    few beta >= 0 cells (see the module docstring).  ``felicities`` are the
+    schedule's :func:`_fixed_felicities`, computed here if not given.
+    """
+    budgets = _Budgets(prices)
+    p_a, p_b = budgets.p_a, budgets.p_b
+    r_a, r_b = returns[:, 0], returns[:, 1]
+    n, cols = len(prices), len(rhos)
+    inv_rho = 1.0 / rhos
+    f_kink, f_corners = felicities or _fixed_felicities(prices, rhos)
+    f_kink = f_kink.ravel()
+    f_corners = None if f_corners is None else tuple(f.ravel() for f in f_corners)
+    kink_a, kink_b = budgets.kink / r_a, budgets.kink / r_b
+    w = 1.0 / (2.0 + betas)
+    odds = w / (1.0 - w)
+    ratio_a, ratio_b = budgets.ratio_a, budgets.ratio_b
+    # a (beta, round) pair's class, (B * N,): 1 if its A-high base exceeds 1, + 2 if its
+    # B-high one does, + 4 where beta < 0
+    classes = ((odds[:, None] * ratio_a > 1.0) + 2 * (odds[:, None] * ratio_b > 1.0)
+               + 4 * (betas < 0.0)[:, None]).astype(np.int8).ravel()
+
+    def bundles(code: int, b: np.ndarray, c: np.ndarray, r: np.ndarray):
+        """The optimal bundles of one class's entries: beta rows, rho columns and rounds."""
+        if code < 4:  # beta >= 0, one base above 1: the closed form
+            high_a = code == 1
+            k = np.maximum(np.power(odds[b] * (ratio_a if high_a else ratio_b)[r], inv_rho[c]),
+                           1.0)
+            x_hi, x_lo = _interior(*((p_a[r], p_b[r]) if high_a else (p_b[r], p_a[r])), k)
+            return (x_hi, x_lo) if high_a else (x_lo, x_hi)
+        # beta < 0: the enumeration, an interior of base <= 1 left out
+        k_a = np.power(odds[b] * ratio_a[r], inv_rho[c]) if code & 1 else None
+        k_b = np.power(odds[b] * ratio_b[r], inv_rho[c]) if code & 2 else None
+        rho = rhos[c]
+        value = _Valuation(rho, w[b])
+        table = r * cols + c
+        # the valuation leaves the corners out where no entry has rho < 1
+        corners = (None if f_corners is None or not np.count_nonzero(rho < 1.0)
+                   else (f_corners[0][table], f_corners[1][table]))
+        entries = SimpleNamespace(p_a=p_a[r], p_b=p_b[r], kink=budgets.kink[r],
+                                  corner_a=budgets.corner_a[r], corner_b=budgets.corner_b[r])
+        return _optimum(_candidates(entries, value, k_a, k_b, (f_kink[table], corners)))
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def tokens_of(cells: np.ndarray, lo: int, hi: int):
+        span = hi - lo
+        rounds = np.arange(lo, hi)
+        rows, columns = cells // cols, cells % cols
+        kind = classes[((rows * n)[:, None] + rounds).ravel()]
+        # every entry starts at its round's kink tokens, which a beta >= 0 entry with no
+        # base above 1 keeps
+        tokens_a, tokens_b = np.tile(kink_a[lo:hi], len(cells)), np.tile(kink_b[lo:hi], len(cells))
+        for code in np.flatnonzero(np.bincount(kind, minlength=8)[1:]) + 1:
+            every = np.flatnonzero(kind == code)
+            # an enumerated entry holds about twice the temporaries of a pair-kernel cell
+            step = _PAIR_CELLS // 2 if code >= 4 else len(every)
+            for start in range(0, len(every), step):
+                at = every[start:start + step]
+                cell, r = at // span, rounds[at % span]
+                x_a, x_b = bundles(code, rows[cell], columns[cell], r)
+                tokens_a[at] = x_a / r_a[r]
+                tokens_b[at] = x_b / r_b[r]
+        return tokens_a.reshape(len(cells), span), tokens_b.reshape(len(cells), span)
+
+    return tokens_of
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -272,9 +400,9 @@ def _token_losses(model_a: np.ndarray, model_b: np.ndarray, t_a: np.ndarray,
 def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One dataset's squared token-share gap per cell of a block, written into ``out``.
 
-    ``block`` is ``tokens_at(betas, size)`` of :func:`_block_kernel`,
-    ``tokens`` the dataset's first ``size`` rounds, (size, 2), and ``out``
-    (B, R, size).  A pair that takes the kink at every rho takes the round's
+    ``block`` is ``tokens_at(betas, size, lo)`` of :func:`_block_kernel`,
+    ``tokens`` the dataset's rounds ``lo .. size - 1``, (size - lo, 2), and
+    ``out`` (B, R, size - lo).  A pair that takes the kink at every rho takes the round's
     kink loss, one number per round broadcast over its rows and rho columns;
     the loss of each piece is computed on its gathered (pairs, R) cells and
     scattered once.  Every cell's float is that of the gap formula on the
@@ -287,6 +415,17 @@ def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     for rows, rounds, model_a, model_b in pieces:
         out[rows, :, rounds] = _token_losses(model_a, model_b, t_a[rounds, None], t_b[rounds, None])
     return out
+
+
+def _block_tokens(block, out: np.ndarray) -> None:
+    """A block's tokens written into ``out``, (2, B, R, size): each pair in no piece at its
+    round's kink tokens at every rho, each piece's pairs at theirs."""
+    kink, pieces = block
+    if kink is not None:
+        out[0][...], out[1][...] = kink
+    for rows, rounds, model_a, model_b in pieces:
+        out[0][rows, :, rounds] = model_a
+        out[1][rows, :, rounds] = model_b
 
 
 def _unbounded_rows(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -315,79 +454,202 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
                  sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray,
                  ) -> list[list[tuple[float, int]]]:
     """Each member's grid optimum for each prefix size, as ``(mean loss, flat (beta, rho)
-    index)``; a mean that is not NaN is the float :func:`fit_loss` gives there.
+    index)``; the mean is the grid's own float at that cell on that prefix.
 
     ``members`` are the token matrices of datasets on one schedule.  The
     distinct sizes run as stages, smallest first, each on the schedule's first
-    ``s`` rounds, with one kernel (:func:`_block_kernel`) for all of them.  A
-    stage computes the model's token allocations once per block of the beta
-    rows it runs, in the kernel's gathered order, and shares them; each
-    member's per-round losses of the block go into one reusable buffer
-    (:func:`_block_losses`), and the sum of a row's ``s`` columns divided by
-    ``s`` is the grid loss of the ``s``-round prefix on its own.  Only a
-    running first minimum per member is kept across the blocks, by
-    ``np.argmin``'s rule (:func:`_argmin_order`): the first NaN if there is one,
-    else the first smallest mean, which is the lexicographic (beta, rho) tie
-    rule.
+    ``s`` rounds.  The first stage runs every beta row through the pair kernel
+    (:func:`_block_kernel`), which computes the model's tokens once per block
+    for every member; each member's per-round losses of a block go into one
+    reusable buffer (:func:`_block_losses`), and the sum of a cell's ``s``
+    columns divided by ``s`` is the grid loss of the ``s``-round prefix on its
+    own.  Only a running first minimum per member is kept, by ``np.argmin``'s
+    rule (:func:`_argmin_order`): the first NaN if there is one, else the first
+    smallest mean, which is the lexicographic (beta, rho) tie rule.
 
-    The first stage runs every row.  A later stage ``s`` can leave rows out,
-    because a per-round loss is a square, so >= 0, and a cell's sum over its
-    first ``s`` rounds is at least its sum over fewer (branch and bound; Land
-    & Doig 1960).  Each member keeps ``known``, every cell's round-sum from
-    the latest stage that ran it.  The stage first runs the rows of the
-    members' previous optima; a member's smallest mean there, ``U``, times
-    ``s`` bounds its ``s``-round minimum sum from above.  The stage then runs
-    every other row in which some member has a cell that is not ``known >
-    U * s * (1 + _SLACK) + s * _TINY``, and every row of
-    :func:`_unbounded_rows`.  A pairwise sum errs by about ``n * eps``, far
-    below ``_SLACK``, and the ``_TINY`` per round keeps a left-out sum normal
-    when ``U`` is subnormal or zero, so a left-out cell's ``s``-round mean is
-    strictly above ``U``: it can neither win nor tie.  A NaN mean comes only
-    from a NaN bundle, where ``k`` overflows, so it lies in a row that always
-    runs; a NaN ``U`` or ``known`` fails the ``>`` test and leaves nothing
-    out.  So every optimum is the one of the full grid, bit for bit.  With a
-    single size there is one stage over every row, and no bound or ``known``.
+    A later stage runs only the cells that can still hold an optimum (branch
+    and bound; Land & Doig 1960).  A per-round loss is a square, so a cell's
+    sum over its first ``s`` rounds is at least its sum over fewer.  Each
+    member keeps ``known``, every cell's round-sum from the latest stage that
+    ran it, and its latest optimum, an achieved cell.  Before a stage, that
+    cell's sums over each remaining reported size ``t`` (from the cell kernel,
+    :func:`_cell_tokens`) bound the member's ``t``-round minimum sum from
+    above, and a cell is left out for good once every member's ``known`` there
+    exceeds ``U_t * t * (1 + _SLACK) + t * _TINY`` for every such ``t``.  A
+    sum errs by about ``n * eps``, far below ``_SLACK``, and the ``_TINY`` per
+    round keeps a left-out sum normal where ``U_t`` is subnormal or zero, so a
+    left-out cell's mean is strictly above the optimum's: it can neither win
+    nor tie.  Bounding every remaining size, not only the next, keeps a cell
+    that a later size may still need from coming back with a stale sum.  A NaN
+    mean comes only from a NaN bundle, where ``k`` overflows, so it lies in a
+    row of :func:`_unbounded_rows`, whose cells always run; a NaN bound or
+    ``known`` fails the ``>`` test and leaves nothing out.
+
+    A stage runs a row through the pair kernel where that costs less than the
+    cell kernel on the row's cells (``_PAIR_COST``, ``_CELL_COST``), and the
+    rest cell by cell, in chunks of ``_PAIR_CELLS`` entries.  A reported
+    stage sums each of its cells' per-round losses over all ``s`` rounds, in
+    the full pass's order, so every optimum and every mean keeps its bits.
+
+    A one-size pass on more than ``_BOUNDING_LENGTH`` rounds first runs
+    unreported stages of the ``_BOUNDING_STAGES`` lengths below its size.
+    The first, the probe, runs every row and keeps its tokens of the beta < 0
+    rows, from which the reported stage takes those rows' first rounds.  A
+    later one runs only if the cells that its sums, extrapolated from the
+    known ones, would leave out save the reported stage more than it costs,
+    and it adds just its new rounds to ``known`` (``_SLACK`` covers the other
+    summation order).  Noisy members leave most cells in, and they then skip
+    every unreported stage after the probe.  With a single stage there is no
+    bound and no ``known``.
     """
-    stages = sorted(set(sizes))
-    cols = len(rhos)
-    tokens_at = _block_kernel(prices, returns, rhos)
-    # each stage's blocks have at most max(_BLOCK_CELLS, one row) cells
-    buffer = np.empty(max((min(len(betas), max(1, _BLOCK_CELLS // (cols * s))) * cols * s
-                           for s in stages), default=0))
-    known = np.empty((len(members), len(betas), cols)) if len(stages) > 1 else None
-    unbounded = _unbounded_rows(prices, betas, rhos) if known is not None else None
+    if not sizes:
+        return [[] for _ in members]
+    reported = sorted(set(sizes))
+    internal = ([s for s in _BOUNDING_STAGES if s < reported[0]]
+                if len(reported) == 1 and reported[0] > _BOUNDING_LENGTH else [])
+    stages = [*internal, *reported]
+    cols, cells = len(rhos), len(betas) * len(rhos)
+    known = np.empty((len(members), cells)) if len(stages) > 1 else None
+    felicities = _fixed_felicities(prices, rhos)
+    tokens_at = _block_kernel(prices, returns, rhos, felicities)
+    # each stage's row blocks have at most max(_BLOCK_CELLS, one row) cells; the probe's
+    # and a reported stage's rows span its size, an unreported one's the rounds after
+    # any stage before it
+    spans = [*stages, *(size - done for size in internal for done in stages if done < size)]
+    buffer = np.empty(max(min(len(betas), max(1, _BLOCK_CELLS // (cols * span))) * cols * span
+                          for span in spans))
+    negative = betas < 0.0
+    # an unreported first stage, the probe, keeps its tokens of the beta < 0 rows, where
+    # they cost the most, and a reported stage takes those rows' first rounds from them
+    probe = np.empty((2, np.count_nonzero(negative), cols, stages[0])) if internal else None
+    slot = np.cumsum(negative) - 1  # a beta < 0 row's place in the probe
     best: list[tuple[float, int]] = []
 
-    def run(rows: np.ndarray, size: int):
-        """Every member's ``size``-round losses on ``rows``, merged into ``best`` and ``known``."""
-        row_cells = cols * size
+    def merge(m: int, sums: np.ndarray, at: np.ndarray, size: int):
+        """Member ``m``'s ``size``-round sums at the flat cells ``at``, in increasing order,
+        merged into ``best`` and stored in ``known``."""
+        means = sums / size  # the bits of .mean
+        i = int(np.argmin(means))
+        best[m] = min(best[m], (float(means[i]), int(at[i])), key=_argmin_order)
+        if known is not None:
+            known[m, at] = sums
+
+    def run_rows(rows: np.ndarray, lo: int, size: int, whole: bool):
+        """Every member's sums over rounds ``lo .. size - 1`` of the cells of ``rows``,
+        added to ``known``; if ``whole``, its sums over rounds ``0 .. size - 1``, merged
+        into ``best``, the first ``lo`` of a beta < 0 row from the probe's tokens."""
+        span = size if whole else size - lo
+        row_cells = cols * span
         for block in _beta_blocks(betas[rows], row_cells):
             at = rows[block]
-            tokens = tokens_at(betas[at], size)
-            out = buffer[:len(at) * row_cells].reshape(len(at), cols, size)
+            start = lo if not whole or negative[at[0]] else 0
+            tokens = tokens_at(betas[at], size, start)
+            out = buffer[:len(at) * row_cells].reshape(len(at), cols, span)
+            flat = (at[:, None] * cols + np.arange(cols)).ravel()
+            if probe is not None and not lo and negative[at[0]]:
+                # the probe, whose rows are consecutive
+                _block_tokens(tokens, probe[:, slot[at[0]]:slot[at[-1]] + 1])
+            head = probe[:, slot[at]] if whole and start else None
             for m, member in enumerate(members):
-                per_round = _block_losses(tokens, member[:size], out).reshape(-1, size)
-                sums = np.add.reduce(per_round, axis=1)
-                means = sums / size  # the bits of .mean
-                i = int(np.argmin(means))
-                cell = float(means[i]), int(at[i // cols]) * cols + i % cols
-                best[m] = min(best[m], cell, key=_argmin_order)
-                if known is not None:
-                    known[m, at] = sums.reshape(len(at), cols)
+                _block_losses(tokens, member[start:size], out[:, :, span - (size - start):])
+                if head is not None:
+                    out[:, :, :start] = _token_losses(*head, member[:start, 0], member[:start, 1])
+                sums = np.add.reduce(out.reshape(-1, span), axis=1)
+                if whole:
+                    merge(m, sums, flat, size)
+                else:
+                    known[m, flat] += sums
 
-    optima = {}
+    def run_cells(at: np.ndarray, lo: int, size: int, whole: bool):
+        """:func:`run_rows` on the flat cells ``at``, in increasing order."""
+        parts = [(at, lo)]
+        if whole and lo:  # a beta >= 0 cell's first rounds are not in the probe
+            kept = negative[at // cols]
+            parts = [(at[~kept], 0), (at[kept], lo)]
+        first = 0 if whole else lo
+        for cells, start in parts:
+            step = max(1, _PAIR_CELLS // (size - start))
+            for begin in range(0, len(cells), step):
+                chunk = cells[begin:begin + step]
+                model_a, model_b = tokens_of(chunk, start, size)
+                if first < start:
+                    head = probe[:, slot[chunk // cols], chunk % cols]
+                    model_a = np.concatenate([head[0], model_a], axis=1)
+                    model_b = np.concatenate([head[1], model_b], axis=1)
+                for m, member in enumerate(members):
+                    sums = np.add.reduce(_token_losses(model_a, model_b, member[first:size, 0],
+                                                       member[first:size, 1]), axis=1)
+                    if whole:
+                        merge(m, sums, chunk, size)
+                    else:
+                        known[m, chunk] += sums
+
+    if known is not None:
+        tokens_of = _cell_tokens(prices, returns, betas, rhos, felicities)
+        unbounded = np.repeat(_unbounded_rows(prices, betas, rhos), cols)
+        targets = np.array(reported)
+        bounds = np.full((len(members), len(reported)), np.inf)
+        tried: list[set[int]] = [set() for _ in members]
+        row_cost = np.where(negative, *_PAIR_COST) * cols
+        cell_cost = np.where(negative, *_CELL_COST)
+
+    def limits(latest: list[int], size: int) -> np.ndarray:
+        """Each member's bound on the round-sum of a cell that can still hold one of its
+        optima at a reported size >= ``size``, from its ``latest`` optimum."""
+        new = [(m, at) for m, at in enumerate(latest) if at not in tried[m]]
+        if new:
+            at, index = np.unique([at for _, at in new], return_inverse=True)
+            model_a, model_b = tokens_of(at, 0, reported[-1])
+            for (m, cell), i in zip(new, index):
+                tried[m].add(cell)
+                member = members[m][:reported[-1]]
+                sums = np.cumsum(_token_losses(model_a[i], model_b[i], member[:, 0], member[:, 1]))
+                bounds[m] = np.fmin(bounds[m], sums[targets - 1] * (1.0 + _SLACK)
+                                    + targets * _TINY)
+        return np.max(bounds[:, targets >= size], axis=1)
+
+    def plan(alive: np.ndarray) -> tuple[np.ndarray, float]:
+        """The rows the pair kernel runs, where that costs less than the cell kernel on their
+        cells, and the cost of one round of ``alive``."""
+        by_cells = np.count_nonzero(alive.reshape(len(betas), cols), axis=1) * cell_cost
+        rows = by_cells > row_cost
+        return rows, float(np.sum(np.where(rows, row_cost, by_cells)))
+
+    def run(alive: np.ndarray, lo: int, size: int, whole: bool):
+        rows = plan(alive)[0]
+        if rows.any():
+            run_rows(np.flatnonzero(rows), lo, size, whole)
+        at = np.flatnonzero(alive & ~np.repeat(rows, cols))
+        if len(at):
+            run_cells(at, lo, size, whole)
+
+    optima, alive, done, latest = {}, None, 0, []
     for size in stages:
-        # the first stage runs every row, a later one first the rows of the last optima
-        seeds = (np.array(sorted({index // cols for _, index in best})) if best
-                 else np.arange(len(betas)))
-        best[:] = [(math.inf, len(betas) * cols)] * len(members)  # every cell beats it
-        run(seeds, size)
-        if optima:
-            limit = np.array([mean for mean, _ in best]) * size * (1.0 + _SLACK) + size * _TINY
-            rest = ~np.all(known > limit[:, None, None], axis=(0, 2)) | unbounded
-            rest[seeds] = False
-            run(np.flatnonzero(rest), size)
-        optima[size] = best[:]
+        best[:] = [(math.inf, cells)] * len(members)  # every cell beats it
+        if alive is None:
+            run_rows(np.arange(len(betas)), 0, size, True)
+            alive = np.ones(cells, dtype=bool)
+        else:
+            limit = limits(latest, size)[:, None]
+            alive &= ~np.all(known > limit, axis=0)
+            alive |= unbounded
+            if size in internal:
+                # it runs only if the cells that its sums, extrapolated from the known
+                # ones, would leave out save the reported stage more than it costs
+                now = plan(alive)[1]
+                then = plan(alive & ~np.all(known * (size / done) > limit, axis=0) | unbounded)[1]
+                if now * (size - done) >= (now - then) * reported[-1]:
+                    continue
+                run(alive, done, size, False)
+                done = size
+                latest = [int(np.argmin(np.where(alive & ~np.isnan(sums), sums, np.inf)))
+                          for sums in known]
+                continue
+            run(alive, 0 if probe is None else stages[0], size, True)
+        done = size
+        latest = [at for _, at in best]
+        if size in reported:
+            optima[size] = best[:]
     return [[optima[size][m] for size in sizes] for m in range(len(members))]
 
 
@@ -582,17 +844,19 @@ def recover_batch(
 
     Datasets whose price and return matrices are equal byte for byte share
     one schedule, and each schedule gets one grid pass (:func:`_grid_optima`):
-    the model's demand is computed once per block of beta rows for all of its
-    datasets, and only their token gaps are computed per dataset.  The
-    distinct sizes run as stages, smallest first, and a later stage skips
-    the beta rows that provably hold no optimum of its size; the optima are
-    those of a full pass per size, bit for bit.  No per-round grid is kept:
-    with one size a pass keeps a running minimum per dataset, and with
-    several also each cell's latest round-sum, ``B * R`` floats per dataset.
-    Then the refinements of every prefix advance in lock step
+    the model's demand is computed once for all of its datasets, and only
+    their token gaps are computed per dataset.  The distinct sizes run as
+    stages, smallest first, and a later stage runs only the (beta, rho) cells
+    that can still hold an optimum of a size still to come; one size on more
+    than ``_BOUNDING_LENGTH`` rounds gets unreported bounding stages first.
+    The optima are those of a full pass per size, bit for bit.  No per-round
+    grid is kept: a pass keeps a running minimum per dataset, and with
+    several stages also each cell's latest round-sum, ``B * R`` floats per
+    dataset.  Then the refinements of every prefix advance in lock step
     (:func:`_refine_batch`), each against its grid optimum's mean from the
-    pass.  The fits are those of one dataset at a time, bit for bit, whatever
-    the batch.
+    pass, which is not :func:`fit_loss` there on a few cells (see
+    :class:`FitResult`).  The fits are those of one dataset at a time, bit for
+    bit, whatever the batch.
     """
     config = config or RecoveryConfig()
     betas, rhos = _parameter_grid(config)

@@ -80,13 +80,28 @@ class TranscriptWriter:
 
     Each line is a format 2 record: ``prefix`` is the number of leading
     messages the record shares (by ``==``) with the record this writer wrote
-    just before it, 0 for its first, and ``messages`` holds the rest.
+    just before it, 0 for its first, and ``messages`` holds the rest.  The
+    file is opened at the first record and kept open; each record is flushed
+    as it is written, so it is in the file for any reader, and for a resume,
+    at once.  :meth:`close` closes it, as does leaving a ``with`` block.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._previous: tuple[ChatMessage, ...] = ()
+        self._file = None
+
+    def __enter__(self) -> TranscriptWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def append(self, transcript: Transcript, record: RequestRecord) -> None:
         prefix = 0
@@ -111,8 +126,10 @@ class TranscriptWriter:
             "started_at": record.started_at,
             "finished_at": record.finished_at,
         }
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj) + "\n")
+        if self._file is None:
+            self._file = self.path.open("a", encoding="utf-8")
+        self._file.write(json.dumps(obj) + "\n")
+        self._file.flush()
         self._previous = record.messages
 
 

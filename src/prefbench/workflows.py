@@ -129,7 +129,7 @@ def learning_curve_direct(
     Each subject gets its own 175-round provision schedule; parameters are
     recovered from every prefix length of every subject in one
     :func:`recover_batch` (one staged grid pass per subject: each larger
-    prefix runs only the grid rows that can still hold its optimum), then
+    prefix runs only the grid cells that can still hold an optimum), then
     regressed on the truth.
     """
     truth = dict(population)
@@ -230,11 +230,12 @@ def _run_session(
         transcript = reusable_transcript(path, treatment, schedule)
         if transcript is not None:
             return transcript, True
-        if treatment.kind is TreatmentKind.DECISION:
-            transcript = run_decision_session(backend, schedule, session_id, TranscriptWriter(path))
-        else:
-            transcript = run_recommendation_session(backend, treatment, schedule, session_id,
-                                                    TranscriptWriter(path))
+        with TranscriptWriter(path) as writer:  # closed however the session ends
+            if treatment.kind is TreatmentKind.DECISION:
+                transcript = run_decision_session(backend, schedule, session_id, writer)
+            else:
+                transcript = run_recommendation_session(backend, treatment, schedule, session_id,
+                                                        writer)
         return transcript, False
     except BaseException:
         failed.set()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -35,7 +36,7 @@ from prefbench.estimation import (
     recover_batch,
     recover_params,
 )
-from prefbench.simulation import generate_budgets, simulate_subject
+from prefbench.simulation import generate_budgets, sample_population, simulate_subject
 from prefbench.workflows import LEARNING_SAMPLE_SIZES
 
 
@@ -367,17 +368,26 @@ class TestRecoverPrefixes:
 @pytest.fixture
 def enumeration_grid(monkeypatch):
     """Recovery as it was before the closed form: full candidate enumeration in every
-    grid row."""
-    def enumerated_kernel(prices, returns, rhos):
-        def tokens_at(betas, size):
-            demand = optimal_demand_grid(prices[:size], *flat_grid(betas, rhos))[0]
-            model = demand / returns[None, :size, :]
+    grid row and every grid cell."""
+    def enumerated_kernel(prices, returns, rhos, felicities=None):
+        def tokens_at(betas, size, lo=0):
+            demand = optimal_demand_grid(prices[lo:size], *flat_grid(betas, rhos))[0]
+            model = demand / returns[None, lo:size, :]
             return _one_piece(*(model[:, :, i].reshape(len(betas), len(rhos), -1) for i in (0, 1)))
         return tokens_at
+
+    def enumerated_cells(prices, returns, betas, rhos, felicities=None):
+        def tokens_of(cells, lo, hi):
+            demand = optimal_demand_grid(prices[lo:hi], betas[cells // len(rhos)],
+                                         rhos[cells % len(rhos)])[0]
+            model = demand / returns[None, lo:hi, :]
+            return model[:, :, 0], model[:, :, 1]
+        return tokens_of
 
     def recover(dataset):
         with monkeypatch.context() as patch:
             patch.setattr(estimation, "_block_kernel", enumerated_kernel)
+            patch.setattr(estimation, "_cell_tokens", enumerated_cells)
             return recover_params(dataset)
 
     return recover
@@ -993,22 +1003,42 @@ def _retokened(dataset: SubjectDataset, rng: np.random.Generator) -> SubjectData
 
 @pytest.fixture
 def grid_passes(monkeypatch):
-    """Blocks computed by each grid pass, one list per schedule pass of ``(betas, size)``
-    per block, recorded through ``estimation._block_kernel``."""
-    passes: list[list[tuple[np.ndarray, int]]] = []
-    kernel = estimation._block_kernel
+    """The work of each grid pass, one list per schedule pass of ``(cells, size, lo)`` per
+    kernel call: the flat cells of the default grid whose tokens it computed at rounds
+    ``lo .. size - 1``, recorded through ``estimation._block_kernel`` (whole beta rows)
+    and ``estimation._cell_tokens``."""
+    passes: list[list[tuple[np.ndarray, int, int]]] = []
+    axis = _parameter_grid(RecoveryConfig())[0]
+    block_kernel, cell_kernel = estimation._block_kernel, estimation._cell_tokens
 
-    def counted(prices, returns, rhos):
-        tokens_at = kernel(prices, returns, rhos)
+    def counted_rows(prices, returns, rhos, *args):
+        tokens_at = block_kernel(prices, returns, rhos, *args)
         passes.append([])
 
-        def counted_tokens(betas, size):
-            passes[-1].append((betas.copy(), size))
-            return tokens_at(betas, size)
+        def counted_tokens(betas, size, lo=0):
+            rows = np.searchsorted(axis, betas)
+            assert np.array_equal(axis[rows], betas)
+            passes[-1].append(((rows[:, None] * len(rhos) + np.arange(len(rhos))).ravel(),
+                               size, lo))
+            return tokens_at(betas, size, lo)
         return counted_tokens
 
-    monkeypatch.setattr(estimation, "_block_kernel", counted)
+    def counted_cells(*args):
+        tokens_of = cell_kernel(*args)
+
+        def counted_tokens(cells, lo, hi):
+            passes[-1].append((cells.copy(), hi, lo))
+            return tokens_of(cells, lo, hi)
+        return counted_tokens
+
+    monkeypatch.setattr(estimation, "_block_kernel", counted_rows)
+    monkeypatch.setattr(estimation, "_cell_tokens", counted_cells)
     return passes
+
+
+def _cells_at(calls, size: int) -> np.ndarray:
+    """The cells that a pass's kernel calls computed at ``size`` rounds, repeats kept."""
+    return np.concatenate([at for at, at_size, _ in calls if at_size == size])
 
 
 class TestSharedSchedules:
@@ -1079,29 +1109,32 @@ class TestSharedSchedules:
             assert_same_fits(fits, oracle_recover(want))
 
     def test_one_demand_pass_per_schedule(self, grid_passes):
-        # one kernel per schedule, whatever its members.  Its stages run in increasing
-        # size; the first computes every row once, in as many blocks as a one-size pass,
-        # and a later one computes a row at most once for all members
+        # one kernel pass per schedule, whatever its members.  Its stages run in increasing
+        # size; the first computes every cell once, in as many blocks as a one-size pass,
+        # and a later one first the achieved cells its bound is taken at, at most one per
+        # member, then every cell it runs at most once for all members
         datasets = self._batch()
         betas, rhos = _parameter_grid(RecoveryConfig())
-
-        def stage_rows(calls, size):
-            return np.concatenate([rows for rows, at in calls if at == size])
+        cells = len(betas) * len(rhos)
 
         recover_batch(datasets, (10, 60))
         assert len(grid_passes) == 3
-        for calls in grid_passes:
-            assert [size for _, size in calls] == sorted(size for _, size in calls)
-            assert len([size for _, size in calls if size == 10]) == len(
+        for calls, members in zip(grid_passes, (5, 2, 1)):  # the schedules in batch order
+            assert [size for _, size, _ in calls] == sorted(size for _, size, _ in calls)
+            assert {lo for _, _, lo in calls} == {0}
+            assert len([size for _, size, _ in calls if size == 10]) == len(
                 estimation._beta_blocks(betas, len(rhos) * 10))
-            np.testing.assert_array_equal(np.sort(stage_rows(calls, 10)), betas)
-            later = stage_rows(calls, 60)
+            np.testing.assert_array_equal(np.sort(_cells_at(calls, 10)), np.arange(cells))
+            bound, *later = [at for at, size, _ in calls if size == 60]
+            assert 1 <= len(bound) <= members and len(np.unique(bound)) == len(bound)
+            later = np.concatenate(later)
             assert len(np.unique(later)) == len(later)
         grid_passes.clear()
-        recover_batch(datasets[:1])
-        blocks = len(estimation._beta_blocks(betas, len(rhos) * 60))
+        # 25 rounds, the paper's session length, and fewer run one stage over every cell
+        recover_batch([dataset_prefix(datasets[0], 25)])
+        blocks = len(estimation._beta_blocks(betas, len(rhos) * 25))
         assert [len(calls) for calls in grid_passes] == [blocks]
-        np.testing.assert_array_equal(stage_rows(grid_passes[0], 60), betas)
+        np.testing.assert_array_equal(_cells_at(grid_passes[0], 25), np.arange(cells))
 
     def test_memory_does_not_grow_with_the_group(self):
         # a (B*R, N) grid kept per member would add a grid to the peak per member
@@ -1157,9 +1190,11 @@ class TestSharedSchedules:
             assert [[at for _, at in per_size] for per_size in got] == want
 
     def test_grid_optimum_means_are_fit_loss(self, first_minima_cases):
-        # the pass hands each optimum's mean to the fit as its grid loss, so the mean
-        # must be fit_loss at that point on that prefix, bit for bit, NaN and inf
-        # included; the NaN cases run on the grid's own beta order too
+        # the pass hands each optimum's mean to the fit as its grid loss; on these cases
+        # it is fit_loss at that point on that prefix, bit for bit, NaN and inf included
+        # (the cells where the two differ are pinned by
+        # test_grid_and_paired_losses_differ_only_where_pinned); the NaN cases run on
+        # the grid's own beta order too
         rng = np.random.default_rng(463)
         costly = [_costly_budgets(rng, n) for n in (20, 7)]
         nan_cases = [(*_matrices(ds)[:2], [ds.tokens], _parameter_grid(RecoveryConfig(
@@ -1181,16 +1216,20 @@ class TestSharedSchedules:
         assert seen_nan
 
     def test_later_stages_run_few_rows(self, grid_passes):
-        # a prune that silently leaves nothing out would run every row at every size
+        # a prune that silently leaves nothing out would run every cell at every size;
+        # counted in cells, whichever kernel runs them, the bound's achieved cells included
         ds = simulate_subject(DAParams(0.3, 1.2), generate_budgets(457, 175), "ex").dataset
         betas, rhos = _parameter_grid(RecoveryConfig())
+        cells = len(betas) * len(rhos)
         prices, returns, tokens = _matrices(ds)
         estimation._grid_optima(prices, returns, [tokens], LEARNING_SAMPLE_SIZES, betas, rhos)
-        (calls,) = grid_passes
-        rows = {size: sum(len(at) for at, at_size in calls if at_size == size)
-                for size in LEARNING_SAMPLE_SIZES}
-        assert rows[1] == len(betas)
-        assert 0 < rows[175] < 0.25 * len(betas)
+        estimation._grid_optima(prices, returns, [tokens], [175], betas, rhos)
+        staged, single = grid_passes
+        assert len(_cells_at(staged, 1)) == cells
+        assert 0 < len(_cells_at(staged, 175)) < 0.25 * cells
+        # one size: the probe runs every cell, and the reported stage few
+        assert len(_cells_at(single, estimation._BOUNDING_STAGES[0])) == cells
+        assert 0 < len(_cells_at(single, 175)) < 0.05 * cells
 
     def test_rows_that_turn_nan_after_the_first_stage_are_never_left_out(self):
         # an exact subject on 10 cheap budgets whose price ratios stay below 1.9, then on
@@ -1213,6 +1252,253 @@ class TestSharedSchedules:
         assert [at for _, at in got] == [int(np.argmin(full[:, :size].mean(axis=1)))
                                          for size in sizes]
         assert math.isnan(full[got[-1][1]].mean()) and math.isnan(got[-1][0])
+
+
+def _gaussian_tokens(dataset: SubjectDataset, rng: np.random.Generator, sigma: float) -> np.ndarray:
+    """The dataset's token choices plus N(0, sigma) points, clipped and rounded to cents, as
+    the benchmark's sloppy subjects: a (n, 2) token matrix."""
+    t_a = np.round(np.clip(dataset.tokens[:, 0] + rng.normal(0.0, sigma, dataset.n), 0.0, 100.0), 2)
+    return np.column_stack([t_a, np.round(100.0 - t_a, 2)])
+
+
+def _first_minima(prices, returns, tokens, betas, rhos, sizes) -> list[tuple[float, int]]:
+    """``(mean, index)`` of np.argmin over the full grid's means at each size: the
+    oracle of every pass."""
+    full = _grid_losses(prices, returns, tokens, betas, rhos)
+    minima = []
+    for size in sizes:
+        means = full[:, :size].mean(axis=1)
+        i = int(np.argmin(means))
+        minima.append((float(means[i]), i))
+    return minima
+
+
+def assert_first_minima(got: list[tuple[float, int]], want: list[tuple[float, int]]) -> None:
+    """The same cells, and means with the same bits (NaN equal to NaN)."""
+    assert [at for _, at in got] == [at for _, at in want]
+    for (mean, _), (wanted, _) in zip(got, want):
+        assert type(mean) is float and _same_float(mean, wanted), (mean, wanted)
+
+
+class TestBoundingStages:
+    """A one-size pass on more than ``_BOUNDING_LENGTH`` rounds runs unreported bounding
+    stages first, and every later stage runs (beta, rho) cells; every optimum must be
+    the full grid's first minimum, bit for bit."""
+
+    @pytest.mark.parametrize("n_rounds", [60, 175])
+    def test_exact_and_noisy_members_of_one_schedule(self, grid_passes, n_rounds):
+        rng = np.random.default_rng(601 + n_rounds)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        exact = simulate_subject(DAParams(0.4, 0.7), generate_budgets(603, n_rounds), "ex").dataset
+        prices, returns, _ = _matrices(exact)
+        members = [exact.tokens] + [_gaussian_tokens(exact, rng, sigma)
+                                    for sigma in (5.0, 10.0, 15.0, 25.0)]
+        want = [_first_minima(prices, returns, tokens, betas, rhos, [n_rounds])
+                for tokens in members]
+        grid_passes.clear()  # the oracle's
+        shared = estimation._grid_optima(prices, returns, members, [n_rounds], betas, rhos)
+        for got, wanted in zip(shared, want):
+            assert_first_minima(got, wanted)
+        for tokens, wanted in zip(members, want):
+            (got,) = estimation._grid_optima(prices, returns, [tokens], [n_rounds], betas, rhos)
+            assert_first_minima(got, wanted)
+        # the exact member alone runs few cells at its size, after a probe over every cell
+        exact_pass = grid_passes[1]
+        assert len(_cells_at(exact_pass, estimation._BOUNDING_STAGES[0])) == len(betas) * len(rhos)
+        assert len(_cells_at(exact_pass, n_rounds)) < 0.05 * len(betas) * len(rhos)
+
+    def test_an_unreported_stage_adds_its_new_rounds(self, grid_passes):
+        # an exact subject and its sloppy copy, as in the benchmark: the probe leaves most
+        # cells of the sloppy copy in, and a longer stage computes only its new rounds
+        rng = np.random.default_rng(611)
+        exact = simulate_subject(DAParams(0.2, 0.6), generate_budgets(613, 175), "ex").dataset
+        members = [exact.tokens, _gaussian_tokens(exact, rng, 10.0)]
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, _ = _matrices(exact)
+        got = estimation._grid_optima(prices, returns, members, [175], betas, rhos)
+        calls = grid_passes[0]
+        for tokens, per_size in zip(members, got):
+            assert_first_minima(per_size, _first_minima(prices, returns, tokens, betas, rhos,
+                                                        [175]))
+        probe, *longer = estimation._BOUNDING_STAGES
+        assert {(size, lo) for _, size, lo in calls if lo} >= {(longer[0], probe)}
+        assert len(_cells_at(calls, 175)) < 0.25 * len(betas) * len(rhos)
+
+    def test_a_cell_left_out_early_does_not_come_back(self, grid_passes):
+        # sample_population(9, 150)'s sim112 on generate_budgets(1111, 175): where each stage
+        # bounded only its own size, a cell left out at s = 10 came back at s = 175 with
+        # its 10-round sum, and 72 % of the cells ran again there
+        params = dict(sample_population(9, 150))["sim112"]
+        ds = simulate_subject(params, generate_budgets(1111, 175), "sim112").dataset
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, tokens = _matrices(ds)
+        (got,) = estimation._grid_optima(prices, returns, [tokens], LEARNING_SAMPLE_SIZES,
+                                         betas, rhos)
+        calls = grid_passes[0]
+        assert_first_minima(got, _first_minima(prices, returns, tokens, betas, rhos,
+                                               LEARNING_SAMPLE_SIZES))
+        assert len(_cells_at(calls, 175)) < 0.01 * len(betas) * len(rhos)
+
+    def test_rows_that_turn_nan_after_the_probe_are_never_left_out(self):
+        # an exact subject on 10 cheap budgets, the probe's, then on 30 costing more than
+        # 1 per unit: at rho near 1e-3 the losses turn NaN from round 11 on
+        rng = np.random.default_rng(617)
+        price, ratio = rng.uniform(0.005, 0.05, 10), rng.uniform(1.0, 1.9, 10)
+        cheap = np.column_stack([price, price * ratio])
+        flip = rng.uniform(size=10) < 0.5
+        cheap[flip] = cheap[flip][:, ::-1]
+        prices = np.vstack([cheap, rng.uniform(1.0, 2.0, (30, 2))])
+        demand = optimal_demand_grid(prices, np.array([1.0]), np.array([0.5]))[0][0]
+        ds = dataset_from_prices([(*p, *x) for p, x in zip(prices, demand)])
+        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+        full = _grid_losses(*_matrices(ds), betas, rhos)
+        assert estimation._BOUNDING_STAGES[0] == 10
+        assert not np.isnan(full[:, :10]).any() and np.isnan(full).any()
+        (got,) = estimation._grid_optima(prices, ds.returns, [ds.tokens], [40], betas, rhos)
+        want = _first_minima(prices, ds.returns, ds.tokens, betas, rhos, [40])
+        assert_first_minima(got, want)
+        assert math.isnan(got[0][0])
+
+    @pytest.mark.parametrize("n_rounds", [9, 10, 11, 24, 25, 26, 49, 50, 51, 99, 100, 101])
+    def test_sizes_next_to_each_stage_length(self, grid_passes, n_rounds):
+        rng = np.random.default_rng(619 + n_rounds)
+        exact = simulate_subject(DAParams(-0.2, 0.8), generate_budgets(621 + n_rounds, n_rounds),
+                                 "ex").dataset
+        members = [exact.tokens, _gaussian_tokens(exact, rng, 10.0)]
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, _ = _matrices(exact)
+        want = [_first_minima(prices, returns, tokens, betas, rhos, [n_rounds])
+                for tokens in members]
+        grid_passes.clear()  # the oracle's
+        for group in ([0], [1], [0, 1]):
+            got = estimation._grid_optima(prices, returns, [members[m] for m in group],
+                                          [n_rounds], betas, rhos)
+            for m, per_size in zip(group, got):
+                assert_first_minima(per_size, want[m])
+        first = {calls[0][1] for calls in grid_passes}
+        if n_rounds <= estimation._BOUNDING_LENGTH:  # one stage, as with no bounding
+            assert {(size, lo) for calls in grid_passes for _, size, lo in calls} == {(n_rounds, 0)}
+        else:
+            assert first == {estimation._BOUNDING_STAGES[0]}
+
+    @pytest.mark.parametrize("stages", [(10, 35, 75, 120), (5, 60), (25,), (10, 11, 12)])
+    def test_other_stage_lengths(self, monkeypatch, stages):
+        # the lengths are tuning, not correctness: any increasing ones give the same optima,
+        # with unreported stages run after one another, skipped, and of any number of rounds
+        rng = np.random.default_rng(641)
+        exact = simulate_subject(DAParams(0.1, 0.5), generate_budgets(643, 150), "ex").dataset
+        members = [exact.tokens] + [_gaussian_tokens(exact, rng, sigma) for sigma in (5.0, 10.0)]
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, _ = _matrices(exact)
+        want = [_first_minima(prices, returns, tokens, betas, rhos, [150]) for tokens in members]
+        monkeypatch.setattr(estimation, "_BOUNDING_STAGES", stages)
+        for block_rows in (1, 1000):
+            monkeypatch.setattr(estimation, "_BLOCK_CELLS", block_rows * len(rhos) * 150)
+            for group in ([0], [2], [0, 1, 2]):
+                got = estimation._grid_optima(prices, returns, [members[m] for m in group],
+                                              [150], betas, rhos)
+                for m, per_size in zip(group, got):
+                    assert_first_minima(per_size, want[m])
+
+    @pytest.mark.parametrize("kind", ["random", "equal", "adjacent", "overflow"])
+    def test_cell_tokens_are_the_pair_kernels(self, kind):
+        # every cell of the grid, in shuffled chunks and over round ranges, bit for bit
+        rng = np.random.default_rng(631)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        if kind == "random":
+            prices, returns, _ = _matrices(random_sloppy_dataset(rng, 175))
+        elif kind == "equal":
+            price = rng.uniform(0.005, 0.05, 30)
+            prices, returns, _ = _priced(np.column_stack([price, price]), rng)
+        elif kind == "adjacent":
+            # bases one ulp above 1, and interior ratios within 3e-16 of 1 near rho = 1
+            grid_betas = [float(b) for b in betas[::4]] + [GRID_ZERO_BETA]
+            found = [prices for beta in grid_betas for side in "ab"
+                     if (prices := _base_one_ulp_above_one(beta, 0.01, side))]
+            prices, returns, _ = _priced(np.vstack([_kink_edge_prices(grid_betas[:6]), found]),
+                                         rng)
+        else:  # NaN bundles where k overflows
+            prices, returns, _ = _matrices(_costly_budgets(rng, 20))
+            betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+        n = len(prices)
+        dense = np.empty((2, len(betas), len(rhos), n))
+        tokens_at = estimation._block_kernel(prices, returns, rhos)
+        for rows in estimation._beta_blocks(betas, len(rhos) * n):
+            dense[:, rows] = _dense_block(tokens_at(betas[rows], n),
+                                          (rows.stop - rows.start, len(rhos), n))
+        dense = dense.reshape(2, -1, n)
+        tokens_of = estimation._cell_tokens(prices, returns, betas, rhos)
+        cells = rng.permutation(len(betas) * len(rhos))
+        for lo, hi in ((0, n), (n // 3, n), (0, (n + 1) // 2)):
+            for chunk in np.array_split(cells, 7):
+                for got, want in zip(tokens_of(chunk, lo, hi), dense):
+                    assert got.shape == (len(chunk), hi - lo)
+                    np.testing.assert_array_equal(_bits(got), _bits(want[chunk, lo:hi]))
+        assert np.isnan(dense).any() == (kind == "overflow")
+
+    @pytest.mark.parametrize("sizes", [[175], LEARNING_SAMPLE_SIZES])
+    def test_a_pass_leaves_no_reference_cycle(self, sizes):
+        # a cycle among the pass's closures would hold its workspace, buffers and probe
+        # until the cyclic collector ran: in a long batch the process's peak memory grew
+        # with every pass (about 0.2 MB a pass with a 10-round probe)
+        ds = simulate_subject(DAParams(0.3, 1.2), generate_budgets(457, 175), "ex").dataset
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, tokens = _matrices(ds)
+        gc.collect()
+        gc.disable()
+        try:
+            estimation._grid_optima(prices, returns, [tokens, tokens[::-1]], sizes, betas, rhos)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_cell_tokens_in_small_chunks(self, monkeypatch):
+        # the enumerated entries go _PAIR_CELLS // 2 at a time
+        rng = np.random.default_rng(633)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        prices, returns, _ = _matrices(random_sloppy_dataset(rng, 7))
+        want = estimation._cell_tokens(prices, returns, betas, rhos)(np.arange(2000), 0, 7)
+        for pair_cells in (2, 3, 40):
+            monkeypatch.setattr(estimation, "_PAIR_CELLS", pair_cells)
+            got = estimation._cell_tokens(prices, returns, betas, rhos)(np.arange(2000), 0, 7)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(_bits(g), _bits(w))
+
+    def test_grid_and_paired_losses_differ_only_where_pinned(self):
+        # the grid's beta >= 0 rows take the closed form, and _PairedLoss (fit_loss) the
+        # enumeration: where k is about 1e15 or more the enumeration takes a corner, a
+        # holding of exactly 0 (rho columns 0-2), and next to the kink at large rho it
+        # takes the kink.  Every per-round loss of every cell, on two schedules; the cells
+        # are (beta row, rho column, round)
+        pinned = {
+            19: [(19, 1, 169), (21, 0, 169), (22, 1, 169), (25, 0, 169)],
+            20: [(19, 1, 114), (19, 2, 99), (20, 1, 114), (20, 2, 99), (20, 56, 160),
+                 (20, 57, 160), (20, 58, 160), (20, 59, 160), (22, 0, 6), (22, 1, 99),
+                 (23, 0, 6), (23, 1, 99), (26, 0, 6)],
+        }
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        for seed, where in pinned.items():
+            ((_, params),) = sample_population(seed, 1)
+            ds = simulate_subject(params, generate_budgets(seed, 175), "s").dataset
+            prices, returns, tokens = _matrices(ds)
+            grid = _grid_losses(prices, returns, tokens, betas, rhos)
+            # one-round datasets: each loss is its round's
+            n = len(prices)
+            loss = _PairedLoss([(prices[i:i + 1], returns[i:i + 1], tokens[i:i + 1])
+                                for i in range(n)] * len(rhos))
+            paired = np.concatenate([loss(np.full(n * len(rhos), beta), np.repeat(rhos, n))
+                                     .reshape(len(rhos), n) for beta in betas])
+            cell, rnd = np.nonzero(_bits(grid) != _bits(paired))
+            assert [(int(c) // len(rhos), int(c) % len(rhos), int(r))
+                    for c, r in zip(cell, rnd)] == where
+            assert (betas[cell // len(rhos)] >= 0.0).all()
+            np.testing.assert_allclose(grid[cell, rnd], paired[cell, rnd], rtol=1e-4)
+            # the enumeration's bundle there is a corner, or the kink
+            demand = np.array([optimal_demand_grid(prices[r:r + 1], betas[c // len(rhos):][:1],
+                                                   rhos[c % len(rhos):][:1])[0][0, 0]
+                               for c, r in zip(cell, rnd)])
+            kink = 1.0 / prices[rnd].sum(axis=1)
+            assert ((demand == 0.0).any(axis=1) | (demand == kink[:, None]).all(axis=1)).all()
 
 
 def _staged_sizes(n: int) -> list[int]:

@@ -109,9 +109,9 @@ class TestDecisionSession:
 
     def test_backend_failure_persists_partial_transcript(self, tmp_path):
         schedule = evaluation_schedule()
-        writer = TranscriptWriter(tmp_path / "t.jsonl")
-        with pytest.raises(SessionError) as excinfo:
-            run_decision_session(CrashingBackend(), schedule, "crash", writer)
+        with TranscriptWriter(tmp_path / "t.jsonl") as writer:
+            with pytest.raises(SessionError) as excinfo:
+                run_decision_session(CrashingBackend(), schedule, "crash", writer)
         assert excinfo.value.transcript is not None
         assert excinfo.value.transcript.records == []
 
@@ -189,20 +189,49 @@ class TestTranscriptPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         schedule = evaluation_schedule()
         path = tmp_path / "session.jsonl"
-        transcript = run_decision_session(
-            MockDecisionBackend(DAParams(0.1, 0.9)), schedule, "persist", TranscriptWriter(path)
-        )
+        with TranscriptWriter(path) as writer:
+            transcript = run_decision_session(
+                MockDecisionBackend(DAParams(0.1, 0.9)), schedule, "persist", writer)
         loaded = load_transcript(path)
         assert loaded.session_id == transcript.session_id
         assert loaded.treatment == transcript.treatment
         assert loaded.records == transcript.records
 
+    def test_a_second_reader_sees_every_record_as_soon_as_it_is_written(self, tmp_path):
+        # the writer keeps its file open and flushes each record, so a resume reading the
+        # file, here before each request, finds every record written so far
+        path = tmp_path / "session.jsonl"
+        inner, seen = MockDecisionBackend(DAParams(0.1, 0.9)), []
+
+        class Reading:
+            def send(self, messages):
+                seen.append(load_transcript(path).records if path.exists() else [])
+                return inner.send(messages)
+
+        with TranscriptWriter(path) as writer:
+            transcript = run_decision_session(Reading(), evaluation_schedule(), "read", writer)
+            assert load_transcript(path).records == transcript.records
+        assert seen == [transcript.records[:k] for k in range(25)]
+        assert load_transcript(path).records == transcript.records
+
+    def test_closing_ends_the_file_and_a_later_record_reopens_it(self, tmp_path):
+        path = tmp_path / "session.jsonl"
+        writer = TranscriptWriter(path)
+        writer.close()  # a writer that wrote nothing makes no file
+        assert not path.exists()
+        with writer:
+            transcript = run_decision_session(
+                MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "reopen", writer)
+        writer.close()  # closing twice is harmless
+        with TranscriptWriter(path) as again:
+            again.append(transcript, transcript.records[0])
+        assert load_transcript(path).records == [*transcript.records, transcript.records[0]]
+
     def test_one_json_object_per_request_with_timestamps(self, tmp_path):
         schedule = evaluation_schedule()
         path = tmp_path / "session.jsonl"
-        run_decision_session(
-            MockDecisionBackend(DAParams(0.0, 1.0)), schedule, "ts", TranscriptWriter(path)
-        )
+        with TranscriptWriter(path) as writer:
+            run_decision_session(MockDecisionBackend(DAParams(0.0, 1.0)), schedule, "ts", writer)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 25
         for line in lines:
@@ -211,10 +240,9 @@ class TestTranscriptPersistence:
 
     def test_truncated_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "killed.jsonl"
-        transcript = run_decision_session(
-            MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "killed",
-            TranscriptWriter(path),
-        )
+        with TranscriptWriter(path) as writer:
+            transcript = run_decision_session(
+                MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "killed", writer)
         complete = path.read_text(encoding="utf-8")
         last = complete.splitlines(keepends=True)[-1]
         assert json.loads(last)["format"] == 2
@@ -226,10 +254,9 @@ class TestTranscriptPersistence:
     @pytest.mark.parametrize("where", ["middle", "last_with_newline"])
     def test_other_malformed_lines_rejected(self, tmp_path, where):
         path = tmp_path / "bad.jsonl"
-        run_decision_session(
-            MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "bad",
-            TranscriptWriter(path),
-        )
+        with TranscriptWriter(path) as writer:
+            run_decision_session(
+                MockDecisionBackend(DAParams(0.1, 0.9)), evaluation_schedule(), "bad", writer)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         index = 12 if where == "middle" else -1
         lines[index] = lines[index][: len(lines[index]) // 2] + "\n"
@@ -241,8 +268,8 @@ class TestTranscriptPersistence:
     def test_records_store_the_messages_after_the_shared_prefix(self, tmp_path):
         path = tmp_path / "s1.jsonl"
         backend = FlakyBackend(MockDecisionBackend(DAParams(0.1, 0.6)))
-        transcript = run_decision_session(backend, evaluation_schedule(), "s1",
-                                          TranscriptWriter(path))
+        with TranscriptWriter(path) as writer:
+            transcript = run_decision_session(backend, evaluation_schedule(), "s1", writer)
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert {obj["format"] for obj in lines} == {2}
         # round 1, its retry (all but the re-asked question shared), then each round
@@ -278,7 +305,8 @@ class TestFormatOne:
     def test_loads_to_the_records_of_a_format_two_file(self, tmp_path):
         path = tmp_path / "s1.jsonl"
         backend = FlakyBackend(MockDecisionBackend(DAParams(0.1, 0.6)))
-        run_decision_session(backend, evaluation_schedule(), "s1", TranscriptWriter(path))
+        with TranscriptWriter(path) as writer:
+            run_decision_session(backend, evaluation_schedule(), "s1", writer)
         old, new = load_transcript(GOLDEN_V1), load_transcript(path)
         assert (old.session_id, old.treatment) == (new.session_id, new.treatment)
         assert len(old.records) == 26
@@ -324,12 +352,14 @@ class TestReusableTranscript:
 
     def _transcript(self, path):
         backend = MockDecisionBackend(DAParams(0.1, 0.6))
-        return run_decision_session(backend, evaluation_schedule(), "s1", TranscriptWriter(path))
+        with TranscriptWriter(path) as writer:
+            return run_decision_session(backend, evaluation_schedule(), "s1", writer)
 
     def test_a_retried_round_still_asked_this_runs_question(self, tmp_path):
         path, schedule = tmp_path / "s1.jsonl", evaluation_schedule()
         backend = FlakyBackend(MockDecisionBackend(DAParams(0.0, 1.0)))
-        transcript = run_decision_session(backend, schedule, "s1", TranscriptWriter(path))
+        with TranscriptWriter(path) as writer:
+            transcript = run_decision_session(backend, schedule, "s1", writer)
         assert transcript.records[1].messages[-1].content.endswith(RETRY_REMINDER)
         reused = reusable_transcript(path, Treatment(TreatmentKind.DECISION), schedule)
         assert reused.records == transcript.records

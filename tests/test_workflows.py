@@ -15,6 +15,7 @@ from prefbench.harness.backends import MockDecisionBackend
 from prefbench.harness.prompts import RETRY_REMINDER, Treatment, TreatmentKind
 from prefbench.harness.sessions import SESSION_ROUNDS, load_transcript
 from prefbench.simulation import evaluation_schedule, generate_budgets, simulate_subject
+from prefbench import workflows
 from prefbench.workflows import experiment_plans, run_experiment
 
 
@@ -195,6 +196,31 @@ class PlanBackend:
 
 def decision_plans(backends):
     return [(b.name, Treatment(TreatmentKind.DECISION), b) for b in backends]
+
+
+def test_a_session_that_raises_closes_its_transcript_which_then_resumes(tmp_path, monkeypatch):
+    # a writer keeps its file open between records, so a failing session must still close it
+    files = []
+
+    class Recording(workflows.TranscriptWriter):
+        def append(self, transcript, record):
+            super().append(transcript, record)
+            files.append(self._file)
+
+    monkeypatch.setattr(workflows, "TranscriptWriter", Recording)
+    transcripts = tmp_path / "exp"
+    with pytest.raises(SessionError, match="round 5: connection reset"):
+        run_decision(FailingBackend(fail_at=5), transcripts)
+    assert len(files) == 4 and files[0].closed
+    assert len(load_transcript(transcripts / "decision001.jsonl").records) == 4
+
+    files.clear()
+    backend = FailingBackend()
+    _, anomalies, resumed = run_decision(backend, transcripts)
+    assert backend.calls == 2 * SESSION_ROUNDS and (anomalies, resumed) == (0, 0)
+    assert {f.closed for f in files} == {True}
+    for name in ("decision001", "decision002"):
+        assert load_transcript(transcripts / f"{name}.jsonl").complete()
 
 
 def choices_bytes(datasets, path):
