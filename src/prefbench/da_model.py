@@ -13,7 +13,11 @@ found by enumerating the full candidate set rather than by smooth first-order
 conditions: the two one-sided interior branches, the kink bundle, and (for
 rho < 1 only, where zero wealth has finite felicity) the two corners.  Exact
 utility ties are broken deterministically: kink first, then the candidate
-with the larger ``x_a``.
+with the larger ``x_a``.  An interior holds ``x_hi = k x_lo`` with ratio
+``k = (odds * price ratio)^(1/rho)``; where ``p_hi k + p_lo`` overflows (tiny
+rho, or a price ratio near the float limit), it is its k -> inf limit, the
+whole budget on the higher holding, so no bundle is NaN for positive prices
+with a finite sum.
 
 That enumeration is written once: :class:`_Valuation` values the candidates,
 :func:`_candidates` lists them in order, and :class:`_Best` is the one
@@ -72,8 +76,13 @@ class _Budgets:
 def _interior(p_hi, p_lo, k):
     """The bundle ``(x_hi, x_lo)`` on the budget line ``p_hi x_hi + p_lo x_lo = 1`` with
     ``x_hi = k x_lo``: the A-high bundle at ``(p_a, p_b, k_a)``, the B-high one at
-    ``(p_b, p_a, k_b)``."""
+    ``(p_b, p_a, k_b)``.  Where ``p_hi k + p_lo`` overflows, ``x_lo`` is 0 (one over a
+    finite sum is at least subnormal) and the bundle is its k -> inf limit ``(1 / p_hi,
+    0)``."""
     x_lo = 1.0 / (p_hi * k + p_lo)
+    held = x_lo > 0.0
+    if np.count_nonzero(held) < held.size:
+        return np.where(held, k * x_lo, 1.0 / p_hi), x_lo
     return k * x_lo, x_lo
 
 
@@ -136,21 +145,13 @@ class _Valuation:
         return self._w * f_kink + self._w_lo * f_kink
 
     def interior(self, x_hi, x_lo, k):
-        """An interior bundle ``x_hi = k * x_lo``, admissible where ``k > 1``.
-
-        There ``x_hi >= x_lo``.  ``x_lo`` is 0 only where its denominator
-        overflowed, and ``x_hi`` is then 0, or NaN (inf * 0) if k = inf; both
-        holdings are then valued as ``x_hi``, a NaN one as a holding of 1.
-        """
+        """An interior bundle ``x_hi = k * x_lo``, admissible where ``k > 1`` (so
+        ``x_hi >= x_lo``)."""
         u = self.felicity(x_hi)
         u *= self._w
         f_lo = self.felicity(x_lo)
         f_lo *= self._w_lo
         u += f_lo
-        held = x_lo > 0.0
-        if np.count_nonzero(held) < held.size:
-            f = np.where(np.isnan(x_hi), self.felicity(1.0), self._at_zero)
-            u = np.where(held, u, self._w * f + self._w_lo * f)
         return np.where(k > 1.0, u, -np.inf)
 
     def corner(self, f_held):
@@ -184,14 +185,14 @@ def _candidates(budgets: _Budgets, value: _Valuation, k_a, k_b, felicities):
 class _Best:
     """The best candidate so far, under the enumeration's tie rule.
 
-    It starts at the first candidate, the kink, whose bundle is positive and
-    whose utility is never NaN.  ``offer`` replaces the best by a later
-    candidate on a larger utility, or on an equal one with a larger ``x_a``
-    unless the best is the kink.  A best that is not the kink has a utility
-    above -inf, so an equal utility belongs to an admissible candidate.  The
-    utilities have the full shape from the kink on; a candidate that wins
-    nowhere, or everywhere with full-shape holdings, is taken without a
-    selection once the best's holdings have that shape too.
+    It starts at the first candidate, the kink, whose bundle is positive.
+    ``offer`` replaces the best by a later candidate on a larger utility, or
+    on an equal one with a larger ``x_a`` unless the best is the kink.  A best
+    that is not the kink has a utility above -inf, so an equal utility belongs
+    to an admissible candidate.  The utilities have the full shape from the
+    kink on; a candidate that wins nowhere, or everywhere with full-shape
+    holdings, is taken without a selection once the best's holdings have that
+    shape too.
     """
 
     def __init__(self, x_a, x_b, u):

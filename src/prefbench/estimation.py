@@ -50,10 +50,9 @@ the rows where most cells are left in through the pair kernel and the other
 cells one by one.  A one-size pass on more than ``_BOUNDING_LENGTH`` rounds
 (every ``analyze``) first runs unreported stages: a short probe over every
 row, then each longer stage only where its predicted savings exceed its cost,
-a cost guard that noisy datasets, which leave most cells in, skip.  Rows
-where an interior ratio may overflow, the only source of NaN losses, always
-run, so every optimum is the full grid's bit for bit.  :func:`recover_batch`
-fits every prefix of every dataset from its schedule's one staged pass.
+a cost guard that noisy datasets, which leave most cells in, skip.  Every
+optimum is the full grid's bit for bit.  :func:`recover_batch` fits every
+prefix of every dataset from its schedule's one staged pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
 step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
@@ -61,21 +60,18 @@ transcribed, on Python floats).  Each step values the pending points of all
 fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
 parameter pairs, K losses), which runs the same enumeration and selection on
 the rounds of all K.  The same kernel values the refined points and serves
-:func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass,
-unless it is NaN, and that is not always the float :func:`fit_loss` gives
-there: the grid's beta >= 0 rows take the closed-form maximizer and
-:func:`fit_loss` the enumeration, and the two bundles differ on a few cells.
-Where the interior's ratio ``k`` is about 1e15 or more (the smallest rho
-columns), the enumeration takes the corner, a holding of exactly 0, where
-the closed form holds a tiny amount; next to the kink at large rho, it takes
-the kink where the closed form takes an interior just off it.  The per-round
-losses then differ in their last bits, or by about 5e-5 relative next to the
-kink (``test_grid_and_paired_losses_differ_only_where_pinned``).  Where an
-interior ratio overflows in a beta >= 0 row, the closed form takes the NaN
-bundle and the enumeration the kink, so a NaN optimum is valued again by
-:func:`fit_loss`.
-The fits are those of scipy's ``minimize`` on one prefix at a time,
-evaluation counts included.
+:func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass, and
+that is not always the float :func:`fit_loss` gives there: the grid's
+beta >= 0 rows take the closed-form maximizer and :func:`fit_loss` the
+enumeration, and the two bundles differ on a few cells.  Where the
+interior's ratio ``k`` is about 1e15 or more (the smallest rho columns), the
+enumeration takes the corner, a holding of exactly 0, where the closed form
+holds a tiny amount; next to the kink at large rho, it takes the kink where
+the closed form takes an interior just off it.  The per-round losses then
+differ in their last bits, or by about 5e-5 relative next to the kink
+(``test_grid_and_paired_losses_differ_only_where_pinned``).  The fits are
+those of scipy's ``minimize`` on one prefix at a time, evaluation counts
+included.
 """
 
 from __future__ import annotations
@@ -95,7 +91,7 @@ def __getattr__(name: str):
     # only the benchmark tracer (bench/tracing.py) uses ``minimize``, and it
     # wraps the name it finds in this module's dict; a module-level import of
     # scipy.optimize adds about 0.6 s to every command's start.  Delete this
-    # with the tracer target (ROADMAP item 2).
+    # with the tracer (ROADMAP item 3c).
     if name == "minimize":
         from scipy.optimize import minimize
 
@@ -124,8 +120,7 @@ class FitResult:
     ``loss`` is the loss at ``params``: :func:`fit_loss` there when the
     refinement's point is kept, else the grid pass's mean at ``grid_best``,
     which on a few beta >= 0 cells differs from :func:`fit_loss` there (the
-    closed form against the enumeration; see the module docstring), and
-    :func:`fit_loss` where that mean is NaN."""
+    closed form against the enumeration; see the module docstring)."""
 
     params: DAParams
     loss: float
@@ -147,8 +142,6 @@ _PAIR_CELLS = 1 << 13
 # _TINY per round (_grid_optima)
 _SLACK = 1e-9
 _TINY = float(np.finfo(float).tiny)
-# a beta row whose interior ratio could exceed this is never left out (_unbounded_rows)
-_RATIO_CAP = 1e300
 # a one-size pass on datasets longer than _BOUNDING_LENGTH rounds first runs an
 # unreported stage on the first of _BOUNDING_STAGES, the probe, then each later one that
 # pays (_grid_optima); the lengths are from a measured table (CHANGES.md)
@@ -428,28 +421,6 @@ def _block_tokens(block, out: np.ndarray) -> None:
         out[1][rows, :, rounds] = model_b
 
 
-def _unbounded_rows(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """The beta rows whose interior ratio ``k = base^(1/rho)`` may overflow at some round
-    and rho, as a (B,) mask: a bundle, and so a loss, can be NaN only there.
-
-    A row's largest base is its odds times the schedule's largest price ratio,
-    and its largest power is at the grid's largest ``1/rho``; a row is flagged
-    unless that power is <= ``_RATIO_CAP``, far below the overflow, NaN
-    included.
-    """
-    w = 1.0 / (2.0 + betas)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = max(np.max(prices[:, 1] / prices[:, 0]), np.max(prices[:, 0] / prices[:, 1]))
-        return ~(np.power(w / (1.0 - w) * ratio, np.max(1.0 / rhos)) <= _RATIO_CAP)
-
-
-def _argmin_order(cell: tuple[float, int]) -> tuple[bool, float, int]:
-    """A (mean, flat index) cell's place in ``np.argmin``'s order: a NaN mean first, then
-    the smaller mean, then the earlier cell."""
-    mean, index = cell
-    return not math.isnan(mean), 0.0 if math.isnan(mean) else mean, index
-
-
 def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
                  sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray,
                  ) -> list[list[tuple[float, int]]]:
@@ -464,8 +435,8 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
     reusable buffer (:func:`_block_losses`), and the sum of a cell's ``s``
     columns divided by ``s`` is the grid loss of the ``s``-round prefix on its
     own.  Only a running first minimum per member is kept, by ``np.argmin``'s
-    rule (:func:`_argmin_order`): the first NaN if there is one, else the first
-    smallest mean, which is the lexicographic (beta, rho) tie rule.
+    rule: the first smallest mean, which is the lexicographic (beta, rho) tie
+    rule.
 
     A later stage runs only the cells that can still hold an optimum (branch
     and bound; Land & Doig 1960).  A per-round loss is a square, so a cell's
@@ -480,10 +451,7 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
     round keeps a left-out sum normal where ``U_t`` is subnormal or zero, so a
     left-out cell's mean is strictly above the optimum's: it can neither win
     nor tie.  Bounding every remaining size, not only the next, keeps a cell
-    that a later size may still need from coming back with a stale sum.  A NaN
-    mean comes only from a NaN bundle, where ``k`` overflows, so it lies in a
-    row of :func:`_unbounded_rows`, whose cells always run; a NaN bound or
-    ``known`` fails the ``>`` test and leaves nothing out.
+    that a later size may still need from coming back with a stale sum.
 
     A stage runs a row through the pair kernel where that costs less than the
     cell kernel on the row's cells (``_PAIR_COST``, ``_CELL_COST``), and the
@@ -530,7 +498,7 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
         merged into ``best`` and stored in ``known``."""
         means = sums / size  # the bits of .mean
         i = int(np.argmin(means))
-        best[m] = min(best[m], (float(means[i]), int(at[i])), key=_argmin_order)
+        best[m] = min(best[m], (float(means[i]), int(at[i])))
         if known is not None:
             known[m, at] = sums
 
@@ -586,7 +554,6 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
 
     if known is not None:
         tokens_of = _cell_tokens(prices, returns, betas, rhos, felicities)
-        unbounded = np.repeat(_unbounded_rows(prices, betas, rhos), cols)
         targets = np.array(reported)
         bounds = np.full((len(members), len(reported)), np.inf)
         tried: list[set[int]] = [set() for _ in members]
@@ -632,18 +599,16 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
         else:
             limit = limits(latest, size)[:, None]
             alive &= ~np.all(known > limit, axis=0)
-            alive |= unbounded
             if size in internal:
                 # it runs only if the cells that its sums, extrapolated from the known
                 # ones, would leave out save the reported stage more than it costs
                 now = plan(alive)[1]
-                then = plan(alive & ~np.all(known * (size / done) > limit, axis=0) | unbounded)[1]
+                then = plan(alive & ~np.all(known * (size / done) > limit, axis=0))[1]
                 if now * (size - done) >= (now - then) * reported[-1]:
                     continue
                 run(alive, done, size, False)
                 done = size
-                latest = [int(np.argmin(np.where(alive & ~np.isnan(sums), sums, np.inf)))
-                          for sums in known]
+                latest = [int(np.argmin(np.where(alive, sums, np.inf))) for sums in known]
                 continue
             run(alive, 0 if probe is None else stages[0], size, True)
         done = size
@@ -876,7 +841,7 @@ def recover_batch(
         for (first, _), per_size in zip(members, optima):
             for fit, (loss, at) in zip(fits[first:first + len(per_size)], per_size):
                 grid_best = DAParams(float(betas[at // len(rhos)]), float(rhos[at % len(rhos)]))
-                fit += [grid_best, fit_loss(fit[1], grid_best) if math.isnan(loss) else loss]
+                fit += [grid_best, loss]
     refined = _refine_batch([fit[1:] for fit in fits], len(betas) * len(rhos), config)
     for (by_size, prefix, *_), fit in zip(fits, refined):
         by_size[prefix.n] = fit
@@ -958,7 +923,7 @@ def _refine_batch(fits: Sequence[tuple[SubjectDataset, DAParams, float]], evalua
         for i, params, value in zip(group, refined, values):
             _, grid_best, grid_loss = fits[i]
             _, nfev, success = outcomes[i]
-            if not value <= grid_loss:  # a NaN refined loss keeps the grid optimum too
+            if value > grid_loss:
                 params, value = grid_best, grid_loss
             results[i] = FitResult(params, value, grid_best, success, evaluations + nfev, ())
     return results

@@ -2,7 +2,10 @@
 shared one selection: the reference that ``da_model.optimal_demand_grid`` and the
 recovery kernels are compared against, bit for bit.  It also gives what the
 package no longer computes: the winning candidate's branch code, its utility and
-an exact-tie flag, and the scalar felicity and objective."""
+an exact-tie flag, and the scalar felicity and objective.  An interior whose
+denominator ``p_hi k + p_lo`` overflows is its k -> inf limit, the whole budget on
+the higher holding, as in ``da_model._interior`` (:func:`overflowed_interiors`
+says where)."""
 
 from __future__ import annotations
 
@@ -74,13 +77,15 @@ def enumeration_demand_grid(
     inv_rho = 1.0 / rho
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # one-sided interior branches: ratio of the larger to the smaller holding
+        # one-sided interior branches: ratio of the larger to the smaller holding; where
+        # the denominator overflows, the smaller holding is 0 and the larger its k -> inf
+        # limit, the whole budget
         k_a = np.power(odds * (p_b / p_a), inv_rho)
         x_b_ia = 1.0 / (p_a * k_a + p_b)
-        x_a_ia = k_a * x_b_ia
+        x_a_ia = np.where(x_b_ia > 0.0, k_a * x_b_ia, 1.0 / p_a)
         k_b = np.power(odds * (p_a / p_b), inv_rho)
         x_a_ib = 1.0 / (p_b * k_b + p_a)
-        x_b_ib = k_b * x_a_ib
+        x_b_ib = np.where(x_a_ib > 0.0, k_b * x_a_ib, 1.0 / p_b)
     x_kink = 1.0 / (p_a + p_b)
     zeros = np.zeros(np.broadcast_shapes(x_kink.shape, rho.shape))
     x_kink_a = np.broadcast_to(x_kink, zeros.shape)
@@ -122,3 +127,21 @@ def enumeration_demand_grid(
 
     demand = np.stack([best_xa, best_xb], axis=-1)
     return demand, best_code, best_u, tie
+
+
+def overflowed_interiors(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Where an interior's denominator ``p_hi k + p_lo`` overflows, (G, N): its bundle
+    there is the k -> inf limit, ``(1 / p_hi, 0)`` on the higher side."""
+    prices = np.asarray(prices, dtype=float)
+    p_a, p_b = prices[None, :, 0], prices[None, :, 1]
+    w = 1.0 / (2.0 + np.asarray(beta, dtype=float)[:, None])
+    inv_rho = 1.0 / np.asarray(rho, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        k_a = np.power(w / (1.0 - w) * (p_b / p_a), inv_rho)
+        k_b = np.power(w / (1.0 - w) * (p_a / p_b), inv_rho)
+        return np.isinf(p_a * k_a + p_b) | np.isinf(p_b * k_b + p_a)
+
+
+def budget_gap(prices: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """``|p_a x_a + p_b x_b - 1|`` of every bundle of a (..., N, 2) demand."""
+    return np.abs(prices[:, 0] * demand[..., 0] + prices[:, 1] * demand[..., 1] - 1.0)

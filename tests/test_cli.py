@@ -28,6 +28,7 @@ from prefbench.simulation import (
     BudgetSchedule,
     evaluation_schedule,
     generate_budgets,
+    read_params_file,
     sample_population,
     write_params_file,
     write_schedule,
@@ -697,7 +698,7 @@ class TestManifestInputs:
     """A manifest names every file a command read, --config included, and the config's
     settings; without --config it has neither."""
 
-    _GRID = {"grid.beta_step": 0.5, "grid.rho_points": 4}
+    _GRID = {"grid.beta_step": 0.5, "grid.rho_points": 4, "grid.rho_min": 0.001}
 
     def _config(self, tmp_path) -> Path:
         path = tmp_path / "config.json"
@@ -709,8 +710,8 @@ class TestManifestInputs:
 
     def test_analyze_records_its_config(self, tmp_path):
         sim_out = tmp_path / "sim"
-        run_cli("simulate", "--params-file", str(make_params(tmp_path, n=2)), "--rounds", "5",
-                "--out", str(sim_out))
+        params = make_params(tmp_path, n=2)
+        run_cli("simulate", "--params-file", str(params), "--rounds", "5", "--out", str(sim_out))
         choices, config = str(sim_out / "choices.csv"), str(self._config(tmp_path))
         run_cli("analyze", "--choices", choices, "--config", config, "--out", str(tmp_path / "a"))
         run_cli("analyze", "--choices", choices, "--out", str(tmp_path / "b"))
@@ -719,6 +720,14 @@ class TestManifestInputs:
         assert with_config["arguments"] == {"choices": choices, "jobs": 1, "config": self._GRID}
         assert without["inputs"] == [choices]
         assert without["arguments"] == {"choices": choices, "jobs": 1}
+        # the grid reaches down to rho = 0.001, where the interior ratio overflows, and the
+        # exact subjects' parameters come back
+        truth = dict(read_params_file(params))
+        with open(tmp_path / "a" / "index.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                fit = DAParams(float(row["beta_hat"]), float(row["rho_hat"]))
+                want = truth[row["subject_id"]]
+                assert abs(fit.beta - want.beta) < 1e-5 and abs(fit.rho - want.rho) < 1e-5, row
 
     def test_direct_learning_curve_records_its_config(self, tmp_path):
         truth, config = str(make_params(tmp_path, n=6, seed=1)), str(self._config(tmp_path))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demand_oracle import (CORNER_A, INTERIOR_A_HIGH, INTERIOR_B_HIGH, KINK, crra, da_utility,
-                           enumeration_demand_grid)
+from demand_oracle import (CORNER_A, INTERIOR_A_HIGH, INTERIOR_B_HIGH, KINK, budget_gap, crra,
+                           da_utility, enumeration_demand_grid, overflowed_interiors)
 from prefbench.da_model import DAParams, optimal_demand, optimal_demand_grid
 from prefbench.data import PricePair
 from prefbench.errors import ValidationError
@@ -291,16 +291,34 @@ class TestAgainstEnumerationOracle:
 
     def test_price_ratio_overflows(self):
         # a return of 6e-311 prices asset A at about 1.67e308: against a price of 0.02
-        # p_a / p_b overflows, so the interior bundle is (0, NaN), and the kink holding
-        # is subnormal, of utility -inf at rho = 5, which counts as a tie.  Against a
-        # price of 1 the ratio is finite, and at beta > 0 and rho = 1 the B-high
-        # bundle's denominator overflows: (0, 0)
+        # p_a / p_b overflows, so k_b = inf and the B-high bundle is its limit (0, 1 / p_b),
+        # and the kink holding is subnormal, of utility -inf at rho = 5, which counts as a
+        # tie.  Against a price of 1 the ratio is finite, and at beta > 0 and rho = 1 the
+        # B-high bundle's denominator overflows: the limit again
         returns = np.array([[6e-311, 0.5], [0.5, 6e-311], [6e-311, 0.01], [0.5, 0.9]])
         prices = 1.0 / (100.0 * returns)
         betas, rhos = _flat((-0.95, -0.5, -1e-17, 0.0, 0.5, 3.0),
                             (0.05, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.0, 5.0))
-        demand, _, _, tie = self.check(prices, betas, rhos)
-        assert np.isnan(demand).any() and tie.any()
+        demand, code, _, tie = self.check(prices, betas, rhos)
+        limit = overflowed_interiors(prices, betas, rhos) & ((code == INTERIOR_A_HIGH)
+                                                             | (code == INTERIOR_B_HIGH))
+        assert limit.any() and tie.any()
+        assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
+
+        # rho from 1e-3 to 5e-3, beta next to -1, 0 and 2, and price ratios up to about
+        # 1.7e308: k overflows on most entries, and every bundle is finite and on the line
+        assert optimal_demand(PricePair(1.0, 10.0), DAParams(0.5, 0.001)) == (1.0, 0.0)
+        rng = np.random.default_rng(131)
+        prices = np.vstack([[[1.0, 10.0], [10.0, 1.0], [1e-150, 1e150], [1e154, 1e-154],
+                             [1e-154, 1.7e154], [6e-309, 1.0], [1.0, 1.0]],
+                            np.exp(rng.uniform(-6.0, 6.0, (40, 2)))])
+        betas, rhos = _flat((-0.999, -0.99, -0.5, -1e-17, 0.0, 1e-16, 0.5, 1.999, 2.0, 2.001),
+                            np.geomspace(1e-3, 5e-3, 7))
+        demand, code, _, _ = self.check(prices, betas, rhos)
+        overflowed = overflowed_interiors(prices, betas, rhos)
+        assert overflowed.mean() > 0.5
+        assert {INTERIOR_A_HIGH, INTERIOR_B_HIGH} <= set(np.unique(code[overflowed]))
+        assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_draws(self, seed):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import dataset_from_prices, random_sloppy_dataset
+from demand_oracle import budget_gap, overflowed_interiors
 from demand_oracle import crra_grid as _crra_grid
 from demand_oracle import enumeration_demand_grid as optimal_demand_grid
 from prefbench import estimation
@@ -123,6 +124,19 @@ class TestRecovery:
         assert fit.loss <= fit_loss(subject.dataset, fit.grid_best)
         assert fit.loss <= fit_loss(subject.dataset, DAParams(beta0, rho0)) + 1e-12
 
+    def test_readme_subjects_on_a_grid_down_to_rho_1e_3(self):
+        # the README pipeline's first 20 subjects (sample-params --seed 1, simulate --seed 7:
+        # exact choices on 175 rounds, each on its own schedule, sim002 at (-0.031, 0.921)
+        # among them) on a grid whose smallest rho is 1e-3, where the interior ratio
+        # overflows on most budgets: every truth comes back within 1e-5
+        population = sample_population(1, 100)[:20]
+        datasets = [simulate_subject(params, generate_budgets(7 + i, 175), sid).dataset
+                    for i, (sid, params) in enumerate(population)]
+        fits = recover_batch(datasets, None, RecoveryConfig(rho_min=1e-3))
+        for (sid, truth), by_size in zip(population, fits):
+            fit = by_size[175].params
+            assert abs(fit.beta - truth.beta) < 1e-5 and abs(fit.rho - truth.rho) < 1e-5, sid
+
     def test_determinism_bitwise(self):
         subject = simulate_subject(DAParams(0.2, 0.9), generate_budgets(78, 25), "s")
         assert recover_params(subject.dataset) == recover_params(subject.dataset)
@@ -191,12 +205,13 @@ def grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.n
     odds = w / (1.0 - w)
     inv_rho = 1.0 / rhos[closed, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowed denominator takes the k -> inf limit, as the enumeration does
         k_a = np.power(odds * (p_b / p_a), inv_rho)
         x_b_ia = 1.0 / (p_a * k_a + p_b)
-        x_a_ia = k_a * x_b_ia
+        x_a_ia = np.where(x_b_ia > 0.0, k_a * x_b_ia, 1.0 / p_a)
         k_b = np.power(odds * (p_a / p_b), inv_rho)
         x_a_ib = 1.0 / (p_b * k_b + p_a)
-        x_b_ib = k_b * x_a_ib
+        x_b_ib = np.where(x_a_ib > 0.0, k_b * x_a_ib, 1.0 / p_b)
     x_kink = 1.0 / (p_a + p_b)
     a_high = k_a > 1.0
     b_high = k_b > 1.0
@@ -218,6 +233,15 @@ def oracle_grid_losses(prices, returns, tokens, betas, rhos) -> np.ndarray:
 
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_limits_on_the_line(prices: np.ndarray, betas, rhos) -> None:
+    """:func:`grid_demand` at every (beta, rho) of the axes: some interior's denominator
+    overflows on these budgets, and every bundle is finite and on the budget line."""
+    flat = flat_grid(np.asarray(betas, dtype=float), np.asarray(rhos, dtype=float))
+    assert overflowed_interiors(prices, *flat).any()
+    demand = grid_demand(prices, *flat)
+    assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
 
 
 def _closed_form_branch(prices, betas, rhos) -> np.ndarray:
@@ -469,20 +493,18 @@ class _PointLoss:
 
         def interior(x_hi, x_lo, k):
             # where k > 1, x_hi = k * x_lo >= x_lo, the enumeration's max and min;
-            # x_lo is 0 only where its denominator overflowed, and x_hi is then
-            # 0, or NaN (inf * 0) if k = inf, a holding _crra_grid values as 1
-            u = w * felicity(x_hi) + (1.0 - w) * felicity(x_lo)
-            u = np.where(x_lo > 0.0, u, np.where(np.isnan(x_hi), 0.0,
-                                                 w * at_zero + (1.0 - w) * at_zero))
+            # x_lo is 0 only where its denominator overflowed
+            u = w * felicity(x_hi) + (1.0 - w) * np.where(x_lo > 0.0, felicity(x_lo), at_zero)
             return np.where(k > 1.0, u, -np.inf)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # an overflowed denominator takes the k -> inf limit, as the enumeration does
             k_a = np.power(odds * self._ratio_a, inv_rho)
             x_b_ia = 1.0 / (self._p_a * k_a + self._p_b)
-            x_a_ia = k_a * x_b_ia
+            x_a_ia = np.where(x_b_ia > 0.0, k_a * x_b_ia, self._corner_a)
             k_b = np.power(odds * self._ratio_b, inv_rho)
             x_a_ib = 1.0 / (self._p_b * k_b + self._p_a)
-            x_b_ib = k_b * x_a_ib
+            x_b_ib = np.where(x_a_ib > 0.0, k_b * x_a_ib, self._corner_b)
             felicity_kink = felicity(self._kink)
             best_u = w * felicity_kink + (1.0 - w) * felicity_kink
             candidates = [(x_a_ia, x_b_ia, interior(x_a_ia, x_b_ia, k_a))]
@@ -583,8 +605,7 @@ EDGE_POINTS = [(beta, rho) for beta in _EDGE_BETAS for rho in _EDGE_RHOS]
 
 
 class TestPointLoss:
-    """``_PointLoss`` and the paired kernel must return the enumeration's float, NaN
-    included."""
+    """``_PointLoss`` and the paired kernel must return the enumeration's float."""
 
     @pytest.mark.parametrize("seed", [211, 212, 213])
     def test_random_sloppy_data_at_random_points(self, seed):
@@ -615,20 +636,17 @@ class TestPointLoss:
 
     def test_overflowed_interior_branch(self):
         # at rho = e^-60 the interior ratio k overflows to inf wherever odds * p_b / p_a > 1,
-        # and the branch's bundle is x_a = inf * 0 = NaN, which the enumeration values at 0
+        # and the branch's bundle is its limit (1 / p_a, 0), the corner's bundle
         beta, rho = _refinement_point(math.log(0.45), -60.0)  # beta = -0.5, odds = 2
         rng = np.random.default_rng(233)
         data = _matrices(random_sloppy_dataset(rng, 60))
         assert np.any(2.0 * data[0][:, 1] / data[0][:, 0] > 1.0)
-        # the experiments' budgets give kink holdings above 1 and a positive kink
-        # utility, so the NaN bundle never wins
-        assert not math.isnan(_PointLoss(*data)(beta, rho))
-        assert _loss_mismatches(data, [(beta, rho)]) == []
-        # budgets costing more than 1 per unit: every other candidate's utility is
-        # negative, the enumeration picks the NaN bundle, and the loss is NaN in both
-        data = _priced(rng.uniform(1.0, 2.0, size=(20, 2)), rng)
-        assert math.isnan(_reference_loss(data, beta, rho))
-        assert _loss_mismatches(data, [(beta, rho)]) == []
+        # the experiments' budgets, and budgets costing more than 1 per unit, where every
+        # candidate's utility is negative: a finite loss, the enumeration's in both kernels
+        for data in (data, _priced(rng.uniform(1.0, 2.0, size=(20, 2)), rng)):
+            assert_limits_on_the_line(data[0], [beta], [rho])
+            assert math.isfinite(_reference_loss(data, beta, rho))
+            assert _loss_mismatches(data, [(beta, rho)]) == []
 
     def test_paired_kernel_on_datasets_of_different_lengths(self):
         # one call on datasets of 1 to 175 rounds in no length order, each at its own
@@ -754,8 +772,8 @@ def _round_trip_datasets() -> list[SubjectDataset]:
 
 
 def _costly_budgets(rng: np.random.Generator, n_rounds: int) -> SubjectDataset:
-    """Budgets costing more than 1 per unit: at rho near 1e-3 the enumeration picks an
-    interior bundle of (NaN, 0) in beta < 0 rows, so grid losses are NaN."""
+    """Budgets costing more than 1 per unit: at rho near 1e-3 the interior ratio overflows
+    in beta < 0 rows, and the enumeration picks the interior's limit, the corner's bundle."""
     rows = []
     for _ in range(n_rounds):
         p = rng.uniform(1.0, 2.0, size=2)
@@ -806,29 +824,31 @@ class TestAgainstScipyOracle:
                 assert not fit.converged
                 assert fit.evaluations == len(betas) * len(rhos) + max_evals
 
-    def test_nan_losses(self):
+    def test_overflowed_interiors_on_costly_budgets(self):
         config = RecoveryConfig(rho_min=1e-3)
         rng = np.random.default_rng(317)
         datasets = [_costly_budgets(rng, 20), _costly_budgets(rng, 7)]
         got = recover_batch(datasets, None, config)
         for fits, ds in zip(got, datasets):
+            assert_limits_on_the_line(ds.prices, *_parameter_grid(config))
             assert_same_fits(fits, oracle_recover(ds, None, config))
-        assert any(math.isnan(fit.loss) for fits in got for fit in fits.values())
+        assert all(math.isfinite(fit.loss) for fits in got for fit in fits.values())
 
-    def test_nan_grid_mean_with_a_finite_loss(self):
+    def test_overflowed_beta_nonnegative_rows_on_ordinary_budgets(self):
         # at rho = 1e-3 the interior ratio of the beta >= 0 rows overflows on ordinary
-        # budgets: the grid's closed form gives a NaN mean there, so a NaN cell is the
-        # grid optimum, while the enumeration, and so fit_loss, takes the kink
+        # budgets: the grid's closed form and the enumeration, and so fit_loss, both
+        # take the interior's limit there, and the grid optimum's mean is finite
         config = RecoveryConfig(rho_min=1e-3, max_evals=40)
         rng = np.random.default_rng(467)
         datasets = [random_sloppy_dataset(rng, 25), random_sloppy_dataset(rng, 1)]
         betas, rhos = _parameter_grid(config)
         got = recover_batch(datasets, None, config)
         for fits, ds in zip(got, datasets):
+            assert_limits_on_the_line(ds.prices, betas[betas >= 0.0], rhos)
             ((mean, _),), = estimation._grid_optima(*_matrices(ds)[:2], [ds.tokens], [ds.n],
                                                      betas, rhos)
-            assert math.isnan(mean)
-            assert not math.isnan(fit_loss(ds, fits[ds.n].grid_best))
+            assert math.isfinite(mean)
+            assert math.isfinite(fit_loss(ds, fits[ds.n].grid_best))
             assert_same_fits(fits, oracle_recover(ds, None, config))
         assert got[1][1].flags == ("insufficient_rounds",)
 
@@ -1078,16 +1098,17 @@ class TestSharedSchedules:
             ("insufficient_rounds",), ("degenerate_rounds",), (),
             ("insufficient_rounds",), ("degenerate_rounds",), ()]
 
-    def test_nan_losses_on_a_shared_schedule(self):
-        # rho near 1e-3 on budgets costing more than 1 per unit gives NaN grid losses,
-        # so the first-minimum rule meets NaN in every member
+    def test_overflowed_interiors_on_a_shared_schedule(self):
+        # rho near 1e-3 on budgets costing more than 1 per unit overflows the interior
+        # ratio, so every member's grid losses meet the interiors' limits, all finite
         config = RecoveryConfig(rho_min=1e-3)
         rng = np.random.default_rng(421)
         costly = _costly_budgets(rng, 20)
         datasets = [costly, _retokened(costly, rng)]
         betas, rhos = _parameter_grid(config)
+        assert_limits_on_the_line(costly.prices, betas, rhos)
         for ds in datasets:
-            assert np.isnan(_grid_losses(*_matrices(ds), betas, rhos)).any()
+            assert np.isfinite(_grid_losses(*_matrices(ds), betas, rhos)).all()
         for sizes in (None, (1, 7)):
             got = recover_batch(datasets, sizes, config)
             for fits, ds in zip(got, datasets):
@@ -1191,16 +1212,18 @@ class TestSharedSchedules:
 
     def test_grid_optimum_means_are_fit_loss(self, first_minima_cases):
         # the pass hands each optimum's mean to the fit as its grid loss; on these cases
-        # it is fit_loss at that point on that prefix, bit for bit, NaN and inf included
-        # (the cells where the two differ are pinned by
-        # test_grid_and_paired_losses_differ_only_where_pinned); the NaN cases run on
-        # the grid's own beta order too
+        # it is fit_loss at that point on that prefix, bit for bit, inf included (the
+        # cells where the two differ are pinned by
+        # test_grid_and_paired_losses_differ_only_where_pinned); the cases whose interiors
+        # overflow run on the grid's own beta order too, and their means are finite
         rng = np.random.default_rng(463)
         costly = [_costly_budgets(rng, n) for n in (20, 7)]
-        nan_cases = [(*_matrices(ds)[:2], [ds.tokens], _parameter_grid(RecoveryConfig(
+        overflow_cases = [(*_matrices(ds)[:2], [ds.tokens], _parameter_grid(RecoveryConfig(
             rho_min=1e-3))) for ds in costly]
-        seen_nan = False
-        for prices, returns, members, (betas, rhos), *_ in [*first_minima_cases, *nan_cases]:
+        for prices, _, _, axes in overflow_cases:
+            assert_limits_on_the_line(prices, *axes)
+        for case, (prices, returns, members, (betas, rhos), *_) in enumerate(
+                [*first_minima_cases, *overflow_cases]):
             sizes = _staged_sizes(len(prices))
             got = estimation._grid_optima(prices, returns, members, sizes, betas, rhos)
             for tokens, per_size in zip(members, got):
@@ -1212,8 +1235,7 @@ class TestSharedSchedules:
                         want = fit_loss(prefix, params)
                     assert type(mean) is float
                     assert _bits(np.array(mean)) == _bits(np.array(want)), (size, params)
-                    seen_nan |= math.isnan(mean)
-        assert seen_nan
+                    assert math.isfinite(mean) or case < len(first_minima_cases)
 
     def test_later_stages_run_few_rows(self, grid_passes):
         # a prune that silently leaves nothing out would run every cell at every size;
@@ -1230,28 +1252,6 @@ class TestSharedSchedules:
         # one size: the probe runs every cell, and the reported stage few
         assert len(_cells_at(single, estimation._BOUNDING_STAGES[0])) == cells
         assert 0 < len(_cells_at(single, 175)) < 0.05 * cells
-
-    def test_rows_that_turn_nan_after_the_first_stage_are_never_left_out(self):
-        # an exact subject on 10 cheap budgets whose price ratios stay below 1.9, then on
-        # 15 costing more than 1 per unit: at rho near 1e-3 the beta < 0 rows' losses
-        # turn NaN from round 11 on, in rows that fit the first 10 rounds far worse than
-        # the optimum, so only the overflow guard keeps them in
-        rng = np.random.default_rng(461)
-        price, ratio = rng.uniform(0.005, 0.05, 10), rng.uniform(1.0, 1.9, 10)
-        cheap = np.column_stack([price, price * ratio])
-        flip = rng.uniform(size=10) < 0.5
-        cheap[flip] = cheap[flip][:, ::-1]
-        prices = np.vstack([cheap, rng.uniform(1.0, 2.0, (15, 2))])
-        demand = optimal_demand_grid(prices, np.array([1.0]), np.array([0.5]))[0][0]
-        ds = dataset_from_prices([(*p, *x) for p, x in zip(prices, demand)])
-        betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
-        full = _grid_losses(*_matrices(ds), betas, rhos)
-        assert not np.isnan(full[:, :10]).any() and np.isnan(full).any()
-        sizes = (1, 10, 25)
-        (got,) = estimation._grid_optima(prices, ds.returns, [ds.tokens], sizes, betas, rhos)
-        assert [at for _, at in got] == [int(np.argmin(full[:, :size].mean(axis=1)))
-                                         for size in sizes]
-        assert math.isnan(full[got[-1][1]].mean()) and math.isnan(got[-1][0])
 
 
 def _gaussian_tokens(dataset: SubjectDataset, rng: np.random.Generator, sigma: float) -> np.ndarray:
@@ -1339,25 +1339,37 @@ class TestBoundingStages:
                                                LEARNING_SAMPLE_SIZES))
         assert len(_cells_at(calls, 175)) < 0.01 * len(betas) * len(rhos)
 
-    def test_rows_that_turn_nan_after_the_probe_are_never_left_out(self):
-        # an exact subject on 10 cheap budgets, the probe's, then on 30 costing more than
-        # 1 per unit: at rho near 1e-3 the losses turn NaN from round 11 on
-        rng = np.random.default_rng(617)
+    @pytest.mark.parametrize("seed, n_costly, sizes", [(461, 15, (1, 10, 25)), (617, 30, (40,))],
+                             ids=["staged", "probe"])
+    def test_overflowed_cells_are_bounded_like_any_other(self, grid_passes, seed, n_costly,
+                                                         sizes):
+        # an exact subject on 10 cheap budgets whose price ratios stay below 1.9, then on
+        # budgets costing more than 1 per unit: at rho near 1e-3 the interiors of the
+        # beta < 0 rows overflow to their limits, and the losses of the costly rounds
+        # are far from the optimum's.  Staged sizes bound after the first
+        # stage, one size of 40 rounds after the probe over the first 10; either way the
+        # bound leaves every overflowed cell out of the last stage, and every optimum is
+        # the full pass's bit for bit
+        rng = np.random.default_rng(seed)
         price, ratio = rng.uniform(0.005, 0.05, 10), rng.uniform(1.0, 1.9, 10)
         cheap = np.column_stack([price, price * ratio])
         flip = rng.uniform(size=10) < 0.5
         cheap[flip] = cheap[flip][:, ::-1]
-        prices = np.vstack([cheap, rng.uniform(1.0, 2.0, (30, 2))])
+        prices = np.vstack([cheap, rng.uniform(1.0, 2.0, (n_costly, 2))])
         demand = optimal_demand_grid(prices, np.array([1.0]), np.array([0.5]))[0][0]
         ds = dataset_from_prices([(*p, *x) for p, x in zip(prices, demand)])
         betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
-        full = _grid_losses(*_matrices(ds), betas, rhos)
+        assert_limits_on_the_line(prices, betas, rhos)
         assert estimation._BOUNDING_STAGES[0] == 10
-        assert not np.isnan(full[:, :10]).any() and np.isnan(full).any()
-        (got,) = estimation._grid_optima(prices, ds.returns, [ds.tokens], [40], betas, rhos)
-        want = _first_minima(prices, ds.returns, ds.tokens, betas, rhos, [40])
+        want = _first_minima(prices, ds.returns, ds.tokens, betas, rhos, sizes)
+        assert all(math.isfinite(mean) for mean, _ in want)
+        grid_passes.clear()  # the oracle's
+        (got,) = estimation._grid_optima(prices, ds.returns, [ds.tokens], sizes, betas, rhos)
         assert_first_minima(got, want)
-        assert math.isnan(got[0][0])
+        overflowed = overflowed_interiors(prices, *flat_grid(betas, rhos)).any(axis=1)
+        ran = np.zeros_like(overflowed)
+        ran[_cells_at(grid_passes[0], sizes[-1])] = True
+        assert overflowed.any() and not (overflowed & ran).any()
 
     @pytest.mark.parametrize("n_rounds", [9, 10, 11, 24, 25, 26, 49, 50, 51, 99, 100, 101])
     def test_sizes_next_to_each_stage_length(self, grid_passes, n_rounds):
@@ -1417,9 +1429,10 @@ class TestBoundingStages:
                      if (prices := _base_one_ulp_above_one(beta, 0.01, side))]
             prices, returns, _ = _priced(np.vstack([_kink_edge_prices(grid_betas[:6]), found]),
                                          rng)
-        else:  # NaN bundles where k overflows
+        else:  # limit bundles where k overflows
             prices, returns, _ = _matrices(_costly_budgets(rng, 20))
             betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+            assert_limits_on_the_line(prices, betas, rhos)
         n = len(prices)
         dense = np.empty((2, len(betas), len(rhos), n))
         tokens_at = estimation._block_kernel(prices, returns, rhos)
@@ -1434,7 +1447,8 @@ class TestBoundingStages:
                 for got, want in zip(tokens_of(chunk, lo, hi), dense):
                     assert got.shape == (len(chunk), hi - lo)
                     np.testing.assert_array_equal(_bits(got), _bits(want[chunk, lo:hi]))
-        assert np.isnan(dense).any() == (kind == "overflow")
+        # the tokens of a bundle on the budget line sum to 100
+        assert np.isfinite(dense).all() and np.all(np.abs(dense[0] + dense[1] - 100.0) <= 1e-11)
 
     @pytest.mark.parametrize("sizes", [[175], LEARNING_SAMPLE_SIZES])
     def test_a_pass_leaves_no_reference_cycle(self, sizes):
@@ -1514,7 +1528,8 @@ def first_minima_cases() -> list:
     # one round: 540 cells in the last 9 beta rows tie at the minimum, across blocks
     one_round = random_sloppy_dataset(rng, 1)
     # budgets costing more than 1 per unit at rho near 1e-3, on the beta axis reversed:
-    # NaN means from row 64 or 65 on, after finite ones and in several blocks
+    # interiors at their k -> inf limits from row 64 on, after rows with none and in
+    # several blocks
     costly = _costly_budgets(rng, 12)
     betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
     exact = simulate_subject(DAParams(0.3, 1.2), generate_budgets(451, 175), "ex").dataset
@@ -1578,10 +1593,12 @@ class TestGridLosses:
     def test_edge_points(self):
         # _PointLoss's edge points as grid axes (beta next to -1 and at the refinement's
         # clamps, rho at e^-60, 1e-300, both sides of the log branch's 1e-10 and e^60)
-        # on budgets where the interior and kink utilities nearly tie
+        # on budgets where the interior and kink utilities nearly tie; k overflows at the
+        # smallest rhos
         rng = np.random.default_rng(259)
-        assert_kernel_matches_oracle(_priced(_kink_edge_prices(_EDGE_BETAS), rng),
-                                     _EDGE_BETAS, _EDGE_RHOS)
+        data = _priced(_kink_edge_prices(_EDGE_BETAS), rng)
+        assert_limits_on_the_line(data[0], _EDGE_BETAS, _EDGE_RHOS)
+        assert np.isfinite(assert_kernel_matches_oracle(data, _EDGE_BETAS, _EDGE_RHOS)).all()
 
     def test_grid_whose_middle_rho_is_one(self):
         betas, rhos = _parameter_grid(RecoveryConfig(rho_min=0.5, rho_max=2.0, rho_points=3))
@@ -1590,28 +1607,29 @@ class TestGridLosses:
         assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 175)), betas, rhos)
 
     def test_tiny_rho_overflows_the_interior_branches(self):
+        # k = inf: the interior bundle is its limit, the whole budget on the higher holding,
+        # on the experiments' budgets and on budgets costing more than 1 per unit, where
+        # the enumeration picks it in beta < 0 rows too
         betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
         rng = np.random.default_rng(269)
-        want = assert_kernel_matches_oracle(_matrices(random_sloppy_dataset(rng, 175)),
-                                            betas, rhos)
-        assert np.isnan(want).any()  # k = inf: the interior bundle is (NaN, 0)
-        # budgets costing more than 1 per unit: the enumeration picks the NaN bundle
-        # in beta < 0 rows too
-        want = assert_kernel_matches_oracle(_priced(rng.uniform(1.0, 2.0, size=(20, 2)), rng),
-                                            betas, rhos)
-        assert np.isnan(want[: int(np.sum(betas < 0.0)) * len(rhos)]).any()
+        for data in (_matrices(random_sloppy_dataset(rng, 175)),
+                     _priced(rng.uniform(1.0, 2.0, size=(20, 2)), rng)):
+            assert_limits_on_the_line(data[0], betas, rhos)
+            assert np.isfinite(assert_kernel_matches_oracle(data, betas, rhos)).all()
 
     def test_price_ratio_overflows(self):
         # a return of 6e-311 prices asset A at about 1.67e308: the price sum is finite,
-        # p_a / p_b overflows, and the kernel must neither differ nor warn
+        # p_a / p_b overflows, k_b = inf gives the B-high limit, and the kernel must
+        # neither differ nor warn
         rng = np.random.default_rng(270)
         returns = np.vstack([[6e-311, 0.5], rng.uniform(0.2, 2.0, (9, 2))])
         t_a = rng.uniform(0.0, 100.0, len(returns))
         data = 1.0 / (100.0 * returns), returns, np.column_stack([t_a, 100.0 - t_a])
         betas, rhos = _parameter_grid(RecoveryConfig())
+        assert_limits_on_the_line(data[0], betas, rhos)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert_kernel_matches_oracle(data, betas, rhos)
+            assert np.isfinite(assert_kernel_matches_oracle(data, betas, rhos)).all()
 
     def test_beta_near_minus_one(self):
         betas, rhos = _parameter_grid(RecoveryConfig(beta_min=-0.999))
@@ -1796,14 +1814,17 @@ class TestClassedKernel:
         prices, returns, _ = _priced(prices, rng)
         assert_kernel_matches_dense(prices, returns, betas, _parameter_grid(RecoveryConfig())[1])
 
-    def test_powers_that_overflow_to_nan_bundles(self):
+    def test_powers_that_overflow_to_limit_bundles(self):
         # budgets costing more than 1 per unit at rho near 1e-3: k = inf gives the
-        # (NaN, 0) interior bundle, which the enumeration picks in beta < 0 rows
+        # interior's limit, (1 / p_a, 0) or (0, 1 / p_b), which the enumeration picks in
+        # beta < 0 rows; its tokens are finite and sum to 100
         rng = np.random.default_rng(511)
         prices, returns, _ = _matrices(_costly_budgets(rng, 20))
-        blocks = assert_kernel_matches_dense(prices, returns,
-                                             *_parameter_grid(RecoveryConfig(rho_min=1e-3)))
-        assert any(np.isnan(model_a).any() for model_a, _ in blocks)
+        axes = _parameter_grid(RecoveryConfig(rho_min=1e-3))
+        assert_limits_on_the_line(prices, *axes)
+        blocks = assert_kernel_matches_dense(prices, returns, *axes)
+        assert all(np.isfinite(model_a).all() and np.all(np.abs(model_a + model_b - 100.0) <= 1e-11)
+                   for model_a, model_b in blocks)
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
     @pytest.mark.parametrize("chunk_pairs", [1, 7, None])
