@@ -59,7 +59,7 @@ step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
 transcribed, on Python floats).  Each step values the pending points of all
 fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
 parameter pairs, K losses), which runs the same enumeration and selection on
-the rounds of all K.  The same kernel values the refined points and serves
+the rounds of all K.  It values each point once, and it also serves
 :func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass, and
 that is not always the float :func:`fit_loss` gives there: the grid's
 beta >= 0 rows take the closed-form maximizer and :func:`fit_loss` the
@@ -692,8 +692,9 @@ def _nelder_mead(z0: Sequence[float], maxfev: int, xatol: float, fatol: float):
     ``minimize(..., method="Nelder-Mead", options={"maxfev", "xatol",
     "fatol"})`` bit for bit.  As in scipy, the cap is checked before each
     evaluation; reaching it leaves the current iteration, and the simplex is
-    still sorted.  Returns ``(x, nfev, success)``; success is false exactly
-    when the cap was reached.
+    still sorted.  Returns ``(x, f, nfev, success)``: ``f`` is the loss sent
+    for ``x``, or inf when no point was evaluated (``maxfev`` 0); success is
+    false exactly when the cap was reached.
     """
     nonzdelt, zdelt = 0.05, 0.00025
     a, b = (float(z) for z in z0)
@@ -776,7 +777,7 @@ def _nelder_mead(z0: Sequence[float], maxfev: int, xatol: float, fatol: float):
             pass
         sort()
 
-    return sim[0], nfev, nfev < maxfev
+    return sim[0], fsim[0], nfev, nfev < maxfev
 
 
 def _beta_rows(config: RecoveryConfig) -> float:
@@ -866,9 +867,10 @@ def _refine_batch(fits: Sequence[tuple[SubjectDataset, DAParams, float]], evalua
     groups of consecutive unflagged fits of at most ``_LOCK_STEP_ROUNDS``
     rounds in all, which bounds the paired kernel's temporaries.  Each step of
     a group values the next point of every active refinement in one
-    :class:`_PairedLoss` call, a kernel rebuilt only when one finishes; one
-    more call values the refined points, and each replaces its grid optimum
-    if its loss is no larger.
+    :class:`_PairedLoss` call, a kernel rebuilt only when one finishes.  Each
+    refined point comes back with the loss it was sent, and replaces its grid
+    optimum if that loss is no larger; a refinement that evaluated nothing
+    (``max_evals`` 0) keeps its grid optimum.
     """
     beta_floor = config.beta_min
 
@@ -896,7 +898,7 @@ def _refine_batch(fits: Sequence[tuple[SubjectDataset, DAParams, float]], evalua
                              math.log(fits[i][1].rho)], config.max_evals, config.tol, 1e-14)
             for group in groups for i in group}
     points: dict[int, list[float]] = {}
-    outcomes: dict[int, tuple[list[float], int, bool]] = {}
+    outcomes: dict[int, tuple[list[float], float, int, bool]] = {}
 
     def advance(i: int, loss: float | None) -> bool:
         try:
@@ -915,14 +917,10 @@ def _refine_batch(fits: Sequence[tuple[SubjectDataset, DAParams, float]], evalua
                 active = [i for i, value in zip(active, loss(beta, rho).tolist())
                           if advance(i, value)]
 
-        refined = [DAParams(*from_unconstrained(outcomes[i][0])) for i in group]
-        values = _PairedLoss([data[i] for i in group])(
-            np.array([params.beta for params in refined]),
-            np.array([params.rho for params in refined]),
-        ).tolist()
-        for i, params, value in zip(group, refined, values):
+        for i in group:
             _, grid_best, grid_loss = fits[i]
-            _, nfev, success = outcomes[i]
+            z, value, nfev, success = outcomes[i]
+            params = DAParams(*from_unconstrained(z))
             if value > grid_loss:
                 params, value = grid_best, grid_loss
             results[i] = FitResult(params, value, grid_best, success, evaluations + nfev, ())

@@ -7,7 +7,9 @@ preferred (through direct edges) to an ``x^j`` that is strictly cheaper than
 ``e`` times own expenditure at ``p^j``.  That strict inequality is itself the
 edge j -> i, so a violation lies inside one strongly connected component of
 the direct relation, and GARP(e) is read from those components with no
-transitive closure (Talla Nobibon, Smeulders & Spieksma 2015).  The CCEI is the
+transitive closure (Talla Nobibon, Smeulders & Spieksma 2015); the components
+come from a two-pass Kosaraju-Sharir search on bitset rows, numpy and the
+standard library only, so scoring loads no scipy.  The CCEI is the
 largest ``e`` in [0, 1] at which GARP(e) holds: 1 when the data has no
 violation at full efficiency, otherwise read off Floyd-Warshall passes in
 (max, min) algebra -- the minimax path closure of the thresholds at which each
@@ -42,6 +44,64 @@ def _expenditures(dataset: SubjectDataset) -> tuple[np.ndarray, np.ndarray]:
     return cross, np.diag(cross).copy()
 
 
+def _strong_components(relation: np.ndarray) -> np.ndarray:
+    """Strong-component labels of the digraph with (n, n) bool adjacency ``relation``.
+
+    Two-pass Kosaraju-Sharir (Sharir 1981), iterative, on Python-int bitsets:
+    row i of ``relation`` (and of its transpose) packed into one int, bit j
+    set for the edge i -> j (j -> i).  The first pass records depth-first
+    finishing order on the relation; the second takes the unreached nodes
+    reachable in the transpose from each root, latest finisher first, as one
+    component.  Labels number components in the order the second pass meets
+    them, not scipy's order; callers only compare labels and take per-component
+    minima.
+    """
+    n = len(relation)
+
+    def bitsets(matrix: np.ndarray) -> list[int]:
+        packed = np.packbits(matrix, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        return [int.from_bytes(data[k:k + width], "little") for k in range(0, n * width, width)]
+
+    out, into = bitsets(relation), bitsets(relation.T)
+    unreached = (1 << n) - 1
+    finished: list[int] = []
+    for root in range(n):
+        if not unreached >> root & 1:
+            continue
+        unreached ^= 1 << root
+        path = [root]
+        while path:
+            nxt = out[path[-1]] & unreached
+            if nxt:
+                low = nxt & -nxt
+                unreached ^= low
+                path.append(low.bit_length() - 1)
+            else:
+                finished.append(path.pop())
+
+    labels = np.empty(n, dtype=np.intp)
+    unreached = (1 << n) - 1
+    label = 0
+    for root in reversed(finished):
+        if not unreached >> root & 1:
+            continue
+        unreached ^= 1 << root
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            labels[node] = label
+            nxt = into[node] & unreached
+            unreached ^= nxt
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                todo.append(low.bit_length() - 1)
+        label += 1
+    return labels
+
+
 def _garp(cross: np.ndarray, own: np.ndarray, e: float) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Strong-component labels of R^D(e) and the GARP(e) violating pairs (i, j), row-major.
 
@@ -49,11 +109,7 @@ def _garp(cross: np.ndarray, own: np.ndarray, e: float) -> tuple[np.ndarray, lis
     that reaches such a j shares its component: the violations are the
     same-component pairs with that inequality.
     """
-    # imported here, not at module level: scipy.sparse.csgraph adds about
-    # 1.3 MB to the peak RSS of every command, and only scoring uses it
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(e * own[:, None] >= cross - RELATION_TOL, connection="strong")
+    labels = _strong_components(e * own[:, None] >= cross - RELATION_TOL)
     strictly_cheaper = (e * own[None, :]) > cross.T + RELATION_TOL  # [i, j]: x^i cheap at p^j
     violations = (labels[:, None] == labels[None, :]) & strictly_cheaper
     return labels, [(i, j) for i, j in np.argwhere(violations).tolist()]

@@ -824,6 +824,25 @@ class TestAgainstScipyOracle:
                 assert not fit.converged
                 assert fit.evaluations == len(betas) * len(rhos) + max_evals
 
+    def test_no_refinement_evaluation_keeps_the_grid_optimum(self):
+        # max_evals 0 (a library-only value; the CLI asks for at least 1): each fit keeps
+        # its grid optimum and that optimum's grid-pass mean, and counts only the cells
+        config = RecoveryConfig(max_evals=0)
+        rng = np.random.default_rng(331)
+        datasets = [_sloppy_subject(313, DAParams(0.2, 1.1), n_rounds=60),
+                    random_sloppy_dataset(rng, 25)]
+        sizes = (2, 10, 25)
+        betas, rhos = _parameter_grid(config)
+        for got, ds in zip(recover_batch(datasets, sizes, config), datasets):
+            for size, fit in got.items():
+                ((mean, at),), = estimation._grid_optima(*_matrices(ds)[:2], [ds.tokens], [size],
+                                                         betas, rhos)
+                assert fit.params == fit.grid_best == DAParams(
+                    float(betas[at // len(rhos)]), float(rhos[at % len(rhos)]))
+                assert fit.loss == mean
+                assert fit.evaluations == len(betas) * len(rhos)
+                assert not fit.converged and fit.flags == ()
+
     def test_overflowed_interiors_on_costly_budgets(self):
         config = RecoveryConfig(rho_min=1e-3)
         rng = np.random.default_rng(317)
@@ -886,12 +905,20 @@ class TestNelderMead:
                 calls.append([float(v) for v in z])
                 return objective(np.array(z))
 
-            x, nfev, success = _drive(estimation._nelder_mead(z0, maxfev, 1e-6, 1e-14),
-                                      lambda z: recorded(z, asked))
+            x, f, nfev, success = _drive(estimation._nelder_mead(z0, maxfev, 1e-6, 1e-14),
+                                         lambda z: recorded(z, asked))
             result = minimize(lambda z: recorded(z, seen), np.array(z0), method="Nelder-Mead",
                               options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-14})
             assert asked == seen
             assert (x, nfev, success) == (result.x.tolist(), result.nfev, result.success)
+            # the loss handed back is the one sent for x (scipy's ``fun`` is the
+            # simplex's np.min, NaN when a vertex is NaN)
+            assert x in asked and _same_float(f, objective(np.array(x)))
+
+    def test_no_evaluation(self):
+        # maxfev 0 asks for no point: the start, an infinite loss, not converged
+        assert _drive(estimation._nelder_mead((1.0, -0.5), 0, 1e-6, 1e-14), None) == (
+            [1.0, -0.5], math.inf, 0, False)
 
 
 class TestLockStep:
@@ -932,7 +959,10 @@ class TestLockStep:
             result = minimize(recorded, np.array(z0), method="Nelder-Mead",
                               options={"maxfev": cap, "xatol": 1e-6, "fatol": 1e-14})
             assert asked[i] == seen, (name, z0, cap)
-            assert outcomes[i] == (result.x.tolist(), result.nfev, result.success), (name, z0, cap)
+            x, f, nfev, success = outcomes[i]
+            assert (x, nfev, success) == (result.x.tolist(), result.nfev, result.success), (
+                name, z0, cap)
+            assert _same_float(f, _TEST_OBJECTIVES[name](np.array(x))), (name, z0, cap)
 
 
 class TestRecoverBatch:
@@ -968,10 +998,10 @@ class TestRecoverBatch:
         for fits, wanted in zip(recover_batch(datasets, None), want):
             assert_same_fits(fits, wanted)
 
-    def test_final_valuation_takes_one_point_per_refined_fit(self, monkeypatch):
-        # each grid optimum comes with its loss, so a group's last kernel call values
-        # its K refined points only, not K more grid optima, and flagged fits need no
-        # kernel call at all
+    def test_kernel_values_only_the_refinements_points(self, monkeypatch):
+        # each grid optimum comes with its loss and each refined point with the loss
+        # its refinement was sent, so the kernel values exactly the points the
+        # refinements ask for, none again, and flagged fits need no kernel call at all
         calls = []
 
         class Recorded(_PairedLoss):
@@ -984,7 +1014,9 @@ class TestRecoverBatch:
         got = recover_batch(datasets)
         refined = sum(not fits[ds.n].flags for fits, ds in zip(got, datasets))
         assert refined == 4
-        assert calls[0] == calls[-1] == refined
+        assert calls[0] == refined
+        cells = math.prod(map(len, _parameter_grid(RecoveryConfig())))
+        assert sum(calls) == sum(fits[ds.n].evaluations - cells for fits, ds in zip(got, datasets))
         calls.clear()
         assert [fits[ds.n].flags for fits, ds in zip(recover_batch(datasets[::4]), datasets[::4])
                 ] == [("insufficient_rounds",), ("degenerate_rounds",)]

@@ -11,6 +11,7 @@ from prefbench.rationality import (
     CceiResult,
     _garp,
     _minimax_value,
+    _strong_components,
     ccei,
     fosd_violations,
     garp_holds,
@@ -278,6 +279,50 @@ class TestComponentPassOracle:
             assert np.float64(value).view(np.int64) == np.float64(want).view(np.int64)
             below += value < 1.0
         assert below > 0
+
+
+def assert_scipy_partition(relation: np.ndarray) -> None:
+    """``_strong_components`` labels the components of scipy's strong
+    ``connected_components``, numbered 0..k-1 in any order."""
+    count, want = connected_components(relation, connection="strong")
+    got = _strong_components(relation)
+    assert got.shape == want.shape and sorted(set(got.tolist())) == list(range(count))
+    assert np.array_equal(got[:, None] == got[None, :], want[:, None] == want[None, :])
+
+
+class TestStrongComponentsOracle:
+    """The bitset Kosaraju-Sharir pass must find scipy's strong components."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 175])
+    def test_random_relations(self, n):
+        # sizes on each side of the packed rows' byte and word boundaries; densities
+        # from a few nontrivial components to one, with and without the diagonal
+        rng = np.random.default_rng(101 + n)
+        for density in (0.5 / n, 1.0 / n, 2.0 / n, 0.1, 0.5):
+            for _ in range(4):
+                relation = rng.uniform(size=(n, n)) < density
+                relation[np.diag_indices(n)] = rng.uniform() < 0.5
+                assert_scipy_partition(relation)
+
+    @pytest.mark.parametrize("n", [1, 9, 64, 175])
+    @pytest.mark.parametrize("kind", ["empty", "complete", "diagonal"])
+    def test_fixed_relations(self, n, kind):
+        relation = {"empty": np.zeros((n, n), dtype=bool), "complete": np.ones((n, n), dtype=bool),
+                    "diagonal": np.eye(n, dtype=bool)}[kind]
+        assert_scipy_partition(relation)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_175_node_path_and_cycle(self, step):
+        # a 175-deep search, no recursion: a path has 175 components, a cycle one
+        path = np.zeros((175, 175), dtype=bool)
+        nodes = np.arange(175)[::step]
+        path[nodes[:-1], nodes[1:]] = True
+        assert_scipy_partition(path)
+        assert len(set(_strong_components(path).tolist())) == 175
+        cycle = path.copy()
+        cycle[nodes[-1], nodes[0]] = True
+        assert_scipy_partition(cycle)
+        assert len(set(_strong_components(cycle).tolist())) == 1
 
 
 class TestDirectRelation:
