@@ -25,13 +25,13 @@ best-so-far selection that holds the tie rule.  The optimal bundle is the
 module's one output, and :func:`_demand` is its one call: it runs the
 enumeration for arrays of budgets and parameters, leaving out an interior
 that is inadmissible everywhere.  :func:`optimal_demand_grid` and the paired
-loss in ``estimation`` call it; the recovery grid's beta < 0 rows run the
-candidates and the selection on their own classed pairs.
+loss in ``estimation`` call it.  The recovery grid runs no enumeration: it
+takes the closed-form maximizer on every row (``estimation._block_kernel``),
+and shares only :func:`_interior` and :class:`_Budgets` with this module.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,39 +90,40 @@ class _Valuation:
     """The objective ``w u(x_hi) + (1 - w) u(x_lo)`` at the enumeration's candidates.
 
     ``rho`` is an array that broadcasts against the holdings, and ``w``, the
-    weight on the better outcome, one that broadcasts against ``rho``; the
-    felicities need no ``w``, and :meth:`weighted` gives the same rho arrays
-    at other weights.
+    weight on the better outcome, one that broadcasts against ``rho``.  Where
+    ``1 - w`` is 0 (``2 + beta`` rounds to 1, at beta one ulp above -1), the
+    low holding's term is 0, not ``0 * u(x_lo)``, which is NaN where
+    ``u(x_lo)`` is -inf; where no entry has that weight, no term is touched.
 
     The felicity is CRRA: ``(x^(1 - rho) - 1) / (1 - rho)`` of positive
     holdings, ``log(x)`` where rho is within ``_LOG_RHO_EPS`` of 1 (on those
     entries only, if there are any), and ``u(0)`` apart: -inf from
     ``rho = 1 - _LOG_RHO_EPS`` up, where the power branch would still be finite
     below 1, and ``-1 / (1 - rho)`` below.  The corners are admissible only for
-    rho < 1, where ``u(0)`` can be finite, and are left out where no rho is.
+    rho < 1, where ``u(0)`` can be finite, and are left out where no rho is
+    (``corners`` is then False).
     """
 
-    def __init__(self, rho: np.ndarray, w: np.ndarray | None = None):
+    def __init__(self, rho: np.ndarray, w: np.ndarray):
         self._exponent = 1.0 - rho
         log = np.abs(rho - 1.0) < _LOG_RHO_EPS
         corners = rho < 1.0
-        self._at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / self._exponent)
         self._log = log if np.count_nonzero(log) else None
         self._corners = corners if np.count_nonzero(corners) else None
-        if w is not None:
-            self._weigh(w)
-
-    def weighted(self, w: np.ndarray) -> _Valuation:
-        """This valuation at the weights ``w``, sharing its rho arrays."""
-        value = copy.copy(self)
-        value._weigh(w)
-        return value
-
-    def _weigh(self, w):
+        self.corners = self._corners is not None
         self._w = w
         self._w_lo = 1.0 - w
-        if self._corners is not None:
-            self._corner_zero = self._w_lo * self._at_zero
+        unweighted = self._w_lo == 0.0
+        self._unweighted = unweighted if np.count_nonzero(unweighted) else None
+        if self.corners:
+            at_zero = np.where(rho >= 1.0 - _LOG_RHO_EPS, -np.inf, -1.0 / self._exponent)
+            self._corner_zero = self._low(self._w_lo * at_zero)
+
+    def _low(self, term):
+        """The low holding's term ``(1 - w) u(x_lo)``, set to 0 in place where ``1 - w`` is 0."""
+        if self._unweighted is not None:
+            np.copyto(term, 0.0, where=self._unweighted)
+        return term
 
     def felicity(self, x):
         """u(x) of positive holdings, broadcast against rho."""
@@ -134,15 +135,10 @@ class _Valuation:
             u[log] = np.log(np.broadcast_to(x, u.shape)[log])
         return u
 
-    def fixed_felicities(self, budgets: _Budgets):
-        """u at the kink, and at the corners' holdings (None without admissible corners):
-        they depend on rho and the budget only."""
-        corners = (None if self._corners is None
-                   else (self.felicity(budgets.corner_a), self.felicity(budgets.corner_b)))
-        return self.felicity(budgets.kink), corners
-
-    def kink(self, f_kink):
-        return self._w * f_kink + self._w_lo * f_kink
+    def kink(self, x):
+        """The kink bundle ``(x, x)``."""
+        f = self.felicity(x)
+        return self._w * f + self._low(self._w_lo * f)
 
     def interior(self, x_hi, x_lo, k):
         """An interior bundle ``x_hi = k * x_lo``, admissible where ``k > 1`` (so
@@ -151,35 +147,35 @@ class _Valuation:
         u *= self._w
         f_lo = self.felicity(x_lo)
         f_lo *= self._w_lo
-        u += f_lo
+        u += self._low(f_lo)
         return np.where(k > 1.0, u, -np.inf)
 
-    def corner(self, f_held):
-        return np.where(self._corners, self._w * f_held + self._corner_zero, -np.inf)
+    def corner(self, x_held):
+        """A corner bundle, ``x_held`` of one asset and 0 of the other."""
+        return np.where(self._corners, self._w * self.felicity(x_held) + self._corner_zero,
+                        -np.inf)
 
 
-def _candidates(budgets: _Budgets, value: _Valuation, k_a, k_b, felicities):
+def _candidates(budgets: _Budgets, value: _Valuation, k_a, k_b):
     """The enumeration's candidates in order, as ``(x_a, x_b, utility)``.
 
-    The order is kink, A-high, corner A, B-high, corner B.  ``felicities`` is
-    ``value.fixed_felicities(budgets)``; the corners are left out where it has
-    none.  A candidate's utility is -inf where it is not admissible.  An
-    interior ratio ``k_a`` or ``k_b`` of None leaves that interior out, for a
-    caller that knows it inadmissible on every entry: a candidate of utility
-    -inf never replaces the best.
+    The order is kink, A-high, corner A, B-high, corner B; the corners are left
+    out where ``value`` has none.  A candidate's utility is -inf where it is
+    not admissible.  An interior ratio ``k_a`` or ``k_b`` of None leaves that
+    interior out, for a caller that knows it inadmissible on every entry: a
+    candidate of utility -inf never replaces the best.
     """
-    f_kink, f_corners = felicities
-    yield budgets.kink, budgets.kink, value.kink(f_kink)
+    yield budgets.kink, budgets.kink, value.kink(budgets.kink)
     if k_a is not None:
         x_a, x_b = _interior(budgets.p_a, budgets.p_b, k_a)
         yield x_a, x_b, value.interior(x_a, x_b, k_a)
-    if f_corners is not None:
-        yield budgets.corner_a, 0.0, value.corner(f_corners[0])
+    if value.corners:
+        yield budgets.corner_a, 0.0, value.corner(budgets.corner_a)
     if k_b is not None:
         x_b, x_a = _interior(budgets.p_b, budgets.p_a, k_b)
         yield x_a, x_b, value.interior(x_b, x_a, k_b)
-    if f_corners is not None:
-        yield 0.0, budgets.corner_b, value.corner(f_corners[1])
+    if value.corners:
+        yield 0.0, budgets.corner_b, value.corner(budgets.corner_b)
 
 
 class _Best:
@@ -238,7 +234,7 @@ def _demand(budgets: _Budgets, w: np.ndarray, rho: np.ndarray) -> tuple[np.ndarr
     odds, inv_rho = w / (1.0 - w), 1.0 / rho
     k_a, k_b = (np.power(base, inv_rho) if np.count_nonzero(base > 1.0) else None
                 for base in (odds * budgets.ratio_a, odds * budgets.ratio_b))
-    return _optimum(_candidates(budgets, value, k_a, k_b, value.fixed_felicities(budgets)))
+    return _optimum(_candidates(budgets, value, k_a, k_b))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

@@ -16,26 +16,21 @@ The grid stage makes one pass per budget schedule (:func:`_grid_optima`):
 datasets whose price and return matrices are equal byte for byte share it.
 The model's demand depends on the prices only, so a pass computes it once per
 block of beta rows (:func:`_block_kernel`), for every dataset on the
-schedule, and never calls :func:`optimal_demand_grid`.  It computes demand
-only where a candidate can win.  An interior's ratio is ``k = base^(1/rho)``,
-and its base depends on the beta and the round but not on rho, so the kernel
-classes each (beta, round) pair once per block by which of its two bases
-exceed 1.  Rows with beta >= 0 take the closed-form maximizer (the utility
-is concave on the budget line there), and at most one base exceeds 1: a pair
-with none takes the round's kink tokens at every rho with no power, and a
-pair with one takes one power per rho and one interior bundle.  Rows with
-beta < 0 run the enumeration that :func:`optimal_demand_grid` runs, its
-candidates (``da_model._candidates``) and its one selection and tie rule
-(``da_model._Best``), with an interior left out on the pairs whose base is
-<= 1, where it is inadmissible at every rho; the kink and corner felicities
-of each rho column are computed once per schedule.  The classed pairs are
-gathered in chunks of ``_PAIR_CELLS`` cells, so the kernel's temporaries
-stay cache-sized, and a block's tokens stay in that gathered order, shared
-by every dataset on the schedule.  Each dataset's per-round losses of a
-block (:func:`_block_losses`) go into one reusable buffer: the kink pairs
-take the round's kink loss, one number per round, and each chunk's loss is
-formed on its gathered cells and scattered once.  Only a running first
-minimum per dataset survives the block, so no per-round grid is kept.
+schedule, and never calls :func:`optimal_demand_grid`.  Every row takes the
+closed-form maximizer: U is symmetric in the two states and concave on each
+side of the kink, so the optimum is the interior on the cheaper asset's side
+where its ratio ``k = base^(1/rho)`` exceeds 1, and the kink otherwise.  The
+base depends on the beta and the round but not on rho, so the kernel classes
+each (beta, round) pair once per block: a kink pair takes the round's kink
+tokens at every rho with no power, and an interior pair takes one power per
+rho and one interior bundle.  The classed pairs are gathered in chunks of
+``_PAIR_CELLS`` cells, so the kernel's temporaries stay cache-sized, and a
+block's tokens stay in that gathered order, shared by every dataset on the
+schedule.  Each dataset's per-round losses of a block (:func:`_block_losses`)
+go into one reusable buffer: the kink pairs take the round's kink loss, one
+number per round, and each chunk's loss is formed on its gathered cells and
+scattered once.  Only a running first minimum per dataset survives the
+block, so no per-round grid is kept.
 
 A pass runs its prefix sizes as stages, smallest first, each on the
 schedule's first ``s`` rounds.  The first stage runs every beta row; a later
@@ -45,7 +40,7 @@ a square, so a cell's sum over ``s`` rounds is at least its sum over fewer,
 and a cell whose known sum already exceeds an achieved sum of a later size,
 by a margin far above rounding, can neither win nor tie there.  A cell kernel
 (:func:`_cell_tokens`) repeats the pair kernel's float operations for each
-(cell, round) entry on its own, classed by the same bases, so a stage runs
+(cell, round) entry on its own, classed the same way, so a stage runs
 the rows where most cells are left in through the pair kernel and the other
 cells one by one.  A one-size pass on more than ``_BOUNDING_LENGTH`` rounds
 (every ``analyze``) first runs unreported stages: a short probe over every
@@ -58,18 +53,22 @@ The refinements of a whole batch (every prefix of every dataset) run in lock
 step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
 transcribed, on Python floats).  Each step values the pending points of all
 fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
-parameter pairs, K losses), which runs the same enumeration and selection on
-the rounds of all K.  It values each point once, and it also serves
-:func:`fit_loss`.  A grid optimum's loss is its mean from the grid pass, and
-that is not always the float :func:`fit_loss` gives there: the grid's
-beta >= 0 rows take the closed-form maximizer and :func:`fit_loss` the
-enumeration, and the two bundles differ on a few cells.  Where the
-interior's ratio ``k`` is about 1e15 or more (the smallest rho columns), the
-enumeration takes the corner, a holding of exactly 0, where the closed form
-holds a tiny amount; next to the kink at large rho, it takes the kink where
-the closed form takes an interior just off it.  The per-round losses then
-differ in their last bits, or by about 5e-5 relative next to the kink
-(``test_grid_and_paired_losses_differ_only_where_pinned``).  The fits are
+parameter pairs, K losses), which runs the candidate enumeration of
+``da_model`` (:func:`optimal_demand_grid`'s) on the rounds of all K.  It
+values each point once, and it also serves :func:`fit_loss`.  A grid
+optimum's loss is its mean from the grid pass, and that is not always the
+float :func:`fit_loss` gives there: the grid takes the closed-form maximizer
+and :func:`fit_loss` the enumeration, and the two bundles differ on a few
+cells of every row.  Where the interior's ratio ``k`` is about 1e15 or more
+(the smallest rho columns), the enumeration takes the corner, a holding of
+exactly 0, where the closed form holds a tiny amount; next to the kink at
+large rho (beta >= 0), it takes the kink where the closed form takes an
+interior just off it.  The per-round losses then differ in their last bits,
+or by about 5e-5 relative next to the kink
+(``test_grid_and_paired_losses_differ_only_where_pinned``).  Off the default
+grid, at beta near -1 and rho near 10 or more, every candidate's utility
+rounds to about ``1 / (rho - 1)`` and the enumeration's comparison keeps the
+kink or the dearer side, where the closed form holds the maximizer.  The fits are
 those of scipy's ``minimize`` on one prefix at a time, evaluation counts
 included.
 """
@@ -78,12 +77,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .da_model import DAParams, _Budgets, _candidates, _demand, _interior, _optimum, _Valuation
+from .da_model import DAParams, _Budgets, _demand, _interior
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -119,8 +117,9 @@ class FitResult:
 
     ``loss`` is the loss at ``params``: :func:`fit_loss` there when the
     refinement's point is kept, else the grid pass's mean at ``grid_best``,
-    which on a few beta >= 0 cells differs from :func:`fit_loss` there (the
-    closed form against the enumeration; see the module docstring)."""
+    which differs from :func:`fit_loss` there where some round's bundle is an
+    exact corner of the enumeration, in any row (the closed form against the
+    enumeration; see the module docstring)."""
 
     params: DAParams
     loss: float
@@ -147,88 +146,71 @@ _TINY = float(np.finfo(float).tiny)
 # pays (_grid_optima); the lengths are from a measured table (CHANGES.md)
 _BOUNDING_LENGTH = 25
 _BOUNDING_STAGES = (10, 50, 100)
-# the cost of a cell-round with beta < 0 and with beta >= 0 in the pair kernel and in the
-# cell kernel, relative to the pair kernel's with beta < 0 (measured at 175 rounds): a
-# stage runs a row through the cell kernel only where its cells cost less than the row
-_PAIR_COST, _CELL_COST = (1.0, 0.07), (1.5, 0.25)
+# the cost of a cell-round in the pair kernel and in the cell kernel (measured at 175
+# rounds; CHANGES.md): a stage runs a row through the cell kernel only where its cells
+# cost less than the row
+_PAIR_COST, _CELL_COST = 1.0, 2.1
 
 
 def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
-    """Consecutive blocks of beta rows of one sign, about ``_BLOCK_CELLS`` cells each, in order."""
+    """Consecutive blocks of beta rows, about ``_BLOCK_CELLS`` cells each, in order."""
     block = max(1, _BLOCK_CELLS // row_cells)
-    negative = betas < 0.0
-    edges = [0, *(np.flatnonzero(np.diff(negative)) + 1), len(betas)]
-    return [slice(start, min(start + block, hi))
-            for lo, hi in zip(edges, edges[1:]) for start in range(lo, hi, block)]
-
-
-def _fixed_felicities(prices: np.ndarray, rhos: np.ndarray):
-    """The kink and corner felicities of every (round, rho) pair, (N, R) each, as
-    ``_Valuation.fixed_felicities`` gives them: they depend on rho and the budget only."""
-    # (N, 2, 1) prices make (N, 1) price columns, which broadcast against (R,) rho
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _Valuation(rhos).fixed_felicities(_Budgets(prices[:, :, None]))
+    return [slice(start, min(start + block, len(betas))) for start in range(0, len(betas), block)]
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray, felicities=None):
+def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     """The model's token allocations on one schedule, for a block of beta rows at a time.
 
-    Returns ``tokens_at(betas, size, lo=0)``, which maps betas of one sign,
-    (B,), to the tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x``
-    of every (beta, rho) pair and each of the schedule's rounds ``lo .. size -
-    1``, as ``(kink, pieces)``.  ``pieces`` lists ``(rows, rounds, model_a,
+    Returns ``tokens_at(betas, size, lo=0)``, which maps betas, (B,), to the
+    tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every
+    (beta, rho) pair and each of the schedule's rounds ``lo .. size - 1``, as
+    ``(kink, pieces)``.  ``pieces`` lists ``(rows, rounds, model_a,
     model_b)``: the (beta, round) pairs of one chunk, (pairs,) each, rounds
     counted from ``lo``, and their tokens in that gathered order, (pairs, R)
     each.  Every pair in no piece takes the round's kink tokens ``kink =
-    (kink_a, kink_b)``, (size - lo,) each, at every rho; with beta < 0 the
-    pieces hold every pair and ``kink`` is None.  Each token is computed on
-    its own, so a round's tokens do not depend on ``size`` or ``lo``.  Only
-    the prices and returns enter, so every dataset on the schedule shares
-    them (:func:`_block_losses`).  The pieces' tokens are views of one
-    workspace per schedule, no larger than a block's two token arrays, and
-    the next call overwrites them.  ``felicities`` are the schedule's
-    :func:`_fixed_felicities`, computed here if not given.
+    (kink_a, kink_b)``, (size - lo,) each, at every rho.  Each token is
+    computed on its own, so a round's tokens do not depend on ``size`` or
+    ``lo``.  Only the prices and returns enter, so every dataset on the
+    schedule shares them (:func:`_block_losses`).  The pieces' tokens are
+    views of one workspace per schedule, no larger than a block's two token
+    arrays, and the next call overwrites them.
 
-    Each interior's ratio is ``k = base^(1/rho)``, whose base depends on the
-    beta and the round but not on rho: ``odds * p_b / p_a`` for A-high and
-    ``odds * p_a / p_b`` for B-high, ``odds = w / (1 - w)``.  A base <= 1
-    gives ``k <= 1`` at every rho, so the kernel classes each (beta, round)
-    pair by which bases exceed 1, once per block, and computes an interior's
-    power, bundle and felicities only on the pairs of its classes.  A class's
-    pairs are gathered into (pairs, R) arrays, ``_PAIR_CELLS`` cells at a
-    time so that the temporaries stay in cache, and their tokens are written
-    into the workspace in that gathered order.
+    The maximizer is in closed form on every row.  U is symmetric in the two
+    states, and on each side of the kink it is the one-sided objective
+    ``w u(x_hi) + (1 - w) u(x_lo)``, concave on the budget line, whose
+    maximizer holds ``x_hi = k x_lo`` with ``k = base^(1/rho)``: the A-high
+    base is ``odds * p_b / p_a`` and the B-high one ``odds * p_a / p_b``,
+    ``odds = w / (1 - w)``.  The high side is the cheaper asset's (A on equal
+    prices): a bundle on the dearer side, mirrored, is as good and costs no
+    more.  So a (beta, round) pair whose cheaper side's base exceeds 1 takes
+    that side's interior at ``max(k, 1)``, and any other pair the kink; CRRA's
+    infinite marginal felicity at zero rules out the corners.  With beta >= 0
+    (``w <= 1/2``, so ``odds <= 1``) only the cheaper side's base can exceed
+    1, and with beta < 0 (``odds >= 1``) its base is the larger one.  The base
+    depends on the beta and the round but not on rho, so the kernel classes
+    each pair once per block: a kink pair takes the kink's tokens at every rho
+    with no power at all and is in no piece, and an interior pair takes one
+    power per rho and its side's bundle, which at ``k = 1`` is the kink bit
+    for bit (``p_hi * 1.0 + p_lo`` is exactly ``p_a + p_b``).  At beta one ulp
+    above -1, ``odds`` is inf and so is ``k``: the bundle is ``_interior``'s
+    k -> inf limit, the whole budget on the cheaper asset.  A class's pairs
+    are gathered into (pairs, R) arrays, ``_PAIR_CELLS`` cells at a time so
+    that the temporaries stay in cache, and their tokens are written into the
+    workspace in that gathered order.
 
-    With beta >= 0 the weight on the better outcome is at most 1/2, so U is
-    the minimum of the two one-sided objectives ``w u(x_a) + (1-w) u(x_b)``
-    and ``w u(x_b) + (1-w) u(x_a)``, which is concave on the budget line: an
-    admissible interior (``k > 1``) is the maximizer, otherwise the kink is,
-    and CRRA's infinite marginal felicity at zero rules out the corners.  At
-    most one base exceeds 1, in floats too: ``w = fl(1 / (2 + beta)) <= 1/2``
-    and ``fl(1 - w) >= 1/2``, so ``odds <= 1`` and each base is at most its
-    price ratio, and ``fl(p_b / p_a) > 1`` and ``fl(p_a / p_b) > 1`` would need
-    ``p_b > p_a`` and ``p_a > p_b``.  So a pair whose bases are both <= 1
-    takes the kink's tokens at every rho with no power at all and is in no
-    piece; a pair with a base above 1 takes one power per rho and its side's
-    bundle at ``max(k, 1)``, which at ``k = 1`` is the kink bit for bit
-    (``p_hi * 1.0 + p_lo`` is exactly ``p_a + p_b``).
-
-    With beta < 0 each class goes through the enumeration that
-    :func:`optimal_demand_grid` runs (``da_model._candidates`` and the tie rule
-    of ``da_model._Best``) on its pairs, with an interior left out where its
-    base is <= 1: there it is inadmissible at every rho, its utility -inf,
-    and such a candidate never replaces the best.  So the demand is the
-    enumeration's bit for bit.  The kink and corner felicities depend on rho
-    and the round only, so they are computed once per schedule and gathered.
+    ``optimal_demand_grid`` enumerates the candidates instead, and the two
+    differ where the enumeration takes an exact corner, a holding of 0, and
+    the closed form a tiny holding (``k`` about 1e15 or more), next to the
+    kink at large rho, and where every candidate's utility rounds to about
+    the same float (beta near -1 at large rho), where the enumeration's float
+    comparison keeps the kink or the dearer side.
     """
     budgets = _Budgets(prices)
     r_a, r_b = returns[:, 0], returns[:, 1]
     inv_rho = 1.0 / rhos
-    value = _Valuation(rhos)
-    # the kink and corner felicities are (N, R), gathered by round
-    f_kink, f_corners = felicities or _fixed_felicities(prices, rhos)
     kink = budgets.kink / r_a, budgets.kink / r_b
+    cheap_a = budgets.p_a <= budgets.p_b
     step = max(1, _PAIR_CELLS // len(rhos))
     workspace = np.empty((2, 0))
 
@@ -245,126 +227,70 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray, fel
         if workspace.shape[1] < cells:
             workspace = np.empty((2, cells))
         pieces, used = [], 0
-
-        def add(rows: np.ndarray, rounds: np.ndarray, x_a: np.ndarray, x_b: np.ndarray):
-            """A piece of the pairs' tokens at demand ``x``, written into the workspace after
-            the pieces before it."""
-            nonlocal used
-            size = len(rows) * len(rhos)
-            model_a, model_b = (part[used:used + size].reshape(len(rows), len(rhos))
-                                for part in workspace)
-            np.divide(x_a, r_a[rounds + lo, None], out=model_a)
-            np.divide(x_b, r_b[rounds + lo, None], out=model_b)
-            pieces.append((rows, rounds, model_a, model_b))
-            used += size
-
         w = 1.0 / (2.0 + betas[:, None])
         odds = w / (1.0 - w)
-        base_a, base_b = odds * budgets.ratio_a[lo:size], odds * budgets.ratio_b[lo:size]
-        if betas[0] < 0.0:
-            above_a, above_b = base_a > 1.0, base_b > 1.0
-            for has_a, has_b in ((True, True), (True, False), (False, True), (False, False)):
-                for rows, rounds in chunks((above_a == has_a) & (above_b == has_b)):
-                    k_a = np.power(base_a[rows, rounds][:, None], inv_rho) if has_a else None
-                    k_b = np.power(base_b[rows, rounds][:, None], inv_rho) if has_b else None
-                    at = rounds + lo
-                    felicities = f_kink[at], (None if f_corners is None else
-                                              (f_corners[0][at], f_corners[1][at]))
-                    x_a, x_b = _optimum(_candidates(_Budgets(prices[at, :, None]),
-                                                    value.weighted(w[rows]), k_a, k_b, felicities))
-                    add(rows, rounds, x_a, x_b)
-            return None, pieces
-        for base, p_hi, p_lo, high_a in ((base_a, budgets.p_a, budgets.p_b, True),
-                                         (base_b, budgets.p_b, budgets.p_a, False)):
-            for rows, rounds in chunks(base > 1.0):
+        cheap = cheap_a[lo:size]
+        for base, p_hi, p_lo, side, a_high in (
+                (odds * budgets.ratio_a[lo:size], budgets.p_a, budgets.p_b, cheap, True),
+                (odds * budgets.ratio_b[lo:size], budgets.p_b, budgets.p_a, ~cheap, False)):
+            for rows, rounds in chunks((base > 1.0) & side):
                 k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
                 at = rounds + lo
                 x_hi, x_lo = _interior(p_hi[at, None], p_lo[at, None], k)
-                add(rows, rounds, *((x_hi, x_lo) if high_a else (x_lo, x_hi)))
+                model_a, model_b = (part[used:used + k.size].reshape(k.shape)
+                                    for part in workspace)
+                np.divide(x_hi if a_high else x_lo, r_a[at, None], out=model_a)
+                np.divide(x_lo if a_high else x_hi, r_b[at, None], out=model_b)
+                pieces.append((rows, rounds, model_a, model_b))
+                used += k.size
         return (kink[0][lo:size], kink[1][lo:size]), pieces
 
     return tokens_at
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _cell_tokens(prices: np.ndarray, returns: np.ndarray, betas: np.ndarray, rhos: np.ndarray,
-                 felicities=None):
+def _cell_tokens(prices: np.ndarray, returns: np.ndarray, betas: np.ndarray, rhos: np.ndarray):
     """The model's token allocations on one schedule, for any grid cells and rounds.
 
     Returns ``tokens_of(cells, lo, hi)``, which maps flat (beta, rho) cell
     indices, (C,), to the tokens of each cell at each of the schedule's rounds
     ``lo .. hi - 1``, as ``(model_a, model_b)``, (C, hi - lo) each.  It
     repeats :func:`_block_kernel`'s float operations for each (cell, round)
-    entry on its own, so every token is that kernel's bit for bit: the closed
-    form where beta >= 0, and where beta < 0 the enumeration
-    (``da_model._candidates`` and ``da_model._Best``), with the kink and
-    corner felicities gathered from the schedule's (round, rho) tables.  It
-    classes the entries as the pair kernel classes its (beta, round) pairs,
-    by which interior bases exceed 1, and each class computes only the
-    candidates that can win there; a beta >= 0 entry with no base above 1
-    takes its round's kink tokens with no power.  Each class's entries are
-    gathered, their tokens computed and scattered back into (cell, round)
-    order; the enumerated ones go ``_PAIR_CELLS // 2`` at a time, since each
-    holds about twice the temporaries of a pair-kernel cell.  It never calls
-    ``da_model._demand``, whose enumeration differs from the closed form on a
-    few beta >= 0 cells (see the module docstring).  ``felicities`` are the
-    schedule's :func:`_fixed_felicities`, computed here if not given.
+    entry on its own, so every token is that kernel's bit for bit: the
+    closed form, classed as the pair kernel classes its (beta, round) pairs.
+    An entry whose pair takes the kink keeps its round's kink tokens, with no
+    power; each side's entries are gathered, their tokens computed and
+    scattered back into (cell, round) order.
     """
     budgets = _Budgets(prices)
     p_a, p_b = budgets.p_a, budgets.p_b
     r_a, r_b = returns[:, 0], returns[:, 1]
     n, cols = len(prices), len(rhos)
     inv_rho = 1.0 / rhos
-    f_kink, f_corners = felicities or _fixed_felicities(prices, rhos)
-    f_kink = f_kink.ravel()
-    f_corners = None if f_corners is None else tuple(f.ravel() for f in f_corners)
     kink_a, kink_b = budgets.kink / r_a, budgets.kink / r_b
-    w = 1.0 / (2.0 + betas)
+    w = 1.0 / (2.0 + betas[:, None])
     odds = w / (1.0 - w)
-    ratio_a, ratio_b = budgets.ratio_a, budgets.ratio_b
-    # a (beta, round) pair's class, (B * N,): 1 if its A-high base exceeds 1, + 2 if its
-    # B-high one does, + 4 where beta < 0
-    classes = ((odds[:, None] * ratio_a > 1.0) + 2 * (odds[:, None] * ratio_b > 1.0)
-               + 4 * (betas < 0.0)[:, None]).astype(np.int8).ravel()
-
-    def bundles(code: int, b: np.ndarray, c: np.ndarray, r: np.ndarray):
-        """The optimal bundles of one class's entries: beta rows, rho columns and rounds."""
-        if code < 4:  # beta >= 0, one base above 1: the closed form
-            high_a = code == 1
-            k = np.maximum(np.power(odds[b] * (ratio_a if high_a else ratio_b)[r], inv_rho[c]),
-                           1.0)
-            x_hi, x_lo = _interior(*((p_a[r], p_b[r]) if high_a else (p_b[r], p_a[r])), k)
-            return (x_hi, x_lo) if high_a else (x_lo, x_hi)
-        # beta < 0: the enumeration, an interior of base <= 1 left out
-        k_a = np.power(odds[b] * ratio_a[r], inv_rho[c]) if code & 1 else None
-        k_b = np.power(odds[b] * ratio_b[r], inv_rho[c]) if code & 2 else None
-        rho = rhos[c]
-        value = _Valuation(rho, w[b])
-        table = r * cols + c
-        # the valuation leaves the corners out where no entry has rho < 1
-        corners = (None if f_corners is None or not np.count_nonzero(rho < 1.0)
-                   else (f_corners[0][table], f_corners[1][table]))
-        entries = SimpleNamespace(p_a=p_a[r], p_b=p_b[r], kink=budgets.kink[r],
-                                  corner_a=budgets.corner_a[r], corner_b=budgets.corner_b[r])
-        return _optimum(_candidates(entries, value, k_a, k_b, (f_kink[table], corners)))
+    cheap_a = p_a <= p_b
+    # each (beta, round) pair's cheaper side's base and its class, (B * N,) each: 1 for
+    # an A-high interior, 2 for a B-high one, 0 for the kink
+    bases = np.where(cheap_a, odds * budgets.ratio_a, odds * budgets.ratio_b)
+    classes = np.where(bases > 1.0, np.where(cheap_a, 1, 2), 0).astype(np.int8).ravel()
+    bases = bases.ravel()
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def tokens_of(cells: np.ndarray, lo: int, hi: int):
         span = hi - lo
         rounds = np.arange(lo, hi)
-        rows, columns = cells // cols, cells % cols
-        kind = classes[((rows * n)[:, None] + rounds).ravel()]
-        # every entry starts at its round's kink tokens, which a beta >= 0 entry with no
-        # base above 1 keeps
+        pairs = ((cells // cols * n)[:, None] + rounds).ravel()
+        kind = classes[pairs]
         tokens_a, tokens_b = np.tile(kink_a[lo:hi], len(cells)), np.tile(kink_b[lo:hi], len(cells))
-        for code in np.flatnonzero(np.bincount(kind, minlength=8)[1:]) + 1:
-            every = np.flatnonzero(kind == code)
-            # an enumerated entry holds about twice the temporaries of a pair-kernel cell
-            step = _PAIR_CELLS // 2 if code >= 4 else len(every)
-            for start in range(0, len(every), step):
-                at = every[start:start + step]
-                cell, r = at // span, rounds[at % span]
-                x_a, x_b = bundles(code, rows[cell], columns[cell], r)
+        for code, p_hi, p_lo in ((1, p_a, p_b), (2, p_b, p_a)):
+            at = np.flatnonzero(kind == code)
+            if len(at):
+                r = rounds[at % span]
+                k = np.maximum(np.power(bases[pairs[at]], inv_rho[cells[at // span] % cols]), 1.0)
+                x_hi, x_lo = _interior(p_hi[r], p_lo[r], k)
+                x_a, x_b = (x_hi, x_lo) if code == 1 else (x_lo, x_hi)
                 tokens_a[at] = x_a / r_a[r]
                 tokens_b[at] = x_b / r_b[r]
         return tokens_a.reshape(len(cells), span), tokens_b.reshape(len(cells), span)
@@ -403,22 +329,10 @@ def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     kink, pieces = block
     t_a, t_b = tokens[:, 0], tokens[:, 1]
-    if kink is not None:
-        out[...] = _token_losses(*kink, t_a, t_b)
+    out[...] = _token_losses(*kink, t_a, t_b)
     for rows, rounds, model_a, model_b in pieces:
         out[rows, :, rounds] = _token_losses(model_a, model_b, t_a[rounds, None], t_b[rounds, None])
     return out
-
-
-def _block_tokens(block, out: np.ndarray) -> None:
-    """A block's tokens written into ``out``, (2, B, R, size): each pair in no piece at its
-    round's kink tokens at every rho, each piece's pairs at theirs."""
-    kink, pieces = block
-    if kink is not None:
-        out[0][...], out[1][...] = kink
-    for rows, rounds, model_a, model_b in pieces:
-        out[0][rows, :, rounds] = model_a
-        out[1][rows, :, rounds] = model_b
 
 
 def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
@@ -461,14 +375,13 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
 
     A one-size pass on more than ``_BOUNDING_LENGTH`` rounds first runs
     unreported stages of the ``_BOUNDING_STAGES`` lengths below its size.
-    The first, the probe, runs every row and keeps its tokens of the beta < 0
-    rows, from which the reported stage takes those rows' first rounds.  A
-    later one runs only if the cells that its sums, extrapolated from the
-    known ones, would leave out save the reported stage more than it costs,
-    and it adds just its new rounds to ``known`` (``_SLACK`` covers the other
-    summation order).  Noisy members leave most cells in, and they then skip
-    every unreported stage after the probe.  With a single stage there is no
-    bound and no ``known``.
+    The first, the probe, runs every row.  A later one runs only if the cells
+    that its sums, extrapolated from the known ones, would leave out save the
+    reported stage more than it costs, the bound extrapolated likewise to
+    each member's best known sum; it adds just its new rounds to ``known``
+    (``_SLACK`` covers the other summation order).  Noisy members leave most
+    cells in, and they then skip most unreported stages after the probe.
+    With a single stage there is no bound and no ``known``.
     """
     if not sizes:
         return [[] for _ in members]
@@ -478,19 +391,13 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
     stages = [*internal, *reported]
     cols, cells = len(rhos), len(betas) * len(rhos)
     known = np.empty((len(members), cells)) if len(stages) > 1 else None
-    felicities = _fixed_felicities(prices, rhos)
-    tokens_at = _block_kernel(prices, returns, rhos, felicities)
-    # each stage's row blocks have at most max(_BLOCK_CELLS, one row) cells; the probe's
-    # and a reported stage's rows span its size, an unreported one's the rounds after
-    # any stage before it
+    tokens_at = _block_kernel(prices, returns, rhos)
+    # each stage's row blocks have at most max(_BLOCK_CELLS, one row) cells; the first
+    # stage's and a reported stage's rows span its size, an unreported one's the rounds
+    # after any stage before it
     spans = [*stages, *(size - done for size in internal for done in stages if done < size)]
     buffer = np.empty(max(min(len(betas), max(1, _BLOCK_CELLS // (cols * span))) * cols * span
                           for span in spans))
-    negative = betas < 0.0
-    # an unreported first stage, the probe, keeps its tokens of the beta < 0 rows, where
-    # they cost the most, and a reported stage takes those rows' first rounds from them
-    probe = np.empty((2, np.count_nonzero(negative), cols, stages[0])) if internal else None
-    slot = np.cumsum(negative) - 1  # a beta < 0 row's place in the probe
     best: list[tuple[float, int]] = []
 
     def merge(m: int, sums: np.ndarray, at: np.ndarray, size: int):
@@ -502,63 +409,43 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
         if known is not None:
             known[m, at] = sums
 
-    def run_rows(rows: np.ndarray, lo: int, size: int, whole: bool):
-        """Every member's sums over rounds ``lo .. size - 1`` of the cells of ``rows``,
-        added to ``known``; if ``whole``, its sums over rounds ``0 .. size - 1``, merged
-        into ``best``, the first ``lo`` of a beta < 0 row from the probe's tokens."""
-        span = size if whole else size - lo
+    def add(m: int, sums: np.ndarray, at: np.ndarray, lo: int, size: int):
+        """Member ``m``'s sums over rounds ``lo .. size - 1`` at the flat cells ``at``: merged
+        into ``best`` if ``lo`` is 0, else added to ``known``."""
+        if lo:
+            known[m, at] += sums
+        else:
+            merge(m, sums, at, size)
+
+    def run_rows(rows: np.ndarray, lo: int, size: int):
+        """Every member's sums over rounds ``lo .. size - 1`` of the cells of ``rows``."""
+        span = size - lo
         row_cells = cols * span
         for block in _beta_blocks(betas[rows], row_cells):
             at = rows[block]
-            start = lo if not whole or negative[at[0]] else 0
-            tokens = tokens_at(betas[at], size, start)
+            tokens = tokens_at(betas[at], size, lo)
             out = buffer[:len(at) * row_cells].reshape(len(at), cols, span)
             flat = (at[:, None] * cols + np.arange(cols)).ravel()
-            if probe is not None and not lo and negative[at[0]]:
-                # the probe, whose rows are consecutive
-                _block_tokens(tokens, probe[:, slot[at[0]]:slot[at[-1]] + 1])
-            head = probe[:, slot[at]] if whole and start else None
             for m, member in enumerate(members):
-                _block_losses(tokens, member[start:size], out[:, :, span - (size - start):])
-                if head is not None:
-                    out[:, :, :start] = _token_losses(*head, member[:start, 0], member[:start, 1])
-                sums = np.add.reduce(out.reshape(-1, span), axis=1)
-                if whole:
-                    merge(m, sums, flat, size)
-                else:
-                    known[m, flat] += sums
+                _block_losses(tokens, member[lo:size], out)
+                add(m, np.add.reduce(out.reshape(-1, span), axis=1), flat, lo, size)
 
-    def run_cells(at: np.ndarray, lo: int, size: int, whole: bool):
+    def run_cells(at: np.ndarray, lo: int, size: int):
         """:func:`run_rows` on the flat cells ``at``, in increasing order."""
-        parts = [(at, lo)]
-        if whole and lo:  # a beta >= 0 cell's first rounds are not in the probe
-            kept = negative[at // cols]
-            parts = [(at[~kept], 0), (at[kept], lo)]
-        first = 0 if whole else lo
-        for cells, start in parts:
-            step = max(1, _PAIR_CELLS // (size - start))
-            for begin in range(0, len(cells), step):
-                chunk = cells[begin:begin + step]
-                model_a, model_b = tokens_of(chunk, start, size)
-                if first < start:
-                    head = probe[:, slot[chunk // cols], chunk % cols]
-                    model_a = np.concatenate([head[0], model_a], axis=1)
-                    model_b = np.concatenate([head[1], model_b], axis=1)
-                for m, member in enumerate(members):
-                    sums = np.add.reduce(_token_losses(model_a, model_b, member[first:size, 0],
-                                                       member[first:size, 1]), axis=1)
-                    if whole:
-                        merge(m, sums, chunk, size)
-                    else:
-                        known[m, chunk] += sums
+        step = max(1, _PAIR_CELLS // (size - lo))
+        for begin in range(0, len(at), step):
+            chunk = at[begin:begin + step]
+            model_a, model_b = tokens_of(chunk, lo, size)
+            for m, member in enumerate(members):
+                add(m, np.add.reduce(_token_losses(model_a, model_b, member[lo:size, 0],
+                                                   member[lo:size, 1]), axis=1),
+                    chunk, lo, size)
 
     if known is not None:
-        tokens_of = _cell_tokens(prices, returns, betas, rhos, felicities)
+        tokens_of = _cell_tokens(prices, returns, betas, rhos)
         targets = np.array(reported)
         bounds = np.full((len(members), len(reported)), np.inf)
         tried: list[set[int]] = [set() for _ in members]
-        row_cost = np.where(negative, *_PAIR_COST) * cols
-        cell_cost = np.where(negative, *_CELL_COST)
 
     def limits(latest: list[int], size: int) -> np.ndarray:
         """Each member's bound on the round-sum of a cell that can still hold one of its
@@ -578,39 +465,43 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
     def plan(alive: np.ndarray) -> tuple[np.ndarray, float]:
         """The rows the pair kernel runs, where that costs less than the cell kernel on their
         cells, and the cost of one round of ``alive``."""
-        by_cells = np.count_nonzero(alive.reshape(len(betas), cols), axis=1) * cell_cost
-        rows = by_cells > row_cost
-        return rows, float(np.sum(np.where(rows, row_cost, by_cells)))
+        by_cells = np.count_nonzero(alive.reshape(len(betas), cols), axis=1) * _CELL_COST
+        rows = by_cells > _PAIR_COST * cols
+        return rows, float(np.sum(np.where(rows, _PAIR_COST * cols, by_cells)))
 
-    def run(alive: np.ndarray, lo: int, size: int, whole: bool):
+    def run(alive: np.ndarray, lo: int, size: int):
         rows = plan(alive)[0]
         if rows.any():
-            run_rows(np.flatnonzero(rows), lo, size, whole)
+            run_rows(np.flatnonzero(rows), lo, size)
         at = np.flatnonzero(alive & ~np.repeat(rows, cols))
         if len(at):
-            run_cells(at, lo, size, whole)
+            run_cells(at, lo, size)
 
     optima, alive, done, latest = {}, None, 0, []
     for size in stages:
         best[:] = [(math.inf, cells)] * len(members)  # every cell beats it
         if alive is None:
-            run_rows(np.arange(len(betas)), 0, size, True)
+            run_rows(np.arange(len(betas)), 0, size)
             alive = np.ones(cells, dtype=bool)
         else:
             limit = limits(latest, size)[:, None]
             alive &= ~np.all(known > limit, axis=0)
             if size in internal:
                 # it runs only if the cells that its sums, extrapolated from the known
-                # ones, would leave out save the reported stage more than it costs
+                # ones, would leave out save the reported stage more than it costs; the
+                # bound is extrapolated too, to each member's best known sum, since the
+                # stage's own optimum lowers it
                 now = plan(alive)[1]
-                then = plan(alive & ~np.all(known * (size / done) > limit, axis=0))[1]
+                guess = np.minimum(limit, np.min(known, axis=1, where=alive, initial=np.inf)
+                                   [:, None] * (reported[-1] / done))
+                then = plan(alive & ~np.all(known * (size / done) > guess, axis=0))[1]
                 if now * (size - done) >= (now - then) * reported[-1]:
                     continue
-                run(alive, done, size, False)
+                run(alive, done, size)
                 done = size
                 latest = [int(np.argmin(np.where(alive, sums, np.inf))) for sums in known]
                 continue
-            run(alive, 0 if probe is None else stages[0], size, True)
+            run(alive, 0, size)
         done = size
         latest = [at for _, at in best]
         if size in reported:

@@ -73,7 +73,8 @@ def enumeration_demand_grid(
     beta = np.asarray(beta, dtype=float)[:, None]
     rho = np.asarray(rho, dtype=float)[:, None]
     w = 1.0 / (2.0 + beta)
-    odds = w / (1.0 - w)
+    with np.errstate(divide="ignore"):
+        odds = w / (1.0 - w)
     inv_rho = 1.0 / rho
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,9 +92,13 @@ def enumeration_demand_grid(
     x_kink_a = np.broadcast_to(x_kink, zeros.shape)
 
     def utility(xa, xb):
+        # where 1 - w is 0 (2 + beta rounds to 1) the low holding's term is 0, not
+        # 0 * u(lo), which is NaN where u(lo) is -inf
         hi = np.maximum(xa, xb)
         lo = np.minimum(xa, xb)
-        return w * crra_grid(hi, rho) + (1.0 - w) * crra_grid(lo, rho)
+        with np.errstate(invalid="ignore"):
+            low = np.where(1.0 - w == 0.0, 0.0, (1.0 - w) * crra_grid(lo, rho))
+        return w * crra_grid(hi, rho) + low
 
     corner_ok = np.broadcast_to(rho < 1.0, zeros.shape)
     candidates = (

@@ -320,6 +320,24 @@ class TestAgainstEnumerationOracle:
         assert {INTERIOR_A_HIGH, INTERIOR_B_HIGH} <= set(np.unique(code[overflowed]))
         assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
 
+    def test_beta_one_ulp_above_minus_one(self):
+        # 2 + beta rounds to 1, so 1 - w is 0: the low holding's term is 0, not
+        # 0 * u(0) = NaN, and the whole budget goes to the cheaper asset.  On a
+        # (1e300, 1e300) budget every candidate's utility is -inf at rho = 5 and the
+        # kink stays; the oracle returned (0, 0) there, off the budget line
+        beta = float(np.nextafter(-1.0, 0.0))
+        assert optimal_demand(PricePair(1.0, 2.0), DAParams(beta, 5.0)) == (1.0, 0.0)
+        assert optimal_demand(PricePair(2.0, 1.0), DAParams(beta, 5.0)) == (0.0, 1.0)
+        prices = np.vstack([[[1.0, 2.0], [2.0, 1.0], [0.01, 0.01], [1e300, 1e300]],
+                            np.random.default_rng(137).uniform(0.002, 0.1, (20, 2))])
+        betas, rhos = _flat((beta,), (0.05, 0.5, 1.0 - 1e-10, 1.0, 2.0, 5.0))
+        demand = self.check(prices, betas, rhos)[0]
+        assert np.all(budget_gap(prices, demand) <= 1e-15)
+        cheaper = np.where(prices[:, :1] <= prices[:, 1:], [1.0, 0.0], [0.0, 1.0]) / prices
+        np.testing.assert_array_equal(demand[:, [0, 1, 2, *range(4, 24)]],
+                                      np.broadcast_to(cheaper[[0, 1, 2, *range(4, 24)]],
+                                                      (len(rhos), 23, 2)))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_draws(self, seed):
         rng = np.random.default_rng(seed)

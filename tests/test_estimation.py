@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import dataset_from_prices, random_sloppy_dataset
-from demand_oracle import budget_gap, overflowed_interiors
+from demand_oracle import INTERIOR_A_HIGH, INTERIOR_B_HIGH, KINK, budget_gap, overflowed_interiors
 from demand_oracle import crra_grid as _crra_grid
 from demand_oracle import enumeration_demand_grid as optimal_demand_grid
 from prefbench import estimation
-from prefbench.da_model import (_LOG_RHO_EPS, DAParams, _Budgets, _candidates, _interior,
-                                _optimum, _Valuation)
+from prefbench import da_model
+from prefbench.da_model import _LOG_RHO_EPS, DAParams, _Budgets, _interior
 from prefbench.data import (
     SubjectDataset,
     _checks,
@@ -58,25 +58,26 @@ def _grid_losses(prices: np.ndarray, returns: np.ndarray, tokens: np.ndarray,
 
 
 def _one_piece(model_a: np.ndarray, model_b: np.ndarray):
-    """Full (B, R, N) token arrays as a ``tokens_at`` block: one piece holding every pair."""
+    """Full (B, R, N) token arrays as a ``tokens_at`` block: one piece holding every pair,
+    so its kink tokens, NaN here, are never read."""
     rows, rounds = np.nonzero(np.ones((model_a.shape[0], model_a.shape[2]), dtype=bool))
-    return None, [(rows, rounds, model_a[rows, :, rounds], model_b[rows, :, rounds])]
+    kink = np.full(model_a.shape[2], np.nan)
+    return (kink, kink), [(rows, rounds, model_a[rows, :, rounds], model_b[rows, :, rounds])]
 
 
 def _dense_block(block, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The full (B, R, N) token arrays of a ``tokens_at`` block: every pair in no piece
     at the round's kink tokens, each piece's pairs at its gathered tokens.  No pair may
-    be in two pieces, and with no kink every pair must be in one."""
+    be in two pieces."""
     kink, pieces = block
     dense = np.empty((2, *shape))
     held = np.zeros((shape[0], shape[2]), dtype=np.intp)
-    if kink is not None:
-        dense[0], dense[1] = kink
+    dense[0], dense[1] = kink
     for rows, rounds, model_a, model_b in pieces:
         np.add.at(held, (rows, rounds), 1)
         dense[0][rows, :, rounds] = model_a
         dense[1][rows, :, rounds] = model_b
-    assert held.max(initial=0) <= 1 and (kink is not None or held.min(initial=1) == 1)
+    assert held.max(initial=0) <= 1
     return dense[0], dense[1]
 
 
@@ -188,23 +189,19 @@ def round_losses(demand: np.ndarray, returns: np.ndarray, tokens: np.ndarray) ->
 
 
 def grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Optimal demand (G, N, 2) for every parameter pair, in closed form where beta >= 0.
+    """Optimal demand (G, N, 2) for every parameter pair, in closed form.
 
-    Rows with beta < 0 go through :func:`optimal_demand_grid`; rows with beta >= 0
-    take the A-high interior bundle if ``k_a > 1``, else the B-high one if
-    ``k_b > 1``, else the kink, with the enumeration's expressions.  Together
-    with :func:`round_losses`, the reference for ``estimation._grid_losses``.
+    Every row takes the interior bundle on the cheaper asset's side (A on equal
+    prices) where its ratio ``k`` exceeds 1, else the kink, with the
+    enumeration's expressions.  Together with :func:`round_losses`, the
+    reference for ``estimation._grid_losses``.
     """
-    demand = np.empty((len(betas), len(prices), 2))
-    closed = betas >= 0.0
-    demand[~closed] = optimal_demand_grid(prices, betas[~closed], rhos[~closed])[0]
-
     p_a = prices[None, :, 0]
     p_b = prices[None, :, 1]
-    w = 1.0 / (2.0 + betas[closed, None])
+    w = 1.0 / (2.0 + betas[:, None])
     odds = w / (1.0 - w)
-    inv_rho = 1.0 / rhos[closed, None]
-    with np.errstate(over="ignore", invalid="ignore"):
+    inv_rho = 1.0 / rhos[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # an overflowed denominator takes the k -> inf limit, as the enumeration does
         k_a = np.power(odds * (p_b / p_a), inv_rho)
         x_b_ia = 1.0 / (p_a * k_a + p_b)
@@ -213,10 +210,11 @@ def grid_demand(prices: np.ndarray, betas: np.ndarray, rhos: np.ndarray) -> np.n
         x_a_ib = 1.0 / (p_b * k_b + p_a)
         x_b_ib = np.where(x_a_ib > 0.0, k_b * x_a_ib, 1.0 / p_b)
     x_kink = 1.0 / (p_a + p_b)
-    a_high = k_a > 1.0
-    b_high = k_b > 1.0
-    demand[closed, :, 0] = np.where(a_high, x_a_ia, np.where(b_high, x_a_ib, x_kink))
-    demand[closed, :, 1] = np.where(a_high, x_b_ia, np.where(b_high, x_b_ib, x_kink))
+    a_high = (k_a > 1.0) & (p_a <= p_b)
+    b_high = (k_b > 1.0) & (p_b < p_a)
+    demand = np.empty((len(betas), len(prices), 2))
+    demand[..., 0] = np.where(a_high, x_a_ia, np.where(b_high, x_a_ib, x_kink))
+    demand[..., 1] = np.where(a_high, x_b_ia, np.where(b_high, x_b_ib, x_kink))
     return demand
 
 
@@ -246,14 +244,14 @@ def assert_limits_on_the_line(prices: np.ndarray, betas, rhos) -> None:
 
 def _closed_form_branch(prices, betas, rhos) -> np.ndarray:
     """Branch code (the oracle's, ``demand_oracle.KINK`` to ``CORNER_B``) the closed form picks:
-    A-high, B-high, kink."""
+    A-high, B-high (each on the cheaper asset's side), kink."""
     p_a, p_b = prices[None, :, 0], prices[None, :, 1]
     w = 1.0 / (2.0 + betas[:, None])
     odds = w / (1.0 - w)
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         k_a = np.power(odds * (p_b / p_a), 1.0 / rhos[:, None])
         k_b = np.power(odds * (p_a / p_b), 1.0 / rhos[:, None])
-    return np.where(k_a > 1.0, 1, np.where(k_b > 1.0, 3, 0))
+    return np.where((k_a > 1.0) & (p_a <= p_b), 1, np.where((k_b > 1.0) & (p_b < p_a), 3, 0))
 
 
 def _utility(demand, betas, rhos) -> np.ndarray:
@@ -264,25 +262,22 @@ def _utility(demand, betas, rhos) -> np.ndarray:
             + (1.0 - w) * _crra_grid(demand.min(axis=2), rho))
 
 
-def check_closed_form(prices, betas, rhos) -> float:
-    """Assert the fast grid demand against the full enumeration; return the same-branch share.
+def check_closed_form(prices, betas, rhos) -> tuple[float, float]:
+    """Assert the fast grid demand against the full enumeration; return the same-branch
+    shares of the beta >= 0 and the beta < 0 rows (1.0 where there are none).
 
-    beta < 0 rows must be the enumeration's demand.  On beta >= 0 rows the
-    closed-form bundle must be optimal to 1e-12 in utility, and bitwise equal
-    to the enumeration's bundle wherever both pick the same branch.
+    On every row the closed-form bundle must be optimal to 1e-12 in utility,
+    and bitwise equal to the enumeration's bundle wherever both pick the same
+    branch.
     """
     demand = grid_demand(prices, betas, rhos)
     ref_demand, ref_code, ref_utility, _ = optimal_demand_grid(prices, betas, rhos)
-    closed = betas >= 0.0
-    np.testing.assert_array_equal(_bits(demand[~closed]), _bits(ref_demand[~closed]))
-
-    fast, ref = demand[closed], ref_demand[closed]
-    utility = _utility(fast, betas[closed], rhos[closed])
-    shortfall = ref_utility[closed] - utility
+    shortfall = ref_utility - _utility(demand, betas, rhos)
     assert np.all(shortfall <= 1e-12), float(np.max(shortfall))
-    same = _closed_form_branch(prices, betas[closed], rhos[closed]) == ref_code[closed]
-    np.testing.assert_array_equal(_bits(fast[same]), _bits(ref[same]))
-    return float(same.mean()) if same.size else 1.0
+    same = _closed_form_branch(prices, betas, rhos) == ref_code
+    np.testing.assert_array_equal(_bits(demand[same]), _bits(ref_demand[same]))
+    closed = betas >= 0.0
+    return tuple(float(same[rows].mean()) if rows.any() else 1.0 for rows in (closed, ~closed))
 
 
 def _schedule_prices(seed: int, n_rounds: int) -> np.ndarray:
@@ -301,8 +296,9 @@ class TestGridDemand:
     @pytest.mark.parametrize("seed", [101, 102, 103])
     def test_random_schedules_on_the_recovery_grid(self, seed):
         betas, rhos = flat_grid(*_parameter_grid(RecoveryConfig()))
-        same = check_closed_form(_schedule_prices(seed, 175), betas, rhos)
+        same, same_negative = check_closed_form(_schedule_prices(seed, 175), betas, rhos)
         assert same > 0.999
+        assert same_negative > 0.992
 
     @pytest.mark.parametrize("beta", [0.0, GRID_ZERO_BETA, 0.05, 1.0, 3.0, -0.5, -0.95])
     def test_adversarial_cells(self, beta):
@@ -393,14 +389,14 @@ class TestRecoverPrefixes:
 def enumeration_grid(monkeypatch):
     """Recovery as it was before the closed form: full candidate enumeration in every
     grid row and every grid cell."""
-    def enumerated_kernel(prices, returns, rhos, felicities=None):
+    def enumerated_kernel(prices, returns, rhos):
         def tokens_at(betas, size, lo=0):
             demand = optimal_demand_grid(prices[lo:size], *flat_grid(betas, rhos))[0]
             model = demand / returns[None, lo:size, :]
             return _one_piece(*(model[:, :, i].reshape(len(betas), len(rhos), -1) for i in (0, 1)))
         return tokens_at
 
-    def enumerated_cells(prices, returns, betas, rhos, felicities=None):
+    def enumerated_cells(prices, returns, betas, rhos):
         def tokens_of(cells, lo, hi):
             demand = optimal_demand_grid(prices[lo:hi], betas[cells // len(rhos)],
                                          rhos[cells % len(rhos)])[0]
@@ -1484,8 +1480,8 @@ class TestBoundingStages:
 
     @pytest.mark.parametrize("sizes", [[175], LEARNING_SAMPLE_SIZES])
     def test_a_pass_leaves_no_reference_cycle(self, sizes):
-        # a cycle among the pass's closures would hold its workspace, buffers and probe
-        # until the cyclic collector ran: in a long batch the process's peak memory grew
+        # a cycle among the pass's closures would hold its workspace and buffers until
+        # the cyclic collector ran: in a long batch the process's peak memory grew
         # with every pass (about 0.2 MB a pass with a 10-round probe)
         ds = simulate_subject(DAParams(0.3, 1.2), generate_budgets(457, 175), "ex").dataset
         betas, rhos = _parameter_grid(RecoveryConfig())
@@ -1499,7 +1495,8 @@ class TestBoundingStages:
             gc.enable()
 
     def test_cell_tokens_in_small_chunks(self, monkeypatch):
-        # the enumerated entries go _PAIR_CELLS // 2 at a time
+        # the cell kernel's tokens do not depend on _PAIR_CELLS, which sizes the chunks
+        # of cells that a stage hands it
         rng = np.random.default_rng(633)
         betas, rhos = _parameter_grid(RecoveryConfig())
         prices, returns, _ = _matrices(random_sloppy_dataset(rng, 7))
@@ -1511,11 +1508,13 @@ class TestBoundingStages:
                 np.testing.assert_array_equal(_bits(g), _bits(w))
 
     def test_grid_and_paired_losses_differ_only_where_pinned(self):
-        # the grid's beta >= 0 rows take the closed form, and _PairedLoss (fit_loss) the
-        # enumeration: where k is about 1e15 or more the enumeration takes a corner, a
-        # holding of exactly 0 (rho columns 0-2), and next to the kink at large rho it
-        # takes the kink.  Every per-round loss of every cell, on two schedules; the cells
-        # are (beta row, rho column, round)
+        # the grid takes the closed form, and _PairedLoss (fit_loss) the enumeration:
+        # where k is about 1e15 or more the enumeration takes a corner, a holding of
+        # exactly 0 (in beta >= 0 rows, rho columns 0-2), and next to the kink at large
+        # rho it takes the kink.  Every per-round loss of every cell, on two schedules; the
+        # beta >= 0 cells are pinned as (beta row, rho column, round), and the beta < 0
+        # ones counted: each is an enumeration corner
+        negative = {19: 1284, 20: 1359}
         pinned = {
             19: [(19, 1, 169), (21, 0, 169), (22, 1, 169), (25, 0, 169)],
             20: [(19, 1, 114), (19, 2, 99), (20, 1, 114), (20, 2, 99), (20, 56, 160),
@@ -1535,16 +1534,18 @@ class TestBoundingStages:
             paired = np.concatenate([loss(np.full(n * len(rhos), beta), np.repeat(rhos, n))
                                      .reshape(len(rhos), n) for beta in betas])
             cell, rnd = np.nonzero(_bits(grid) != _bits(paired))
+            closed = betas[cell // len(rhos)] >= 0.0
             assert [(int(c) // len(rhos), int(c) % len(rhos), int(r))
-                    for c, r in zip(cell, rnd)] == where
-            assert (betas[cell // len(rhos)] >= 0.0).all()
+                    for c, r in zip(cell[closed], rnd[closed])] == where
+            assert np.count_nonzero(~closed) == negative[seed]
             np.testing.assert_allclose(grid[cell, rnd], paired[cell, rnd], rtol=1e-4)
-            # the enumeration's bundle there is a corner, or the kink
+            # the enumeration's bundle there is a corner, or (beta >= 0) the kink
             demand = np.array([optimal_demand_grid(prices[r:r + 1], betas[c // len(rhos):][:1],
                                                    rhos[c % len(rhos):][:1])[0][0, 0]
                                for c, r in zip(cell, rnd)])
             kink = 1.0 / prices[rnd].sum(axis=1)
-            assert ((demand == 0.0).any(axis=1) | (demand == kink[:, None]).all(axis=1)).all()
+            corner = (demand == 0.0).any(axis=1)
+            assert (corner | (closed & (demand == kink[:, None]).all(axis=1))).all()
 
 
 def _staged_sizes(n: int) -> list[int]:
@@ -1614,7 +1615,7 @@ class TestGridLosses:
     def test_adversarial_budgets(self):
         # equal prices, and interior ratios k within 1e-6 .. 3e-16 of 1 for each beta;
         # at beta = -1e-17 the odds round to 1, so on equal prices neither interior
-        # branch is admissible and the enumeration keeps the kink in a beta < 0 row
+        # branch is admissible and a beta < 0 row takes the kink
         betas = (-0.95, -0.9, -0.5, -0.05, -1e-17, 0.0, GRID_ZERO_BETA, 0.05, 1.0, 3.0)
         rhos = (0.05, 0.3, 1.0 - 1e-9, 1.0 - 1e-11, 1.0, 1.0 + 1e-11, 1.0 + 1e-9, 2.0, 3.9, 5.0)
         rng = np.random.default_rng(257)
@@ -1640,8 +1641,8 @@ class TestGridLosses:
 
     def test_tiny_rho_overflows_the_interior_branches(self):
         # k = inf: the interior bundle is its limit, the whole budget on the higher holding,
-        # on the experiments' budgets and on budgets costing more than 1 per unit, where
-        # the enumeration picks it in beta < 0 rows too
+        # on the experiments' budgets and on budgets costing more than 1 per unit, in
+        # beta < 0 rows too
         betas, rhos = _parameter_grid(RecoveryConfig(rho_min=1e-3))
         rng = np.random.default_rng(269)
         for data in (_matrices(random_sloppy_dataset(rng, 175)),
@@ -1681,7 +1682,7 @@ class TestGridLosses:
     @pytest.mark.parametrize("block_rows", [1, 3, 7, 1000])
     def test_block_sizes(self, monkeypatch, block_rows):
         # the recovery grid has 19 beta < 0 and 61 beta >= 0 rows; blocks of 3 or 7
-        # rows divide neither
+        # rows divide neither, and one holds rows of both signs
         betas, rhos = _parameter_grid(RecoveryConfig())
         rng = np.random.default_rng(281)
         data = _matrices(random_sloppy_dataset(rng, 25))
@@ -1710,27 +1711,24 @@ class TestGridLosses:
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def dense_tokens_at(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray,
                     betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``estimation._block_kernel``'s ``tokens_at(betas)`` computed densely; betas of one sign.
+    """``estimation._block_kernel``'s ``tokens_at(betas)`` computed densely.
 
-    The kernel as it was before its (beta, round) classes: both interior ratios,
-    both bundles and (beta < 0) every candidate's utility at every cell.  Rows
-    with beta >= 0 take the B-high bundle where only ``k_b > 1``, else the
-    A-high one at ``max(k_a, 1)``; rows with beta < 0 run the enumeration.
+    The kernel as it was before its (beta, round) classes: both interior ratios
+    and both bundles at every cell, clamped to ``max(k, 1)``, and each round
+    takes the bundle on its cheaper asset's side (A on equal prices), which
+    at ``k = 1`` is the kink's.
     """
     budgets = _Budgets(prices)
     rho = rhos[:, None]
     w = 1.0 / (2.0 + betas[:, None, None])
     odds = w / (1.0 - w)
-    k_a, k_b = (np.power(odds * ratio, 1.0 / rho) for ratio in (budgets.ratio_a, budgets.ratio_b))
-    if betas[0] < 0.0:
-        x_a, x_b = _optimum(_candidates(budgets, _Valuation(rho, w), k_a, k_b,
-                                        _Valuation(rho).fixed_felicities(budgets)))
-    else:
-        b_high = (k_b > 1.0) & ~(k_a > 1.0)
-        x_a_ia, x_b_ia = _interior(budgets.p_a, budgets.p_b, np.maximum(k_a, 1.0))
-        x_b_ib, x_a_ib = _interior(budgets.p_b, budgets.p_a, k_b)
-        x_a = np.where(b_high, x_a_ib, x_a_ia)
-        x_b = np.where(b_high, x_b_ib, x_b_ia)
+    k_a, k_b = (np.maximum(np.power(odds * ratio, 1.0 / rho), 1.0)
+                for ratio in (budgets.ratio_a, budgets.ratio_b))
+    x_a_ia, x_b_ia = _interior(budgets.p_a, budgets.p_b, k_a)
+    x_b_ib, x_a_ib = _interior(budgets.p_b, budgets.p_a, k_b)
+    cheap_a = budgets.p_a <= budgets.p_b
+    x_a = np.where(cheap_a, x_a_ia, x_a_ib)
+    x_b = np.where(cheap_a, x_b_ia, x_b_ib)
     return x_a / returns[:, 0], x_b / returns[:, 1]
 
 
@@ -1805,10 +1803,11 @@ class TestClassedKernel:
         blocks = assert_kernel_matches_dense(prices, returns, betas, rhos)
         kink = 1.0 / (prices[:, 0] + prices[:, 1])
         for rows, (model_a, model_b) in zip(estimation._beta_blocks(betas, len(rhos) * 30), blocks):
-            if betas[rows.start] >= 0.0:  # the round's kink tokens at every rho
-                for model, r in ((model_a, returns[:, 0]), (model_b, returns[:, 1])):
-                    np.testing.assert_array_equal(_bits(model),
-                                                  _bits(np.broadcast_to(kink / r, model.shape)))
+            nonnegative = betas[rows] >= 0.0  # the round's kink tokens at every rho
+            for model, r in ((model_a[nonnegative], returns[:, 0]),
+                             (model_b[nonnegative], returns[:, 1])):
+                np.testing.assert_array_equal(_bits(model),
+                                              _bits(np.broadcast_to(kink / r, model.shape)))
 
     def test_no_kink_pair(self):
         # each round's larger price ratio is above 4, so at beta <= 3 (odds >= 1/4) one
@@ -1826,7 +1825,7 @@ class TestClassedKernel:
 
     def test_bases_one_ulp_above_one(self):
         # at rho = 5, k = (1 + 2^-52)^(1/5) rounds to exactly 1.0: such a pair is classed
-        # interior, yet its bundle is the kink's (beta >= 0) or inadmissible (beta < 0)
+        # interior, yet its bundle is the kink's
         assert np.power(_ONE_ULP_UP, 1.0 / 5.0) == 1.0
         betas = (-0.95, -0.5, -1e-17, 0.0, GRID_ZERO_BETA, 0.05, 1.0, 3.0)
         found = [prices for beta in betas for p in (0.004, 0.01, 0.02, 0.033, 0.05)
@@ -1848,8 +1847,8 @@ class TestClassedKernel:
 
     def test_powers_that_overflow_to_limit_bundles(self):
         # budgets costing more than 1 per unit at rho near 1e-3: k = inf gives the
-        # interior's limit, (1 / p_a, 0) or (0, 1 / p_b), which the enumeration picks in
-        # beta < 0 rows; its tokens are finite and sum to 100
+        # interior's limit, (1 / p_a, 0) or (0, 1 / p_b), in beta < 0 rows too; its
+        # tokens are finite and sum to 100
         rng = np.random.default_rng(511)
         prices, returns, _ = _matrices(_costly_budgets(rng, 20))
         axes = _parameter_grid(RecoveryConfig(rho_min=1e-3))
@@ -1871,9 +1870,9 @@ class TestClassedKernel:
 
     @pytest.mark.parametrize("kind", ["random", "equal"])
     def test_kink_pairs_take_the_rounds_kink_loss(self, kind):
-        # a beta >= 0 pair with no base above 1 (class 0) is in no piece: its loss at
-        # every rho must be the round's kink loss, bit for bit, and every cell's loss
-        # the gap formula on the dense kernel's tokens
+        # a pair whose cheaper side's base is <= 1 (class 0; on this grid, only beta >= 0
+        # pairs) is in no piece: its loss at every rho must be the round's kink loss, bit
+        # for bit, and every cell's loss the gap formula on the dense kernel's tokens
         rng = np.random.default_rng(519)
         if kind == "equal":
             price = rng.uniform(0.005, 0.05, 60)
@@ -1894,14 +1893,14 @@ class TestClassedKernel:
             losses = estimation._block_losses(tokens_at(betas[rows], len(prices)), tokens,
                                               np.empty(model_a.shape))
             np.testing.assert_array_equal(_bits(losses), _bits(gap_a * gap_a + gap_b * gap_b))
-            if betas[rows.start] >= 0.0:
-                base_a, base_b = _bases(prices, betas[rows])
-                at_kink = ~(base_a > 1.0) & ~(base_b > 1.0)
-                want = np.broadcast_to(kink_loss, at_kink.shape)[at_kink]
-                np.testing.assert_array_equal(
-                    _bits(losses.transpose(0, 2, 1)[at_kink]),
-                    _bits(np.repeat(want[:, None], len(rhos), axis=1)))
-                kink_cells += np.count_nonzero(at_kink) * len(rhos)
+            base_a, base_b = _bases(prices, betas[rows])
+            cheap_a = prices[:, 0] <= prices[:, 1]
+            at_kink = ~(np.where(cheap_a, base_a, base_b) > 1.0)
+            want = np.broadcast_to(kink_loss, at_kink.shape)[at_kink]
+            np.testing.assert_array_equal(
+                _bits(losses.transpose(0, 2, 1)[at_kink]),
+                _bits(np.repeat(want[:, None], len(rhos), axis=1)))
+            kink_cells += np.count_nonzero(at_kink) * len(rhos)
         nonnegative_cells = np.count_nonzero(betas >= 0.0) * len(rhos) * len(prices)
         assert kink_cells == nonnegative_cells if kind == "equal" else kink_cells > 0.2 * nonnegative_cells
 
@@ -1935,6 +1934,96 @@ class TestClassedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * block_bytes + 24 * chunk_bytes
+
+
+def _schedule(seed: int, n_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """A generated schedule's prices and returns, (N, 2) each."""
+    returns = np.array([[r.r_a, r.r_b] for r in generate_budgets(seed, n_rounds).rounds])
+    return 1.0 / (100.0 * returns), returns
+
+
+def _negative_rows(prices: np.ndarray, returns: np.ndarray, betas: np.ndarray,
+                   rhos: np.ndarray):
+    """The grid's tokens of the beta < 0 rows and the enumeration's demand there, (B, R, N)
+    and (B, R, N, 2), with the enumeration's branch codes and where the two differ."""
+    negative = betas[betas < 0.0]
+    shape = (len(negative), len(rhos), len(prices))
+    model = _dense_block(estimation._block_kernel(prices, returns, rhos)(negative, len(prices)),
+                         shape)
+    demand, code, _, _ = optimal_demand_grid(prices, *flat_grid(negative, rhos))
+    demand, code = demand.reshape(*shape, 2), code.reshape(shape)
+    differ = np.zeros(shape, dtype=bool)
+    for got, i in zip(model, (0, 1)):
+        differ |= _bits(got) != _bits(demand[..., i] / returns[:, i])
+    return model, demand, code, differ
+
+
+class TestClosedFormOnNegativeBetaRows:
+    """The grid's beta < 0 rows take the closed form of its beta >= 0 rows, not the
+    enumeration: the interior on the cheaper asset's side."""
+
+    @pytest.mark.parametrize("seed", [701, 702, 703])
+    def test_enumeration_tokens_but_at_exact_corners(self, seed):
+        # on the default grid, bit for bit the enumeration's tokens, except where the
+        # enumeration holds exactly 0 of one asset and the closed form a tiny amount
+        prices, returns = _schedule(seed, 175)
+        betas, rhos = _parameter_grid(RecoveryConfig())
+        _, demand, _, differ = _negative_rows(prices, returns, betas, rhos)
+        corner = (demand == 0.0).any(axis=-1)
+        assert differ.any() and not (differ & ~corner).any()
+
+    @pytest.mark.parametrize("seed", [701, 702, 703])
+    def test_saturated_cells(self, seed):
+        # at beta near -1 and rho near 10 and above, every candidate's utility rounds to
+        # about 1 / (rho - 1), and the enumeration keeps the kink or the dearer side's
+        # interior; the closed form's bundle is the maximizer, as the utility's small part
+        # -(w x_hi^(1 - rho) + (1 - w) x_lo^(1 - rho)) / (rho - 1) shows
+        prices, returns = _schedule(seed, 175)
+        betas, rhos = _parameter_grid(RecoveryConfig(beta_min=-0.99, rho_max=20.0,
+                                                     rho_points=80))
+        model, demand, code, differ = _negative_rows(prices, returns, betas, rhos)
+        saturated = differ & ~(demand == 0.0).any(axis=-1)
+        row, col, rnd = np.nonzero(saturated)
+        assert 0 in row and rhos[col].min() > 8.0
+        dearer_a = prices[rnd, 0] > prices[rnd, 1]
+        code = code[saturated]
+        assert np.all((code == KINK) | ((code == INTERIOR_A_HIGH) & dearer_a)
+                      | ((code == INTERIOR_B_HIGH) & ~dearer_a))
+        w = (1.0 / (2.0 + betas[row]))[:, None]
+        rho = rhos[col][:, None]
+
+        def small(x):
+            hi, lo = x.max(axis=1), x.min(axis=1)
+            return -(w[:, 0] * hi ** (1.0 - rho[:, 0])
+                     + (1.0 - w[:, 0]) * lo ** (1.0 - rho[:, 0])) / (rho[:, 0] - 1.0)
+
+        closed = np.column_stack([model[0][saturated] * returns[rnd, 0],
+                                  model[1][saturated] * returns[rnd, 1]])
+        assert np.all(small(closed) > small(demand[saturated]))
+
+    def test_beta_one_ulp_above_minus_one(self):
+        # 2 + beta rounds to 1, so the odds and k are inf: the whole budget on the cheaper
+        # asset, the k -> inf limit, which optimal_demand_grid and the enumeration oracle
+        # give too
+        beta = float(np.nextafter(-1.0, 0.0))
+        assert 2.0 + beta == 1.0
+        prices = np.array([[1.0, 2.0], [2.0, 1.0], [0.01, 0.01], [0.004, 0.02]])
+        returns = 1.0 / (100.0 * prices)
+        rhos = np.array([0.05, 0.5, 1.0, 5.0])
+        want = np.where(prices[:, :1] <= prices[:, 1:], [1.0, 0.0], [0.0, 1.0]) / prices
+        model = _dense_block(estimation._block_kernel(prices, returns, rhos)(np.array([beta]), 4),
+                             (1, len(rhos), 4))
+        tokens_of = estimation._cell_tokens(prices, returns, np.array([beta]), rhos)
+        for got, cells in zip(model, tokens_of(np.arange(len(rhos)), 0, 4)):
+            np.testing.assert_array_equal(_bits(got[0]), _bits(cells))
+        for i in (0, 1):
+            np.testing.assert_array_equal(model[i][0], np.broadcast_to(want[:, i] / returns[:, i],
+                                                                       model[i][0].shape))
+        for rho in rhos:
+            for demand in (da_model.optimal_demand_grid(prices, np.array([beta]),
+                                                        np.array([rho]))[0],
+                           optimal_demand_grid(prices, np.array([beta]), np.array([rho]))[0][0]):
+                np.testing.assert_array_equal(demand, want)
 
 
 class TestPairedKernelSides:
