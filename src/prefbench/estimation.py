@@ -12,21 +12,24 @@ from the grid optimum in an unconstrained reparameterization
 Grid ties are broken lexicographically by (beta, rho); results are
 deterministic given data and configuration.
 
+The model's demand has one rule, ``da_model``'s closed form (``_demand``):
+U is symmetric in the two states and concave on each side of the kink, so
+the optimum is the interior on the cheaper asset's side where its ratio
+``k = base^(1/rho)`` exceeds 1, and the kink otherwise.  Every kernel here
+takes it, so a grid cell's loss and :func:`fit_loss` at that cell are the
+same float.
+
 The grid stage makes one pass per budget schedule (:func:`_grid_optima`):
 datasets whose price and return matrices are equal byte for byte share it.
 The model's demand depends on the prices only, so a pass computes it once per
 block of beta rows (:func:`_block_kernel`), for every dataset on the
-schedule, and never calls :func:`optimal_demand_grid`.  Every row takes the
-closed-form maximizer: U is symmetric in the two states and concave on each
-side of the kink, so the optimum is the interior on the cheaper asset's side
-where its ratio ``k = base^(1/rho)`` exceeds 1, and the kink otherwise.  The
-base depends on the beta and the round but not on rho, so the kernel classes
-each (beta, round) pair once per block: a kink pair takes the round's kink
-tokens at every rho with no power, and an interior pair takes one power per
-rho and one interior bundle.  The classed pairs are gathered in chunks of
-``_PAIR_CELLS`` cells, so the kernel's temporaries stay cache-sized, and a
-block's tokens stay in that gathered order, shared by every dataset on the
-schedule.  Each dataset's per-round losses of a block (:func:`_block_losses`)
+schedule.  The base depends on the beta and the round but not on rho, so
+the kernel classes each (beta, round) pair once per block: a kink pair takes
+the round's kink tokens at every rho with no power, and an interior pair
+takes one power per rho and one interior bundle.  The classed pairs are
+gathered in chunks of ``_PAIR_CELLS`` cells, so the kernel's temporaries stay
+cache-sized, and a block's tokens stay in that gathered order, shared by
+every dataset on the schedule.  Each dataset's per-round losses of a block (:func:`_block_losses`)
 go into one reusable buffer: the kink pairs take the round's kink loss, one
 number per round, and each chunk's loss is formed on its gathered cells and
 scattered once.  Only a running first minimum per dataset survives the
@@ -53,24 +56,11 @@ The refinements of a whole batch (every prefix of every dataset) run in lock
 step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
 transcribed, on Python floats).  Each step values the pending points of all
 fits in one call of a paired kernel (:class:`_PairedLoss`: K datasets, K
-parameter pairs, K losses), which runs the candidate enumeration of
-``da_model`` (:func:`optimal_demand_grid`'s) on the rounds of all K.  It
-values each point once, and it also serves :func:`fit_loss`.  A grid
-optimum's loss is its mean from the grid pass, and that is not always the
-float :func:`fit_loss` gives there: the grid takes the closed-form maximizer
-and :func:`fit_loss` the enumeration, and the two bundles differ on a few
-cells of every row.  Where the interior's ratio ``k`` is about 1e15 or more
-(the smallest rho columns), the enumeration takes the corner, a holding of
-exactly 0, where the closed form holds a tiny amount; next to the kink at
-large rho (beta >= 0), it takes the kink where the closed form takes an
-interior just off it.  The per-round losses then differ in their last bits,
-or by about 5e-5 relative next to the kink
-(``test_grid_and_paired_losses_differ_only_where_pinned``).  Off the default
-grid, at beta near -1 and rho near 10 or more, every candidate's utility
-rounds to about ``1 / (rho - 1)`` and the enumeration's comparison keeps the
-kink or the dearer side, where the closed form holds the maximizer.  The fits are
-those of scipy's ``minimize`` on one prefix at a time, evaluation counts
-included.
+parameter pairs, K losses), which takes the closed form on the rounds of all
+K.  It values each point once, and it also serves :func:`fit_loss`.  A grid
+optimum's loss is its mean from the grid pass, which is :func:`fit_loss`
+there bit for bit.  The fits are those of scipy's ``minimize`` on one prefix
+at a time, evaluation counts included.
 """
 
 from __future__ import annotations
@@ -81,7 +71,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .da_model import DAParams, _Budgets, _demand, _interior
+from .da_model import DAParams, _Budgets, _demand, _odds
 from .data import SubjectDataset, dataset_prefix
 
 
@@ -89,7 +79,7 @@ def __getattr__(name: str):
     # only the benchmark tracer (bench/tracing.py) uses ``minimize``, and it
     # wraps the name it finds in this module's dict; a module-level import of
     # scipy.optimize adds about 0.6 s to every command's start.  Delete this
-    # with the tracer (ROADMAP item 3c).
+    # with the tracer (ROADMAP item 1c).
     if name == "minimize":
         from scipy.optimize import minimize
 
@@ -115,11 +105,8 @@ class FitResult:
     """A fit: ``evaluations`` counts every grid cell, whether or not a stage of the grid
     pass left cells out, plus the refinement's loss evaluations.
 
-    ``loss`` is the loss at ``params``: :func:`fit_loss` there when the
-    refinement's point is kept, else the grid pass's mean at ``grid_best``,
-    which differs from :func:`fit_loss` there where some round's bundle is an
-    exact corner of the enumeration, in any row (the closed form against the
-    enumeration; see the module docstring)."""
+    ``loss`` is :func:`fit_loss` at ``params``: the refinement's loss for its
+    kept point, else the grid pass's mean at ``grid_best``, the same float."""
 
     params: DAParams
     loss: float
@@ -176,49 +163,25 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     views of one workspace per schedule, no larger than a block's two token
     arrays, and the next call overwrites them.
 
-    The maximizer is in closed form on every row.  U is symmetric in the two
-    states, and on each side of the kink it is the one-sided objective
-    ``w u(x_hi) + (1 - w) u(x_lo)``, concave on the budget line, whose
-    maximizer holds ``x_hi = k x_lo`` with ``k = base^(1/rho)``: the A-high
-    base is ``odds * p_b / p_a`` and the B-high one ``odds * p_a / p_b``,
-    ``odds = w / (1 - w)``.  The high side is the cheaper asset's (A on equal
-    prices): a bundle on the dearer side, mirrored, is as good and costs no
-    more.  So a (beta, round) pair whose cheaper side's base exceeds 1 takes
-    that side's interior at ``max(k, 1)``, and any other pair the kink; CRRA's
-    infinite marginal felicity at zero rules out the corners.  With beta >= 0
-    (``w <= 1/2``, so ``odds <= 1``) only the cheaper side's base can exceed
-    1, and with beta < 0 (``odds >= 1``) its base is the larger one.  The base
-    depends on the beta and the round but not on rho, so the kernel classes
-    each pair once per block: a kink pair takes the kink's tokens at every rho
-    with no power at all and is in no piece, and an interior pair takes one
-    power per rho and its side's bundle, which at ``k = 1`` is the kink bit
-    for bit (``p_hi * 1.0 + p_lo`` is exactly ``p_a + p_b``).  At beta one ulp
-    above -1, ``odds`` is inf and so is ``k``: the bundle is ``_interior``'s
-    k -> inf limit, the whole budget on the cheaper asset.  A class's pairs
-    are gathered into (pairs, R) arrays, ``_PAIR_CELLS`` cells at a time so
-    that the temporaries stay in cache, and their tokens are written into the
-    workspace in that gathered order.
-
-    ``optimal_demand_grid`` enumerates the candidates instead, and the two
-    differ where the enumeration takes an exact corner, a holding of 0, and
-    the closed form a tiny holding (``k`` about 1e15 or more), next to the
-    kink at large rho, and where every candidate's utility rounds to about
-    the same float (beta near -1 at large rho), where the enumeration's float
-    comparison keeps the kink or the dearer side.
+    The maximizer is ``da_model._demand``'s closed form: the interior on the
+    cheaper asset's side (A on equal prices) at ``k = max(base^(1/rho), 1)``,
+    ``base = odds * ratio``.  The base depends on the beta and the round but
+    not on rho, so the kernel classes each (beta, round) pair once per block.
+    A pair whose base is at most 1 has ``k = 1`` at every rho, whose bundle is
+    the kink's bit for bit: it takes the kink's tokens with no power at all
+    and is in no piece.  Every other pair takes one power per rho through
+    ``_demand``, on (pairs, R) arrays gathered ``_PAIR_CELLS`` cells at a time
+    so that the temporaries stay in cache, and its tokens are written into
+    the workspace in that gathered order.  At beta one ulp above -1, ``odds``
+    is inf and so is ``k``: the bundle is the k -> inf limit, the whole budget
+    on the cheaper asset.
     """
     budgets = _Budgets(prices)
     r_a, r_b = returns[:, 0], returns[:, 1]
     inv_rho = 1.0 / rhos
     kink = budgets.kink / r_a, budgets.kink / r_b
-    cheap_a = budgets.p_a <= budgets.p_b
     step = max(1, _PAIR_CELLS // len(rhos))
     workspace = np.empty((2, 0))
-
-    def chunks(mask: np.ndarray):
-        """``(rows, rounds)`` of the pairs where ``mask``, at most ``step`` pairs at a time."""
-        rows, rounds = np.nonzero(mask)
-        for start in range(0, len(rows), step):
-            yield rows[start:start + step], rounds[start:start + step]
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def tokens_at(betas: np.ndarray, size: int, lo: int = 0):
@@ -227,22 +190,17 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
         if workspace.shape[1] < cells:
             workspace = np.empty((2, cells))
         pieces, used = [], 0
-        w = 1.0 / (2.0 + betas[:, None])
-        odds = w / (1.0 - w)
-        cheap = cheap_a[lo:size]
-        for base, p_hi, p_lo, side, a_high in (
-                (odds * budgets.ratio_a[lo:size], budgets.p_a, budgets.p_b, cheap, True),
-                (odds * budgets.ratio_b[lo:size], budgets.p_b, budgets.p_a, ~cheap, False)):
-            for rows, rounds in chunks((base > 1.0) & side):
-                k = np.maximum(np.power(base[rows, rounds][:, None], inv_rho), 1.0)
-                at = rounds + lo
-                x_hi, x_lo = _interior(p_hi[at, None], p_lo[at, None], k)
-                model_a, model_b = (part[used:used + k.size].reshape(k.shape)
-                                    for part in workspace)
-                np.divide(x_hi if a_high else x_lo, r_a[at, None], out=model_a)
-                np.divide(x_lo if a_high else x_hi, r_b[at, None], out=model_b)
-                pieces.append((rows, rounds, model_a, model_b))
-                used += k.size
+        base = _odds(betas[:, None]) * budgets.ratio[lo:size]
+        rows, rounds = np.nonzero(base > 1.0)
+        for start in range(0, len(rows), step):
+            chunk = slice(start, start + step)
+            at = rounds[chunk, None] + lo
+            x_a, x_b = _demand(budgets, base[rows[chunk], rounds[chunk], None], inv_rho, at)
+            model_a, model_b = (part[used:used + x_a.size].reshape(x_a.shape) for part in workspace)
+            np.divide(x_a, r_a[at], out=model_a)
+            np.divide(x_b, r_b[at], out=model_b)
+            pieces.append((rows[chunk], rounds[chunk], model_a, model_b))
+            used += x_a.size
         return (kink[0][lo:size], kink[1][lo:size]), pieces
 
     return tokens_at
@@ -259,40 +217,30 @@ def _cell_tokens(prices: np.ndarray, returns: np.ndarray, betas: np.ndarray, rho
     entry on its own, so every token is that kernel's bit for bit: the
     closed form, classed as the pair kernel classes its (beta, round) pairs.
     An entry whose pair takes the kink keeps its round's kink tokens, with no
-    power; each side's entries are gathered, their tokens computed and
-    scattered back into (cell, round) order.
+    power; the other entries are gathered, their tokens computed by
+    ``da_model._demand`` and scattered back into (cell, round) order.
     """
     budgets = _Budgets(prices)
-    p_a, p_b = budgets.p_a, budgets.p_b
     r_a, r_b = returns[:, 0], returns[:, 1]
     n, cols = len(prices), len(rhos)
     inv_rho = 1.0 / rhos
     kink_a, kink_b = budgets.kink / r_a, budgets.kink / r_b
-    w = 1.0 / (2.0 + betas[:, None])
-    odds = w / (1.0 - w)
-    cheap_a = p_a <= p_b
-    # each (beta, round) pair's cheaper side's base and its class, (B * N,) each: 1 for
-    # an A-high interior, 2 for a B-high one, 0 for the kink
-    bases = np.where(cheap_a, odds * budgets.ratio_a, odds * budgets.ratio_b)
-    classes = np.where(bases > 1.0, np.where(cheap_a, 1, 2), 0).astype(np.int8).ravel()
-    bases = bases.ravel()
+    # each (beta, round) pair's base, and whether it takes the interior, (B * N,) each
+    bases = (_odds(betas[:, None]) * budgets.ratio).ravel()
+    interior = bases > 1.0
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def tokens_of(cells: np.ndarray, lo: int, hi: int):
         span = hi - lo
         rounds = np.arange(lo, hi)
         pairs = ((cells // cols * n)[:, None] + rounds).ravel()
-        kind = classes[pairs]
         tokens_a, tokens_b = np.tile(kink_a[lo:hi], len(cells)), np.tile(kink_b[lo:hi], len(cells))
-        for code, p_hi, p_lo in ((1, p_a, p_b), (2, p_b, p_a)):
-            at = np.flatnonzero(kind == code)
-            if len(at):
-                r = rounds[at % span]
-                k = np.maximum(np.power(bases[pairs[at]], inv_rho[cells[at // span] % cols]), 1.0)
-                x_hi, x_lo = _interior(p_hi[r], p_lo[r], k)
-                x_a, x_b = (x_hi, x_lo) if code == 1 else (x_lo, x_hi)
-                tokens_a[at] = x_a / r_a[r]
-                tokens_b[at] = x_b / r_b[r]
+        at = np.flatnonzero(interior[pairs])
+        if len(at):
+            r = rounds[at % span]
+            x_a, x_b = _demand(budgets, bases[pairs[at]], inv_rho[cells[at // span] % cols], r)
+            tokens_a[at] = x_a / r_a[r]
+            tokens_b[at] = x_b / r_b[r]
         return tokens_a.reshape(len(cells), span), tokens_b.reshape(len(cells), span)
 
     return tokens_of
@@ -515,16 +463,14 @@ class _PairedLoss:
     ``loss(beta, rho)`` gives, for dataset ``i``, the float that
     :func:`optimal_demand_grid` at G = 1 on that dataset followed by the mean
     squared token-share gap gives at ``(beta[i], rho[i])``, for positive prices
-    with a finite sum and finite ratios: it makes the same demand call
-    (``da_model._demand``).  The datasets' rounds are concatenated once, with
-    the price ratios, kink and corner bundles.  A call spreads beta and rho
-    over each dataset's rounds with ``np.repeat`` and derives everything else
-    per round: the log felicity is taken only on rounds whose rho is within
-    ``_LOG_RHO_EPS`` of 1, the corners are evaluated only if some pair has
-    rho < 1, and an interior is left out when its base is <= 1 on every
-    round.  The datasets are stored by length, so the losses are row means of
-    one (datasets, rounds) block per length, which give the bits of each
-    dataset's own mean.
+    with a finite sum: it makes the same demand call (``da_model._demand``),
+    and each round's loss is the grid pass's at that cell.  The datasets'
+    rounds are concatenated once, with their cheaper sides and price ratios
+    (``da_model._Budgets``).  A call takes each dataset's odds and ``1 / rho``
+    once and spreads them over its rounds with ``np.repeat``.  The datasets
+    are stored by length, so the losses are row means of one (datasets,
+    rounds) block per length, which give the bits of each dataset's own
+    mean.
     """
 
     def __init__(self, data: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
@@ -543,10 +489,10 @@ class _PairedLoss:
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def __call__(self, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        rho = np.repeat(rho[self._order], self._lengths)
-        w = 1.0 / (2.0 + np.repeat(beta[self._order], self._lengths))
-        best_xa, best_xb = _demand(self._budgets, w, rho)
-        per_round = _token_losses(best_xa / self._r_a, best_xb / self._r_b, self._t_a, self._t_b)
+        odds, inv_rho = (np.repeat(value[self._order], self._lengths)
+                         for value in (_odds(beta), 1.0 / rho))
+        x_a, x_b = _demand(self._budgets, odds * self._budgets.ratio, inv_rho)
+        per_round = _token_losses(x_a / self._r_a, x_b / self._r_b, self._t_a, self._t_b)
         losses = np.empty(len(beta))
         losses[self._order] = np.concatenate([
             np.add.reduce(per_round[first:first + count * length].reshape(count, length), axis=1)
@@ -711,9 +657,8 @@ def recover_batch(
     several stages also each cell's latest round-sum, ``B * R`` floats per
     dataset.  Then the refinements of every prefix advance in lock step
     (:func:`_refine_batch`), each against its grid optimum's mean from the
-    pass, which is not :func:`fit_loss` there on a few cells (see
-    :class:`FitResult`).  The fits are those of one dataset at a time, bit for
-    bit, whatever the batch.
+    pass, which is :func:`fit_loss` there.  The fits are those of one dataset
+    at a time, bit for bit, whatever the batch.
     """
     config = config or RecoveryConfig()
     betas, rhos = _parameter_grid(config)

@@ -1,11 +1,13 @@
-"""The candidate enumeration for optimal demand as it was written before its kernels
-shared one selection: the reference that ``da_model.optimal_demand_grid`` and the
-recovery kernels are compared against, bit for bit.  It also gives what the
-package no longer computes: the winning candidate's branch code, its utility and
-an exact-tie flag, and the scalar felicity and objective.  An interior whose
-denominator ``p_hi k + p_lo`` overflows is its k -> inf limit, the whole budget on
-the higher holding, as in ``da_model._interior`` (:func:`overflowed_interiors`
-says where)."""
+"""The five-candidate enumeration for optimal demand (kink, the two interiors, the two
+corners), as the package computed it before its closed form, and the criterion the
+closed form is held to against it (:func:`assert_optimal`): its bundle's utility is
+never more than 1e-12 below the enumeration's optimum, and its bundle has the
+enumeration's bits wherever the two pick the same branch (:func:`closed_form_branch`).
+The enumeration also gives what the package does not compute: the winning candidate's
+branch code, its utility and an exact-tie flag, and the scalar felicity and objective.
+An interior whose denominator ``p_hi k + p_lo`` overflows is its k -> inf limit, the
+whole budget on the higher holding, as in ``da_model._interior``
+(:func:`overflowed_interiors` says where)."""
 
 from __future__ import annotations
 
@@ -13,8 +15,11 @@ import math
 
 import numpy as np
 
-from prefbench.da_model import _LOG_RHO_EPS, DAParams
+from prefbench.da_model import DAParams
 from prefbench.errors import ValidationError
+
+# the felicity is log(x) where rho is within this of 1
+LOG_RHO_EPS = 1e-10
 
 # the branch codes of ``enumeration_demand_grid``: its candidates' indices, in order
 KINK, INTERIOR_A_HIGH, CORNER_A, INTERIOR_B_HIGH, CORNER_B = range(5)
@@ -24,7 +29,7 @@ def crra(x: float, rho: float) -> float:
     """CRRA felicity; log branch within 1e-10 of rho = 1; -inf at x = 0 for rho >= 1."""
     if x < 0:
         raise ValidationError(f"wealth must be nonnegative, got {x}")
-    if abs(rho - 1.0) < _LOG_RHO_EPS:
+    if abs(rho - 1.0) < LOG_RHO_EPS:
         return math.log(x) if x > 0 else -math.inf
     if x == 0 and rho > 1.0:
         return -math.inf
@@ -41,7 +46,7 @@ def da_utility(x: tuple[float, float], params: DAParams) -> float:
 
 def crra_grid(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Vectorized CRRA with the same branch rules as :func:`crra`."""
-    log_branch = np.abs(rho - 1.0) < _LOG_RHO_EPS
+    log_branch = np.abs(rho - 1.0) < LOG_RHO_EPS
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(
             log_branch,
@@ -49,9 +54,32 @@ def crra_grid(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
             (np.power(np.where(x > 0, x, 1.0), 1.0 - rho) - 1.0) / np.where(log_branch, np.nan, 1.0 - rho),
         )
         zero = x <= 0.0
-        out = np.where(zero & (rho >= 1.0 - _LOG_RHO_EPS), -np.inf, out)
-        out = np.where(zero & (rho < 1.0 - _LOG_RHO_EPS), -1.0 / (1.0 - rho), out)
+        out = np.where(zero & (rho >= 1.0 - LOG_RHO_EPS), -np.inf, out)
+        out = np.where(zero & (rho < 1.0 - LOG_RHO_EPS), -1.0 / (1.0 - rho), out)
     return out
+
+
+def exact_crra_grid(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """:func:`crra_grid` with its power branch as ``expm1((1 - rho) log x) / (1 - rho)``.
+    ``(x^(1 - rho) - 1) / (1 - rho)`` cancels next to rho = 1: at ``rho = 1 - 1e-10``,
+    just off the log branch, it errs by about 1e-6, more than the utility gaps of bundles
+    next to the kink.  This form errs by a few ulp, so it compares bundles."""
+    exponent = 1.0 - rho
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        power = np.expm1(exponent * np.log(np.where(x > 0.0, x, 1.0))) / exponent
+    return np.where((x > 0.0) & (np.abs(rho - 1.0) >= LOG_RHO_EPS), power, crra_grid(x, rho))
+
+
+def objective(x_a: np.ndarray, x_b: np.ndarray, w: np.ndarray, rho: np.ndarray,
+              felicity=crra_grid) -> np.ndarray:
+    """``w u(max) + (1 - w) u(min)`` of bundles, ``u`` the ``felicity``; where ``1 - w`` is
+    0 (``2 + beta`` rounds to 1) the low holding's term is 0, not ``0 * u(lo)``, which is
+    NaN where ``u(lo)`` is -inf."""
+    hi = np.maximum(x_a, x_b)
+    lo = np.minimum(x_a, x_b)
+    with np.errstate(invalid="ignore"):
+        low = np.where(1.0 - w == 0.0, 0.0, (1.0 - w) * felicity(lo, rho))
+    return w * felicity(hi, rho) + low
 
 
 def enumeration_demand_grid(
@@ -91,15 +119,6 @@ def enumeration_demand_grid(
     zeros = np.zeros(np.broadcast_shapes(x_kink.shape, rho.shape))
     x_kink_a = np.broadcast_to(x_kink, zeros.shape)
 
-    def utility(xa, xb):
-        # where 1 - w is 0 (2 + beta rounds to 1) the low holding's term is 0, not
-        # 0 * u(lo), which is NaN where u(lo) is -inf
-        hi = np.maximum(xa, xb)
-        lo = np.minimum(xa, xb)
-        with np.errstate(invalid="ignore"):
-            low = np.where(1.0 - w == 0.0, 0.0, (1.0 - w) * crra_grid(lo, rho))
-        return w * crra_grid(hi, rho) + low
-
     corner_ok = np.broadcast_to(rho < 1.0, zeros.shape)
     candidates = (
         (x_kink_a, np.broadcast_to(x_kink, zeros.shape), np.ones_like(zeros, dtype=bool)),
@@ -119,7 +138,7 @@ def enumeration_demand_grid(
     tie = np.zeros(zeros.shape, dtype=bool)
 
     for code, (xa, xb, admissible) in enumerate(candidates):
-        u = np.where(admissible, utility(xa, xb), -np.inf)
+        u = np.where(admissible, objective(xa, xb, w, rho), -np.inf)
         is_kink = code == 0
         equal = admissible & (u == best_u) & ((xa != best_xa) | (xb != best_xb))
         tie |= equal
@@ -150,3 +169,60 @@ def overflowed_interiors(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray) 
 def budget_gap(prices: np.ndarray, demand: np.ndarray) -> np.ndarray:
     """``|p_a x_a + p_b x_b - 1|`` of every bundle of a (..., N, 2) demand."""
     return np.abs(prices[:, 0] * demand[..., 0] + prices[:, 1] * demand[..., 1] - 1.0)
+
+
+def closed_form_branch(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The branch code (G, N) the closed form picks: the interior on the cheaper asset's
+    side (A on equal prices), ``INTERIOR_A_HIGH`` or ``INTERIOR_B_HIGH``, where its ratio
+    ``k`` exceeds 1, else ``KINK``."""
+    p_a, p_b = prices[None, :, 0], prices[None, :, 1]
+    w = 1.0 / (2.0 + np.asarray(beta, dtype=float)[:, None])
+    inv_rho = 1.0 / np.asarray(rho, dtype=float)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        odds = w / (1.0 - w)
+        k_a = np.power(odds * (p_b / p_a), inv_rho)
+        k_b = np.power(odds * (p_a / p_b), inv_rho)
+    return np.where((k_a > 1.0) & (p_a <= p_b), INTERIOR_A_HIGH,
+                    np.where((k_b > 1.0) & (p_b < p_a), INTERIOR_B_HIGH, KINK))
+
+
+def assert_optimal(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray, demand: np.ndarray,
+                   limits: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+    """Assert a closed form's demand (G, N, 2) against the enumeration; return where the two
+    pick the same branch, (G, N), and the enumeration's four outputs.
+
+    The bundle's utility must never be more than 1e-12 below the enumeration's
+    optimum, both valued with :func:`exact_crra_grid`.  Where that optimum is -inf
+    (every candidate's utility is, say a subnormal holding at a large rho), the
+    difference is NaN or -inf, so those entries are compared on their own: the
+    bundle's utility must not be NaN.  Wherever both pick the same branch, the
+    bundles must have the same bits.
+
+    ``limits``, (G, N), names entries whose bundle is the closed form's k -> inf
+    limit at ``rho >= 1 - LOG_RHO_EPS``, where ``u(0)`` is -inf: a price ratio so
+    near the float limit that ``p_hi k + p_lo`` overflows although the true
+    maximizer holds a subnormal amount, of finite utility.  There the bundle
+    must be the cheaper side's ``(1 / p_hi, 0)`` and is left out of the utility
+    comparison; the caller asserts what the enumeration took.
+    """
+    beta, rho = np.asarray(beta, dtype=float), np.asarray(rho, dtype=float)
+    reference = enumeration_demand_grid(prices, beta, rho)
+    ref_demand, ref_code, _, _ = reference
+    w = 1.0 / (2.0 + beta[:, None])
+    utility = objective(demand[..., 0], demand[..., 1], w, rho[:, None], exact_crra_grid)
+    optimum = objective(ref_demand[..., 0], ref_demand[..., 1], w, rho[:, None], exact_crra_grid)
+    if limits is None:
+        limits = np.zeros(ref_code.shape, dtype=bool)
+    else:
+        cheap_a = prices[:, 0] <= prices[:, 1]
+        limit = np.where(cheap_a[:, None], [1.0, 0.0], [0.0, 1.0]) / prices
+        assert np.all(np.broadcast_to(rho[:, None] >= 1.0 - LOG_RHO_EPS, limits.shape)[limits])
+        np.testing.assert_array_equal(demand[limits], np.broadcast_to(limit, demand.shape)[limits])
+    unbounded = (optimum == -np.inf) & ~limits
+    assert not np.isnan(utility[unbounded]).any()
+    compared = ~unbounded & ~limits
+    shortfall = optimum[compared] - utility[compared]
+    assert np.all(shortfall <= 1e-12), float(np.max(shortfall))
+    same = closed_form_branch(prices, beta, rho) == ref_code
+    np.testing.assert_array_equal(demand[same].view(np.int64), ref_demand[same].view(np.int64))
+    return same, reference

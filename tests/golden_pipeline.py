@@ -200,6 +200,7 @@ def check(golden: dict, observed: dict, xfail) -> None:
     differ = [f"numpy {want['numpy']} -> {got['numpy']}"] if want["numpy"] != got["numpy"] else []
     gained = sorted(set(got["simd"]) - set(want["simd"]))
     lost = sorted(set(want["simd"]) - set(got["simd"]))
-    differ += [f"SIMD +{','.join(gained)}"] * bool(gained) + [f"SIMD -{','.join(lost)}"] * bool(lost)
+    differ += [f"SIMD +{','.join(gained)}"] * bool(gained)
+    differ += [f"SIMD -{','.join(lost)}"] * bool(lost)
     xfail(f"platform differs from the golden file's ({'; '.join(differ)}): "
           f"{len(moved)} values moved: {moved}")

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demand_oracle import (CORNER_A, INTERIOR_A_HIGH, INTERIOR_B_HIGH, KINK, budget_gap, crra,
-                           da_utility, enumeration_demand_grid, overflowed_interiors)
+from demand_oracle import (CORNER_A, INTERIOR_A_HIGH, INTERIOR_B_HIGH, KINK, assert_optimal,
+                           budget_gap, closed_form_branch, crra, da_utility, objective,
+                           overflowed_interiors)
 from prefbench.da_model import DAParams, optimal_demand, optimal_demand_grid
 from prefbench.data import PricePair
 from prefbench.errors import ValidationError
@@ -49,13 +50,16 @@ class Solution:
 
 
 def solve(p: PricePair, params: DAParams) -> Solution:
-    """``optimal_demand``'s bundle, with the enumeration oracle's branch code, utility and
-    tie flag at the same budget; the two bundles must be equal."""
-    demand, code, utility, tie = enumeration_demand_grid(
-        np.array([[p.p_a, p.p_b]]), np.array([params.beta]), np.array([params.rho]))
+    """``optimal_demand``'s bundle, its branch code and utility, and the enumeration
+    oracle's exact-tie flag at the same budget; the bundle is first held to the
+    enumeration (``demand_oracle.assert_optimal``)."""
+    prices, beta, rho = np.array([[p.p_a, p.p_b]]), np.array([params.beta]), np.array([params.rho])
     bundle = optimal_demand(p, params)
-    assert bundle == (float(demand[0, 0, 0]), float(demand[0, 0, 1]))
-    return Solution(bundle, int(code[0, 0]), float(utility[0, 0]), bool(tie[0, 0]))
+    demand = np.array([[bundle]])
+    _, (_, _, _, tie) = assert_optimal(prices, beta, rho, demand)
+    utility = objective(demand[..., 0], demand[..., 1], params.weight, rho[:, None])
+    return Solution(bundle, int(closed_form_branch(prices, beta, rho)[0, 0]),
+                    float(utility[0, 0]), bool(tie[0, 0]))
 
 
 class TestCrra:
@@ -108,7 +112,7 @@ class TestDaUtility:
 
 
 class TestOptimalDemand:
-    """``optimal_demand``'s bundle; branch, utility and tie flag from the oracle."""
+    """``optimal_demand``'s bundle, branch and utility; the tie flag from the oracle."""
 
     def test_log_utility_symmetric(self):
         sol = solve(PricePair(0.02, 0.02), DAParams(0.0, 1.0))
@@ -205,8 +209,8 @@ class TestOptimalDemand:
 
     def test_corner_handling(self):
         # u'(0+) is infinite for every rho > 0, so exact corners never beat the
-        # adjacent interior optimum; they participate as candidates for rho < 1
-        # (finite utility) and are excluded at rho >= 1 (utility -inf at zero).
+        # adjacent interior optimum; the oracle enumerates them for rho < 1 (finite
+        # utility) and leaves them out at rho >= 1 (utility -inf at zero).
         p = PricePair(0.01, 0.01)
         params = DAParams(-0.9, 0.3)
         sol = solve(p, params)
@@ -215,10 +219,6 @@ class TestOptimalDemand:
         sol = solve(p, DAParams(-0.9, 1.5))
         assert min(sol.demand) > 0.0
         assert da_utility((1.0 / p.p_a, 0.0), DAParams(-0.9, 1.5)) == -math.inf
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
 def _adversarial_prices(betas, rng: np.random.Generator) -> np.ndarray:
@@ -243,19 +243,21 @@ def _flat(betas, rhos) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestAgainstEnumerationOracle:
-    """``optimal_demand_grid``'s demand must equal the enumeration it was before its kernels
-    shared one selection, bit for bit; the cases read the branch codes and tie flags
+    """``optimal_demand_grid``'s closed form against the enumeration: optimal to 1e-12 in
+    utility, and the enumeration's bundle bit for bit wherever both pick the same branch
+    (``demand_oracle.assert_optimal``); the cases read the branch codes and tie flags
     from the enumeration."""
 
     GRID_ZERO_BETA = -0.95 + 0.05 * 19  # the recovery grid's beta next to 0, about 1e-16
 
     @staticmethod
-    def check(prices, betas, rhos):
+    def check(prices, betas, rhos, limits=None):
+        """The closed form's demand, with the enumeration's branch codes, utilities and tie
+        flags; ``limits`` as ``assert_optimal`` takes them."""
         got = optimal_demand_grid(prices, betas, rhos)
-        want = enumeration_demand_grid(prices, betas, rhos)
-        assert got.shape == want[0].shape and got.dtype == want[0].dtype
-        np.testing.assert_array_equal(_bits(got), _bits(want[0]))
-        return want
+        assert got.shape == (len(betas), len(prices), 2) and got.dtype == np.float64
+        _, (_, code, utility, tie) = assert_optimal(prices, betas, rhos, got, limits)
+        return got, code, utility, tie
 
     def test_adversarial_budgets(self):
         betas = (0.0, self.GRID_ZERO_BETA, 0.05, 1.0, 3.0, -0.5, -0.95, -1e-17)
@@ -294,14 +296,19 @@ class TestAgainstEnumerationOracle:
         # p_a / p_b overflows, so k_b = inf and the B-high bundle is its limit (0, 1 / p_b),
         # and the kink holding is subnormal, of utility -inf at rho = 5, which counts as a
         # tie.  Against a price of 1 the ratio is finite, and at beta > 0 and rho = 1 the
-        # B-high bundle's denominator overflows: the limit again
+        # B-high bundle's denominator overflows: the limit again.  At rho >= 1 - 1e-10 the
+        # limit holds 0, of utility -inf, where the enumeration's kink holds a subnormal
+        # amount of finite utility: the closed form's limit is pinned there (CHANGES.md)
         returns = np.array([[6e-311, 0.5], [0.5, 6e-311], [6e-311, 0.01], [0.5, 0.9]])
         prices = 1.0 / (100.0 * returns)
         betas, rhos = _flat((-0.95, -0.5, -1e-17, 0.0, 0.5, 3.0),
                             (0.05, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.0, 5.0))
-        demand, code, _, tie = self.check(prices, betas, rhos)
-        limit = overflowed_interiors(prices, betas, rhos) & ((code == INTERIOR_A_HIGH)
-                                                             | (code == INTERIOR_B_HIGH))
+        overflowed = overflowed_interiors(prices, betas, rhos)
+        limits = overflowed & (rhos[:, None] >= 1.0 - 1e-10) & (rhos[:, None] < 5.0)
+        demand, code, utility, tie = self.check(prices, betas, rhos, limits)
+        assert limits.sum() == 68 and np.all(code[limits] == KINK)
+        assert np.isfinite(utility[limits]).all()
+        limit = overflowed & ((code == INTERIOR_A_HIGH) | (code == INTERIOR_B_HIGH))
         assert limit.any() and tie.any()
         assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
 
@@ -321,22 +328,22 @@ class TestAgainstEnumerationOracle:
         assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
 
     def test_beta_one_ulp_above_minus_one(self):
-        # 2 + beta rounds to 1, so 1 - w is 0: the low holding's term is 0, not
-        # 0 * u(0) = NaN, and the whole budget goes to the cheaper asset.  On a
-        # (1e300, 1e300) budget every candidate's utility is -inf at rho = 5 and the
-        # kink stays; the oracle returned (0, 0) there, off the budget line
+        # 2 + beta rounds to 1, so the odds and k are inf: the whole budget goes to the
+        # cheaper asset, the k -> inf limit, on every budget.  On a (1e300, 1e300) budget
+        # that is (1e-300, 0), side A, where every candidate's utility is -inf at rho = 5
+        # and the enumeration keeps the kink
         beta = float(np.nextafter(-1.0, 0.0))
         assert optimal_demand(PricePair(1.0, 2.0), DAParams(beta, 5.0)) == (1.0, 0.0)
         assert optimal_demand(PricePair(2.0, 1.0), DAParams(beta, 5.0)) == (0.0, 1.0)
+        assert optimal_demand(PricePair(1e300, 1e300), DAParams(beta, 5.0)) == (1e-300, 0.0)
         prices = np.vstack([[[1.0, 2.0], [2.0, 1.0], [0.01, 0.01], [1e300, 1e300]],
                             np.random.default_rng(137).uniform(0.002, 0.1, (20, 2))])
         betas, rhos = _flat((beta,), (0.05, 0.5, 1.0 - 1e-10, 1.0, 2.0, 5.0))
-        demand = self.check(prices, betas, rhos)[0]
+        demand, code, utility, _ = self.check(prices, betas, rhos)
+        assert code[-1, 3] == KINK and utility[-1, 3] == -np.inf
         assert np.all(budget_gap(prices, demand) <= 1e-15)
         cheaper = np.where(prices[:, :1] <= prices[:, 1:], [1.0, 0.0], [0.0, 1.0]) / prices
-        np.testing.assert_array_equal(demand[:, [0, 1, 2, *range(4, 24)]],
-                                      np.broadcast_to(cheaper[[0, 1, 2, *range(4, 24)]],
-                                                      (len(rhos), 23, 2)))
+        np.testing.assert_array_equal(demand, np.broadcast_to(cheaper, (len(rhos), 24, 2)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_draws(self, seed):

@@ -1,4 +1,5 @@
-"""The output contract: a fixed pipeline's outputs against ``tests/golden/pipeline_digests.json``."""
+"""The output contract: a fixed pipeline's outputs against the golden file
+``tests/golden/pipeline_digests.json``."""
 
 from __future__ import annotations
 

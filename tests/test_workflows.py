@@ -228,13 +228,27 @@ def choices_bytes(datasets, path):
     return path.read_bytes()
 
 
-def test_a_failed_session_starts_no_other_and_lets_the_running_one_finish(tmp_path):
+def test_a_failed_session_starts_no_other_and_lets_the_running_one_finish(tmp_path, monkeypatch):
+    # s1 is held until s2's session has raised out of _run_session, which records the
+    # failure first: released at s2's BackendError instead, s1 could finish its last 20
+    # rounds and its worker start s3 before s2's thread recorded the failure
     log: list[str] = []
     failing = PlanBackend("s2", log, fail_at=3)
-    running = PlanBackend("s1", log, hold_at=5, hold_for=failing.signal)
+    recorded = threading.Event()
+    running = PlanBackend("s1", log, hold_at=5, hold_for=recorded)
     waiting = [PlanBackend(name, log) for name in ("s3", "s4")]
     transcripts = tmp_path / "exp"
-    with pytest.raises(SessionError, match="round 3: s2 down"):
+    run_session = workflows._run_session
+
+    def recording(plan, *args):
+        try:
+            return run_session(plan, *args)
+        except BaseException:
+            recorded.set()
+            raise
+
+    with monkeypatch.context() as patch, pytest.raises(SessionError, match="round 3: s2 down"):
+        patch.setattr(workflows, "_run_session", recording)
         run_experiment(decision_plans([running, failing, *waiting]), evaluation_schedule(),
                        transcripts, workers=2)
     assert [b.calls for b in waiting] == [0, 0]  # not started when s2 failed
