@@ -20,9 +20,11 @@ is as good and costs no more.  So the optimum is the cheaper side's interior
 at ``max(k, 1)``, which at ``k = 1`` is the kink bundle bit for bit
 (``p_hi * 1.0 + p_lo`` is exactly ``p_a + p_b``); CRRA's infinite marginal
 felicity at zero rules out the corners.  Where ``p_hi k + p_lo`` overflows
-(tiny rho, a price ratio near the float limit, or beta one ulp above -1,
-where ``odds`` is inf), the bundle is its k -> inf limit, the whole budget on
-the cheaper asset, so no bundle is NaN for positive prices with a finite sum.
+(tiny rho, or a price ratio near the float limit), the sum is taken halved;
+where ``k`` itself is inf (beta one ulp above -1, where ``odds`` is inf, or an
+overflowed base or power), the bundle is its k -> inf limit, the whole budget
+on the cheaper asset, so no bundle is NaN for positive prices with a finite
+sum.
 
 :func:`_demand` is that rule, and the only one in the package: every kernel
 that needs the optimal bundle calls it.  :func:`optimal_demand_grid` and the
@@ -88,13 +90,15 @@ def _odds(beta):
 
 def _interior(p_hi, p_lo, k):
     """The bundle ``(x_hi, x_lo)`` on the budget line ``p_hi x_hi + p_lo x_lo = 1`` with
-    ``x_hi = k x_lo``.  Where ``p_hi k + p_lo`` overflows, ``x_lo`` is 0 (one over a
-    finite sum is at least subnormal) and the bundle is its k -> inf limit ``(1 / p_hi,
-    0)``."""
+    ``x_hi = k x_lo``.  Where ``p_hi k + p_lo`` overflows (one over a finite sum is at
+    least subnormal, so there ``1 / (p_hi k + p_lo)`` is 0), ``x_lo`` is ``(1 / p_hi) /
+    (k + p_lo / p_hi)`` with both terms of the sum halved, which is finite; at ``k =
+    inf`` it is 0 and the bundle is the k -> inf limit ``(1 / p_hi, 0)``."""
     x_lo = 1.0 / (p_hi * k + p_lo)
     held = x_lo > 0.0
     if np.count_nonzero(held) < held.size:
-        return np.where(held, k * x_lo, 1.0 / p_hi), x_lo
+        x_lo = np.where(held, x_lo, (0.5 / p_hi) / (0.5 * k + 0.5 * (p_lo / p_hi)))
+        return np.where(k < np.inf, k * x_lo, 1.0 / p_hi), x_lo
     return k * x_lo, x_lo
 
 

@@ -21,9 +21,9 @@ same float.
 
 The grid stage makes one pass per budget schedule (:func:`_grid_optima`):
 datasets whose price and return matrices are equal byte for byte share it.
-The model's demand depends on the prices only, so a pass computes it once per
-block of beta rows (:func:`_block_kernel`), for every dataset on the
-schedule.  The base depends on the beta and the round but not on rho, so
+The model's demand depends on the prices only, so a pass computes it once
+for every dataset on the schedule; a stage that runs every beta row does so
+once per block of rows (:func:`_block_kernel`).  The base depends on the beta and the round but not on rho, so
 the kernel classes each (beta, round) pair once per block: a kink pair takes
 the round's kink tokens at every rho with no power, and an interior pair
 takes one power per rho and one interior bundle.  The classed pairs are
@@ -35,22 +35,24 @@ number per round, and each chunk's loss is formed on its gathered cells and
 scattered once.  Only a running first minimum per dataset survives the
 block, so no per-round grid is kept.
 
-A pass runs its prefix sizes as stages, smallest first, each on the
-schedule's first ``s`` rounds.  The first stage runs every beta row; a later
-one runs only the (beta, rho) cells that can still hold an optimum of some
-size still to come (branch and bound, Land & Doig 1960).  A per-round loss is
-a square, so a cell's sum over ``s`` rounds is at least its sum over fewer,
-and a cell whose known sum already exceeds an achieved sum of a later size,
-by a margin far above rounding, can neither win nor tie there.  A cell kernel
-(:func:`_cell_tokens`) repeats the pair kernel's float operations for each
-(cell, round) entry on its own, classed the same way, so a stage runs
-the rows where most cells are left in through the pair kernel and the other
-cells one by one.  A one-size pass on more than ``_BOUNDING_LENGTH`` rounds
-(every ``analyze``) first runs unreported stages: a short probe over every
-row, then each longer stage only where its predicted savings exceed its cost,
-a cost guard that noisy datasets, which leave most cells in, skip.  Every
-optimum is the full grid's bit for bit.  :func:`recover_batch` fits every
-prefix of every dataset from its schedule's one staged pass.
+A pass with one size (every ``analyze``) is a box search (:func:`_box_optima`;
+branch and bound, Land & Doig 1960).  The model's tokens are monotone in beta
+and in rho, so each round's tokens over a box of cells lie between those of
+two of its corners; a box is valued at its corners and left out once each
+dataset's lower bound from those intervals exceeds its best sum so far, by a
+margin far above rounding, and every box still in is halved on each axis.  A
+cell kernel (:func:`_cell_tokens`) computes the closed form for any cells at
+once, with the pair kernel's bits.  A pass with several sizes runs them as
+stages, smallest first, each on the schedule's first ``s`` rounds.  The first
+stage runs every beta row; a later one runs only the (beta, rho) cells that
+can still hold an optimum of some size still to come.  A per-round loss is a
+square, so a cell's sum over ``s`` rounds is at least its sum over fewer, and
+a cell whose known sum already exceeds an achieved sum of a later size, by a
+margin far above rounding, can neither win nor tie there.  A stage runs the
+rows where most cells are left in through the pair kernel and the other cells
+through the cell kernel.  Every optimum is the full grid's bit for bit.
+:func:`recover_batch` fits every prefix of every dataset from its schedule's
+one pass.
 
 The refinements of a whole batch (every prefix of every dataset) run in lock
 step as :func:`_nelder_mead` generators, one per fit (scipy's algorithm
@@ -65,6 +67,7 @@ at a time, evaluation counts included.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -120,23 +123,22 @@ class FitResult:
 _BLOCK_CELLS = 1 << 16
 # rounds refined in lock step at once: bounds the paired kernel's temporaries
 _LOCK_STEP_ROUNDS = 1 << 16
-# grid cells per chunk of (beta, round) pairs in a block: keeps the kernel's
-# temporaries cache-sized
+# grid cells per chunk of (beta, round) pairs in a block, and cell-rounds per chunk of
+# cells: keeps the kernels' temporaries cache-sized
 _PAIR_CELLS = 1 << 13
-# a later stage of a grid pass leaves out a cell only if its known round-sum
-# exceeds the stage's bound by this relative margin, far above rounding, and by
-# _TINY per round (_grid_optima)
+# a grid pass leaves out a cell or a box only if its round-sum, or lower bound, exceeds
+# the bound by this relative margin, far above rounding, and by _TINY per round
+# (_grid_optima, _box_optima)
 _SLACK = 1e-9
 _TINY = float(np.finfo(float).tiny)
-# a one-size pass on datasets longer than _BOUNDING_LENGTH rounds first runs an
-# unreported stage on the first of _BOUNDING_STAGES, the probe, then each later one that
-# pays (_grid_optima); the lengths are from a measured table (CHANGES.md)
-_BOUNDING_LENGTH = 25
-_BOUNDING_STAGES = (10, 50, 100)
+# the box search widens each round's interval of model tokens by this relative margin
+# and by a few subnormal holdings (_token_range)
+_WIDEN = 1e-12
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 # the cost of a cell-round in the pair kernel and in the cell kernel (measured at 175
 # rounds; CHANGES.md): a stage runs a row through the cell kernel only where its cells
 # cost less than the row
-_PAIR_COST, _CELL_COST = 1.0, 2.1
+_PAIR_COST, _CELL_COST = 1.0, 1.6
 
 
 def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
@@ -149,19 +151,18 @@ def _beta_blocks(betas: np.ndarray, row_cells: int) -> list[slice]:
 def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     """The model's token allocations on one schedule, for a block of beta rows at a time.
 
-    Returns ``tokens_at(betas, size, lo=0)``, which maps betas, (B,), to the
-    tokens ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every
-    (beta, rho) pair and each of the schedule's rounds ``lo .. size - 1``, as
-    ``(kink, pieces)``.  ``pieces`` lists ``(rows, rounds, model_a,
-    model_b)``: the (beta, round) pairs of one chunk, (pairs,) each, rounds
-    counted from ``lo``, and their tokens in that gathered order, (pairs, R)
-    each.  Every pair in no piece takes the round's kink tokens ``kink =
-    (kink_a, kink_b)``, (size - lo,) each, at every rho.  Each token is
-    computed on its own, so a round's tokens do not depend on ``size`` or
-    ``lo``.  Only the prices and returns enter, so every dataset on the
-    schedule shares them (:func:`_block_losses`).  The pieces' tokens are
-    views of one workspace per schedule, no larger than a block's two token
-    arrays, and the next call overwrites them.
+    Returns ``tokens_at(betas, size)``, which maps betas, (B,), to the tokens
+    ``(x_a / r_a, x_b / r_b)`` at the optimal demand ``x`` of every (beta, rho)
+    pair and each of the schedule's first ``size`` rounds, as ``(kink,
+    pieces)``.  ``pieces`` lists ``(rows, rounds, model_a, model_b)``: the
+    (beta, round) pairs of one chunk, (pairs,) each, and their tokens in that
+    gathered order, (pairs, R) each.  Every pair in no piece takes the round's
+    kink tokens ``kink = (kink_a, kink_b)``, (size,) each, at every rho.  Each
+    token is computed on its own, so a round's tokens do not depend on
+    ``size``.  Only the prices and returns enter, so every dataset on the
+    schedule shares them (:func:`_block_losses`).  The pieces' tokens are views
+    of one workspace per schedule, no larger than a block's two token arrays,
+    and the next call overwrites them.
 
     The maximizer is ``da_model._demand``'s closed form: the interior on the
     cheaper asset's side (A on equal prices) at ``k = max(base^(1/rho), 1)``,
@@ -184,24 +185,24 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
     workspace = np.empty((2, 0))
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def tokens_at(betas: np.ndarray, size: int, lo: int = 0):
+    def tokens_at(betas: np.ndarray, size: int):
         nonlocal workspace
-        cells = len(betas) * len(rhos) * (size - lo)
+        cells = len(betas) * len(rhos) * size
         if workspace.shape[1] < cells:
             workspace = np.empty((2, cells))
         pieces, used = [], 0
-        base = _odds(betas[:, None]) * budgets.ratio[lo:size]
+        base = _odds(betas[:, None]) * budgets.ratio[:size]
         rows, rounds = np.nonzero(base > 1.0)
         for start in range(0, len(rows), step):
             chunk = slice(start, start + step)
-            at = rounds[chunk, None] + lo
+            at = rounds[chunk, None]
             x_a, x_b = _demand(budgets, base[rows[chunk], rounds[chunk], None], inv_rho, at)
             model_a, model_b = (part[used:used + x_a.size].reshape(x_a.shape) for part in workspace)
             np.divide(x_a, r_a[at], out=model_a)
             np.divide(x_b, r_b[at], out=model_b)
             pieces.append((rows[chunk], rounds[chunk], model_a, model_b))
             used += x_a.size
-        return (kink[0][lo:size], kink[1][lo:size]), pieces
+        return (kink[0][:size], kink[1][:size]), pieces
 
     return tokens_at
 
@@ -210,38 +211,26 @@ def _block_kernel(prices: np.ndarray, returns: np.ndarray, rhos: np.ndarray):
 def _cell_tokens(prices: np.ndarray, returns: np.ndarray, betas: np.ndarray, rhos: np.ndarray):
     """The model's token allocations on one schedule, for any grid cells and rounds.
 
-    Returns ``tokens_of(cells, lo, hi)``, which maps flat (beta, rho) cell
-    indices, (C,), to the tokens of each cell at each of the schedule's rounds
-    ``lo .. hi - 1``, as ``(model_a, model_b)``, (C, hi - lo) each.  It
-    repeats :func:`_block_kernel`'s float operations for each (cell, round)
-    entry on its own, so every token is that kernel's bit for bit: the
-    closed form, classed as the pair kernel classes its (beta, round) pairs.
-    An entry whose pair takes the kink keeps its round's kink tokens, with no
-    power; the other entries are gathered, their tokens computed by
-    ``da_model._demand`` and scattered back into (cell, round) order.
+    Returns ``tokens_of(cells, size)``, which maps flat (beta, rho) cell
+    indices, (C,), to the tokens of each cell at each of the schedule's first
+    ``size`` rounds, as one (2, C, size) array, ``model_a`` then ``model_b``.
+    It takes ``da_model._demand`` on every (cell, round) entry, with no
+    classing: where the base is at most 1, ``max(base^(1/rho), 1)`` is 1 and
+    the interior at ``k = 1`` is the kink bit for bit, so every token is
+    :func:`_block_kernel`'s.
     """
     budgets = _Budgets(prices)
     r_a, r_b = returns[:, 0], returns[:, 1]
-    n, cols = len(prices), len(rhos)
-    inv_rho = 1.0 / rhos
-    kink_a, kink_b = budgets.kink / r_a, budgets.kink / r_b
-    # each (beta, round) pair's base, and whether it takes the interior, (B * N,) each
-    bases = (_odds(betas[:, None]) * budgets.ratio).ravel()
-    interior = bases > 1.0
+    odds, inv_rho, cols = _odds(betas), 1.0 / rhos, len(rhos)
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def tokens_of(cells: np.ndarray, lo: int, hi: int):
-        span = hi - lo
-        rounds = np.arange(lo, hi)
-        pairs = ((cells // cols * n)[:, None] + rounds).ravel()
-        tokens_a, tokens_b = np.tile(kink_a[lo:hi], len(cells)), np.tile(kink_b[lo:hi], len(cells))
-        at = np.flatnonzero(interior[pairs])
-        if len(at):
-            r = rounds[at % span]
-            x_a, x_b = _demand(budgets, bases[pairs[at]], inv_rho[cells[at // span] % cols], r)
-            tokens_a[at] = x_a / r_a[r]
-            tokens_b[at] = x_b / r_b[r]
-        return tokens_a.reshape(len(cells), span), tokens_b.reshape(len(cells), span)
+    def tokens_of(cells: np.ndarray, size: int) -> np.ndarray:
+        x_a, x_b = _demand(budgets, odds[cells // cols, None] * budgets.ratio[:size],
+                           inv_rho[cells % cols, None], slice(size))
+        tokens = np.empty((2, len(cells), size))
+        np.divide(x_a, r_a[:size], out=tokens[0])
+        np.divide(x_b, r_b[:size], out=tokens[1])
+        return tokens
 
     return tokens_of
 
@@ -267,11 +256,11 @@ def _token_losses(model_a: np.ndarray, model_b: np.ndarray, t_a: np.ndarray,
 def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One dataset's squared token-share gap per cell of a block, written into ``out``.
 
-    ``block`` is ``tokens_at(betas, size, lo)`` of :func:`_block_kernel`,
-    ``tokens`` the dataset's rounds ``lo .. size - 1``, (size - lo, 2), and
-    ``out`` (B, R, size - lo).  A pair that takes the kink at every rho takes the round's
-    kink loss, one number per round broadcast over its rows and rho columns;
-    the loss of each piece is computed on its gathered (pairs, R) cells and
+    ``block`` is ``tokens_at(betas, size)`` of :func:`_block_kernel`,
+    ``tokens`` the dataset's first ``size`` rounds, (size, 2), and ``out`` (B,
+    R, size).  A pair that takes the kink at every rho takes the round's kink
+    loss, one number per round broadcast over its rows and rho columns; the
+    loss of each piece is computed on its gathered (pairs, R) cells and
     scattered once.  Every cell's float is that of the gap formula on the
     full token array.
     """
@@ -283,15 +272,140 @@ def _block_losses(block, tokens: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _token_pad(returns: np.ndarray) -> np.ndarray:
+    """A few subnormal holdings in tokens, per side and round of the schedule: (2, 1, n)."""
+    return 4.0 * _SUBNORMAL * (1.0 + 1.0 / returns.T[:, None])
+
+
+def _token_range(corner: np.ndarray, other: np.ndarray, pad: np.ndarray):
+    """The interval ``(low, high)`` that holds a box's model tokens at each round, from
+    the tokens of its two corner cells (:func:`_box_optima`), widened by ``_WIDEN``
+    relative and by ``pad``, :func:`_token_pad`'s."""
+    low, high = np.minimum(corner, other), np.maximum(corner, other)
+    low *= 1.0 - _WIDEN
+    low -= pad
+    high *= 1.0 + _WIDEN
+    high += pad
+    return low, high
+
+
+@functools.lru_cache(maxsize=4)
+def _box_levels(rows: int, cols: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The boxes of :func:`_box_optima`'s search on a ``rows`` x ``cols`` grid, level by
+    level, as ``(parents, low, high, wide)``: each box's parent, an index into the level
+    before (0 for the whole grid), the flat indices of its corner cells ``(i, a)`` and
+    ``(j, b)``, and whether it has more than one cell.  Each wide box's parts follow
+    it on the next level: it is halved on each axis with more than one cell.  The levels
+    depend on the grid's shape alone, and every pass on that shape shares them,
+    read-only."""
+    levels = []
+    boxes, parents = np.array([[0], [rows - 1], [0], [cols - 1]]), np.zeros(1, dtype=np.intp)
+    while boxes.shape[1]:
+        low, high = boxes[0] * cols + boxes[2], boxes[1] * cols + boxes[3]
+        wide = low != high
+        levels.append((parents, low, high, wide))
+        at = np.flatnonzero(wide)
+        i, j, a, b = boxes[:, at]
+        beta_mid, rho_mid = (i + j) // 2, (a + b) // 2
+        boxes = np.stack([i, beta_mid, a, rho_mid, i, beta_mid, rho_mid + 1, b,
+                          beta_mid + 1, j, a, rho_mid, beta_mid + 1, j, rho_mid + 1, b]
+                         ).reshape(4, 4, -1).transpose(1, 0, 2).reshape(4, -1)
+        parts = (boxes[0] <= boxes[1]) & (boxes[2] <= boxes[3])
+        boxes, parents = boxes[:, parts], np.tile(at, 4)[parts]
+    for level in levels:
+        for array in level:
+            array.flags.writeable = False
+    return tuple(levels)
+
+
+def _box_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
+                betas: np.ndarray, rhos: np.ndarray) -> list[tuple[float, int]]:
+    """Each member's grid optimum on all the schedule's rounds, as ``(mean loss, flat
+    (beta, rho) index)``: a branch and bound over boxes of cells (Land & Doig 1960).
+
+    It rests on a monotonicity of the model's tokens.  ``odds = w / (1 - w)``
+    with ``w = 1 / (2 + beta)`` does not increase with beta, so neither does
+    ``base = odds * ratio``, nor ``k = max(base^(1/rho), 1)`` with beta or rho.
+    The cheaper side's holding ``k / (p_hi k + p_lo)`` does not decrease with
+    ``k``, the other holding does not increase (``da_model._interior``'s
+    halved sum, where the sum overflows, keeps both orders), and the tokens
+    ``x / r`` keep them.  So on axes sorted by value, each round's model tokens
+    over a box of cells ``[beta_i .. beta_j] x [rho_a .. rho_b]`` lie between
+    those of its corner cells ``(i, a)`` and ``(j, b)``.  In floats every step
+    is correctly rounded, so monotone, except ``np.power``, within an ulp of
+    the exact power, and the product ``k * x_lo``: the order can break only
+    between tokens a few ulp apart, or a subnormal step apart in a holding.
+    :func:`_token_range` widens each interval by ``_WIDEN`` relative, far
+    above the first, and by :func:`_token_pad`, above the second.
+
+    A box's lower bound for a member is the loss, summed over the rounds, of
+    the tokens in its intervals nearest to the member's (``np.clip``): each
+    rounded gap, square and sum is no larger than any of its cells'.  Each
+    member's ``U`` is its least round-sum over the cells valued so far, and a
+    box is left out once every member's bound exceeds ``U * (1 + _SLACK) + n *
+    _TINY``, the multi-size stages' rule, so none of its cells can win or tie.
+    The search starts from the whole grid and goes level by level
+    (:func:`_box_levels`): it values the two corners of every box still in
+    (:func:`_cell_tokens`, in chunks of about ``_PAIR_CELLS`` entries; a
+    one-cell box is a valued cell), leaves boxes out, and halves each axis of
+    every box still in.  The optimum is the first minimum of ``(mean, flat
+    index)`` over the valued cells, and each mean is ``np.add.reduce(losses,
+    axis=1) / n``, the full pass's float, so every optimum keeps its bits.
+    Only a chunk's tokens are kept, so a corner that an earlier level valued
+    is computed and valued again, which changes nothing.
+    """
+    n, cols = len(prices), len(rhos)
+    # the flat grid index of each cell of the sorted axes
+    flat = (np.argsort(betas, kind="stable")[:, None] * cols
+            + np.argsort(rhos, kind="stable")).ravel()
+    tokens_of = _cell_tokens(prices, returns, betas, rhos)
+    # each member's tokens, (M, 2, 1, n)
+    tokens = np.stack([member.T for member in members])[:, :, None]
+    t_a, t_b = tokens[:, 0], tokens[:, 1]
+    pad = _token_pad(returns)
+    least = np.full(len(members), np.inf)  # each member's U
+    best = [(math.inf, len(flat))] * len(members)  # every cell beats it
+    half = max(1, _PAIR_CELLS // (2 * n))  # boxes per chunk
+    kept = np.ones(1, dtype=bool)  # the whole grid's parent
+    for parents, low, high, wide in _box_levels(len(betas), cols):
+        alive = kept[parents]
+        boxes = np.flatnonzero(alive & wide)
+        low_cells, high_cells = flat[low[boxes]], flat[high[boxes]]
+        single = flat[low[alive & ~wide]]
+        lower = np.empty((len(members), len(boxes)))
+        for start in range(0, max(len(boxes), len(single)), half):
+            chunk = slice(start, start + half)
+            cells = np.concatenate([low_cells[chunk], high_cells[chunk], single[chunk]])
+            model = tokens_of(cells, n)
+            sums = np.add.reduce(_token_losses(model[0], model[1], t_a, t_b), axis=2)
+            means = sums / n  # the bits of .mean
+            mins = np.min(means, axis=1)
+            firsts = np.min(np.where(means == mins[:, None], cells, len(flat)), axis=1)
+            best = [min(pair, (float(mean), int(at))) for pair, mean, at in zip(best, mins, firsts)]
+            least = np.minimum(least, np.min(sums, axis=1))
+            pairs = len(low_cells[chunk])
+            if pairs:
+                bottom, top = _token_range(model[:, :pairs], model[:, pairs:2 * pairs], pad)
+                near = np.clip(tokens, bottom, top)
+                lower[:, chunk] = np.add.reduce(_token_losses(near[:, 0], near[:, 1], t_a, t_b),
+                                                axis=2)
+        kept = np.zeros(len(low), dtype=bool)
+        kept[boxes] = ~np.all(lower > (least * (1.0 + _SLACK) + n * _TINY)[:, None], axis=0)
+        if not kept.any():
+            return best
+    return best
+
+
 def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.ndarray],
                  sizes: Sequence[int], betas: np.ndarray, rhos: np.ndarray,
                  ) -> list[list[tuple[float, int]]]:
     """Each member's grid optimum for each prefix size, as ``(mean loss, flat (beta, rho)
     index)``; the mean is the grid's own float at that cell on that prefix.
 
-    ``members`` are the token matrices of datasets on one schedule.  The
-    distinct sizes run as stages, smallest first, each on the schedule's first
-    ``s`` rounds.  The first stage runs every beta row through the pair kernel
+    ``members`` are the token matrices of datasets on one schedule.  One size
+    is a box search (:func:`_box_optima`).  Several distinct sizes run as
+    stages, smallest first, each on the schedule's first ``s`` rounds.  The
+    first stage runs every beta row through the pair kernel
     (:func:`_block_kernel`), which computes the model's tokens once per block
     for every member; each member's per-round losses of a block go into one
     reusable buffer (:func:`_block_losses`), and the sum of a cell's ``s``
@@ -305,7 +419,7 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
     sum over its first ``s`` rounds is at least its sum over fewer.  Each
     member keeps ``known``, every cell's round-sum from the latest stage that
     ran it, and its latest optimum, an achieved cell.  Before a stage, that
-    cell's sums over each remaining reported size ``t`` (from the cell kernel,
+    cell's sums over each remaining size ``t`` (from the cell kernel,
     :func:`_cell_tokens`) bound the member's ``t``-round minimum sum from
     above, and a cell is left out for good once every member's ``known`` there
     exceeds ``U_t * t * (1 + _SLACK) + t * _TINY`` for every such ``t``.  A
@@ -317,35 +431,24 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
 
     A stage runs a row through the pair kernel where that costs less than the
     cell kernel on the row's cells (``_PAIR_COST``, ``_CELL_COST``), and the
-    rest cell by cell, in chunks of ``_PAIR_CELLS`` entries.  A reported
-    stage sums each of its cells' per-round losses over all ``s`` rounds, in
-    the full pass's order, so every optimum and every mean keeps its bits.
-
-    A one-size pass on more than ``_BOUNDING_LENGTH`` rounds first runs
-    unreported stages of the ``_BOUNDING_STAGES`` lengths below its size.
-    The first, the probe, runs every row.  A later one runs only if the cells
-    that its sums, extrapolated from the known ones, would leave out save the
-    reported stage more than it costs, the bound extrapolated likewise to
-    each member's best known sum; it adds just its new rounds to ``known``
-    (``_SLACK`` covers the other summation order).  Noisy members leave most
-    cells in, and they then skip most unreported stages after the probe.
-    With a single stage there is no bound and no ``known``.
+    rest cell by cell, in chunks of ``_PAIR_CELLS`` entries.  A stage sums
+    each of its cells' per-round losses over all ``s`` rounds, in the full
+    pass's order, so every optimum and every mean keeps its bits.
     """
     if not sizes:
         return [[] for _ in members]
-    reported = sorted(set(sizes))
-    internal = ([s for s in _BOUNDING_STAGES if s < reported[0]]
-                if len(reported) == 1 and reported[0] > _BOUNDING_LENGTH else [])
-    stages = [*internal, *reported]
+    stages = sorted(set(sizes))
+    if len(stages) == 1:
+        size = stages[0]
+        return [[best] * len(sizes) for best in _box_optima(
+            prices[:size], returns[:size], [member[:size] for member in members], betas, rhos)]
     cols, cells = len(rhos), len(betas) * len(rhos)
-    known = np.empty((len(members), cells)) if len(stages) > 1 else None
+    known = np.empty((len(members), cells))
     tokens_at = _block_kernel(prices, returns, rhos)
-    # each stage's row blocks have at most max(_BLOCK_CELLS, one row) cells; the first
-    # stage's and a reported stage's rows span its size, an unreported one's the rounds
-    # after any stage before it
-    spans = [*stages, *(size - done for size in internal for done in stages if done < size)]
-    buffer = np.empty(max(min(len(betas), max(1, _BLOCK_CELLS // (cols * span))) * cols * span
-                          for span in spans))
+    tokens_of = _cell_tokens(prices, returns, betas, rhos)
+    # each stage's row blocks have at most max(_BLOCK_CELLS, one row) cells
+    buffer = np.empty(max(min(len(betas), max(1, _BLOCK_CELLS // (cols * size))) * cols * size
+                          for size in stages))
     best: list[tuple[float, int]] = []
 
     def merge(m: int, sums: np.ndarray, at: np.ndarray, size: int):
@@ -354,106 +457,66 @@ def _grid_optima(prices: np.ndarray, returns: np.ndarray, members: Sequence[np.n
         means = sums / size  # the bits of .mean
         i = int(np.argmin(means))
         best[m] = min(best[m], (float(means[i]), int(at[i])))
-        if known is not None:
-            known[m, at] = sums
+        known[m, at] = sums
 
-    def add(m: int, sums: np.ndarray, at: np.ndarray, lo: int, size: int):
-        """Member ``m``'s sums over rounds ``lo .. size - 1`` at the flat cells ``at``: merged
-        into ``best`` if ``lo`` is 0, else added to ``known``."""
-        if lo:
-            known[m, at] += sums
-        else:
-            merge(m, sums, at, size)
-
-    def run_rows(rows: np.ndarray, lo: int, size: int):
-        """Every member's sums over rounds ``lo .. size - 1`` of the cells of ``rows``."""
-        span = size - lo
-        row_cells = cols * span
+    def run_rows(rows: np.ndarray, size: int):
+        """Every member's sums over the first ``size`` rounds of the cells of ``rows``."""
+        row_cells = cols * size
         for block in _beta_blocks(betas[rows], row_cells):
             at = rows[block]
-            tokens = tokens_at(betas[at], size, lo)
-            out = buffer[:len(at) * row_cells].reshape(len(at), cols, span)
+            tokens = tokens_at(betas[at], size)
+            out = buffer[:len(at) * row_cells].reshape(len(at), cols, size)
             flat = (at[:, None] * cols + np.arange(cols)).ravel()
             for m, member in enumerate(members):
-                _block_losses(tokens, member[lo:size], out)
-                add(m, np.add.reduce(out.reshape(-1, span), axis=1), flat, lo, size)
+                _block_losses(tokens, member[:size], out)
+                merge(m, np.add.reduce(out.reshape(-1, size), axis=1), flat, size)
 
-    def run_cells(at: np.ndarray, lo: int, size: int):
+    def run_cells(at: np.ndarray, size: int):
         """:func:`run_rows` on the flat cells ``at``, in increasing order."""
-        step = max(1, _PAIR_CELLS // (size - lo))
+        step = max(1, _PAIR_CELLS // size)
         for begin in range(0, len(at), step):
             chunk = at[begin:begin + step]
-            model_a, model_b = tokens_of(chunk, lo, size)
+            model_a, model_b = tokens_of(chunk, size)
             for m, member in enumerate(members):
-                add(m, np.add.reduce(_token_losses(model_a, model_b, member[lo:size, 0],
-                                                   member[lo:size, 1]), axis=1),
-                    chunk, lo, size)
+                merge(m, np.add.reduce(_token_losses(model_a, model_b, member[:size, 0],
+                                                     member[:size, 1]), axis=1), chunk, size)
 
-    if known is not None:
-        tokens_of = _cell_tokens(prices, returns, betas, rhos)
-        targets = np.array(reported)
-        bounds = np.full((len(members), len(reported)), np.inf)
-        tried: list[set[int]] = [set() for _ in members]
+    targets = np.array(stages)
+    bounds = np.full((len(members), len(stages)), np.inf)
+    tried: list[set[int]] = [set() for _ in members]
 
     def limits(latest: list[int], size: int) -> np.ndarray:
         """Each member's bound on the round-sum of a cell that can still hold one of its
-        optima at a reported size >= ``size``, from its ``latest`` optimum."""
+        optima at a size >= ``size``, from its ``latest`` optimum."""
         new = [(m, at) for m, at in enumerate(latest) if at not in tried[m]]
         if new:
             at, index = np.unique([at for _, at in new], return_inverse=True)
-            model_a, model_b = tokens_of(at, 0, reported[-1])
+            model_a, model_b = tokens_of(at, stages[-1])
             for (m, cell), i in zip(new, index):
                 tried[m].add(cell)
-                member = members[m][:reported[-1]]
+                member = members[m][:stages[-1]]
                 sums = np.cumsum(_token_losses(model_a[i], model_b[i], member[:, 0], member[:, 1]))
                 bounds[m] = np.fmin(bounds[m], sums[targets - 1] * (1.0 + _SLACK)
                                     + targets * _TINY)
         return np.max(bounds[:, targets >= size], axis=1)
 
-    def plan(alive: np.ndarray) -> tuple[np.ndarray, float]:
-        """The rows the pair kernel runs, where that costs less than the cell kernel on their
-        cells, and the cost of one round of ``alive``."""
-        by_cells = np.count_nonzero(alive.reshape(len(betas), cols), axis=1) * _CELL_COST
-        rows = by_cells > _PAIR_COST * cols
-        return rows, float(np.sum(np.where(rows, _PAIR_COST * cols, by_cells)))
-
-    def run(alive: np.ndarray, lo: int, size: int):
-        rows = plan(alive)[0]
-        if rows.any():
-            run_rows(np.flatnonzero(rows), lo, size)
-        at = np.flatnonzero(alive & ~np.repeat(rows, cols))
-        if len(at):
-            run_cells(at, lo, size)
-
-    optima, alive, done, latest = {}, None, 0, []
+    optima, alive = {}, None
     for size in stages:
         best[:] = [(math.inf, cells)] * len(members)  # every cell beats it
         if alive is None:
-            run_rows(np.arange(len(betas)), 0, size)
+            run_rows(np.arange(len(betas)), size)
             alive = np.ones(cells, dtype=bool)
         else:
-            limit = limits(latest, size)[:, None]
-            alive &= ~np.all(known > limit, axis=0)
-            if size in internal:
-                # it runs only if the cells that its sums, extrapolated from the known
-                # ones, would leave out save the reported stage more than it costs; the
-                # bound is extrapolated too, to each member's best known sum, since the
-                # stage's own optimum lowers it
-                now = plan(alive)[1]
-                guess = np.minimum(limit, np.min(known, axis=1, where=alive, initial=np.inf)
-                                   [:, None] * (reported[-1] / done))
-                then = plan(alive & ~np.all(known * (size / done) > guess, axis=0))[1]
-                if now * (size - done) >= (now - then) * reported[-1]:
-                    continue
-                run(alive, done, size)
-                done = size
-                latest = [int(np.argmin(np.where(alive, sums, np.inf))) for sums in known]
-                continue
-            run(alive, 0, size)
-        done = size
-        latest = [at for _, at in best]
-        if size in reported:
-            optima[size] = best[:]
+            alive &= ~np.all(known > limits([at for _, at in latest], size)[:, None], axis=0)
+            # the pair kernel runs a row where that costs less than the cell kernel on its cells
+            rows = np.count_nonzero(alive.reshape(len(betas), cols), axis=1) * _CELL_COST > (
+                _PAIR_COST * cols)
+            if rows.any():
+                run_rows(np.flatnonzero(rows), size)
+            at = np.flatnonzero(alive & ~np.repeat(rows, cols))
+            if len(at):
+                run_cells(at, size)
+        latest = optima[size] = best[:]
     return [[optima[size][m] for size in sizes] for m in range(len(members))]
 
 
@@ -648,14 +711,13 @@ def recover_batch(
     Datasets whose price and return matrices are equal byte for byte share
     one schedule, and each schedule gets one grid pass (:func:`_grid_optima`):
     the model's demand is computed once for all of its datasets, and only
-    their token gaps are computed per dataset.  The distinct sizes run as
-    stages, smallest first, and a later stage runs only the (beta, rho) cells
-    that can still hold an optimum of a size still to come; one size on more
-    than ``_BOUNDING_LENGTH`` rounds gets unreported bounding stages first.
-    The optima are those of a full pass per size, bit for bit.  No per-round
-    grid is kept: a pass keeps a running minimum per dataset, and with
-    several stages also each cell's latest round-sum, ``B * R`` floats per
-    dataset.  Then the refinements of every prefix advance in lock step
+    their token gaps are computed per dataset.  One size is a box search over
+    the grid; several distinct sizes run as stages, smallest first, and a later
+    stage runs only the (beta, rho) cells that can still hold an optimum of a
+    size still to come.  The optima are those of a full pass per size, bit for
+    bit.  No per-round grid is kept: a pass keeps a running minimum per
+    dataset, with several stages also each cell's latest round-sum, ``B * R``
+    floats per dataset, and a box search only one chunk of tokens.  Then the refinements of every prefix advance in lock step
     (:func:`_refine_batch`), each against its grid optimum's mean from the
     pass, which is :func:`fit_loss` there.  The fits are those of one dataset
     at a time, bit for bit, whatever the batch.

@@ -128,9 +128,9 @@ def learning_curve_direct(
 
     Each subject gets its own 175-round provision schedule; parameters are
     recovered from every prefix length of every subject in one
-    :func:`recover_batch` (one staged grid pass per subject: each larger
-    prefix runs only the grid cells that can still hold an optimum), then
-    regressed on the truth.
+    :func:`recover_batch` (one grid pass per subject: with several sizes each
+    larger prefix runs only the grid cells that can still hold an optimum, and
+    one size is a box search), then regressed on the truth.
     """
     truth = dict(population)
     subjects = (

@@ -6,8 +6,10 @@ enumeration's bits wherever the two pick the same branch (:func:`closed_form_bra
 The enumeration also gives what the package does not compute: the winning candidate's
 branch code, its utility and an exact-tie flag, and the scalar felicity and objective.
 An interior whose denominator ``p_hi k + p_lo`` overflows is its k -> inf limit, the
-whole budget on the higher holding, as in ``da_model._interior``
-(:func:`overflowed_interiors` says where)."""
+whole budget on the higher holding, as ``da_model._interior`` takes it where ``k`` is
+inf; where ``k`` is finite, ``_interior`` takes the sum halved instead, and holds a
+subnormal or nearly subnormal amount of the other asset (:func:`overflowed_interiors`
+says where)."""
 
 from __future__ import annotations
 
@@ -154,8 +156,9 @@ def enumeration_demand_grid(
 
 
 def overflowed_interiors(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Where an interior's denominator ``p_hi k + p_lo`` overflows, (G, N): its bundle
-    there is the k -> inf limit, ``(1 / p_hi, 0)`` on the higher side."""
+    """Where an interior's denominator ``p_hi k + p_lo`` overflows, (G, N): the
+    enumeration's bundle there is the k -> inf limit, ``(1 / p_hi, 0)`` on the higher
+    side."""
     prices = np.asarray(prices, dtype=float)
     p_a, p_b = prices[None, :, 0], prices[None, :, 1]
     w = 1.0 / (2.0 + np.asarray(beta, dtype=float)[:, None])
@@ -200,8 +203,8 @@ def assert_optimal(prices: np.ndarray, beta: np.ndarray, rho: np.ndarray, demand
 
     ``limits``, (G, N), names entries whose bundle is the closed form's k -> inf
     limit at ``rho >= 1 - LOG_RHO_EPS``, where ``u(0)`` is -inf: a price ratio so
-    near the float limit that ``p_hi k + p_lo`` overflows although the true
-    maximizer holds a subnormal amount, of finite utility.  There the bundle
+    near the float limit that ``k`` itself overflows although the true maximizer
+    holds a subnormal amount, of finite utility.  There the bundle
     must be the cheaper side's ``(1 / p_hi, 0)`` and is left out of the utility
     comparison; the caller asserts what the enumeration took.
     """

@@ -296,18 +296,28 @@ class TestAgainstEnumerationOracle:
         # p_a / p_b overflows, so k_b = inf and the B-high bundle is its limit (0, 1 / p_b),
         # and the kink holding is subnormal, of utility -inf at rho = 5, which counts as a
         # tie.  Against a price of 1 the ratio is finite, and at beta > 0 and rho = 1 the
-        # B-high bundle's denominator overflows: the limit again.  At rho >= 1 - 1e-10 the
-        # limit holds 0, of utility -inf, where the enumeration's kink holds a subnormal
-        # amount of finite utility: the closed form's limit is pinned there (CHANGES.md)
+        # B-high bundle's denominator overflows while k is finite: the bundle holds
+        # (1 / p_hi) / k, below 1e-307, of the dearer asset.  At rho >= 1 - 1e-10
+        # that holding's utility is finite, as the enumeration's kink is there, and the
+        # closed form meets assert_optimal's criterion.  Where the base odds * ratio (or
+        # the ratio itself) overflows, k is inf and the limit holds 0, of utility -inf:
+        # those entries stay pinned as limits (CHANGES.md)
         returns = np.array([[6e-311, 0.5], [0.5, 6e-311], [6e-311, 0.01], [0.5, 0.9]])
         prices = 1.0 / (100.0 * returns)
         betas, rhos = _flat((-0.95, -0.5, -1e-17, 0.0, 0.5, 3.0),
                             (0.05, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.0, 5.0))
         overflowed = overflowed_interiors(prices, betas, rhos)
-        limits = overflowed & (rhos[:, None] >= 1.0 - 1e-10) & (rhos[:, None] < 5.0)
+        subnormal = overflowed & (rhos[:, None] >= 1.0 - 1e-10) & (rhos[:, None] < 5.0)
+        w = 1.0 / (2.0 + betas[:, None])
+        with np.errstate(over="ignore"):
+            k = np.power(w / (1.0 - w) * (np.max(prices, axis=1) / np.min(prices, axis=1)),
+                         1.0 / rhos[:, None])
+        limits = subnormal & np.isinf(k)
         demand, code, utility, tie = self.check(prices, betas, rhos, limits)
-        assert limits.sum() == 68 and np.all(code[limits] == KINK)
-        assert np.isfinite(utility[limits]).all()
+        assert subnormal.sum() == 68 and np.all(code[subnormal] == KINK)
+        assert limits.sum() == 56 and np.isfinite(utility[subnormal]).all()
+        held = np.min(demand, axis=-1)[subnormal & ~limits]
+        assert len(held) == 12 and np.all((held > 0.0) & (held < 1e-307))
         limit = overflowed & ((code == INTERIOR_A_HIGH) | (code == INTERIOR_B_HIGH))
         assert limit.any() and tie.any()
         assert np.isfinite(demand).all() and np.all(budget_gap(prices, demand) <= 1e-15)
